@@ -19,12 +19,14 @@ from typing import Sequence
 
 from .bounds import AuditReport, BoundArch, BoundQuery, Model, lower_bound, stage_audit
 from .core import (
+    MAX_WIRES,
     ChainNotFoundError,
     Circuit,
     GateKind,
     ParseError,
     emit_circuit,
     generic_depth,
+    is_permutation,
     is_two_qubit,
     parse_architecture,
     parse_circuit,
@@ -137,7 +139,7 @@ def _parse_relabel(raw: str, n: int) -> tuple[int, ...] | None:
         perm = tuple(int(tok) for tok in raw.split(","))
     except ValueError:
         raise _UsageError(f"bad relabel {raw!r}: expected identity, reverse, or ints")
-    if sorted(perm) != list(range(n)):
+    if not is_permutation(perm, n):
         raise _UsageError(f"relabel {raw!r} is not a permutation of 0..{n - 1}")
     return perm
 
@@ -146,8 +148,14 @@ class _UsageError(Exception):
     pass
 
 
+def _wire_flag(n: int) -> int:
+    if n > MAX_WIRES:
+        raise ValueError(f"--n {n} is more than the limit of {MAX_WIRES} wires")
+    return n
+
+
 def _cmd_qft(args: argparse.Namespace) -> int:
-    spec = QftSpec(args.n, args.approx)
+    spec = QftSpec(_wire_flag(args.n), args.approx)
     if args.flat:
         return _deliver(args, qft_flat(spec), None)
     sc = aqft_lnn(spec) if args.approx is not None else qft_lnn(spec)
@@ -182,7 +190,7 @@ def _cmd_skeleton(args: argparse.Namespace) -> int:
     if args.spec is not None:
         spec = parse_skeleton(_read(args.spec))
     else:
-        spec = SkeletonSpec(args.n)
+        spec = SkeletonSpec(_wire_flag(args.n))
     sc = schedule_lnn(spec, drop_last_swaps=args.drop_last_swaps)
     return _deliver(args, sc.circuit, sc.final_map)
 
@@ -285,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qft", help="Fourier transform circuit, flat or chained")
     p.add_argument("--n", type=int, required=True, help="number of wires")
-    p.add_argument("--arch", choices=["lnn"], default="lnn")
     p.add_argument("--approx", type=int, default=None, metavar="M", help="drop rotations beyond M")
     p.add_argument("--flat", action="store_true", help="unrestricted circuit, no routing")
     _add_output_flags(p)

@@ -27,17 +27,28 @@ class GateKind(Enum):
     GENERIC2 = "g"
 
 
-_ONE_QUBIT = frozenset({GateKind.H, GateKind.P})
-_TWO_QUBIT = frozenset(
-    {GateKind.CNOT, GateKind.CZ, GateKind.CPHASE, GateKind.SWAP, GateKind.GENERIC2}
-)
-_SYMMETRIC = frozenset({GateKind.CZ, GateKind.CPHASE, GateKind.SWAP, GateKind.GENERIC2})
+_ARITY = {kind: 1 if kind in (GateKind.H, GateKind.P) else 2 for kind in GateKind}
 
 
-class Gate(NamedTuple):
+class _GateFields(NamedTuple):
     kind: GateKind
     qubits: tuple[int, ...]
     param: int | None = None
+
+
+class Gate(_GateFields):
+    """A gate, checked by validate_gate whenever one is made (`_replace` too)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: GateKind, qubits: tuple[int, ...], param: int | None = None) -> "Gate":
+        g = tuple.__new__(cls, (kind, qubits, param))
+        validate_gate(g)
+        return g
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Gate":
+        return cls(*iterable)
 
 
 class ParseError(ValueError):
@@ -49,71 +60,66 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {reason}")
 
 
+# Largest wire count a text header or CLI size flag may ask for: 4x the largest
+# n any test or workload uses (256), where O(n^2)-gate schedules reach ~1e6 gates.
+MAX_WIRES = 1024
+
+
 def validate_gate(g: Gate) -> None:
-    if g.kind in _ONE_QUBIT:
-        if len(g.qubits) != 1:
-            raise ValueError(f"{g.kind.value} takes one wire, got {g.qubits}")
-        if g.param is not None:
-            raise ValueError(f"{g.kind.value} takes no parameter")
-    elif g.kind in _TWO_QUBIT:
-        if len(g.qubits) != 2 or g.qubits[0] == g.qubits[1]:
-            raise ValueError(f"{g.kind.value} needs two distinct wires, got {g.qubits}")
-        if g.kind is GateKind.CPHASE:
-            if not isinstance(g.param, int) or g.param < 1:
-                raise ValueError(f"cphase needs an integer parameter k >= 1, got {g.param}")
-        elif g.param is not None:
-            raise ValueError(f"{g.kind.value} takes no parameter")
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown gate kind {g.kind}")
-    for q in g.qubits:
+    kind, qubits, param = g
+    arity = _ARITY.get(kind)
+    if arity is None:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    if arity == 1:
+        if len(qubits) != 1:
+            raise ValueError(f"{kind.value} takes one wire, got {qubits}")
+    elif len(qubits) != 2 or qubits[0] == qubits[1]:
+        raise ValueError(f"{kind.value} needs two distinct wires, got {qubits}")
+    if kind is GateKind.CPHASE:
+        if not isinstance(param, int) or param < 1:
+            raise ValueError(f"cphase needs an integer parameter k >= 1, got {param}")
+    elif param is not None:
+        raise ValueError(f"{kind.value} takes no parameter")
+    for q in qubits:
         if not isinstance(q, int) or q < 0:
-            raise ValueError(f"wire indices must be non-negative integers, got {g.qubits}")
+            raise ValueError(f"wire indices must be non-negative integers, got {qubits}")
 
 
 def h(q: int) -> Gate:
-    g = Gate(GateKind.H, (q,))
-    validate_gate(g)
-    return g
+    return Gate(GateKind.H, (q,))
 
 
 def p(q: int) -> Gate:
-    g = Gate(GateKind.P, (q,))
-    validate_gate(g)
-    return g
+    return Gate(GateKind.P, (q,))
 
 
 def cnot(control: int, target: int) -> Gate:
-    g = Gate(GateKind.CNOT, (control, target))
-    validate_gate(g)
-    return g
+    return Gate(GateKind.CNOT, (control, target))
 
 
 def cz(a: int, b: int) -> Gate:
-    g = Gate(GateKind.CZ, (min(a, b), max(a, b)))
-    validate_gate(g)
-    return g
+    return Gate(GateKind.CZ, (min(a, b), max(a, b)))
 
 
 def swap(a: int, b: int) -> Gate:
-    g = Gate(GateKind.SWAP, (min(a, b), max(a, b)))
-    validate_gate(g)
-    return g
+    return Gate(GateKind.SWAP, (min(a, b), max(a, b)))
 
 
 def cphase(k: int, a: int, b: int) -> Gate:
-    g = Gate(GateKind.CPHASE, (min(a, b), max(a, b)), k)
-    validate_gate(g)
-    return g
+    return Gate(GateKind.CPHASE, (min(a, b), max(a, b)), k)
 
 
 def generic2(a: int, b: int) -> Gate:
-    g = Gate(GateKind.GENERIC2, (min(a, b), max(a, b)))
-    validate_gate(g)
-    return g
+    return Gate(GateKind.GENERIC2, (min(a, b), max(a, b)))
 
 
 def is_two_qubit(g: Gate) -> bool:
-    return g.kind in _TWO_QUBIT
+    return len(g.qubits) == 2
+
+
+def is_permutation(perm: Sequence[int], n: int) -> bool:
+    """True when perm lists each of 0..n-1 exactly once."""
+    return sorted(perm) == list(range(n))
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,8 @@ class Circuit:
         if self.n_wires < 1:
             raise ValueError(f"n_wires must be >= 1, got {self.n_wires}")
         for g in self.gates:
-            validate_gate(g)
+            if type(g) is not Gate:
+                raise ValueError(f"{g!r} is not a Gate")
             for q in g.qubits:
                 if q >= self.n_wires:
                     raise ValueError(f"gate {g} uses wire {q} outside 0..{self.n_wires - 1}")
@@ -311,10 +318,13 @@ def validate_on(circuit: Circuit, arch: Architecture) -> ValidationReport:
         raise ValueError(
             f"circuit has {circuit.n_wires} wires but architecture has {arch.n_sites} sites"
         )
-    for i, g in enumerate(circuit.gates):
-        if is_two_qubit(g) and not arch.adjacent(*g.qubits):
+    wire_sets = {g.qubits for g in circuit.gates}
+    off_edge = {(min(qs), max(qs)) for qs in wire_sets if len(qs) == 2} - arch.edges
+    if off_edge:  # walk the gates only to name the first violation
+        for i, g in enumerate(circuit.gates):
             pair = (min(g.qubits), max(g.qubits))
-            return ValidationReport(False, Violation(i, pair))
+            if pair in off_edge:
+                return ValidationReport(False, Violation(i, pair))
     return ValidationReport(True)
 
 
@@ -331,7 +341,7 @@ class ScheduledCircuit:
     final_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.final_map) != list(range(self.arch.n_sites)):
+        if not is_permutation(self.final_map, self.arch.n_sites):
             raise ValueError(f"final_map {self.final_map} is not a permutation")
         report = validate_on(self.circuit, self.arch)
         if not report.ok:
@@ -377,7 +387,7 @@ def route_permutation(target: Sequence[int], arch: Architecture) -> ScheduledCir
     if arch.kind is not ArchKind.LNN:
         raise ValueError("route_permutation supports LNN architectures only")
     n = arch.n_sites
-    if sorted(target) != list(range(n)):
+    if not is_permutation(target, n):
         raise ValueError(f"target {tuple(target)} is not a permutation of 0..{n - 1}")
     pos = list(range(n))  # site -> logical
     gates: list[Gate] = []
@@ -466,6 +476,17 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _wire_count(raw: str | int, lineno: int) -> int:
+    """A header's size field: an integer in 1..MAX_WIRES."""
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ParseError(lineno, f"bad wire count {raw!r}") from None
+    if not 1 <= n <= MAX_WIRES:
+        raise ParseError(lineno, f"wire count must be in 1..{MAX_WIRES}, got {n}")
+    return n
+
+
 def parse_circuit(text: str) -> Circuit:
     lines = _content_lines(text)
     if not lines:
@@ -474,19 +495,14 @@ def parse_circuit(text: str) -> Circuit:
     parts = head.split()
     if len(parts) != 2 or parts[0] != "qubits":
         raise ParseError(lineno, f"expected 'qubits N', got {head!r}")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(lineno, f"bad qubit count {parts[1]!r}") from None
-    if n < 1:
-        raise ParseError(lineno, f"qubit count must be >= 1, got {n}")
+    n = _wire_count(parts[1], lineno)
     gates = []
     for lineno, line in lines[1:]:
         toks = line.split()
         kind = _KIND_BY_NAME.get(toks[0])
         if kind is None:
             raise ParseError(lineno, f"unknown gate {toks[0]!r}")
-        want = 1 if kind in _ONE_QUBIT else (3 if kind is GateKind.CPHASE else 2)
+        want = _ARITY[kind] + (kind is GateKind.CPHASE)
         if len(toks) - 1 != want:
             raise ParseError(lineno, f"{toks[0]} takes {want} arguments, got {len(toks) - 1}")
         try:
@@ -495,13 +511,9 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(lineno, f"non-integer argument in {line!r}") from None
         try:
             if kind is GateKind.CPHASE:
-                g = cphase(args[0], args[1], args[2])
-            elif kind in _SYMMETRIC:
-                g = Gate(kind, (min(args), max(args)))
-                validate_gate(g)
-            else:
-                g = Gate(kind, tuple(args))
-                validate_gate(g)
+                g = cphase(*args)
+            else:  # a CNOT keeps its direction; other gates store wires ascending
+                g = Gate(kind, tuple(args if kind is GateKind.CNOT else sorted(args)))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
         for q in g.qubits:
@@ -528,16 +540,16 @@ def parse_architecture(text: str) -> Architecture:
     lineno, head = lines[0]
     toks = head.split()
     try:
+        if toks[0] in ("lnn", "grid") and len(lines) > 1:
+            raise ParseError(lines[1][0], f"unexpected line after {head!r}")
         if toks[0] == "lnn" and len(toks) == 2:
-            if len(lines) > 1:
-                raise ParseError(lines[1][0], "unexpected line after 'lnn N'")
-            return Architecture.lnn(int(toks[1]))
+            return Architecture.lnn(_wire_count(toks[1], lineno))
         if toks[0] == "grid" and len(toks) == 3:
-            if len(lines) > 1:
-                raise ParseError(lines[1][0], "unexpected line after 'grid R C'")
-            return Architecture.grid(int(toks[1]), int(toks[2]))
+            rows, cols = _wire_count(toks[1], lineno), _wire_count(toks[2], lineno)
+            _wire_count(rows * cols, lineno)
+            return Architecture.grid(rows, cols)
         if toks[0] == "graph" and len(toks) == 2:
-            n = int(toks[1])
+            n = _wire_count(toks[1], lineno)
             edges = []
             for lno, line in lines[1:]:
                 etoks = line.split()
@@ -597,6 +609,7 @@ __all__ = [
     "Circuit",
     "Gate",
     "GateKind",
+    "MAX_WIRES",
     "ParseError",
     "ScheduledCircuit",
     "ValidationReport",
@@ -611,6 +624,7 @@ __all__ = [
     "generic_depth",
     "h",
     "invert_permutation",
+    "is_permutation",
     "is_two_qubit",
     "layers",
     "p",

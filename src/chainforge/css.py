@@ -34,6 +34,7 @@ from .core import (
     ParseError,
     ScheduledCircuit,
     _content_lines,
+    _wire_count,
     cz,
     generic_depth,
     h,
@@ -236,14 +237,10 @@ def parse_css(text: str) -> CssSpec:
     toks = head.split()
     if len(toks) != 4 or toks[0] != "css" or toks[1] not in ("encode", "syndrome"):
         raise ParseError(lineno, f"expected 'css encode|syndrome S T', got {head!r}")
-    try:
-        s, t = int(toks[2]), int(toks[3])
-    except ValueError:
-        raise ParseError(lineno, f"bad block sizes in {head!r}") from None
-    if s < 1 or t < 1:
-        raise ParseError(lineno, f"need s >= 1 and t >= 1, got s={s}, t={t}")
+    s, t = _wire_count(toks[2], lineno), _wire_count(toks[3], lineno)
     mode = CssMode(toks[1])
     n_controls = s + 1 if mode is CssMode.ENCODE else s
+    _wire_count(n_controls + t, lineno)
     if len(lines) - 1 < n_controls:
         raise ParseError(lineno, f"expected {n_controls} type rows")
     rows = []

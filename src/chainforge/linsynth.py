@@ -29,10 +29,12 @@ from .core import (
     ParseError,
     ScheduledCircuit,
     _content_lines,
+    _wire_count,
     cnot,
+    is_permutation,
     prune_trailing_swap_layers,
 )
-from .skeleton import SkeletonSpec, all_pairs, staged_schedule
+from .skeleton import SkeletonSpec, _check_pair, all_pairs, staged_schedule
 
 Pair = tuple[int, int]
 
@@ -150,7 +152,7 @@ class GF2Matrix:
 
     def relabel(self, output_map: Sequence[int]) -> "GF2Matrix":
         """Read row output_map[l] as logical output l."""
-        if sorted(output_map) != list(range(self.n)):
+        if not is_permutation(output_map, self.n):
             raise ValueError(f"{tuple(output_map)} is not a permutation")
         return GF2Matrix(self.n, tuple(self.rows[output_map[l]] for l in range(self.n)))
 
@@ -182,8 +184,7 @@ class GaussJordanTrace:
             if j is not None and not c < j < self.n:
                 raise ValueError(f"pivot donor {j} for column {c} must satisfy c < j < n")
         for a, b in self.lower | self.upper:
-            if not 0 <= a < b < self.n:
-                raise ValueError(f"({a}, {b}) is not a pair with 0 <= a < b < n")
+            _check_pair(a, b, self.n)
 
     def pivot_flags(self) -> tuple[int, ...]:
         return tuple(0 if j is None else 1 for j in self.pivot_donor)
@@ -378,11 +379,12 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
             idx = foldable.pop(pair, None)
             if idx is not None and last_on_wire[pair[0]] == idx and last_on_wire[pair[1]] == idx:
                 c, t = out[idx].qubits
+                out.append(out[idx])
                 out[idx] = cnot(t, c)
-                out.append(cnot(c, t))
             else:
                 a, b = pair
-                out.extend((cnot(a, b), cnot(b, a), cnot(a, b)))
+                ab = cnot(a, b)
+                out.extend((ab, cnot(b, a), ab))
         else:
             out.append(g)
             foldable[pair] = len(out) - 1
@@ -408,12 +410,7 @@ def parse_gf2(text: str) -> GF2Matrix:
     toks = head.split()
     if len(toks) != 2 or toks[0] != "gf2":
         raise ParseError(lineno, f"expected 'gf2 N', got {head!r}")
-    try:
-        n = int(toks[1])
-    except ValueError:
-        raise ParseError(lineno, f"bad dimension {toks[1]!r}") from None
-    if n < 1:
-        raise ParseError(lineno, f"dimension must be >= 1, got {n}")
+    n = _wire_count(toks[1], lineno)
     if len(lines) - 1 != n:
         raise ParseError(lineno, f"expected {n} rows, got {len(lines) - 1}")
     try:

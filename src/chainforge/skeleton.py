@@ -25,11 +25,11 @@ from .core import (
     ParseError,
     ScheduledCircuit,
     _content_lines,
+    _wire_count,
     cphase,
     generic2,
-    is_two_qubit,
+    is_permutation,
     swap,
-    validate_gate,
 )
 
 Pair = tuple[int, int]
@@ -55,30 +55,28 @@ class SkeletonSpec:
         object.__setattr__(self, "absent", frozenset(self.absent))
         object.__setattr__(self, "payload", dict(self.payload))
         for a, b in self.absent:
-            self._check_pair(a, b)
+            _check_pair(a, b, self.n)
         for (a, b), g in self.payload.items():
-            self._check_pair(a, b)
+            _check_pair(a, b, self.n)
             if (a, b) in self.absent:
                 raise ValueError(f"pair ({a}, {b}) is absent but has a payload")
-            validate_gate(g)
-            if not is_two_qubit(g):
-                raise ValueError(f"payload for ({a}, {b}) must be a two-qubit gate, got {g}")
-            if {g.qubits[0], g.qubits[1]} != {a, b}:
+            if set(g.qubits) != {a, b}:
                 raise ValueError(f"payload gate {g} does not act on pair ({a}, {b})")
 
-    def _check_pair(self, a: int, b: int) -> None:
-        if not (0 <= a < b < self.n):
-            raise ValueError(f"({a}, {b}) is not a pair with 0 <= a < b < {self.n}")
-
     def present(self, a: int, b: int) -> bool:
-        self._check_pair(a, b)
+        _check_pair(a, b, self.n)
         return (a, b) not in self.absent
 
     def gate_for(self, a: int, b: int) -> Gate:
-        return self.payload.get((a, b), generic2(a, b))
+        return self.payload.get((a, b)) or generic2(a, b)
 
     def n_present(self) -> int:
         return self.n * (self.n - 1) // 2 - len(self.absent)
+
+
+def _check_pair(a: int, b: int, n: int) -> None:
+    if not (0 <= a < b < n):
+        raise ValueError(f"({a}, {b}) is not a pair with 0 <= a < b < {n}")
 
 
 def n_stages(n: int) -> int:
@@ -114,7 +112,7 @@ class StagePlan(NamedTuple):
 
 def _check_placement(placement: Sequence[int], n: int) -> tuple[int, ...]:
     pl = tuple(placement)
-    if sorted(pl) != list(range(n)):
+    if not is_permutation(pl, n):
         raise ValueError(f"placement {pl} is not a permutation of 0..{n - 1}")
     deltas = {pl[i + 1] - pl[i] for i in range(n - 1)}
     if n > 1 and deltas not in ({1}, {-1}):
@@ -140,9 +138,7 @@ def staged_schedule(
         before = tuple(loc)
         for a, b in stage_pairs(n, s):
             sa, sb = loc[a], loc[b]
-            if abs(sa - sb) != 1:
-                raise AssertionError(f"slot ({a}, {b}) not adjacent at stage {s}")
-            if spec.present(a, b):
+            if (a, b) not in spec.absent:
                 g = spec.gate_for(a, b)
                 payload.append(Gate(g.kind, tuple(loc[q] for q in g.qubits), g.param))
             swaps.append(swap(sa, sb))
@@ -197,36 +193,33 @@ def parse_skeleton(text: str) -> SkeletonSpec:
     toks = head.split()
     if len(toks) != 2 or toks[0] != "skeleton":
         raise ParseError(lineno, f"expected 'skeleton N', got {head!r}")
-    try:
-        n = int(toks[1])
-    except ValueError:
-        raise ParseError(lineno, f"bad wire count {toks[1]!r}") from None
+    n = _wire_count(toks[1], lineno)
     absent = set()
     payload = {}
     for lineno, line in lines[1:]:
         toks = line.split()
+        is_absent = toks[0] == "absent" and len(toks) == 3
+        if not (is_absent or toks[0] == "payload" and len(toks) in (4, 5)):
+            raise ParseError(lineno, f"expected 'absent a b' or 'payload a b kind', got {line!r}")
         try:
-            if toks[0] == "absent" and len(toks) == 3:
-                a, b = int(toks[1]), int(toks[2])
-                absent.add((min(a, b), max(a, b)))
-            elif toks[0] == "payload" and len(toks) in (4, 5):
-                a, b = int(toks[1]), int(toks[2])
-                kind = _PAYLOAD_KINDS.get(toks[3])
-                if kind is None:
-                    raise ParseError(lineno, f"unknown payload kind {toks[3]!r}")
-                if kind is GateKind.CPHASE:
-                    if len(toks) != 5:
-                        raise ParseError(lineno, "cphase payload needs a parameter k")
-                    g = cphase(int(toks[4]), a, b)
-                elif len(toks) == 5:
-                    raise ParseError(lineno, f"{toks[3]} payload takes no parameter")
-                elif kind is GateKind.CNOT:
-                    g = Gate(kind, (a, b))
-                else:
-                    g = Gate(kind, (min(a, b), max(a, b)))
-                payload[(min(a, b), max(a, b))] = g
+            a, b = int(toks[1]), int(toks[2])
+            pair = (min(a, b), max(a, b))
+            _check_pair(*pair, n)
+            if is_absent:
+                absent.add(pair)
+                continue
+            kind = _PAYLOAD_KINDS.get(toks[3])
+            if kind is None:
+                raise ParseError(lineno, f"unknown payload kind {toks[3]!r}")
+            if kind is GateKind.CPHASE:
+                if len(toks) != 5:
+                    raise ParseError(lineno, "cphase payload needs a parameter k")
+                g = cphase(int(toks[4]), a, b)
+            elif len(toks) == 5:
+                raise ParseError(lineno, f"{toks[3]} payload takes no parameter")
             else:
-                raise ParseError(lineno, f"expected 'absent a b' or 'payload a b kind', got {line!r}")
+                g = Gate(kind, (a, b) if kind is GateKind.CNOT else pair)
+            payload[pair] = g
         except ParseError:
             raise
         except ValueError as exc:

@@ -30,15 +30,14 @@ from .core import (
     ParseError,
     ScheduledCircuit,
     _content_lines,
+    _wire_count,
     h,
+    is_permutation,
     p,
 )
 from .linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_parts
 
 STAGE_ORDER = ("h", "c", "p", "c", "p", "c", "h", "p", "c", "p", "c")
-
-# O(n^3) per gate when enabled; flip on in tests that audit the invariant.
-CHECK_SYMPLECTIC = False
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ class PauliTableau:
 
     def permute_wires(self, perm: Sequence[int]) -> "PauliTableau":
         """Relabel the image strings' wires: column w moves to perm[w]."""
-        if sorted(perm) != list(range(self.n)):
+        if not is_permutation(perm, self.n):
             raise ValueError(f"{tuple(perm)} is not a permutation")
         x = np.empty_like(self.x)
         z = np.empty_like(self.z)
@@ -205,8 +204,6 @@ def apply_gate(t: PauliTableau, g: Gate) -> PauliTableau:
             apply_gate(t, step)
     else:
         raise ValueError(f"{g.kind.value} (param={g.param}) is not a Clifford gate")
-    if CHECK_SYMPLECTIC and not t.is_symplectic():  # pragma: no cover - debug aid
-        raise AssertionError(f"symplectic invariant broken by {g}")
     return t
 
 
@@ -238,12 +235,7 @@ def parse_stab(text: str) -> StageDecomposition:
     toks = head.split()
     if len(toks) != 2 or toks[0] != "stab":
         raise ParseError(lineno, f"expected 'stab N', got {head!r}")
-    try:
-        n = int(toks[1])
-    except ValueError:
-        raise ParseError(lineno, f"bad wire count {toks[1]!r}") from None
-    if n < 1:
-        raise ParseError(lineno, f"wire count must be >= 1, got {n}")
+    n = _wire_count(toks[1], lineno)
     pos = 1
     h_masks: list[int] = []
     p_masks: list[int] = []
@@ -293,7 +285,6 @@ def emit_stab(d: StageDecomposition) -> str:
 
 
 __all__ = [
-    "CHECK_SYMPLECTIC",
     "PauliTableau",
     "STAGE_ORDER",
     "StageDecomposition",

@@ -4,7 +4,7 @@ import json
 from random import Random
 
 from chainforge.cli import main
-from chainforge.core import Circuit, cnot, emit_circuit, parse_circuit
+from chainforge.core import MAX_WIRES, Circuit, cnot, emit_circuit, parse_circuit
 from chainforge.css import emit_css, steane_syndrome
 from chainforge.linsynth import GF2Matrix, emit_gf2
 from chainforge.qft import QftSpec, qft_flat, qft_lnn
@@ -101,6 +101,32 @@ def test_singular_matrix_is_a_domain_error(tmp_path, capsys):
 def test_missing_file_is_a_domain_error(tmp_path, capsys):
     assert main(["linsynth", "--matrix", str(tmp_path / "absent.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_oversized_inputs_are_domain_errors(tmp_path, capsys):
+    files = {
+        "huge_circuit": "qubits 99999999999\nh 0\n",
+        "huge_arch": "lnn 99999999999\n",
+        "huge_matrix": "gf2 99999\n",
+        "huge_stab": "stab 99999\n",
+        "huge_css": "css encode 1000 1000\n",
+        "circuit": "qubits 2\nh 0\n",
+        "arch": "lnn 2\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    f = {name: str(tmp_path / name) for name in files}
+    for argv in (
+        ["audit", "--circuit", f["huge_circuit"], "--arch", f["arch"]],
+        ["audit", "--circuit", f["circuit"], "--arch", f["huge_arch"]],
+        ["linsynth", "--matrix", f["huge_matrix"]],
+        ["stab", "--spec", f["huge_stab"]],
+        ["css", "--spec", f["huge_css"]],
+        ["qft", "--n", "99999999999"],
+        ["skeleton", "--n", "99999999999"],
+    ):
+        assert main(argv) == 1, argv
+        assert str(MAX_WIRES) in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

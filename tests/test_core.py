@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import chainforge.core as core
 from chainforge.core import (
     Architecture,
     ChainNotFoundError,
@@ -62,6 +63,25 @@ def test_gate_validation_rejects_bad_shapes():
         validate_gate(Gate(GateKind.H, (0,), 3))
     with pytest.raises(ValueError):
         validate_gate(Gate(GateKind.SWAP, (0, 1), 1))
+
+
+def test_gates_are_validated_once_when_made(monkeypatch):
+    gates = (h(0), cnot(2, 1), swap(0, 1), cphase(2, 1, 2))
+    calls = []
+    real = core.validate_gate
+    monkeypatch.setattr(core, "validate_gate", lambda g: calls.append(g) or real(g))
+    circuit = Circuit(3, gates)
+    ScheduledCircuit(circuit, Architecture.lnn(3), (1, 0, 2))
+    assert calls == []
+    made = p(2)
+    assert calls == [made]
+    for make in (
+        lambda: Gate(GateKind.CNOT, (1, 1)),
+        lambda: Gate(GateKind.H, (0,), 3),
+        lambda: cnot(0, 1)._replace(qubits=(1, 1)),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_circuit_rejects_out_of_range_wires():
@@ -233,6 +253,19 @@ def test_parse_circuit_error_reporting():
         parse_circuit("qubits 2\ncphase 0 1\n")  # k missing
     with pytest.raises(ParseError):
         parse_circuit("qubits 2\nh 5\n")
+
+
+def test_oversized_headers_fail_at_line_one():
+    for parse, text in (
+        (parse_architecture, "lnn 99999999999"),
+        (parse_architecture, "grid 64 64"),
+        (parse_architecture, "graph 99999999999\nedge 0 1"),
+        (parse_circuit, "qubits 99999999999\nh 0"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == 1, text
+    assert parse_architecture(f"lnn {core.MAX_WIRES}").n_sites == core.MAX_WIRES
 
 
 def test_parse_emit_architecture_roundtrip():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from chainforge.core import GateKind, cnot, cz, generic2, swap
+from chainforge.core import GateKind, ParseError, cnot, cz, generic2, swap
 from chainforge.skeleton import (
     SkeletonSpec,
     all_pairs,
@@ -128,3 +128,15 @@ def test_parse_emit_roundtrip():
     spec = parse_skeleton("skeleton 3\nabsent 0 1\npayload 1 2 cnot\n")
     assert spec.gate_for(1, 2) == cnot(1, 2)
     assert spec.gate_for(0, 2) == generic2(0, 2)
+
+
+def test_parse_errors_name_their_line():
+    for text, line in (
+        ("skeleton 4\n\nabsent 1 1\n", 3),
+        ("skeleton 4\nabsent 0 1\npayload 0 5 cz\n", 3),
+        ("skeleton 99999999999\n", 1),
+        ("skeleton 1\n", 1),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_skeleton(text)
+        assert err.value.line == line, text

@@ -166,12 +166,13 @@ def test_schedule_depth_bounds():
 
 def test_symplectic_checks_can_be_enabled():
     d = random_decomposition(3, Random(43))
-    stab.CHECK_SYMPLECTIC = True
-    try:
-        sc = schedule_stabilizer(d)
-        assert tableau_equiv(sc.circuit, stabilizer_flat(d), relabel=sc.final_map)
-    finally:
-        stab.CHECK_SYMPLECTIC = False
+    sc = schedule_stabilizer(d)
+    t = PauliTableau.identity(3)
+    for g in sc.circuit.gates:
+        stab.apply_gate(t, g)
+        assert t.is_symplectic(), f"symplectic invariant broken by {g}"
+    assert t == tableau_of(sc.circuit)
+    assert tableau_equiv(sc.circuit, stabilizer_flat(d), relabel=sc.final_map)
 
 
 def test_parse_emit_roundtrip():
