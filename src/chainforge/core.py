@@ -267,8 +267,7 @@ class Architecture:
             raise ValueError(f"graph needs n >= 1, got {n}")
         norm = set()
         for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n) or a == b:
-                raise ValueError(f"bad edge ({a}, {b}) for {n} sites")
+            _check_edge(a, b, n)
             norm.add((min(a, b), max(a, b)))
         if n > 1 and not _connected(n, norm):
             raise ValueError("graph architecture must be connected")
@@ -276,6 +275,11 @@ class Architecture:
 
     def adjacent(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
+
+
+def _check_edge(a: int, b: int, n: int) -> None:
+    if not (0 <= a < n and 0 <= b < n) or a == b:
+        raise ValueError(f"bad edge ({a}, {b}) for {n} sites")
 
 
 def _max_degree(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -555,7 +559,12 @@ def parse_architecture(text: str) -> Architecture:
                 etoks = line.split()
                 if etoks[0] != "edge" or len(etoks) != 3:
                     raise ParseError(lno, f"expected 'edge a b', got {line!r}")
-                edges.append((int(etoks[1]), int(etoks[2])))
+                try:
+                    edge = int(etoks[1]), int(etoks[2])
+                    _check_edge(*edge, n)
+                except ValueError as exc:
+                    raise ParseError(lno, str(exc)) from None
+                edges.append(edge)
             return Architecture.graph(n, edges)
     except ParseError:
         raise

@@ -119,91 +119,91 @@ def schedule_stabilizer(d: StageDecomposition) -> ScheduledCircuit:
     return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), placement)
 
 
-@dataclass(eq=False)
+@dataclass
 class PauliTableau:
-    """Conjugation images of the 2n Pauli generators."""
+    """Conjugation images of the 2n Pauli generators, packed by column.
 
-    x: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
+    Bit g of xs[w] / zs[w] is row g's X / Z bit on wire w and bit g of signs
+    is row g's sign, so a gate is a few int ops on its wires' columns. x, z
+    and r unpack them as read-only (2n, n), (2n, n) and (2n,) uint8 arrays.
+    """
+
+    xs: list[int]
+    zs: list[int]
+    signs: int
 
     @staticmethod
     def identity(n: int) -> "PauliTableau":
-        eye = np.eye(n, dtype=np.uint8)
-        zero = np.zeros((n, n), dtype=np.uint8)
-        return PauliTableau(
-            np.concatenate([eye, zero]),
-            np.concatenate([zero, eye]),
-            np.zeros(2 * n, dtype=np.uint8),
-        )
+        return PauliTableau([1 << w for w in range(n)], [1 << (n + w) for w in range(n)], 0)
 
     @property
     def n(self) -> int:
-        return self.x.shape[1]
+        return len(self.xs)
 
-    def copy(self) -> "PauliTableau":
-        return PauliTableau(self.x.copy(), self.z.copy(), self.r.copy())
+    @property
+    def x(self) -> np.ndarray:
+        return _unpack(self.xs, 2 * self.n)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PauliTableau):
-            return NotImplemented
-        return (
-            self.x.shape == other.x.shape
-            and bool(np.array_equal(self.x, other.x))
-            and bool(np.array_equal(self.z, other.z))
-            and bool(np.array_equal(self.r, other.r))
-        )
+    @property
+    def z(self) -> np.ndarray:
+        return _unpack(self.zs, 2 * self.n)
+
+    @property
+    def r(self) -> np.ndarray:
+        return _unpack([self.signs], 2 * self.n)[:, 0]
 
     def permute_wires(self, perm: Sequence[int]) -> "PauliTableau":
         """Relabel the image strings' wires: column w moves to perm[w]."""
         if not is_permutation(perm, self.n):
             raise ValueError(f"{tuple(perm)} is not a permutation")
-        x = np.empty_like(self.x)
-        z = np.empty_like(self.z)
-        idx = list(perm)
-        x[:, idx] = self.x
-        z[:, idx] = self.z
-        return PauliTableau(x, z, self.r.copy())
+        xs, zs = [0] * self.n, [0] * self.n
+        for w, dest in enumerate(perm):
+            xs[dest], zs[dest] = self.xs[w], self.zs[w]
+        return PauliTableau(xs, zs, self.signs)
 
     def is_symplectic(self) -> bool:
         """Images must keep the generators' commutation pattern."""
-        m = np.concatenate([self.x, self.z], axis=1).astype(np.uint8)
-        n = self.n
-        lam = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        lam[:n, n:] = np.eye(n, dtype=np.uint8)
-        lam[n:, :n] = np.eye(n, dtype=np.uint8)
-        prod = (m @ lam @ m.T) % 2
-        return bool(np.array_equal(prod, lam))
+        m = np.concatenate([self.x, self.z], axis=1)
+        lam = np.roll(np.eye(2 * self.n, dtype=np.uint8), self.n, axis=1)
+        return bool(np.array_equal((m @ lam @ m.T) % 2, lam))
+
+
+def _unpack(cols: list[int], rows: int) -> np.ndarray:
+    """Bit g of cols[w] as entry [g, w] of a read-only uint8 array."""
+    bits = [[c >> g & 1 for c in cols] for g in range(rows)]
+    out = np.array(bits, dtype=np.uint8).reshape(rows, len(cols))
+    out.flags.writeable = False
+    return out
 
 
 def apply_gate(t: PauliTableau, g: Gate) -> PauliTableau:
     """Update the tableau by one Clifford gate, in place."""
-    x, z, r = t.x, t.z, t.r
-    if g.kind is GateKind.H:
-        (q,) = g.qubits
-        r ^= x[:, q] & z[:, q]
-        tmp = x[:, q].copy()
-        x[:, q] = z[:, q]
-        z[:, q] = tmp
-    elif g.kind is GateKind.P:
-        (q,) = g.qubits
-        r ^= x[:, q] & z[:, q]
-        z[:, q] ^= x[:, q]
-    elif g.kind is GateKind.CNOT:
-        c, tq = g.qubits
-        r ^= x[:, c] & z[:, tq] & (x[:, tq] ^ z[:, c] ^ 1)
-        x[:, tq] ^= x[:, c]
-        z[:, c] ^= z[:, tq]
-    elif g.kind is GateKind.SWAP:
-        a, b = g.qubits
-        x[:, [a, b]] = x[:, [b, a]]
-        z[:, [a, b]] = z[:, [b, a]]
-    elif g.kind is GateKind.CZ or (g.kind is GateKind.CPHASE and g.param == 1):
-        a, b = g.qubits
-        for step in (h(b), Gate(GateKind.CNOT, (a, b)), h(b)):
-            apply_gate(t, step)
+    kind, qubits, param = g
+    xs, zs = t.xs, t.zs
+    if kind is GateKind.CNOT:
+        c, tq = qubits
+        t.signs ^= xs[c] & zs[tq] & ~(xs[tq] ^ zs[c])
+        xs[tq] ^= xs[c]
+        zs[c] ^= zs[tq]
+    elif kind is GateKind.SWAP:
+        a, b = qubits
+        xs[a], xs[b] = xs[b], xs[a]
+        zs[a], zs[b] = zs[b], zs[a]
+    elif kind is GateKind.H:
+        (q,) = qubits
+        t.signs ^= xs[q] & zs[q]
+        xs[q], zs[q] = zs[q], xs[q]
+    elif kind is GateKind.P:
+        (q,) = qubits
+        t.signs ^= xs[q] & zs[q]
+        zs[q] ^= xs[q]
+    elif kind is GateKind.CZ or (kind is GateKind.CPHASE and param == 1):
+        a, b = qubits
+        t.signs ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
+        zs[a] ^= xs[b]
+        zs[b] ^= xs[a]
     else:
-        raise ValueError(f"{g.kind.value} (param={g.param}) is not a Clifford gate")
+        raise ValueError(f"{kind.value} (param={param}) is not a Clifford gate")
     return t
 
 

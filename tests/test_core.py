@@ -277,6 +277,10 @@ def test_parse_emit_architecture_roundtrip():
         assert parse_architecture(emit_architecture(arch)) == arch
     with pytest.raises(ParseError):
         parse_architecture("mesh 4\n")
+    for text in ("graph 3\nedge 0 1\nedge 1 x", "graph 3\nedge 0 1\nedge 1 7", "graph 3\nedge 0 1\nedge 1 1"):
+        with pytest.raises(ParseError) as err:
+            parse_architecture(text)
+        assert err.value.line == 3, text
 
 
 def test_to_qasm_output():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import chainforge.stabilizer as stab
-from chainforge.core import Circuit, cnot, cphase, cz, generic2, generic_depth, h, p, swap
+from chainforge.core import Circuit, GateKind, cnot, cphase, cz, generic2, generic_depth, h, p, swap
 from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot
 from chainforge.oracle import circuit_unitary
 from chainforge.stabilizer import (
@@ -93,22 +93,69 @@ def test_known_conjugation_facts():
     assert t.x[0, 0] == 0 and t.z[0, 0] == 1 and t.r[0] == 0
 
 
+def _random_clifford(n: int, count: int, rng: Random) -> Circuit:
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(["h", "p", "cnot", "cz", "swap"])
+        if kind in ("h", "p"):
+            w = rng.randrange(n)
+            gates.append(h(w) if kind == "h" else p(w))
+        elif n >= 2:
+            a, b = rng.sample(range(n), 2)
+            gates.append({"cnot": cnot(a, b), "cz": cz(a, b), "swap": swap(a, b)}[kind])
+    return Circuit(n, tuple(gates))
+
+
 def test_random_clifford_circuits_match_dense():
     rng = Random(13)
     for _ in range(40):
         n = rng.randint(1, 3)
-        gates = []
-        for _ in range(rng.randint(1, 25)):
-            kind = rng.choice(["h", "p", "cnot", "cz", "swap"])
-            if kind in ("h", "p"):
-                w = rng.randrange(n)
-                gates.append(h(w) if kind == "h" else p(w))
-            elif n >= 2:
-                a, b = rng.sample(range(n), 2)
-                gates.append({"cnot": cnot(a, b), "cz": cz(a, b), "swap": swap(a, b)}[kind])
-        c = Circuit(n, tuple(gates))
+        c = _random_clifford(n, rng.randint(1, 25), rng)
         assert _conjugation_matches(c)
         assert tableau_of(c).is_symplectic()
+
+
+def test_random_clifford_then_inverse_is_identity_at_n64():
+    n = 64
+    c = _random_clifford(n, 3000, Random(64))
+    inverse = []
+    for g in reversed(c.gates):  # P^-1 = P^3; H, CNOT, CZ and SWAP are self-inverse
+        inverse.extend([g] * (3 if g.kind is GateKind.P else 1))
+    t = tableau_of(c)
+    assert t.is_symplectic()
+    assert t != PauliTableau.identity(n)
+    for g in inverse:
+        stab.apply_gate(t, g)
+    assert t == PauliTableau.identity(n)
+
+
+def test_native_cz_rule_matches_h_cnot_h():
+    rng = Random(29)
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        start = _random_clifford(n, 40, rng)
+        a, b = rng.sample(range(n), 2)
+        native, phase1, composed = tableau_of(start), tableau_of(start), tableau_of(start)
+        stab.apply_gate(native, cz(a, b))
+        stab.apply_gate(phase1, cphase(1, a, b))
+        for g in (h(b), cnot(a, b), h(b)):
+            stab.apply_gate(composed, g)
+        assert native == phase1 == composed
+
+
+def test_tableau_of_calls_apply_gate_once_per_gate(monkeypatch):
+    calls = []
+    original = stab.apply_gate
+
+    def counting(t, g):
+        calls.append(g)
+        return original(t, g)
+
+    monkeypatch.setattr(stab, "apply_gate", counting)
+    sc = schedule_stabilizer(random_decomposition(4, Random(5)))
+    circuit = Circuit(4, sc.circuit.gates + (cz(0, 1), cphase(1, 2, 3)))
+    tableau_of(circuit)
+    assert len(calls) == len(circuit.gates)
 
 
 def test_tableau_rejects_non_clifford_gates():
