@@ -36,6 +36,7 @@ from .core import (
     ScheduledCircuit,
     ValidationReport,
     Violation,
+    asap_layers,
     cnot,
     cphase,
     cz,

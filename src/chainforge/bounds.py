@@ -28,8 +28,7 @@ from .core import (
     Circuit,
     GateKind,
     ScheduledCircuit,
-    is_two_qubit,
-    layers,
+    asap_layers,
 )
 from .skeleton import all_pairs, stage_of
 
@@ -117,29 +116,12 @@ def classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
     structure keeps the verdict stable under recompression, which would
     otherwise slide sparse stages into each other.
     """
-    runs: list[list] = []
-    flavors: list[str | None] = []
-    for gate in circuit.gates:
-        kind = None
-        if is_two_qubit(gate):
-            kind = "S" if gate.kind is GateKind.SWAP else "L"
-        if not runs or (kind is not None and flavors[-1] is not None and flavors[-1] != kind):
-            runs.append([gate])
-            flavors.append(kind)
-        else:
-            runs[-1].append(gate)
-            if flavors[-1] is None:
-                flavors[-1] = kind
-    out: list[tuple[int, str]] = []
-    index = 0
-    for run in runs:
-        piece = Circuit(circuit.n_wires, tuple(run))
-        for layer in layers(piece):
-            kinds = {run[g].kind for g in layer if is_two_qubit(run[g])}
-            if kinds:
-                out.append((index, "L" if kinds - {GateKind.SWAP} else "S"))
-            index += 1
-    return out
+    gates = circuit.gates
+    tags: dict[int, str] = {}
+    for (kind, qs, _), layer in zip(gates, asap_layers(gates, circuit.n_wires, by_stage=True)):
+        if len(qs) == 2:  # a layer lies in one stretch, so its tags agree
+            tags[layer] = "S" if kind is GateKind.SWAP else "L"
+    return sorted(tags.items())
 
 
 def stage_audit(sc: ScheduledCircuit | Circuit) -> AuditReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GateKind(Enum):
@@ -146,28 +146,47 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind is kind)
 
     def depth(self) -> int:
-        free: dict[int, int] = {}
-        d = 0
-        for g in self.gates:
-            layer = 1 + max((free.get(q, 0) for q in g.qubits), default=0)
-            for q in g.qubits:
-                free[q] = layer
-            if layer > d:
-                d = layer
-        return d
+        return 1 + max(asap_layers(self.gates, self.n_wires), default=-1)
 
     def extended(self, gates: Iterable[Gate]) -> "Circuit":
         return Circuit(self.n_wires, self.gates + tuple(gates))
 
 
+def asap_layers(gates: Iterable[Gate], n_wires: int, by_stage: bool = False) -> Iterator[int]:
+    """0-based ASAP layer of each gate, yielded in gate order.
+
+    With `by_stage`, the gate list is read as the stages it spells out: it
+    is cut wherever its two-qubit gates switch between SWAP and non-SWAP,
+    and each stretch starts above every layer of the stretches before it.
+    One-qubit gates stay with the stretch they were emitted in.
+    """
+    free = [0] * n_wires  # first layer each wire is free in
+    swap_kind = GateKind.SWAP
+    last_kind = stretch_is_swap = None
+    for kind, qs, _ in gates:
+        if len(qs) == 1:
+            q = qs[0]
+            layer = free[q]
+            free[q] = layer + 1
+        else:
+            if by_stage and kind is not last_kind:
+                last_kind = kind
+                if (kind is swap_kind) is not stretch_is_swap:
+                    if stretch_is_swap is not None:
+                        free = [max(free)] * n_wires
+                    stretch_is_swap = kind is swap_kind
+            a, b = qs
+            layer = free[a]
+            if free[b] > layer:
+                layer = free[b]
+            free[a] = free[b] = layer + 1
+        yield layer
+
+
 def layers(circuit: Circuit) -> list[list[int]]:
     """ASAP layering; returns gate indices grouped by layer."""
-    free: dict[int, int] = {}
     out: list[list[int]] = []
-    for i, g in enumerate(circuit.gates):
-        layer = max((free.get(q, 0) for q in g.qubits), default=0)
-        for q in g.qubits:
-            free[q] = layer + 1
+    for i, layer in enumerate(asap_layers(circuit.gates, circuit.n_wires)):
         if layer == len(out):
             out.append([])
         out[layer].append(i)
@@ -176,11 +195,13 @@ def layers(circuit: Circuit) -> list[list[int]]:
 
 def two_qubit_layer_count(circuit: Circuit) -> int:
     """Number of ASAP layers that contain at least one two-qubit gate."""
-    count = 0
-    for layer in layers(circuit):
-        if any(is_two_qubit(circuit.gates[i]) for i in layer):
-            count += 1
-    return count
+    gates = circuit.gates
+    found = {
+        layer
+        for (_, qs, _), layer in zip(gates, asap_layers(gates, circuit.n_wires))
+        if len(qs) == 2
+    }
+    return len(found)
 
 
 def generic_depth(circuit: Circuit) -> int:
@@ -191,35 +212,24 @@ def generic_depth(circuit: Circuit) -> int:
     Single-qubit gates are treated as absorbed into neighboring units and do
     not count.
     """
-    units: list[tuple[int, int]] = []
-    last_on_wire: dict[int, int] = {}
-    fusable: dict[tuple[int, int], int] = {}
+    units: list[Gate] = []  # each unit is the first gate it holds
+    last = [-1] * circuit.n_wires  # last unit on each wire
+    fusable: set[int] = set()  # non-SWAP units no SWAP has joined yet
     for g in circuit.gates:
-        if not is_two_qubit(g):
+        kind, qs, _ = g
+        if len(qs) != 2:
             continue
-        pair = (min(g.qubits), max(g.qubits))
-        if g.kind is GateKind.SWAP:
-            k = fusable.get(pair)
-            if k is not None and last_on_wire[pair[0]] == k and last_on_wire[pair[1]] == k:
-                del fusable[pair]  # the swap joins the preceding gate's unit
+        a, b = qs
+        k = last[a]
+        if kind is GateKind.SWAP:
+            if k == last[b] and k in fusable:
+                fusable.remove(k)  # the swap joins the preceding gate's unit
                 continue
-        idx = len(units)
-        units.append(pair)
-        last_on_wire[pair[0]] = idx
-        last_on_wire[pair[1]] = idx
-        if g.kind is GateKind.SWAP:
-            fusable.pop(pair, None)
         else:
-            fusable[pair] = idx
-    free: dict[int, int] = {}
-    d = 0
-    for a, b in units:
-        layer = 1 + max(free.get(a, 0), free.get(b, 0))
-        free[a] = layer
-        free[b] = layer
-        if layer > d:
-            d = layer
-    return d
+            fusable.add(len(units))
+        last[a] = last[b] = len(units)
+        units.append(g)
+    return 1 + max(asap_layers(units, circuit.n_wires), default=-1)
 
 
 class ArchKind(Enum):
@@ -623,6 +633,7 @@ __all__ = [
     "ScheduledCircuit",
     "ValidationReport",
     "Violation",
+    "asap_layers",
     "cnot",
     "cphase",
     "cz",

@@ -363,14 +363,19 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     """
     out: list[Gate] = []
     last_on_wire: dict[int, int] = {}
-    foldable: dict[Pair, int] = {}
+    foldable: dict[Pair, int] = {}  # may go stale; last_on_wire decides
+    cnots: dict[Pair, Gate] = {}
+
+    def cx(c: int, t: int) -> Gate:
+        g = cnots.get((c, t))
+        if g is None:
+            g = cnots[c, t] = cnot(c, t)
+        return g
+
     for g in circuit.gates:
         if g.kind in (GateKind.H, GateKind.P):
-            q = g.qubits[0]
             out.append(g)
-            last_on_wire[q] = len(out) - 1
-            for pr in [pr for pr in foldable if q in pr]:
-                del foldable[pr]
+            last_on_wire[g.qubits[0]] = len(out) - 1
             continue
         if g.kind not in (GateKind.CNOT, GateKind.SWAP):
             raise ValueError(f"cannot expand {g.kind.value} gates to CNOTs")
@@ -380,11 +385,11 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
             if idx is not None and last_on_wire[pair[0]] == idx and last_on_wire[pair[1]] == idx:
                 c, t = out[idx].qubits
                 out.append(out[idx])
-                out[idx] = cnot(t, c)
+                out[idx] = cx(t, c)
             else:
                 a, b = pair
-                ab = cnot(a, b)
-                out.extend((ab, cnot(b, a), ab))
+                ab = cx(a, b)
+                out.extend((ab, cx(b, a), ab))
         else:
             out.append(g)
             foldable[pair] = len(out) - 1

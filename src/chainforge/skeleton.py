@@ -110,12 +110,17 @@ class StagePlan(NamedTuple):
     placement_before: tuple[int, ...]
 
 
+def _lays_chain(placement: Sequence[int]) -> bool:
+    """True when consecutive wires sit on consecutive sites, all one way."""
+    deltas = {placement[i + 1] - placement[i] for i in range(len(placement) - 1)}
+    return len(placement) <= 1 or deltas in ({1}, {-1})
+
+
 def _check_placement(placement: Sequence[int], n: int) -> tuple[int, ...]:
     pl = tuple(placement)
     if not is_permutation(pl, n):
         raise ValueError(f"placement {pl} is not a permutation of 0..{n - 1}")
-    deltas = {pl[i + 1] - pl[i] for i in range(n - 1)}
-    if n > 1 and deltas not in ({1}, {-1}):
+    if not _lays_chain(pl):
         raise ValueError(f"placement {pl} must map the wire chain onto the site chain")
     return pl
 
@@ -131,6 +136,7 @@ def staged_schedule(
     """
     n = spec.n
     loc = list(_check_placement(initial_placement or range(n), n))
+    swap_on: dict[Pair, Gate] = {}  # a site pair recurs in O(n) stages
     plans: list[StagePlan] = []
     for s in range(1, n_stages(n) + 1):
         payload: list[Gate] = []
@@ -141,7 +147,10 @@ def staged_schedule(
             if (a, b) not in spec.absent:
                 g = spec.gate_for(a, b)
                 payload.append(Gate(g.kind, tuple(loc[q] for q in g.qubits), g.param))
-            swaps.append(swap(sa, sb))
+            sw = swap_on.get((sa, sb))
+            if sw is None:
+                sw = swap_on[sa, sb] = swap(sa, sb)
+            swaps.append(sw)
             loc[a], loc[b] = sb, sa
         plans.append(StagePlan(tuple(payload), tuple(swaps), before))
     return plans, tuple(loc)
@@ -162,12 +171,7 @@ def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> Scheduled
 
 def lnn_pattern_preserved(sc: ScheduledCircuit) -> bool:
     """True when final_map lays the wire chain along the site chain."""
-    fm = sc.final_map
-    n = len(fm)
-    if n <= 1:
-        return True
-    deltas = {fm[i + 1] - fm[i] for i in range(n - 1)}
-    return deltas == {1} or deltas == {-1}
+    return _lays_chain(sc.final_map)
 
 
 def full_reversal(n: int) -> tuple[int, ...]:

@@ -1,0 +1,204 @@
+"""The one ASAP layering kernel against the four loops it replaced.
+
+The reference functions below are the layering code as it stood before
+`core.asap_layers` existed, copied unchanged apart from their names, two
+docstrings, and `depth` taken off the class. Every metric built on the kernel must agree with them
+on seeded random circuits.
+"""
+
+from random import Random
+
+from chainforge.bounds import classify_layers
+from chainforge.core import (
+    Circuit,
+    GateKind,
+    cnot,
+    cphase,
+    cz,
+    generic2,
+    generic_depth,
+    h,
+    is_two_qubit,
+    layers,
+    p,
+    swap,
+    two_qubit_layer_count,
+)
+
+SEED = 20261019
+N_CIRCUITS = 400
+
+
+# --- reference implementations ----------------------------------------------
+
+
+def ref_depth(self) -> int:
+    free: dict[int, int] = {}
+    d = 0
+    for g in self.gates:
+        layer = 1 + max((free.get(q, 0) for q in g.qubits), default=0)
+        for q in g.qubits:
+            free[q] = layer
+        if layer > d:
+            d = layer
+    return d
+
+
+def ref_layers(circuit: Circuit) -> list[list[int]]:
+    """ASAP layering; returns gate indices grouped by layer."""
+    free: dict[int, int] = {}
+    out: list[list[int]] = []
+    for i, g in enumerate(circuit.gates):
+        layer = max((free.get(q, 0) for q in g.qubits), default=0)
+        for q in g.qubits:
+            free[q] = layer + 1
+        if layer == len(out):
+            out.append([])
+        out[layer].append(i)
+    return out
+
+
+def ref_two_qubit_layer_count(circuit: Circuit) -> int:
+    """Number of ASAP layers that contain at least one two-qubit gate."""
+    count = 0
+    for layer in ref_layers(circuit):
+        if any(is_two_qubit(circuit.gates[i]) for i in layer):
+            count += 1
+    return count
+
+
+def ref_generic_depth(circuit: Circuit) -> int:
+    units: list[tuple[int, int]] = []
+    last_on_wire: dict[int, int] = {}
+    fusable: dict[tuple[int, int], int] = {}
+    for g in circuit.gates:
+        if not is_two_qubit(g):
+            continue
+        pair = (min(g.qubits), max(g.qubits))
+        if g.kind is GateKind.SWAP:
+            k = fusable.get(pair)
+            if k is not None and last_on_wire[pair[0]] == k and last_on_wire[pair[1]] == k:
+                del fusable[pair]  # the swap joins the preceding gate's unit
+                continue
+        idx = len(units)
+        units.append(pair)
+        last_on_wire[pair[0]] = idx
+        last_on_wire[pair[1]] = idx
+        if g.kind is GateKind.SWAP:
+            fusable.pop(pair, None)
+        else:
+            fusable[pair] = idx
+    free: dict[int, int] = {}
+    d = 0
+    for a, b in units:
+        layer = 1 + max(free.get(a, 0), free.get(b, 0))
+        free[a] = layer
+        free[b] = layer
+        if layer > d:
+            d = layer
+    return d
+
+
+def ref_classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
+    runs: list[list] = []
+    flavors: list[str | None] = []
+    for gate in circuit.gates:
+        kind = None
+        if is_two_qubit(gate):
+            kind = "S" if gate.kind is GateKind.SWAP else "L"
+        if not runs or (kind is not None and flavors[-1] is not None and flavors[-1] != kind):
+            runs.append([gate])
+            flavors.append(kind)
+        else:
+            runs[-1].append(gate)
+            if flavors[-1] is None:
+                flavors[-1] = kind
+    out: list[tuple[int, str]] = []
+    index = 0
+    for run in runs:
+        piece = Circuit(circuit.n_wires, tuple(run))
+        for layer in ref_layers(piece):
+            kinds = {run[g].kind for g in layer if is_two_qubit(run[g])}
+            if kinds:
+                out.append((index, "L" if kinds - {GateKind.SWAP} else "S"))
+            index += 1
+    return out
+
+
+# --- random circuits ----------------------------------------------------------
+
+
+def _random_gate(flavor: str, n: int, rng: Random):
+    if flavor == "1q" or n == 1:
+        return rng.choice((h, p))(rng.randrange(n))
+    a, b = rng.sample(range(n), 2)
+    if flavor == "swap":
+        return swap(a, b)
+    pick = rng.randrange(4)
+    if pick == 0:
+        return cnot(a, b)  # a random order covers both directions
+    if pick == 1:
+        return cz(a, b)
+    if pick == 2:
+        return cphase(rng.randint(1, 4), a, b)
+    return generic2(a, b)
+
+
+def _random_circuit(rng: Random) -> Circuit:
+    """Stretches of one flavor each: SWAPs, non-SWAP pairs or one-qubit gates.
+
+    One-qubit stretches land at the very start and between SWAP and non-SWAP
+    stretches; some stretches repeat one pair, so SWAPs fuse with a gate.
+    """
+    n = rng.randint(1, 12)
+    gates = []
+    for _ in range(rng.randint(0, 8)):
+        flavor = rng.choice(("1q", "swap", "other"))
+        if flavor != "1q" and n > 1 and rng.random() < 0.3:
+            a, b = rng.sample(range(n), 2)
+            gates.extend(rng.choice((cnot(a, b), cnot(b, a), swap(a, b)))
+                         for _ in range(rng.randint(1, 4)))
+        else:
+            gates.extend(_random_gate(flavor, n, rng) for _ in range(rng.randint(1, 2 * n)))
+    return Circuit(n, tuple(gates))
+
+
+def _circuits() -> list[Circuit]:
+    rng = Random(SEED)
+    fixed = [
+        Circuit(1),
+        Circuit(5),
+        Circuit(3, (h(0), p(2), cnot(0, 1), swap(1, 2), h(1), cnot(2, 1))),
+        Circuit(4, (cnot(0, 1), swap(0, 1), h(0), p(3), swap(2, 3), cz(1, 2), swap(1, 2))),
+    ]
+    return fixed + [_random_circuit(rng) for _ in range(N_CIRCUITS)]
+
+
+def test_kernel_metrics_match_the_reference_loops():
+    kinds_seen = set()
+    for c in _circuits():
+        kinds_seen.update(g.kind for g in c.gates)
+        assert c.depth() == ref_depth(c), c
+        assert layers(c) == ref_layers(c), c
+        assert two_qubit_layer_count(c) == ref_two_qubit_layer_count(c), c
+        assert generic_depth(c) == ref_generic_depth(c), c
+        assert classify_layers(c) == ref_classify_layers(c), c
+    assert kinds_seen == set(GateKind)
+
+
+def test_layering_builds_no_intermediate_circuit(monkeypatch):
+    circuits = _circuits()
+    made = [0]
+    original = Circuit.__post_init__
+
+    def counting(self):
+        made[0] += 1
+        original(self)
+
+    monkeypatch.setattr(Circuit, "__post_init__", counting)
+    for c in circuits:
+        for metric in (Circuit.depth, layers, two_qubit_layer_count, generic_depth, classify_layers):
+            metric(c)
+    assert made[0] == 0
+    ref_classify_layers(circuits[2])  # the counter does see a Circuit being made
+    assert made[0] > 0
