@@ -4,7 +4,7 @@ Conventions used across the package:
 
 - wires are 0-based; wire 0 is the least significant bit of a basis index
 - CNOT(c, t) maps x_t to x_t XOR x_c; symmetric two-qubit gates (cz, swap,
-  cphase, g) store their wires as (min, max)
+  cphase, g) store their wires as (min, max); validate_gate rejects any other order
 - depth is greedy ASAP layering over the stored gate order: a gate sits one
   layer past the deepest layer that already touches any of its wires, and
   every gate counts toward depth regardless of arity
@@ -83,6 +83,8 @@ def validate_gate(g: Gate) -> None:
     for q in qubits:
         if not isinstance(q, int) or q < 0:
             raise ValueError(f"wire indices must be non-negative integers, got {qubits}")
+    if arity == 2 and kind is not GateKind.CNOT and qubits[0] > qubits[1]:
+        raise ValueError(f"{kind.value} is symmetric and stores its wires ascending, got {qubits}")
 
 
 def h(q: int) -> Gate:

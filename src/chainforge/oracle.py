@@ -7,6 +7,12 @@ GF2Matrix container.
 
 Basis convention: wire 0 is the least significant bit of the basis index,
 so state index x encodes wire w as bit (x >> w) & 1.
+
+apply_gate updates its buffer in place: a C-contiguous complex128 array of
+shape (2**n,) or (2**n, batch) is changed through reshape views and
+returned as is. Any other array is first copied to one, and the updated
+copy is returned. Matching with an output relabeling gathers rows through
+one basis-index map instead of multiplying by a permutation matrix.
 """
 
 from __future__ import annotations
@@ -23,50 +29,59 @@ from .linsynth import GF2Matrix
 MAX_SIM_WIRES = 14
 MAX_UNITARY_WIRES = 9
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_P = np.array([[1, 0], [0, 1j]], dtype=complex)
+_SQRT_HALF = 1.0 / math.sqrt(2)
 
 
-def _axis(n: int, wire: int) -> int:
-    # after reshaping to [2] * n the first axis is the most significant bit
-    return n - 1 - wire
+def _buffer(state: np.ndarray, n: int) -> np.ndarray:
+    """`state` when reshape views can update it in place, else such a copy."""
+    state = np.asarray(state)
+    if state.ndim not in (1, 2) or state.shape[0] != 2**n:
+        raise ValueError(f"state must have shape (2**{n},) or (2**{n}, batch), got {state.shape}")
+    flags = state.flags
+    if state.dtype != np.complex128 or not (flags.c_contiguous and flags.writeable):
+        state = np.array(state, dtype=np.complex128, order="C")
+    return state
 
 
 def apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """Apply one gate to a state of shape (2**n,) or (2**n, batch).
+    """Apply one gate to a state of shape (2**n,) or (2**n, batch); returns it.
 
-    Works in place on the given buffer where possible; callers that need the
-    original should pass a copy. simulate and circuit_unitary do.
+    A writable C-contiguous complex128 buffer is updated in place and
+    returned; anything else is copied to one first (see the module
+    docstring). Callers that need the original should pass a copy.
+    simulate and circuit_unitary do.
     """
-    batched = state.ndim == 2
-    batch = state.shape[1] if batched else 1
-    psi = state.reshape([2] * n + [batch])
-    if g.kind is GateKind.H or g.kind is GateKind.P:
-        ax = _axis(n, g.qubits[0])
-        psi = np.moveaxis(psi, ax, 0)
-        m = _H if g.kind is GateKind.H else _P
-        psi = np.tensordot(m, psi, axes=([1], [0]))
-        psi = np.moveaxis(psi, 0, ax)
-    elif g.kind is GateKind.GENERIC2:
+    if g.kind is GateKind.GENERIC2:
         raise ValueError("generic two-qubit placeholders have no fixed unitary")
-    else:
-        a, b = g.qubits
-        psi = np.moveaxis(psi, (_axis(n, a), _axis(n, b)), (0, 1))
-        if g.kind is GateKind.CNOT:
-            psi[1] = psi[1, ::-1]
-        elif g.kind is GateKind.CZ:
-            psi[1, 1] = -psi[1, 1]
-        elif g.kind is GateKind.SWAP:
-            tmp = psi[0, 1].copy()
-            psi[0, 1] = psi[1, 0]
-            psi[1, 0] = tmp
-        elif g.kind is GateKind.CPHASE:
-            psi[1, 1] = cmath.exp(2j * math.pi / 2**g.param) * psi[1, 1]
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown gate kind {g.kind}")
-        psi = np.moveaxis(psi, (0, 1), (_axis(n, a), _axis(n, b)))
-    out = psi.reshape(2**n, batch)
-    return out if batched else out[:, 0]
+    state = _buffer(state, n)
+    batch = state.size >> n
+    if len(g.qubits) == 1:
+        w = g.qubits[0]
+        v = state.reshape(1 << (n - 1 - w), 2, batch << w)
+        lo, hi = v[:, 0], v[:, 1]  # wire w at 0, at 1
+        if g.kind is GateKind.H:  # butterfly: lo, hi = s(lo + hi), s(lo - hi)
+            lo += hi
+            lo *= _SQRT_HALF
+            hi *= -2 * _SQRT_HALF
+            hi += lo
+        else:  # P
+            hi *= 1j
+        return state
+    a, b = g.qubits
+    top, low = max(a, b), min(a, b)
+    # v[:, i, :, j] is the quarter block with wire top at i and wire low at j
+    v = state.reshape(1 << (n - 1 - top), 2, 1 << (top - low - 1), 2, batch << low)
+    if g.kind is GateKind.CNOT:  # exchange target 0 and 1 where the control is 1
+        x, y = (v[:, 1, :, 0] if a == top else v[:, 0, :, 1]), v[:, 1, :, 1]
+    elif g.kind is GateKind.SWAP:
+        x, y = v[:, 0, :, 1], v[:, 1, :, 0]
+    else:  # CZ or CPHASE
+        v[:, 1, :, 1] *= -1 if g.kind is GateKind.CZ else cmath.exp(2j * math.pi / 2**g.param)
+        return state
+    tmp = x.copy()
+    x[...] = y
+    y[...] = tmp
+    return state
 
 
 def simulate(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
@@ -78,7 +93,7 @@ def simulate(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
         state = np.zeros(2**n, dtype=complex)
         state[0] = 1.0
     else:
-        state = np.array(state, dtype=complex)
+        state = np.array(state, dtype=complex, order="C")
         if state.shape[0] != 2**n:
             raise ValueError(f"state has dimension {state.shape[0]}, expected {2**n}")
     for g in circuit.gates:
@@ -97,22 +112,39 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
-def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
-    """Unitary relabeling wires by `perm` (wire w goes to wire perm[w])."""
+def _source_index(perm: Sequence[int]) -> np.ndarray:
+    """Basis-index map of the relabeling: entry y is the index x it came from.
+
+    Wire w goes to wire perm[w], so bit w of x is bit perm[w] of y.
+    """
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{tuple(perm)} is not a permutation")
-    dim = 2**n
-    sigma = np.zeros(dim, dtype=np.int64)
-    for x in range(dim):
-        y = 0
-        for w in range(n):
-            if (x >> w) & 1:
-                y |= 1 << perm[w]
-        sigma[x] = y
-    m = np.zeros((dim, dim), dtype=complex)
-    m[sigma, np.arange(dim)] = 1.0
+    y = np.arange(1 << n, dtype=np.int64)
+    x = np.zeros_like(y)
+    for w, target in enumerate(perm):
+        x |= ((y >> target) & 1) << w
+    return x
+
+
+def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
+    """Unitary relabeling wires by `perm` (wire w goes to wire perm[w])."""
+    src = _source_index(perm)
+    m = np.zeros((src.size, src.size), dtype=complex)
+    m[np.arange(src.size), src] = 1.0
     return m
+
+
+def _phase_fixed_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """a == phase * b elementwise, with the phase fixed at a's largest entry."""
+    flat1, flat2 = a.reshape(-1), b.reshape(-1)
+    i = int(np.argmax(np.abs(flat1)))
+    if abs(flat1[i]) < tol or abs(flat2[i]) < tol:
+        return False
+    phase = flat1[i] / flat2[i]
+    if abs(abs(phase) - 1.0) > tol:
+        return False
+    return bool(np.max(np.abs(flat1 - phase * flat2)) <= tol)
 
 
 def matrices_equiv(
@@ -123,19 +155,17 @@ def matrices_equiv(
 ) -> bool:
     """True when u1 equals (relabel by out_perm) . u2 up to global phase.
 
-    The phase is fixed at the largest-magnitude entry of u1.
+    The relabeling gathers the rows of u2; the phase is fixed at the
+    largest-magnitude entry of u1.
     """
+    if u1.ndim != 2 or u1.shape != u2.shape:
+        return False
     if out_perm is not None:
-        u2 = permutation_matrix(out_perm) @ u2
-    if u1.shape != u2.shape:
-        return False
-    idx = np.unravel_index(np.argmax(np.abs(u1)), u1.shape)
-    if abs(u1[idx]) < tol or abs(u2[idx]) < tol:
-        return False
-    phase = u1[idx] / u2[idx]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(u1 - phase * u2)) <= tol)
+        src = _source_index(out_perm)
+        if src.size != u2.shape[0]:
+            raise ValueError(f"relabeling of {len(out_perm)} wires for {u2.shape[0]} rows")
+        u2 = u2[src]
+    return _phase_fixed_equal(u1, u2, tol)
 
 
 def unitary_equiv(
@@ -155,17 +185,8 @@ def unitary_equiv(
 
 def states_equiv(s1: np.ndarray, s2: np.ndarray, tol: float = 1e-10) -> bool:
     """True when the arrays match up to one global phase (batches share it)."""
-    flat1 = np.asarray(s1).reshape(-1)
-    flat2 = np.asarray(s2).reshape(-1)
-    if flat1.shape != flat2.shape:
-        return False
-    i = int(np.argmax(np.abs(flat1)))
-    if abs(flat1[i]) < tol or abs(flat2[i]) < tol:
-        return False
-    phase = flat1[i] / flat2[i]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(flat1 - phase * flat2)) <= tol)
+    s1, s2 = np.asarray(s1), np.asarray(s2)
+    return s1.size == s2.size and _phase_fixed_equal(s1, s2, tol)
 
 
 def dft_matrix(n_wires: int) -> np.ndarray:

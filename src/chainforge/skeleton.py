@@ -146,7 +146,11 @@ def staged_schedule(
             sa, sb = loc[a], loc[b]
             if (a, b) not in spec.absent:
                 g = spec.gate_for(a, b)
-                payload.append(Gate(g.kind, tuple(loc[q] for q in g.qubits), g.param))
+                if g.kind is GateKind.CNOT:
+                    sites = (loc[g.qubits[0]], loc[g.qubits[1]])
+                else:  # a symmetric gate on (a, b) stores its sites ascending
+                    sites = (sa, sb) if sa < sb else (sb, sa)
+                payload.append(Gate(g.kind, sites, g.param))
             sw = swap_on.get((sa, sb))
             if sw is None:
                 sw = swap_on[sa, sb] = swap(sa, sb)

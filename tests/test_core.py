@@ -65,6 +65,21 @@ def test_gate_validation_rejects_bad_shapes():
         validate_gate(Gate(GateKind.SWAP, (0, 1), 1))
 
 
+def test_symmetric_kinds_must_store_wires_ascending():
+    for kind, param in (
+        (GateKind.CZ, None),
+        (GateKind.SWAP, None),
+        (GateKind.CPHASE, 2),
+        (GateKind.GENERIC2, None),
+    ):
+        assert Gate(kind, (1, 2), param).qubits == (1, 2)
+        with pytest.raises(ValueError, match="ascending"):
+            Gate(kind, (2, 1), param)
+        with pytest.raises(ValueError, match="ascending"):
+            Gate(kind, (1, 2), param)._replace(qubits=(2, 1))
+    assert Gate(GateKind.CNOT, (2, 1)).qubits == (2, 1)
+
+
 def test_gates_are_validated_once_when_made(monkeypatch):
     gates = (h(0), cnot(2, 1), swap(0, 1), cphase(2, 1, 2))
     calls = []

@@ -1,19 +1,24 @@
 """Dense statevector reference, equivalence checks, and the GF(2) shadow."""
 
+import cmath
+import math
 from random import Random
 
 import numpy as np
 import pytest
 
-from chainforge.core import Circuit, cnot, cphase, cz, generic2, h, p, swap
+from chainforge import oracle
+from chainforge.core import Circuit, Gate, GateKind, cnot, cphase, cz, generic2, h, p, swap
 from chainforge.linsynth import GF2Matrix
 from chainforge.oracle import (
     MAX_SIM_WIRES,
     MAX_UNITARY_WIRES,
+    apply_gate,
     bit_reversal_permutation,
     circuit_unitary,
     dft_matrix,
     gf2_action,
+    matrices_equiv,
     permutation_matrix,
     simulate,
     states_equiv,
@@ -160,3 +165,220 @@ def test_gf2_action_agrees_with_dense_on_random_circuits():
             x = rng.randrange(1 << n)
             out = simulate(c, _basis(n, x))
             assert np.allclose(out, _basis(n, m.apply(x)))
+
+
+# --- the moveaxis/tensordot kernels and the matrix-product relabeling that the
+# strided in-place kernels and the row gather replaced, kept as the reference
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_P = np.array([[1, 0], [0, 1j]], dtype=complex)
+
+
+def _axis(n: int, wire: int) -> int:
+    # after reshaping to [2] * n the first axis is the most significant bit
+    return n - 1 - wire
+
+
+def _reference_apply_gate(state, g, n):
+    batched = state.ndim == 2
+    batch = state.shape[1] if batched else 1
+    psi = state.reshape([2] * n + [batch])
+    if g.kind is GateKind.H or g.kind is GateKind.P:
+        ax = _axis(n, g.qubits[0])
+        psi = np.moveaxis(psi, ax, 0)
+        m = _H if g.kind is GateKind.H else _P
+        psi = np.tensordot(m, psi, axes=([1], [0]))
+        psi = np.moveaxis(psi, 0, ax)
+    elif g.kind is GateKind.GENERIC2:
+        raise ValueError("generic two-qubit placeholders have no fixed unitary")
+    else:
+        a, b = g.qubits
+        psi = np.moveaxis(psi, (_axis(n, a), _axis(n, b)), (0, 1))
+        if g.kind is GateKind.CNOT:
+            psi[1] = psi[1, ::-1]
+        elif g.kind is GateKind.CZ:
+            psi[1, 1] = -psi[1, 1]
+        elif g.kind is GateKind.SWAP:
+            tmp = psi[0, 1].copy()
+            psi[0, 1] = psi[1, 0]
+            psi[1, 0] = tmp
+        elif g.kind is GateKind.CPHASE:
+            psi[1, 1] = cmath.exp(2j * math.pi / 2**g.param) * psi[1, 1]
+        else:  # pragma: no cover - enum is closed
+            raise ValueError(f"unknown gate kind {g.kind}")
+        psi = np.moveaxis(psi, (0, 1), (_axis(n, a), _axis(n, b)))
+    out = psi.reshape(2**n, batch)
+    return out if batched else out[:, 0]
+
+
+def _reference_permutation_matrix(perm):
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{tuple(perm)} is not a permutation")
+    dim = 2**n
+    sigma = np.zeros(dim, dtype=np.int64)
+    for x in range(dim):
+        y = 0
+        for w in range(n):
+            if (x >> w) & 1:
+                y |= 1 << perm[w]
+        sigma[x] = y
+    m = np.zeros((dim, dim), dtype=complex)
+    m[sigma, np.arange(dim)] = 1.0
+    return m
+
+
+def _reference_matrices_equiv(u1, u2, out_perm=None, tol=1e-10):
+    if out_perm is not None:
+        u2 = _reference_permutation_matrix(out_perm) @ u2
+    if u1.shape != u2.shape:
+        return False
+    idx = np.unravel_index(np.argmax(np.abs(u1)), u1.shape)
+    if abs(u1[idx]) < tol or abs(u2[idx]) < tol:
+        return False
+    phase = u1[idx] / u2[idx]
+    if abs(abs(phase) - 1.0) > tol:
+        return False
+    return bool(np.max(np.abs(u1 - phase * u2)) <= tol)
+
+
+# fixed before the comparison was written: a few complex128 roundings per gate
+_KERNEL_TOL = 1e-12
+
+
+def _random_gate(rng: Random, n: int) -> Gate:
+    if n == 1 or rng.random() < 0.4:
+        return (h if rng.random() < 0.5 else p)(rng.randrange(n))
+    a, b = rng.sample(range(n), 2)  # any two wires, adjacent or not, either order
+    kind = rng.choice(("cnot", "swap", "cz", "cphase"))
+    if kind == "cphase":
+        return cphase(rng.randint(1, 5), a, b)
+    return {"cnot": cnot, "swap": swap, "cz": cz}[kind](a, b)
+
+
+def _random_state(rng: Random, n: int, batch: int | None) -> np.ndarray:
+    shape = (1 << n,) if batch is None else (1 << n, batch)
+    np_rng = np.random.default_rng(rng.randrange(1 << 30))
+    return np_rng.normal(size=shape) + 1j * np_rng.normal(size=shape)
+
+
+def test_kernels_match_the_reference_on_random_circuits():
+    rng = Random(5)
+    kinds = set()
+    for n in range(1, 11):
+        for batch in (None, 1, 3):
+            gates = [_random_gate(rng, n) for _ in range(rng.randint(20, 40))]
+            kinds.update(g.kind for g in gates)
+            state = _random_state(rng, n, batch)
+            ours, ref = state.copy(), state.copy()
+            for g in gates:
+                ours = apply_gate(ours, g, n)
+                ref = _reference_apply_gate(ref, g, n)
+                assert ours.shape == ref.shape == state.shape
+                assert np.max(np.abs(ours - ref)) <= _KERNEL_TOL, (n, batch, g)
+    assert kinds == set(GateKind) - {GateKind.GENERIC2}
+
+
+def test_permutation_matrix_matches_the_reference():
+    rng = Random(7)
+    perms = [(0,), (1, 0), (0, 1, 2), (2, 0, 1), (1, 2, 0), (3, 1, 0, 2)]
+    for n in range(2, 9):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(tuple(perm))
+    for perm in perms:
+        assert np.array_equal(permutation_matrix(perm), _reference_permutation_matrix(perm))
+    with pytest.raises(ValueError):
+        permutation_matrix((0, 0))
+
+
+def test_matrices_equiv_verdicts_match_the_reference():
+    rng = Random(8)
+    verdicts = []
+    for n in range(1, 7):
+        for _ in range(4):
+            u2 = circuit_unitary(Circuit(n, tuple(_random_gate(rng, n) for _ in range(25))))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            perm = tuple(perm)
+            match = cmath.exp(1j * rng.uniform(0, 6)) * (_reference_permutation_matrix(perm) @ u2)
+            perturbed = match.copy()
+            perturbed[rng.randrange(1 << n), rng.randrange(1 << n)] += 1e-6
+            other = list(range(n))
+            rng.shuffle(other)
+            for u1, out_perm in (
+                (match, perm),
+                (perturbed, perm),
+                (match, tuple(other)),
+                (match, None),
+                (u2, None),
+                (2 * u2, None),
+            ):
+                got = matrices_equiv(u1, u2, out_perm=out_perm)
+                assert got == _reference_matrices_equiv(u1, u2, out_perm=out_perm)
+                verdicts.append(got)
+            assert matrices_equiv(match, u2, out_perm=perm)
+            assert not matrices_equiv(perturbed, u2, out_perm=perm)
+    assert True in verdicts and False in verdicts
+    assert not matrices_equiv(np.eye(4), np.eye(2))
+    assert not matrices_equiv(np.ones(4), np.ones(4))
+
+
+def test_apply_gate_updates_and_returns_the_given_buffer():
+    rng = Random(9)
+    n = 4
+    gates = [h(1), p(2), cnot(3, 0), cnot(0, 2), swap(1, 3), cz(0, 3), cphase(3, 1, 2)]
+    for batch in (None, 2):
+        for g in gates:
+            state = _random_state(rng, n, batch)
+            expect = _reference_apply_gate(state.copy(), g, n)
+            out = apply_gate(state, g, n)
+            assert out is state, g
+            assert np.max(np.abs(state - expect)) <= _KERNEL_TOL
+
+
+def test_apply_gate_copies_a_buffer_it_cannot_update_in_place():
+    n = 3
+    rng = Random(10)
+    wide = _random_state(rng, n, 4)
+    real = np.zeros(1 << n)
+    real[5] = 1.0
+    frozen = _random_state(rng, n, None)
+    frozen.flags.writeable = False
+    cases = [
+        wide[:, ::2],  # strided columns
+        np.asfortranarray(wide),  # column-major
+        _random_state(rng, n + 1, None)[::2],  # strided rows
+        real,  # float64
+        real.astype(np.int64),
+        real.astype(np.complex64),
+        frozen,
+    ]
+    for state in cases:
+        before = state.copy()
+        for g in (h(0), cnot(2, 0), cphase(2, 0, 1)):
+            out = apply_gate(state, g, n)
+            assert out is not state
+            assert out.dtype == np.complex128 and out.flags.c_contiguous
+            expect = _reference_apply_gate(np.array(state, dtype=complex), g, n)
+            assert np.max(np.abs(out - expect)) <= _KERNEL_TOL
+            assert np.array_equal(state, before)
+    for bad in (np.zeros(6, dtype=complex), np.zeros((2, 2, 2), dtype=complex)):
+        with pytest.raises(ValueError):
+            apply_gate(bad, h(0), n)
+
+
+def test_simulate_and_unitary_apply_each_gate_once(monkeypatch):
+    calls = []
+
+    def counted(state, g, n):
+        calls.append(g)
+        return apply_gate(state, g, n)
+
+    monkeypatch.setattr(oracle, "apply_gate", counted)
+    c = Circuit(3, (h(0), cnot(0, 2), swap(1, 2), cphase(2, 0, 1), p(2)))
+    simulate(c)
+    assert calls == list(c.gates)
+    calls.clear()
+    circuit_unitary(c)
+    assert calls == list(c.gates)

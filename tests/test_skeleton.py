@@ -2,7 +2,18 @@
 
 import pytest
 
-from chainforge.core import GateKind, ParseError, cnot, cz, generic2, swap
+from chainforge.core import (
+    Circuit,
+    GateKind,
+    ParseError,
+    cnot,
+    cphase,
+    cz,
+    emit_circuit,
+    generic2,
+    parse_circuit,
+    swap,
+)
 from chainforge.skeleton import (
     SkeletonSpec,
     all_pairs,
@@ -87,6 +98,15 @@ def test_reversed_initial_placement_flips_back():
     assert final == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         staged_schedule(SkeletonSpec(4), initial_placement=(1, 0, 3, 2))
+
+
+def test_reversed_placement_stores_symmetric_payloads_ascending():
+    spec = SkeletonSpec(3, payload={(0, 1): cz(0, 1), (0, 2): cphase(2, 0, 2), (1, 2): cnot(2, 1)})
+    plans, _ = staged_schedule(spec, initial_placement=(2, 1, 0))
+    payload = [g for plan in plans for g in plan.payload]
+    assert payload == [cz(1, 2), cphase(2, 0, 1), cnot(1, 2)]
+    c = Circuit(3, tuple(payload))
+    assert parse_circuit(emit_circuit(c)) == c
 
 
 def test_drop_last_swaps():
