@@ -27,7 +27,6 @@ from .core import (
     emit_circuit,
     generic_depth,
     is_permutation,
-    is_two_qubit,
     parse_architecture,
     parse_circuit,
     to_qasm,
@@ -72,11 +71,13 @@ def _verdict(ok: bool) -> str:
     return f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
 
 
-def _cnot_depth(circuit: Circuit) -> int | None:
-    kinds = {g.kind for g in circuit.gates if is_two_qubit(g)}
-    if kinds <= {GateKind.CNOT, GateKind.SWAP}:
-        return expand_circuit_to_cnot(circuit).depth()
-    return None
+def _cnot_depth(circuit: Circuit, depth: int) -> int | None:
+    """Depth after SWAP expansion; None unless every two-qubit gate is a CNOT or SWAP."""
+    cx, sw = GateKind.CNOT, GateKind.SWAP
+    if any(len(qs) == 2 and k is not cx and k is not sw for k, qs, _ in circuit.gates):
+        return None
+    # with no SWAP the expansion returns the same gates, hence the same depth
+    return expand_circuit_to_cnot(circuit).depth() if circuit.count(sw) else depth
 
 
 def _violation_dicts(report: AuditReport) -> list[dict]:
@@ -100,10 +101,11 @@ def _json_record(
     final_map: tuple[int, ...] | None,
     violations: list[dict],
 ) -> str:
+    depth = circuit.depth()
     record = {
-        "depth": circuit.depth(),
+        "depth": depth,
         "generic_depth": generic_depth(circuit),
-        "cnot_depth": _cnot_depth(circuit),
+        "cnot_depth": _cnot_depth(circuit, depth),
         "n": circuit.n_wires,
         "final_map": list(final_map) if final_map is not None else None,
         "violations": violations,
@@ -265,10 +267,11 @@ def _cmd_depth(args: argparse.Namespace) -> int:
     if args.report == "json":
         sys.stdout.write(_json_record(circuit, None, []))
         return 0
-    cd = _cnot_depth(circuit)
+    depth = circuit.depth()
+    cd = _cnot_depth(circuit, depth)
     lines = [
         f"n {circuit.n_wires}",
-        f"depth {circuit.depth()}",
+        f"depth {depth}",
         f"generic_depth {generic_depth(circuit)}",
         f"two_qubit_layers {two_qubit_layer_count(circuit)}",
         f"cnot_depth {cd if cd is not None else 'n/a'}",

@@ -503,6 +503,17 @@ def _wire_count(raw: str | int, lineno: int) -> int:
     return n
 
 
+def _bit_rows(lines: Iterable[tuple[int, str]], n: int) -> tuple[int, ...]:
+    """Numbered rows of n 0/1 characters as ints, character j as bit j.
+    A bad row raises ParseError at its own line."""
+    rows = []
+    for lineno, line in lines:
+        if len(line) != n or line.strip("01"):
+            raise ParseError(lineno, f"expected {n} characters of 0/1, got {line!r}")
+        rows.append(int(line[::-1], 2))
+    return tuple(rows)
+
+
 def parse_circuit(text: str) -> Circuit:
     lines = _content_lines(text)
     if not lines:
@@ -513,39 +524,45 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(lineno, f"expected 'qubits N', got {head!r}")
     n = _wire_count(parts[1], lineno)
     gates = []
+    seen: dict[str, Gate] = {}  # each distinct line is parsed and checked once
     for lineno, line in lines[1:]:
-        toks = line.split()
-        kind = _KIND_BY_NAME.get(toks[0])
-        if kind is None:
-            raise ParseError(lineno, f"unknown gate {toks[0]!r}")
-        want = _ARITY[kind] + (kind is GateKind.CPHASE)
-        if len(toks) - 1 != want:
-            raise ParseError(lineno, f"{toks[0]} takes {want} arguments, got {len(toks) - 1}")
-        try:
-            args = [int(t) for t in toks[1:]]
-        except ValueError:
-            raise ParseError(lineno, f"non-integer argument in {line!r}") from None
-        try:
-            if kind is GateKind.CPHASE:
-                g = cphase(*args)
-            else:  # a CNOT keeps its direction; other gates store wires ascending
-                g = Gate(kind, tuple(args if kind is GateKind.CNOT else sorted(args)))
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-        for q in g.qubits:
-            if q >= n:
-                raise ParseError(lineno, f"wire {q} outside 0..{n - 1}")
+        g = seen.get(line)
+        if g is None:
+            toks = line.split()
+            kind = _KIND_BY_NAME.get(toks[0])
+            if kind is None:
+                raise ParseError(lineno, f"unknown gate {toks[0]!r}")
+            want = _ARITY[kind] + (kind is GateKind.CPHASE)
+            if len(toks) - 1 != want:
+                raise ParseError(lineno, f"{toks[0]} takes {want} arguments, got {len(toks) - 1}")
+            try:
+                args = [int(t) for t in toks[1:]]
+            except ValueError:
+                raise ParseError(lineno, f"non-integer argument in {line!r}") from None
+            try:
+                if kind is GateKind.CPHASE:
+                    g = cphase(*args)
+                else:  # a CNOT keeps its direction; other gates store wires ascending
+                    g = Gate(kind, tuple(args if kind is GateKind.CNOT else sorted(args)))
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+            for q in g.qubits:
+                if q >= n:
+                    raise ParseError(lineno, f"wire {q} outside 0..{n - 1}")
+            seen[line] = g
         gates.append(g)
     return Circuit(n, tuple(gates))
 
 
 def emit_circuit(circuit: Circuit) -> str:
     out = [f"qubits {circuit.n_wires}"]
+    seen: dict[Gate, str] = {}  # each distinct gate is formatted once
     for g in circuit.gates:
-        if g.kind is GateKind.CPHASE:
-            out.append(f"cphase {g.param} {g.qubits[0]} {g.qubits[1]}")
-        else:
-            out.append(" ".join([g.kind.value, *map(str, g.qubits)]))
+        line = seen.get(g)
+        if line is None:
+            kind, qs, k = g
+            line = seen[g] = " ".join([kind.value, *map(str, qs if k is None else (k, *qs))])
+        out.append(line)
     return "\n".join(out) + "\n"
 
 

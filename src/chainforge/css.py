@@ -33,6 +33,7 @@ from .core import (
     GateKind,
     ParseError,
     ScheduledCircuit,
+    _bit_rows,
     _content_lines,
     _wire_count,
     cz,
@@ -255,10 +256,7 @@ def parse_css(text: str) -> CssSpec:
         mtoks = line.split()
         if len(rest) > 1 or len(mtoks) != 2 or mtoks[0] != "hadamard":
             raise ParseError(lno, f"expected one optional 'hadamard MASK' line, got {line!r}")
-        n = n_controls + t
-        if len(mtoks[1]) != n or set(mtoks[1]) - {"0", "1"}:
-            raise ParseError(lno, f"mask must be {n} characters of 0/1")
-        mask = sum(1 << w for w, ch in enumerate(mtoks[1]) if ch == "1")
+        mask = _bit_rows([(lno, mtoks[1])], n_controls + t)[0]
     return CssSpec(mode, s, t, tuple(rows), mask)
 
 

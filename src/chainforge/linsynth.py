@@ -28,6 +28,7 @@ from .core import (
     GateKind,
     ParseError,
     ScheduledCircuit,
+    _bit_rows,
     _content_lines,
     _wire_count,
     cnot,
@@ -67,13 +68,7 @@ class GF2Matrix:
     @staticmethod
     def from_strings(lines: Sequence[str]) -> "GF2Matrix":
         n = len(lines)
-        rows = []
-        for line in lines:
-            bits = line.strip()
-            if len(bits) != n or set(bits) - {"0", "1"}:
-                raise ValueError(f"expected {n} characters of 0/1, got {line!r}")
-            rows.append(sum(1 << j for j, ch in enumerate(bits) if ch == "1"))
-        return GF2Matrix(n, tuple(rows))
+        return GF2Matrix(n, _bit_rows(enumerate((line.strip() for line in lines), 1), n))
 
     def to_strings(self) -> list[str]:
         return ["".join("1" if (r >> j) & 1 else "0" for j in range(self.n)) for r in self.rows]
@@ -418,10 +413,7 @@ def parse_gf2(text: str) -> GF2Matrix:
     n = _wire_count(toks[1], lineno)
     if len(lines) - 1 != n:
         raise ParseError(lineno, f"expected {n} rows, got {len(lines) - 1}")
-    try:
-        return GF2Matrix.from_strings([line for _, line in lines[1:]])
-    except ValueError as exc:
-        raise ParseError(lines[1][0], str(exc)) from None
+    return GF2Matrix(n, _bit_rows(lines[1:], n))
 
 
 def emit_gf2(m: GF2Matrix) -> str:

@@ -29,6 +29,7 @@ from .core import (
     GateKind,
     ParseError,
     ScheduledCircuit,
+    _bit_rows,
     _content_lines,
     _wire_count,
     h,
@@ -247,24 +248,15 @@ def parse_stab(text: str) -> StageDecomposition:
         if line.split() != ["stage", want]:
             raise ParseError(lineno, f"expected 'stage {want}', got {line!r}")
         pos += 1
-        if want in ("h", "p"):
-            if pos >= len(lines):
-                raise ParseError(lineno, f"stage {want} needs a mask line")
-            mlineno, mline = lines[pos]
-            pos += 1
-            if len(mline) != n or set(mline) - {"0", "1"}:
-                raise ParseError(mlineno, f"expected {n} characters of 0/1, got {mline!r}")
-            mask = sum(1 << w for w, ch in enumerate(mline) if ch == "1")
-            (h_masks if want == "h" else p_masks).append(mask)
+        count = n if want == "c" else 1  # a c stage is a matrix, h and p one mask row
+        if pos + count > len(lines):
+            raise ParseError(lineno, f"stage {want} needs {count} row(s) of 0/1")
+        rows = _bit_rows(lines[pos : pos + count], n)
+        pos += count
+        if want == "c":
+            c_stages.append(GF2Matrix(n, rows))
         else:
-            if pos + n > len(lines):
-                raise ParseError(lineno, f"stage c needs {n} matrix rows")
-            rows = [lines[pos + i][1] for i in range(n)]
-            try:
-                c_stages.append(GF2Matrix.from_strings(rows))
-            except ValueError as exc:
-                raise ParseError(lines[pos][0], str(exc)) from None
-            pos += n
+            (h_masks if want == "h" else p_masks).append(rows[0])
     if pos != len(lines):
         raise ParseError(lines[pos][0], "unexpected content after the 11 stages")
     try:

@@ -3,6 +3,7 @@
 import json
 from random import Random
 
+from chainforge import cli, linsynth
 from chainforge.cli import main
 from chainforge.core import MAX_WIRES, Circuit, cnot, emit_circuit, parse_circuit
 from chainforge.css import emit_css, steane_syndrome
@@ -79,6 +80,25 @@ def test_linsynth_cnot_only(tmp_path, capsys):
     assert main(["linsynth", "--matrix", str(matrix), "--cnot-only"]) == 0
     circuit = parse_circuit(capsys.readouterr().out)
     assert all(g.kind.name in ("CNOT",) for g in circuit.gates)
+
+
+def test_cnot_only_report_expands_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = linsynth.expand_circuit_to_cnot
+
+    def counted(circuit):
+        calls.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(linsynth, "expand_circuit_to_cnot", counted)
+    monkeypatch.setattr(cli, "expand_circuit_to_cnot", counted)
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(emit_gf2(GF2Matrix.random_nonsingular(8, Random(3))))
+    argv = ["linsynth", "--matrix", str(matrix), "--cnot-only", "--report", "json"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1  # the SWAP-free expanded circuit is not expanded again
+    assert record["cnot_depth"] == record["depth"]
 
 
 def test_linsynth_prune_swaps(tmp_path, capsys):

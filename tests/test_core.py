@@ -36,6 +36,11 @@ from chainforge.core import (
     validate_gate,
     validate_on,
 )
+from chainforge.css import css_flat, css_schedule_lnn, steane_syndrome
+from chainforge.linsynth import GF2Matrix, expand_to_cnot, synthesize_lnn
+from chainforge.qft import QftSpec, aqft_lnn, qft_flat, qft_lnn
+from chainforge.skeleton import SkeletonSpec, all_pairs, schedule_lnn
+from chainforge.stabilizer import random_decomposition, schedule_stabilizer, stabilizer_flat
 
 
 def test_symmetric_gates_canonicalize_pair_order():
@@ -254,6 +259,27 @@ def test_parse_emit_circuit_roundtrip():
     assert parse_circuit(text) == c
     commented = "# header comment\n" + text + "  # trailing\n"
     assert parse_circuit(commented) == c
+    # every generator's output
+    n, rng = 7, Random(11)
+    makers = (lambda a, b: cnot(b, a), cz, lambda a, b: cphase(a + b + 1, a, b), generic2)
+    payload = {pair: makers[i % 4](*pair) for i, pair in enumerate(all_pairs(n))}
+    a = GF2Matrix.random_nonsingular(n, rng)
+    d = random_decomposition(n, rng)
+    syndrome = steane_syndrome()
+    for c in (
+        schedule_lnn(SkeletonSpec(n, payload=payload)).circuit,
+        qft_lnn(QftSpec(n)).circuit,
+        aqft_lnn(QftSpec(n, 3)).circuit,
+        qft_flat(QftSpec(12)),  # two-digit phase parameters
+        synthesize_lnn(a).circuit,
+        synthesize_lnn(a, prune_swaps=True).circuit,
+        expand_to_cnot(synthesize_lnn(a)).circuit,
+        schedule_stabilizer(d).circuit,
+        stabilizer_flat(d),
+        css_schedule_lnn(syndrome).circuit,
+        css_flat(syndrome),
+    ):
+        assert parse_circuit(emit_circuit(c)) == c
 
 
 def test_parse_circuit_error_reporting():
@@ -268,6 +294,31 @@ def test_parse_circuit_error_reporting():
         parse_circuit("qubits 2\ncphase 0 1\n")  # k missing
     with pytest.raises(ParseError):
         parse_circuit("qubits 2\nh 5\n")
+    # each distinct line is checked once; errors still name the line at fault
+    with pytest.raises(ParseError) as err:
+        parse_circuit("qubits 2\nh 0\ncnot 1 1\ncnot 1 1\n")
+    assert err.value.line == 3  # the first copy of the repeated bad line
+    with pytest.raises(ParseError) as err:
+        parse_circuit("qubits 2\n" + "cnot 0 1\n" * 1000 + "cnot 0 x\n")
+    assert err.value.line == 1002
+    with pytest.raises(ParseError) as err:
+        parse_circuit("qubits 2\n" + "h 0\ncz 0 2\n" * 3)
+    assert err.value.line == 3
+    assert len(parse_circuit("qubits 3\ncz 0 2\n")) == 1
+    with pytest.raises(ParseError) as err:  # nothing carries over between calls
+        parse_circuit("qubits 2\ncz 0 2\n")
+    assert err.value.line == 2
+
+
+def test_parse_circuit_validates_each_distinct_line_once(monkeypatch):
+    text = emit_circuit(schedule_lnn(SkeletonSpec(16)).circuit)
+    distinct = set(text.splitlines()[1:])
+    calls = []
+    real = core.validate_gate
+    monkeypatch.setattr(core, "validate_gate", lambda g: calls.append(g) or real(g))
+    c = parse_circuit(text)
+    assert len(calls) == len(distinct) < len(c.gates)
+    assert len({id(g) for g in c.gates}) == len(distinct)  # copies share one Gate
 
 
 def test_oversized_headers_fail_at_line_one():

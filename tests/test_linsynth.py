@@ -7,6 +7,7 @@ import pytest
 from chainforge.core import (
     Circuit,
     GateKind,
+    ParseError,
     cnot,
     cz,
     generic_depth,
@@ -182,7 +183,8 @@ def test_parse_emit_gf2_roundtrip():
     a = GF2Matrix.from_strings(["0110", "1010", "0011", "1000"])
     assert parse_gf2(emit_gf2(a)) == a
     assert parse_gf2("gf2 2\n10\n01\n") == GF2Matrix.identity(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError) as err:
         parse_gf2("gf2 2\n10\n0\n")
+    assert err.value.line == 3  # the bad row's own line
     with pytest.raises(ValueError):
         parse_gf2("10\n01\n")

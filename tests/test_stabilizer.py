@@ -6,7 +6,19 @@ import numpy as np
 import pytest
 
 import chainforge.stabilizer as stab
-from chainforge.core import Circuit, GateKind, cnot, cphase, cz, generic2, generic_depth, h, p, swap
+from chainforge.core import (
+    Circuit,
+    GateKind,
+    ParseError,
+    cnot,
+    cphase,
+    cz,
+    generic2,
+    generic_depth,
+    h,
+    p,
+    swap,
+)
 from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot
 from chainforge.oracle import circuit_unitary
 from chainforge.stabilizer import (
@@ -227,3 +239,8 @@ def test_parse_emit_roundtrip():
     assert parse_stab(emit_stab(d)) == d
     with pytest.raises(ValueError):
         parse_stab("stab 2\nstage h\n11\n")
+    text = emit_stab(d).splitlines()
+    text[text.index("stage c") + 2] = "01x0"  # second row of the first matrix
+    with pytest.raises(ParseError) as err:
+        parse_stab("\n".join(text))
+    assert err.value.line == text.index("stage c") + 3
