@@ -67,10 +67,10 @@ MAX_WIRES = 1024
 
 def validate_gate(g: Gate) -> None:
     kind, qubits, param = g
-    arity = _ARITY.get(kind)
-    if arity is None:
+    if type(kind) is not GateKind:  # `is` tests, not a dict: Enum.__hash__ runs in Python
         raise ValueError(f"unknown gate kind {kind!r}")
-    if arity == 1:
+    one_qubit = kind is GateKind.H or kind is GateKind.P
+    if one_qubit:
         if len(qubits) != 1:
             raise ValueError(f"{kind.value} takes one wire, got {qubits}")
     elif len(qubits) != 2 or qubits[0] == qubits[1]:
@@ -83,7 +83,7 @@ def validate_gate(g: Gate) -> None:
     for q in qubits:
         if not isinstance(q, int) or q < 0:
             raise ValueError(f"wire indices must be non-negative integers, got {qubits}")
-    if arity == 2 and kind is not GateKind.CNOT and qubits[0] > qubits[1]:
+    if not one_qubit and kind is not GateKind.CNOT and qubits[0] > qubits[1]:
         raise ValueError(f"{kind.value} is symmetric and stores its wires ascending, got {qubits}")
 
 
@@ -134,7 +134,9 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n_wires < 1:
             raise ValueError(f"n_wires must be >= 1, got {self.n_wires}")
-        for g in self.gates:
+        gates = self.gates
+        # each distinct object once, first occurrence first: errors name the first offender
+        for g in dict(zip(map(id, gates), gates)).values():
             if type(g) is not Gate:
                 raise ValueError(f"{g!r} is not a Gate")
             for q in g.qubits:
@@ -212,7 +214,9 @@ def generic_depth(circuit: Circuit) -> int:
     A two-qubit gate immediately followed (on both wires) by a SWAP of the
     same pair counts as one unit, as does a bare SWAP or an unmerged gate.
     Single-qubit gates are treated as absorbed into neighboring units and do
-    not count.
+    not count, so one between a gate and its SWAP does not split the unit;
+    `linsynth.expand_circuit_to_cnot` does not fold across one (on
+    cnot(0,1) h(0) swap(0,1) this depth is 1, the expansion has 5 gates).
     """
     units: list[Gate] = []  # each unit is the first gate it holds
     last = [-1] * circuit.n_wires  # last unit on each wire
@@ -512,6 +516,11 @@ def _bit_rows(lines: Iterable[tuple[int, str]], n: int) -> tuple[int, ...]:
             raise ParseError(lineno, f"expected {n} characters of 0/1, got {line!r}")
         rows.append(int(line[::-1], 2))
     return tuple(rows)
+
+
+def _bit_string(row: int, n: int) -> str:
+    """The n-character 0/1 text of a row, bit j as character j; inverse of _bit_rows."""
+    return f"{row:0{n}b}"[::-1]
 
 
 def parse_circuit(text: str) -> Circuit:

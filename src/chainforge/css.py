@@ -34,6 +34,7 @@ from .core import (
     ParseError,
     ScheduledCircuit,
     _bit_rows,
+    _bit_string,
     _content_lines,
     _wire_count,
     cz,
@@ -265,10 +266,7 @@ def emit_css(spec: CssSpec) -> str:
     for row in spec.types:
         out.append("".join(cell.value for cell in row))
     if spec.hadamard_mask:
-        bits = "".join(
-            "1" if (spec.hadamard_mask >> w) & 1 else "0" for w in range(spec.n_wires)
-        )
-        out.append(f"hadamard {bits}")
+        out.append(f"hadamard {_bit_string(spec.hadamard_mask, spec.n_wires)}")
     return "\n".join(out) + "\n"
 
 

@@ -29,6 +29,7 @@ from .core import (
     ParseError,
     ScheduledCircuit,
     _bit_rows,
+    _bit_string,
     _content_lines,
     _wire_count,
     cnot,
@@ -71,7 +72,7 @@ class GF2Matrix:
         return GF2Matrix(n, _bit_rows(enumerate((line.strip() for line in lines), 1), n))
 
     def to_strings(self) -> list[str]:
-        return ["".join("1" if (r >> j) & 1 else "0" for j in range(self.n)) for r in self.rows]
+        return [_bit_string(r, self.n) for r in self.rows]
 
     @staticmethod
     def random_nonsingular(n: int, rng: Random) -> "GF2Matrix":
@@ -354,42 +355,42 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     A CNOT immediately followed on both wires by a SWAP of the same pair
     becomes two CNOTs (the pair's action equals opposite-direction CNOT
     followed by same-direction); a bare SWAP becomes three. One-qubit gates
-    pass through and block folding across them.
+    pass through and block folding across them, unlike `generic_depth`,
+    which ignores them when it fuses a SWAP into the gate before it: on
+    cnot(0,1) h(0) swap(0,1) its depth is 1 while this returns 5 gates.
     """
     out: list[Gate] = []
-    last_on_wire: dict[int, int] = {}
-    foldable: dict[Pair, int] = {}  # may go stale; last_on_wire decides
-    cnots: dict[Pair, Gate] = {}
-
-    def cx(c: int, t: int) -> Gate:
-        g = cnots.get((c, t))
-        if g is None:
-            g = cnots[c, t] = cnot(c, t)
-        return g
-
+    last = [-1] * circuit.n_wires  # index in out of the last gate on each wire
+    foldable: set[int] = set()  # out indices of CNOTs no SWAP has folded yet
+    three_on: dict[Pair, tuple[Gate, Gate, Gate]] = {}  # (a, b) -> the SWAP as 3 CNOTs
+    cnot_kind, swap_kind = GateKind.CNOT, GateKind.SWAP
     for g in circuit.gates:
-        if g.kind in (GateKind.H, GateKind.P):
-            out.append(g)
-            last_on_wire[g.qubits[0]] = len(out) - 1
-            continue
-        if g.kind not in (GateKind.CNOT, GateKind.SWAP):
-            raise ValueError(f"cannot expand {g.kind.value} gates to CNOTs")
-        pair = (min(g.qubits), max(g.qubits))
-        if g.kind is GateKind.SWAP:
-            idx = foldable.pop(pair, None)
-            if idx is not None and last_on_wire[pair[0]] == idx and last_on_wire[pair[1]] == idx:
-                c, t = out[idx].qubits
-                out.append(out[idx])
-                out[idx] = cx(t, c)
+        kind, qs, _ = g
+        if kind is swap_kind:
+            a, b = qs
+            three = three_on.get(qs)
+            if three is None:
+                ab = cnot(a, b)
+                three = three_on[qs] = (ab, cnot(b, a), ab)
+            k = last[a]
+            if k == last[b] and k in foldable:
+                foldable.remove(k)
+                g = out[k]
+                out[k] = three[g.qubits[0] == a]  # the folded CNOT, reversed
+                out.append(g)
             else:
-                a, b = pair
-                ab = cx(a, b)
-                out.extend((ab, cx(b, a), ab))
-        else:
+                out.extend(three)
+            last[a] = last[b] = len(out) - 1
+        elif kind is cnot_kind:
+            a, b = qs
+            last[a] = last[b] = k = len(out)
+            foldable.add(k)
             out.append(g)
-            foldable[pair] = len(out) - 1
-        for q in pair:
-            last_on_wire[q] = len(out) - 1
+        elif len(qs) == 1:
+            last[qs[0]] = len(out)
+            out.append(g)
+        else:
+            raise ValueError(f"cannot expand {kind.value} gates to CNOTs")
     return Circuit(circuit.n_wires, tuple(out))
 
 

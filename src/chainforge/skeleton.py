@@ -27,7 +27,6 @@ from .core import (
     _content_lines,
     _wire_count,
     cphase,
-    generic2,
     is_permutation,
     swap,
 )
@@ -66,12 +65,6 @@ class SkeletonSpec:
     def present(self, a: int, b: int) -> bool:
         _check_pair(a, b, self.n)
         return (a, b) not in self.absent
-
-    def gate_for(self, a: int, b: int) -> Gate:
-        return self.payload.get((a, b)) or generic2(a, b)
-
-    def n_present(self) -> int:
-        return self.n * (self.n - 1) // 2 - len(self.absent)
 
 
 def _check_pair(a: int, b: int, n: int) -> None:
@@ -136,7 +129,12 @@ def staged_schedule(
     """
     n = spec.n
     loc = list(_check_placement(initial_placement or range(n), n))
-    swap_on: dict[Pair, Gate] = {}  # a site pair recurs in O(n) stages
+    absent, payload_of = spec.absent, spec.payload
+    cnot_kind, generic_kind = GateKind.CNOT, GateKind.GENERIC2
+    # a chain has only n-1 site pairs, so each re-placed payload, keyed by
+    # (kind, sites, param), and each SWAP is made and validated once per call
+    made: dict[tuple, Gate] = {}
+    swap_on: dict[Pair, Gate] = {}
     plans: list[StagePlan] = []
     for s in range(1, n_stages(n) + 1):
         payload: list[Gate] = []
@@ -144,16 +142,22 @@ def staged_schedule(
         before = tuple(loc)
         for a, b in stage_pairs(n, s):
             sa, sb = loc[a], loc[b]
-            if (a, b) not in spec.absent:
-                g = spec.gate_for(a, b)
-                if g.kind is GateKind.CNOT:
-                    sites = (loc[g.qubits[0]], loc[g.qubits[1]])
-                else:  # a symmetric gate on (a, b) stores its sites ascending
-                    sites = (sa, sb) if sa < sb else (sb, sa)
-                payload.append(Gate(g.kind, sites, g.param))
-            sw = swap_on.get((sa, sb))
+            sites = (sa, sb) if sa < sb else (sb, sa)
+            if (a, b) not in absent:
+                g = payload_of.get((a, b))
+                if g is None:
+                    key = (generic_kind, sites, None)
+                elif g.kind is cnot_kind:  # a CNOT keeps its direction
+                    key = (cnot_kind, (loc[g.qubits[0]], loc[g.qubits[1]]), None)
+                else:  # a symmetric gate stores its sites ascending
+                    key = (g.kind, sites, g.param)
+                pg = made.get(key)
+                if pg is None:
+                    pg = made[key] = Gate(*key)
+                payload.append(pg)
+            sw = swap_on.get(sites)
             if sw is None:
-                sw = swap_on[sa, sb] = swap(sa, sb)
+                sw = swap_on[sites] = swap(*sites)
             swaps.append(sw)
             loc[a], loc[b] = sb, sa
         plans.append(StagePlan(tuple(payload), tuple(swaps), before))

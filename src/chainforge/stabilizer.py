@@ -30,6 +30,7 @@ from .core import (
     ParseError,
     ScheduledCircuit,
     _bit_rows,
+    _bit_string,
     _content_lines,
     _wire_count,
     h,
@@ -272,7 +273,7 @@ def emit_stab(d: StageDecomposition) -> str:
         if kind == "c":
             out.extend(content.to_strings())
         else:
-            out.append("".join("1" if (content >> w) & 1 else "0" for w in range(d.n)))
+            out.append(_bit_string(content, d.n))
     return "\n".join(out) + "\n"
 
 

@@ -109,6 +109,17 @@ def test_circuit_rejects_out_of_range_wires():
         Circuit(2, (cnot(0, 2),))
     with pytest.raises(ValueError):
         Circuit(0, ())
+    # each gate object is checked once, and the first offender is the one named
+    good, bad = cnot(0, 1), cnot(0, 5)
+    with pytest.raises(ValueError, match=r"uses wire 5 outside 0\.\.3"):
+        Circuit(4, (good,) * 1000 + (bad,) * 3 + (cnot(6, 0),) + (bad,) * 3)
+    with pytest.raises(ValueError, match=r"uses wire 6 outside 0\.\.3"):
+        Circuit(4, (good,) * 1000 + (cnot(6, 0),) + (bad,) * 3)
+    # a plain tuple equal to a Gate is still caught among copies of that Gate
+    fake = tuple(h(0))
+    assert fake == h(0)
+    with pytest.raises(ValueError, match=r"is not a Gate"):
+        Circuit(4, (h(0),) * 1000 + (fake, bad) + (h(0),) * 1000)
 
 
 def test_depth_counts_asap_layers():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import chainforge.core as core
 from chainforge.core import (
     Circuit,
     GateKind,
@@ -14,6 +15,7 @@ from chainforge.core import (
     parse_circuit,
     swap,
 )
+from chainforge.qft import QftSpec, _skeleton_for
 from chainforge.skeleton import (
     SkeletonSpec,
     all_pairs,
@@ -59,7 +61,8 @@ def test_spec_validation():
         SkeletonSpec(4, absent=frozenset({(0, 1)}), payload={(0, 1): cnot(0, 1)})
     spec = SkeletonSpec(4, absent=frozenset({(0, 3)}))
     assert not spec.present(0, 3) and spec.present(0, 1)
-    assert spec.n_present() == 5
+    # the five present slots each hold one placeholder in the schedule
+    assert schedule_lnn(spec).circuit.count(GateKind.GENERIC2) == 5
 
 
 def test_full_schedule_shape():
@@ -146,8 +149,10 @@ def test_parse_emit_roundtrip():
     )
     assert parse_skeleton(emit_skeleton(spec)) == spec
     spec = parse_skeleton("skeleton 3\nabsent 0 1\npayload 1 2 cnot\n")
-    assert spec.gate_for(1, 2) == cnot(1, 2)
-    assert spec.gate_for(0, 2) == generic2(0, 2)
+    # slot (0, 2) holds the placeholder, on sites (1, 2) after the stage-1
+    # swap; slot (1, 2) holds its cnot, wire 1 then on site 0 and wire 2 on 1
+    payload = [g for g in schedule_lnn(spec).circuit.gates if g.kind is not GateKind.SWAP]
+    assert payload == [generic2(1, 2), cnot(0, 1)]
 
 
 def test_parse_errors_name_their_line():
@@ -160,3 +165,39 @@ def test_parse_errors_name_their_line():
         with pytest.raises(ParseError) as err:
             parse_skeleton(text)
         assert err.value.line == line, text
+
+
+def _mixed_payload_spec(n: int) -> SkeletonSpec:
+    """cnot (both directions), cz, cphase and placeholder slots, some absent."""
+    payload = {}
+    absent = set()
+    for i, (a, b) in enumerate(all_pairs(n)):
+        pick = i % 6
+        if pick == 0:
+            payload[a, b] = cnot(a, b)
+        elif pick == 1:
+            payload[a, b] = cnot(b, a)
+        elif pick == 2:
+            payload[a, b] = cz(a, b)
+        elif pick == 3:
+            payload[a, b] = cphase(b - a + 1, a, b)
+        elif pick == 4:
+            absent.add((a, b))
+    return SkeletonSpec(n, frozenset(absent), payload)
+
+
+def test_staged_schedule_makes_each_distinct_gate_once(monkeypatch):
+    cases = [
+        (SkeletonSpec(16), None),
+        (_mixed_payload_spec(12), tuple(range(11, -1, -1))),
+        (_skeleton_for(QftSpec(16)), None),
+    ]
+    for spec, placement in cases:  # specs and their templates are made first
+        calls = []
+        real = core.validate_gate
+        monkeypatch.setattr(core, "validate_gate", lambda g: calls.append(g) or real(g))
+        plans, _ = staged_schedule(spec, placement)
+        monkeypatch.undo()
+        gates = [g for plan in plans for g in (*plan.payload, *plan.swaps)]
+        assert len(calls) <= len(set(gates)) < len(gates)
+        assert len({id(g) for g in gates}) == len(set(gates))  # copies share one Gate
