@@ -26,9 +26,7 @@ from typing import NamedTuple, Sequence
 from .core import (
     Architecture,
     Circuit,
-    GateKind,
     ScheduledCircuit,
-    asap_layers,
 )
 from .skeleton import all_pairs, stage_of
 
@@ -114,14 +112,10 @@ def classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
     and every stretch is layered greedily on its own. Single-qubit gates
     stay with the stretch they were emitted in. Judging the written stage
     structure keeps the verdict stable under recompression, which would
-    otherwise slide sparse stages into each other.
+    otherwise slide sparse stages into each other. The tags come from the
+    circuit's staged walk, made once and shared with `generic_depth`.
     """
-    gates = circuit.gates
-    tags: dict[int, str] = {}
-    for (kind, qs, _), layer in zip(gates, asap_layers(gates, circuit.n_wires, by_stage=True)):
-        if len(qs) == 2:  # a layer lies in one stretch, so its tags agree
-            tags[layer] = "S" if kind is GateKind.SWAP else "L"
-    return sorted(tags.items())
+    return list(circuit._staged_layers[1])
 
 
 def stage_audit(sc: ScheduledCircuit | Circuit) -> AuditReport:

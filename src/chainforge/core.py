@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -126,7 +127,11 @@ def is_permutation(perm: Sequence[int], n: int) -> bool:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over a fixed number of wires."""
+    """An ordered gate list over a fixed number of wires, kept as a tuple.
+
+    Layer metrics come from two walks, each made on first use and kept in
+    the instance __dict__ (fields, == and hash are untouched).
+    """
 
     n_wires: int
     gates: tuple[Gate, ...] = ()
@@ -134,7 +139,8 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n_wires < 1:
             raise ValueError(f"n_wires must be >= 1, got {self.n_wires}")
-        gates = self.gates
+        gates = tuple(self.gates)  # the same object when it already is a tuple
+        object.__setattr__(self, "gates", gates)
         # each distinct object once, first occurrence first: errors name the first offender
         for g in dict(zip(map(id, gates), gates)).values():
             if type(g) is not Gate:
@@ -150,35 +156,95 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind is kind)
 
     def depth(self) -> int:
-        return 1 + max(asap_layers(self.gates, self.n_wires), default=-1)
+        return self._plain_layers[0]
 
     def extended(self, gates: Iterable[Gate]) -> "Circuit":
         return Circuit(self.n_wires, self.gates + tuple(gates))
 
+    @cached_property
+    def _plain_layers(self) -> tuple[int, int]:
+        return _plain_walk(self.gates, self.n_wires)
 
-def asap_layers(gates: Iterable[Gate], n_wires: int, by_stage: bool = False) -> Iterator[int]:
-    """0-based ASAP layer of each gate, yielded in gate order.
+    @cached_property
+    def _staged_layers(self) -> tuple[int, tuple[tuple[int, str], ...]]:
+        return _staged_walk(self.gates, self.n_wires)
 
-    With `by_stage`, the gate list is read as the stages it spells out: it
-    is cut wherever its two-qubit gates switch between SWAP and non-SWAP,
-    and each stretch starts above every layer of the stretches before it.
-    One-qubit gates stay with the stretch they were emitted in.
-    """
+
+def _plain_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, int]:
+    """(depth, two-qubit layer count) from one ASAP walk over the gates."""
     free = [0] * n_wires  # first layer each wire is free in
+    two_qubit = bytearray(len(gates))  # 1 at each layer holding a two-qubit gate
+    for _, qs, _ in gates:
+        if len(qs) == 1:
+            free[qs[0]] += 1
+        else:
+            a, b = qs
+            layer = free[a]
+            if free[b] > layer:
+                layer = free[b]
+            two_qubit[layer] = 1
+            free[a] = free[b] = layer + 1
+    return max(free), two_qubit.count(1)
+
+
+def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[int, str], ...]]:
+    """(generic depth, (layer, 'L' or 'S') per stage layer), from two layerings in one walk.
+
+    By stage (the audit's): the list is cut where its two-qubit gates switch
+    between SWAP and non-SWAP, every wire rises to the top at a cut, and
+    one-qubit gates count. By fused unit (generic depth's): a SWAP joins the
+    non-SWAP unit last on both its wires if no SWAP has joined it yet; one-qubit
+    gates are ignored.
+    """
+    free = [0] * n_wires  # by stage
+    unit_free = [0] * n_wires  # by fused unit
+    last = [0] * n_wires  # id of the joinable unit last on each wire, else 0
+    tags: list[str | None] = [None] * len(gates)  # stage tag of each two-qubit layer
     swap_kind = GateKind.SWAP
-    last_kind = stretch_is_swap = None
+    last_kind = stretch = None
+    units = 0
     for kind, qs, _ in gates:
+        if len(qs) == 1:
+            free[qs[0]] += 1
+            continue
+        a, b = qs
+        if kind is not last_kind:
+            last_kind = kind
+            tag = "S" if kind is swap_kind else "L"
+            if tag is not stretch:
+                if stretch is not None:
+                    free = [max(free)] * n_wires
+                stretch = tag
+        layer = free[a]
+        if free[b] > layer:
+            layer = free[b]
+        free[a] = free[b] = layer + 1
+        tags[layer] = stretch
+        if kind is swap_kind:
+            joins = last[a] == last[b] != 0
+            last[a] = last[b] = 0  # a unit holding a SWAP takes no other
+            if joins:
+                continue
+        else:
+            units += 1
+            last[a] = last[b] = units
+        layer = unit_free[a]
+        if unit_free[b] > layer:
+            layer = unit_free[b]
+        unit_free[a] = unit_free[b] = layer + 1
+    stage_tags = tuple((i, t) for i, t in enumerate(tags[: max(free)]) if t is not None)
+    return max(unit_free), stage_tags
+
+
+def asap_layers(gates: Iterable[Gate], n_wires: int) -> Iterator[int]:
+    """0-based ASAP layer of each gate, yielded in gate order."""
+    free = [0] * n_wires  # first layer each wire is free in
+    for _, qs, _ in gates:
         if len(qs) == 1:
             q = qs[0]
             layer = free[q]
             free[q] = layer + 1
         else:
-            if by_stage and kind is not last_kind:
-                last_kind = kind
-                if (kind is swap_kind) is not stretch_is_swap:
-                    if stretch_is_swap is not None:
-                        free = [max(free)] * n_wires
-                    stretch_is_swap = kind is swap_kind
             a, b = qs
             layer = free[a]
             if free[b] > layer:
@@ -199,13 +265,7 @@ def layers(circuit: Circuit) -> list[list[int]]:
 
 def two_qubit_layer_count(circuit: Circuit) -> int:
     """Number of ASAP layers that contain at least one two-qubit gate."""
-    gates = circuit.gates
-    found = {
-        layer
-        for (_, qs, _), layer in zip(gates, asap_layers(gates, circuit.n_wires))
-        if len(qs) == 2
-    }
-    return len(found)
+    return circuit._plain_layers[1]
 
 
 def generic_depth(circuit: Circuit) -> int:
@@ -218,24 +278,7 @@ def generic_depth(circuit: Circuit) -> int:
     `linsynth.expand_circuit_to_cnot` does not fold across one (on
     cnot(0,1) h(0) swap(0,1) this depth is 1, the expansion has 5 gates).
     """
-    units: list[Gate] = []  # each unit is the first gate it holds
-    last = [-1] * circuit.n_wires  # last unit on each wire
-    fusable: set[int] = set()  # non-SWAP units no SWAP has joined yet
-    for g in circuit.gates:
-        kind, qs, _ = g
-        if len(qs) != 2:
-            continue
-        a, b = qs
-        k = last[a]
-        if kind is GateKind.SWAP:
-            if k == last[b] and k in fusable:
-                fusable.remove(k)  # the swap joins the preceding gate's unit
-                continue
-        else:
-            fusable.add(len(units))
-        last[a] = last[b] = len(units)
-        units.append(g)
-    return 1 + max(asap_layers(units, circuit.n_wires), default=-1)
+    return circuit._staged_layers[0]
 
 
 class ArchKind(Enum):

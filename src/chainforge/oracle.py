@@ -135,16 +135,36 @@ def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
     return m
 
 
+_BLOCK = 1 << 15  # entries per block of the phase-fixed comparison
+
+
 def _phase_fixed_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """a == phase * b elementwise, with the phase fixed at a's largest entry."""
+    """a == phase * b elementwise, with the phase fixed at a's largest entry.
+
+    Both scans go block by block through two reused buffers, so no
+    full-size temporary is made; the comparison stops at the first block
+    holding an entry off by more than tol.
+    """
     flat1, flat2 = a.reshape(-1), b.reshape(-1)
-    i = int(np.argmax(np.abs(flat1)))
+    size = flat1.size
+    mag, diff = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK), dtype=np.complex128)
+    i, top = 0, -1.0
+    for start in range(0, size or 1, _BLOCK):  # an empty array raises in np.argmax
+        m = np.abs(flat1[start : start + _BLOCK], out=mag[: min(size - start, _BLOCK)])
+        j = int(np.argmax(m))
+        if m[j] > top:  # the first largest entry wins; a NaN in a fails the scan below
+            i, top = start + j, m[j]
     if abs(flat1[i]) < tol or abs(flat2[i]) < tol:
         return False
     phase = flat1[i] / flat2[i]
     if abs(abs(phase) - 1.0) > tol:
         return False
-    return bool(np.max(np.abs(flat1 - phase * flat2)) <= tol)
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        d = np.multiply(phase, flat2[start:stop], out=diff[: stop - start])
+        if not np.abs(np.subtract(flat1[start:stop], d, out=d), out=mag[: stop - start]).max() <= tol:
+            return False
+    return True
 
 
 def matrices_equiv(

@@ -122,6 +122,20 @@ def test_circuit_rejects_out_of_range_wires():
         Circuit(4, (h(0),) * 1000 + (fake, bad) + (h(0),) * 1000)
 
 
+def test_circuit_keeps_a_tuple_not_the_callers_list():
+    gates = [h(0), cnot(0, 1)]
+    c = Circuit(2, gates)
+    assert type(c.gates) is tuple
+    assert hash(c) == hash(Circuit(2, (h(0), cnot(0, 1))))
+    depth = c.depth()
+    gates.append(cnot(0, 1))  # a later change to the list reaches neither gates nor metrics
+    assert c.gates == (h(0), cnot(0, 1))
+    assert c.depth() == depth == 2
+    assert generic_depth(c) == 1
+    t = (h(0), h(1))
+    assert Circuit(2, t).gates is t  # a tuple is kept as is, not copied
+
+
 def test_depth_counts_asap_layers():
     assert Circuit(1, ()).depth() == 0
     assert Circuit(2, (cnot(0, 1),)).depth() == 1

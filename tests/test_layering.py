@@ -1,13 +1,16 @@
-"""The one ASAP layering kernel against the four loops it replaced.
+"""The layer metrics against the four loops they replaced.
 
 The reference functions below are the layering code as it stood before
 `core.asap_layers` existed, copied unchanged apart from their names, two
-docstrings, and `depth` taken off the class. Every metric built on the kernel must agree with them
-on seeded random circuits.
+docstrings, and `depth` taken off the class. Every layer metric must agree with them
+on seeded random circuits, whichever metric reads a circuit first. A
+circuit computes its metrics in two memoized walks: a plain one (depth,
+two-qubit layers) and a staged one (generic depth, stage tags).
 """
 
 from random import Random
 
+from chainforge import core
 from chainforge.bounds import classify_layers
 from chainforge.core import (
     Circuit,
@@ -202,3 +205,53 @@ def test_layering_builds_no_intermediate_circuit(monkeypatch):
     assert made[0] == 0
     ref_classify_layers(circuits[2])  # the counter does see a Circuit being made
     assert made[0] > 0
+
+
+METRICS = (Circuit.depth, layers, two_qubit_layer_count, generic_depth, classify_layers)
+REFERENCES = (ref_depth, ref_layers, ref_two_qubit_layer_count, ref_generic_depth, ref_classify_layers)
+
+
+def test_memoized_metrics_match_the_reference_in_every_call_order():
+    circuits = _circuits()
+    expected = [[ref(c) for ref in REFERENCES] for c in circuits]
+    for shift in range(len(METRICS)):
+        for c, want in zip(circuits, expected):
+            fresh = Circuit(c.n_wires, c.gates)  # no metric read yet
+            pairs = list(zip(METRICS, want))
+            for metric, value in (pairs[shift:] + pairs[:shift]) * 2:  # the second round reads the memo
+                assert metric(fresh) == value, (metric.__name__, shift, c)
+
+
+def test_each_walk_runs_at_most_once_per_circuit(monkeypatch):
+    calls = {"plain": 0, "staged": 0}
+
+    def counted(name, walk):
+        def wrapper(*args):
+            calls[name] += 1
+            return walk(*args)
+        return wrapper
+
+    monkeypatch.setattr(core, "_plain_walk", counted("plain", core._plain_walk))
+    monkeypatch.setattr(core, "_staged_walk", counted("staged", core._staged_walk))
+    for c in _circuits():
+        fresh = Circuit(c.n_wires, c.gates)
+        for metric in (Circuit.depth, two_qubit_layer_count) * 2:
+            metric(fresh)
+        assert calls == {"plain": 1, "staged": 0}
+        for metric in METRICS * 2:
+            metric(fresh)
+        assert calls == {"plain": 1, "staged": 1}
+        calls.update(plain=0, staged=0)
+
+
+def test_read_metrics_leave_equality_and_hash_alone():
+    for c in _circuits():
+        read = Circuit(c.n_wires, list(c.gates))
+        for metric in METRICS:
+            metric(read)
+        fresh = Circuit(c.n_wires, c.gates)
+        assert read == fresh and hash(read) == hash(fresh)
+    c = Circuit(3, (cnot(0, 1), swap(1, 2)))
+    tags = classify_layers(c)
+    tags.append((9, "L"))  # each call returns a fresh list
+    assert classify_layers(c) == [(0, "L"), (1, "S")]

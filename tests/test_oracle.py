@@ -324,6 +324,35 @@ def test_matrices_equiv_verdicts_match_the_reference():
     assert not matrices_equiv(np.ones(4), np.ones(4))
 
 
+def test_phase_fixed_comparison_across_blocks():
+    """Matrices spanning several comparison blocks: a 1e-6 mismatch in the
+    last block is caught, and the phase is fixed at the largest entry when
+    it lies in a later block than the first."""
+    gen = np.random.default_rng(11)
+    dim = 512  # 2**18 entries, several blocks
+    assert oracle._BLOCK <= dim * dim // 4
+    u2 = gen.uniform(-0.5, 0.5, (dim, dim)) + 1j * gen.uniform(-0.5, 0.5, (dim, dim))
+    u2.reshape(-1)[: oracle._BLOCK] *= 1e-9  # the first block holds only tiny entries
+    u2[dim - 2, 7] = 3.0 - 1.0j  # the largest entry
+    phase = cmath.exp(0.7j)
+    match = phase * u2
+    # within tol of phase * u2, but a phase fixed at this entry has |phase| - 1 = 1e-3
+    first = int(np.argmax(np.abs(u2.reshape(-1)[: oracle._BLOCK])))
+    match.reshape(-1)[first] *= 1 + 1e-3
+    late = match.copy()
+    late[-1, -1] += 1e-6  # in the last block
+    big = match.copy()
+    big[dim - 2, 7] *= 1 + 1e-6  # the entry that fixes the phase
+    for u1, expect in ((match, True), (late, False), (big, False)):
+        assert matrices_equiv(u1, u2) is expect
+        assert _reference_matrices_equiv(u1, u2) is expect
+        assert states_equiv(u1.reshape(-1), u2.reshape(-1)) is expect
+    assert matrices_equiv(late, u2, tol=1e-5)
+    nan = match.copy()
+    nan[-1, 0] = np.nan
+    assert not matrices_equiv(nan, u2) and not matrices_equiv(match, nan)
+
+
 def test_apply_gate_updates_and_returns_the_given_buffer():
     rng = Random(9)
     n = 4
