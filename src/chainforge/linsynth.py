@@ -36,7 +36,7 @@ from .core import (
     is_permutation,
     prune_trailing_swap_layers,
 )
-from .skeleton import SkeletonSpec, _check_pair, all_pairs, staged_schedule
+from .skeleton import SkeletonSpec, Slot, _check_pair, staged_schedule
 
 Pair = tuple[int, int]
 
@@ -286,21 +286,10 @@ def rearrange(trace: GaussJordanTrace) -> RearrangedParts:
 
 def _part_specs(parts: RearrangedParts) -> list[tuple[SkeletonSpec, bool]]:
     """Skeleton specs for the three parts; the last runs on reversed labels."""
-    n = parts.n
-    specs: list[tuple[SkeletonSpec, bool]] = []
-    pivot_pairs = {(c, j): cnot(j, c) for c, j in parts.pivots}
-    if pivot_pairs:
-        absent = frozenset(pr for pr in all_pairs(n) if pr not in pivot_pairs)
-        specs.append((SkeletonSpec(n, absent, pivot_pairs), False))
-    if parts.lower:
-        absent = frozenset(pr for pr in all_pairs(n) if pr not in parts.lower)
-        payload = {(a, b): cnot(a, b) for a, b in parts.lower}
-        specs.append((SkeletonSpec(n, absent, payload), False))
-    if parts.upper:
-        flipped = {(n - 1 - l, n - 1 - k): cnot(n - 1 - l, n - 1 - k) for k, l in parts.upper}
-        absent = frozenset(pr for pr in all_pairs(n) if pr not in flipped)
-        specs.append((SkeletonSpec(n, absent, flipped), True))
-    return specs
+    n, down, up = parts.n, Slot(GateKind.CNOT, True), Slot(GateKind.CNOT)  # control larger, smaller
+    flipped = [(n - 1 - l, n - 1 - k) for k, l in parts.upper]
+    maps = ((parts.pivots, down, False), (parts.lower, up, False), (flipped, up, True))
+    return [(SkeletonSpec.on_pairs(n, dict.fromkeys(prs, e)), rev) for prs, e, rev in maps if prs]
 
 
 def schedule_parts(

@@ -26,7 +26,7 @@ from .core import (
     cphase,
     h,
 )
-from .skeleton import SkeletonSpec, all_pairs, staged_schedule
+from .skeleton import SkeletonSpec, Slot, staged_schedule
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,10 @@ def qft_flat(spec: QftSpec) -> Circuit:
 
 
 def _skeleton_for(spec: QftSpec) -> SkeletonSpec:
-    absent = frozenset(pr for pr in all_pairs(spec.n) if not spec.keeps(*pr))
-    payload = {
-        (a, b): cphase(b - a + 1, a, b)
-        for a, b in all_pairs(spec.n)
-        if spec.keeps(a, b)
-    }
-    return SkeletonSpec(spec.n, absent, payload)
+    n, m = spec.n, spec.approx_threshold or spec.n  # spec.keeps(a, b) iff b < a + m
+    by_k = [Slot(GateKind.CPHASE, False, k) for k in range(m + 1)]
+    kept = {(a, b): by_k[b - a + 1] for a in range(n - 1) for b in range(a + 1, min(n, a + m))}
+    return SkeletonSpec.on_pairs(n, kept)
 
 
 def _schedule(spec: QftSpec) -> ScheduledCircuit:

@@ -15,7 +15,7 @@ stage by stage is equivalent to executing slots in lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     Architecture,
@@ -40,6 +40,31 @@ def all_pairs(n: int) -> Iterator[Pair]:
             yield (a, b)
 
 
+class Slot(NamedTuple):
+    """What re-placing a present slot's payload needs; no `Gate` is made."""
+
+    kind: GateKind
+    from_larger: bool = False  # a CNOT controlled by the pair's larger wire
+    param: int | None = None
+
+
+class _Absent(AbstractSet):
+    """The pairs a slot map leaves out, without listing all n(n-1)/2 pairs."""
+
+    def __init__(self, n: int, slots: Mapping[Pair, Slot]) -> None:
+        self.n, self.slots = n, slots
+
+    def __contains__(self, pr: object) -> bool:
+        a, b = pr if type(pr) is tuple and len(pr) == 2 else (0, 0)  # (0, 0) is no pair
+        return 0 <= a < b < self.n and pr not in self.slots
+
+    def __len__(self) -> int:
+        return self.n * (self.n - 1) // 2 - len(self.slots)
+
+    def __iter__(self) -> Iterator[Pair]:
+        return (pr for pr in all_pairs(self.n) if pr not in self.slots)
+
+
 @dataclass(frozen=True)
 class SkeletonSpec:
     """Presence flags and payloads for the n-wire all-pairs skeleton."""
@@ -47,20 +72,45 @@ class SkeletonSpec:
     n: int
     absent: frozenset[Pair] = frozenset()
     payload: Mapping[Pair, Gate] = field(default_factory=dict)
+    _fill = Slot(GateKind.GENERIC2)  # for pairs missing from the slot map (pair -> Slot or None)
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"skeleton needs n >= 2, got {self.n}")
-        object.__setattr__(self, "absent", frozenset(self.absent))
-        object.__setattr__(self, "payload", dict(self.payload))
-        for a, b in self.absent:
+        absent, payload = frozenset(self.absent), dict(self.payload)
+        slots: dict[Pair, Slot | None] = dict.fromkeys(absent)
+        for a, b in absent:
             _check_pair(a, b, self.n)
-        for (a, b), g in self.payload.items():
+        for (a, b), g in payload.items():
             _check_pair(a, b, self.n)
-            if (a, b) in self.absent:
+            if type(g) is not Gate:
+                raise ValueError(f"payload {g!r} of pair ({a}, {b}) is not a Gate")
+            if (a, b) in absent:
                 raise ValueError(f"pair ({a}, {b}) is absent but has a payload")
             if set(g.qubits) != {a, b}:
                 raise ValueError(f"payload gate {g} does not act on pair ({a}, {b})")
+            slots[a, b] = Slot(g.kind, g.qubits[0] > g.qubits[1], g.param)
+        self.__dict__.update(absent=absent, payload=payload, _slots=slots)
+
+    @classmethod
+    def on_pairs(cls, n: int, slots: Mapping[Pair, Slot]) -> SkeletonSpec:
+        """The spec whose present pairs are exactly the listed ones; no `Gate` is made."""
+        if n < 2:
+            raise ValueError(f"skeleton needs n >= 2, got {n}")
+        slots = dict(slots)
+        for (a, b), e in slots.items():
+            _check_pair(a, b, n)
+            if type(e) is not Slot:
+                raise ValueError(f"slot ({a}, {b}) holds {e!r}, not a Slot")
+        spec = object.__new__(cls)
+        spec.__dict__.update(n=n, absent=_Absent(n, slots), _slots=slots, _fill=None)
+        return spec
+
+    def __getattr__(self, name: str) -> Mapping[Pair, Gate]:
+        if name != "payload":  # only an on_pairs spec lacks it
+            raise AttributeError(name)
+        made = {pr: Gate(k, pr[::-1] if r else pr, p) for pr, (k, r, p) in self._slots.items()}
+        return self.__dict__.setdefault(name, made)
 
     def present(self, a: int, b: int) -> bool:
         _check_pair(a, b, self.n)
@@ -129,8 +179,7 @@ def staged_schedule(
     """
     n = spec.n
     loc = list(_check_placement(initial_placement or range(n), n))
-    absent, payload_of = spec.absent, spec.payload
-    cnot_kind, generic_kind = GateKind.CNOT, GateKind.GENERIC2
+    slots, fill, cnot_kind = spec._slots, spec._fill, GateKind.CNOT
     # a chain has only n-1 site pairs, so each re-placed payload, keyed by
     # (kind, sites, param), and each SWAP is made and validated once per call
     made: dict[tuple, Gate] = {}
@@ -143,14 +192,13 @@ def staged_schedule(
         for a, b in stage_pairs(n, s):
             sa, sb = loc[a], loc[b]
             sites = (sa, sb) if sa < sb else (sb, sa)
-            if (a, b) not in absent:
-                g = payload_of.get((a, b))
-                if g is None:
-                    key = (generic_kind, sites, None)
-                elif g.kind is cnot_kind:  # a CNOT keeps its direction
-                    key = (cnot_kind, (loc[g.qubits[0]], loc[g.qubits[1]]), None)
+            e = slots.get((a, b), fill)
+            if e is not None:
+                kind, from_larger, param = e
+                if kind is cnot_kind:  # a CNOT keeps its direction
+                    key = (kind, (sb, sa) if from_larger else (sa, sb), None)
                 else:  # a symmetric gate stores its sites ascending
-                    key = (g.kind, sites, g.param)
+                    key = (kind, sites, param)
                 pg = made.get(key)
                 if pg is None:
                     pg = made[key] = Gate(*key)
@@ -188,13 +236,7 @@ def full_reversal(n: int) -> tuple[int, ...]:
 
 # --- text format -----------------------------------------------------------
 
-_PAYLOAD_KINDS = {
-    "cnot": GateKind.CNOT,
-    "cz": GateKind.CZ,
-    "cphase": GateKind.CPHASE,
-    "swap": GateKind.SWAP,
-    "g": GateKind.GENERIC2,
-}
+_PAYLOAD_KINDS = {k.value: k for k in GateKind if k is not GateKind.H and k is not GateKind.P}
 
 
 def parse_skeleton(text: str) -> SkeletonSpec:
@@ -247,18 +289,15 @@ def emit_skeleton(spec: SkeletonSpec) -> str:
     for a, b in sorted(spec.absent):
         out.append(f"absent {a} {b}")
     for (a, b), g in sorted(spec.payload.items()):
-        if g.kind is GateKind.CPHASE:
-            out.append(f"payload {g.qubits[0]} {g.qubits[1]} cphase {g.param}")
-        elif g.kind is GateKind.GENERIC2:
-            continue
-        else:
-            out.append(f"payload {g.qubits[0]} {g.qubits[1]} {g.kind.value}")
+        param = "" if g.param is None else f" {g.param}"
+        out.append(f"payload {g.qubits[0]} {g.qubits[1]} {g.kind.value}{param}")
     return "\n".join(out) + "\n"
 
 
 __all__ = [
     "Pair",
     "SkeletonSpec",
+    "Slot",
     "StagePlan",
     "all_pairs",
     "emit_skeleton",

@@ -1,11 +1,14 @@
 """Staged all-pairs scheduling on a chain."""
 
+from random import Random
+
 import pytest
 
 import chainforge.core as core
 from chainforge.core import (
     Circuit,
     GateKind,
+    _GateFields,
     ParseError,
     cnot,
     cphase,
@@ -15,9 +18,11 @@ from chainforge.core import (
     parse_circuit,
     swap,
 )
+from chainforge.linsynth import GF2Matrix, _part_specs, gauss_jordan, rearrange
 from chainforge.qft import QftSpec, _skeleton_for
 from chainforge.skeleton import (
     SkeletonSpec,
+    Slot,
     all_pairs,
     emit_skeleton,
     full_reversal,
@@ -59,6 +64,10 @@ def test_spec_validation():
         SkeletonSpec(4, payload={(0, 1): cnot(0, 2)})
     with pytest.raises(ValueError):
         SkeletonSpec(4, absent=frozenset({(0, 1)}), payload={(0, 1): cnot(0, 1)})
+    # gate fields that never went through validate_gate are not a payload
+    for fields in ((GateKind.CNOT, (0, 1), None), _GateFields(GateKind.CNOT, (0, 1))):
+        with pytest.raises(ValueError, match="is not a Gate"):
+            SkeletonSpec(3, payload={(0, 1): fields})
     spec = SkeletonSpec(4, absent=frozenset({(0, 3)}))
     assert not spec.present(0, 3) and spec.present(0, 1)
     # the five present slots each hold one placeholder in the schedule
@@ -148,6 +157,10 @@ def test_parse_emit_roundtrip():
         payload={(0, 1): cnot(1, 0), (2, 4): cz(2, 4)},
     )
     assert parse_skeleton(emit_skeleton(spec)) == spec
+    # an explicit placeholder payload is written out, not dropped
+    spec = SkeletonSpec(3, payload={(0, 1): generic2(0, 1)})
+    assert emit_skeleton(spec) == "skeleton 3\npayload 0 1 g\n"
+    assert parse_skeleton(emit_skeleton(spec)) == spec
     spec = parse_skeleton("skeleton 3\nabsent 0 1\npayload 1 2 cnot\n")
     # slot (0, 2) holds the placeholder, on sites (1, 2) after the stage-1
     # swap; slot (1, 2) holds its cnot, wire 1 then on site 0 and wire 2 on 1
@@ -201,3 +214,68 @@ def test_staged_schedule_makes_each_distinct_gate_once(monkeypatch):
         gates = [g for plan in plans for g in (*plan.payload, *plan.swaps)]
         assert len(calls) <= len(set(gates)) < len(gates)
         assert len({id(g) for g in gates}) == len(set(gates))  # copies share one Gate
+
+
+def test_building_part_and_qft_specs_validates_no_gate(monkeypatch):
+    rng = Random(7)
+    matrices = [GF2Matrix.random_nonsingular(n, rng) for n in (6, 24)]
+    parts = [rearrange(gauss_jordan(a.inverse())) for a in matrices]
+    calls = []
+    monkeypatch.setattr(core, "validate_gate", calls.append)
+    specs = [spec for pt in parts for spec, _ in _part_specs(pt)]
+    specs += [_skeleton_for(QftSpec(24)), _skeleton_for(QftSpec(24, 4))]
+    monkeypatch.undo()
+    assert calls == [] and len(specs) >= 4
+
+
+def _slot_and_public_specs(n: int, rng: Random) -> tuple[SkeletonSpec, SkeletonSpec]:
+    """The same random slots as an on_pairs spec and as a public spec."""
+    slots, payload = {}, {}
+    for a, b in all_pairs(n):
+        k = rng.randint(1, n)
+        choices = (
+            (cnot(a, b), Slot(GateKind.CNOT)),
+            (cnot(b, a), Slot(GateKind.CNOT, True)),
+            (cz(a, b), Slot(GateKind.CZ)),
+            (cphase(k, a, b), Slot(GateKind.CPHASE, False, k)),
+            (generic2(a, b), Slot(GateKind.GENERIC2)),
+        )
+        pick = rng.randrange(len(choices) + 1)
+        if pick < len(choices):
+            payload[a, b], slots[a, b] = choices[pick]
+    absent = frozenset(pr for pr in all_pairs(n) if pr not in slots)
+    return SkeletonSpec.on_pairs(n, slots), SkeletonSpec(n, absent, payload)
+
+
+def test_on_pairs_spec_agrees_with_its_public_equivalent():
+    rng = Random(11)
+    for n in range(2, 13):
+        spec, public = _slot_and_public_specs(n, rng)
+        assert spec == public and public == spec
+        assert len(spec.absent) == len(public.absent) and set(spec.absent) == public.absent
+        assert spec.payload == public.payload and spec.payload is spec.payload
+        assert all(spec.present(a, b) == public.present(a, b) for a, b in all_pairs(n))
+        assert stage_assignment(spec) == stage_assignment(public)
+        text = emit_skeleton(spec)
+        assert text == emit_skeleton(public)
+        reparsed = parse_skeleton(text)
+        assert reparsed == spec
+        for placement in (None, tuple(range(n - 1, -1, -1))):
+            plans = staged_schedule(spec, placement)
+            assert plans == staged_schedule(public, placement)
+            assert plans == staged_schedule(reparsed, placement)
+        for outside in ((1, 0), (0, n), (-1, 0), (0, 0), (0, 1, 2), "ab", 3):
+            assert outside not in spec.absent
+
+
+def test_on_pairs_checks_each_listed_pair_and_entry():
+    for pair in ((1, 0), (2, 2), (-1, 1), (0, 4)):
+        with pytest.raises(ValueError):
+            SkeletonSpec.on_pairs(4, {pair: Slot(GateKind.CZ)})
+    with pytest.raises(ValueError, match="not a Slot"):
+        SkeletonSpec.on_pairs(4, {(0, 1): (GateKind.CNOT, False, None)})
+    with pytest.raises(ValueError):
+        SkeletonSpec.on_pairs(1, {})
+    spec = SkeletonSpec.on_pairs(4, {(0, 3): Slot(GateKind.CZ)})
+    assert len(spec.absent) == 5 and (0, 3) not in spec.absent and (1, 2) in spec.absent
+    assert schedule_lnn(spec).circuit.count(GateKind.CZ) == 1

@@ -1,0 +1,186 @@
+"""Present-pair skeleton specs against the all-pairs builders they replaced.
+
+`ref_part_specs`, `ref_skeleton_for` and `ref_staged_schedule` below are
+`linsynth._part_specs`, `qft._skeleton_for` and `skeleton.staged_schedule`
+as they stood before specs kept a slot map, copied unchanged apart from
+their names and docstrings: each spec is a public `SkeletonSpec` with an
+all-pairs `absent` complement and one template `Gate` per present pair.
+Plans (payload, swaps, placement_before), final placements and whole
+circuits must be identical on seeded cases.
+"""
+
+from random import Random
+from typing import Sequence
+
+import chainforge.linsynth as linsynth
+import chainforge.qft as qft
+from chainforge.core import Gate, GateKind, cnot, cphase, cz, generic2, swap
+from chainforge.linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_parts, synthesize_lnn
+from chainforge.qft import QftSpec, aqft_lnn, qft_lnn
+from chainforge.skeleton import (
+    SkeletonSpec,
+    StagePlan,
+    _check_placement,
+    all_pairs,
+    n_stages,
+    stage_pairs,
+    staged_schedule,
+)
+from chainforge.stabilizer import random_decomposition, schedule_stabilizer
+
+SEED = 20261019
+
+Pair = tuple[int, int]
+
+
+def ref_part_specs(parts: linsynth.RearrangedParts) -> list[tuple[SkeletonSpec, bool]]:
+    """Reference: each part's absent set is the complement over all pairs."""
+    n = parts.n
+    specs: list[tuple[SkeletonSpec, bool]] = []
+    pivot_pairs = {(c, j): cnot(j, c) for c, j in parts.pivots}
+    if pivot_pairs:
+        absent = frozenset(pr for pr in all_pairs(n) if pr not in pivot_pairs)
+        specs.append((SkeletonSpec(n, absent, pivot_pairs), False))
+    if parts.lower:
+        absent = frozenset(pr for pr in all_pairs(n) if pr not in parts.lower)
+        payload = {(a, b): cnot(a, b) for a, b in parts.lower}
+        specs.append((SkeletonSpec(n, absent, payload), False))
+    if parts.upper:
+        flipped = {(n - 1 - l, n - 1 - k): cnot(n - 1 - l, n - 1 - k) for k, l in parts.upper}
+        absent = frozenset(pr for pr in all_pairs(n) if pr not in flipped)
+        specs.append((SkeletonSpec(n, absent, flipped), True))
+    return specs
+
+
+def ref_skeleton_for(spec: QftSpec) -> SkeletonSpec:
+    """Reference: one template cphase per kept pair, the rest absent."""
+    absent = frozenset(pr for pr in all_pairs(spec.n) if not spec.keeps(*pr))
+    payload = {
+        (a, b): cphase(b - a + 1, a, b)
+        for a, b in all_pairs(spec.n)
+        if spec.keeps(a, b)
+    }
+    return SkeletonSpec(spec.n, absent, payload)
+
+
+def ref_staged_schedule(
+    spec: SkeletonSpec, initial_placement: Sequence[int] | None = None
+) -> tuple[list[StagePlan], tuple[int, ...]]:
+    """Reference: reads `absent` and the payload `Gate`s slot by slot."""
+    n = spec.n
+    loc = list(_check_placement(initial_placement or range(n), n))
+    absent, payload_of = spec.absent, spec.payload
+    cnot_kind, generic_kind = GateKind.CNOT, GateKind.GENERIC2
+    # a chain has only n-1 site pairs, so each re-placed payload, keyed by
+    # (kind, sites, param), and each SWAP is made and validated once per call
+    made: dict[tuple, Gate] = {}
+    swap_on: dict[Pair, Gate] = {}
+    plans: list[StagePlan] = []
+    for s in range(1, n_stages(n) + 1):
+        payload: list[Gate] = []
+        swaps: list[Gate] = []
+        before = tuple(loc)
+        for a, b in stage_pairs(n, s):
+            sa, sb = loc[a], loc[b]
+            sites = (sa, sb) if sa < sb else (sb, sa)
+            if (a, b) not in absent:
+                g = payload_of.get((a, b))
+                if g is None:
+                    key = (generic_kind, sites, None)
+                elif g.kind is cnot_kind:  # a CNOT keeps its direction
+                    key = (cnot_kind, (loc[g.qubits[0]], loc[g.qubits[1]]), None)
+                else:  # a symmetric gate stores its sites ascending
+                    key = (g.kind, sites, g.param)
+                pg = made.get(key)
+                if pg is None:
+                    pg = made[key] = Gate(*key)
+                payload.append(pg)
+            sw = swap_on.get(sites)
+            if sw is None:
+                sw = swap_on[sites] = swap(*sites)
+            swaps.append(sw)
+            loc[a], loc[b] = sb, sa
+        plans.append(StagePlan(tuple(payload), tuple(swaps), before))
+    return plans, tuple(loc)
+
+
+def _random_parts(n: int, rng: Random) -> linsynth.RearrangedParts:
+    return rearrange(gauss_jordan(GF2Matrix.random_nonsingular(n, rng).inverse()))
+
+
+def _ref_schedule_parts(parts, placement) -> tuple[list[Gate], tuple[int, ...]]:
+    """`schedule_parts`' chaining over the reference specs and scheduler."""
+    n, gates = parts.n, []
+    for spec, reversed_labels in ref_part_specs(parts):
+        entry = tuple(placement[n - 1 - w] for w in range(n)) if reversed_labels else placement
+        plans, out = ref_staged_schedule(spec, entry)
+        gates.extend(g for plan in plans for g in (*plan.payload, *plan.swaps))
+        placement = tuple(out[n - 1 - w] for w in range(n)) if reversed_labels else out
+    return gates, placement
+
+
+def test_linsynth_parts_match_the_reference():
+    rng = Random(SEED)
+    for n in range(2, 41):
+        parts = _random_parts(n, rng)
+        new, ref = linsynth._part_specs(parts), ref_part_specs(parts)
+        assert [rev for _, rev in new] == [rev for _, rev in ref]
+        for (spec, _), (ref_spec, _) in zip(new, ref):
+            assert spec == ref_spec
+            for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
+                assert staged_schedule(spec, placement) == ref_staged_schedule(ref_spec, placement)
+        for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
+            assert schedule_parts(parts, placement) == _ref_schedule_parts(parts, placement)
+
+
+def test_qft_specs_match_the_reference_at_every_threshold():
+    for n in range(2, 41):
+        for m in (None, *range(1, n + 1)):
+            spec = QftSpec(n, m)
+            new, ref = qft._skeleton_for(spec), ref_skeleton_for(spec)
+            assert new == ref
+            assert staged_schedule(new) == ref_staged_schedule(ref)
+
+
+def _mixed_spec(n: int, rng: Random) -> SkeletonSpec:
+    """Random cnot (both ways), cz, cphase, explicit and implicit placeholders, absences."""
+    absent, payload = set(), {}
+    for a, b in all_pairs(n):
+        k = rng.randint(1, n)
+        choices = (cnot(a, b), cnot(b, a), cz(a, b), cphase(k, a, b), generic2(a, b))
+        pick = rng.randrange(len(choices) + 2)
+        if pick == len(choices):
+            absent.add((a, b))
+        elif pick < len(choices):
+            payload[a, b] = choices[pick]
+    return SkeletonSpec(n, frozenset(absent), payload)
+
+
+def test_mixed_public_specs_match_the_reference():
+    rng = Random(SEED + 1)
+    for n in range(2, 25):
+        spec = _mixed_spec(n, rng)
+        for placement in (None, tuple(range(n - 1, -1, -1))):
+            assert staged_schedule(spec, placement) == ref_staged_schedule(spec, placement)
+
+
+def test_whole_circuits_match_the_reference(monkeypatch):
+    rng = Random(SEED + 2)
+    matrices = [GF2Matrix.random_nonsingular(n, rng) for n in (2, 3, 8, 17, 32)]
+    decompositions = [random_decomposition(n, rng) for n in (2, 5, 16)]
+
+    def build():
+        return (
+            [synthesize_lnn(a) for a in matrices]
+            + [schedule_stabilizer(d) for d in decompositions]
+            + [qft_lnn(QftSpec(n)) for n in (2, 3, 9, 24)]
+            + [aqft_lnn(QftSpec(n, m)) for n, m in ((3, 1), (9, 3), (24, 5))]
+        )
+
+    new = build()
+    monkeypatch.setattr(linsynth, "_part_specs", ref_part_specs)
+    monkeypatch.setattr(linsynth, "staged_schedule", ref_staged_schedule)
+    monkeypatch.setattr(qft, "_skeleton_for", ref_skeleton_for)
+    monkeypatch.setattr(qft, "staged_schedule", ref_staged_schedule)
+    ref = build()
+    assert [(sc.circuit, sc.final_map) for sc in new] == [(sc.circuit, sc.final_map) for sc in ref]
