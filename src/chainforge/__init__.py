@@ -48,7 +48,6 @@ from .core import (
     h,
     invert_permutation,
     is_two_qubit,
-    layers,
     p,
     parse_architecture,
     parse_circuit,
@@ -105,12 +104,9 @@ from .skeleton import (
     StagePlan,
     all_pairs,
     emit_skeleton,
-    full_reversal,
-    lnn_pattern_preserved,
     n_stages,
     parse_skeleton,
     schedule_lnn,
-    stage_assignment,
     stage_of,
     stage_pairs,
     staged_schedule,

@@ -158,9 +158,6 @@ class Circuit:
     def depth(self) -> int:
         return self._plain_layers[0]
 
-    def extended(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.n_wires, self.gates + tuple(gates))
-
     @cached_property
     def _plain_layers(self) -> tuple[int, int]:
         return _plain_walk(self.gates, self.n_wires)
@@ -251,16 +248,6 @@ def asap_layers(gates: Iterable[Gate], n_wires: int) -> Iterator[int]:
                 layer = free[b]
             free[a] = free[b] = layer + 1
         yield layer
-
-
-def layers(circuit: Circuit) -> list[list[int]]:
-    """ASAP layering; returns gate indices grouped by layer."""
-    out: list[list[int]] = []
-    for i, layer in enumerate(asap_layers(circuit.gates, circuit.n_wires)):
-        if layer == len(out):
-            out.append([])
-        out[layer].append(i)
-    return out
 
 
 def two_qubit_layer_count(circuit: Circuit) -> int:
@@ -431,14 +418,11 @@ def swap_flow_map(circuit: Circuit) -> tuple[int, ...]:
 
 def prune_trailing_swap_layers(sc: ScheduledCircuit) -> ScheduledCircuit:
     """Drop trailing all-SWAP layers and adjust final_map accordingly."""
-    grouped = layers(sc.circuit)
-    keep = len(grouped)
-    while keep > 0 and all(
-        sc.circuit.gates[i].kind is GateKind.SWAP for i in grouped[keep - 1]
-    ):
-        keep -= 1
-    kept_indices = sorted(i for layer in grouped[:keep] for i in layer)
-    circuit = Circuit(sc.circuit.n_wires, tuple(sc.circuit.gates[i] for i in kept_indices))
+    gates = sc.circuit.gates
+    at = list(asap_layers(gates, sc.circuit.n_wires))
+    # keep every layer up to the last one holding a non-SWAP gate
+    keep = 1 + max((t for g, t in zip(gates, at) if g.kind is not GateKind.SWAP), default=-1)
+    circuit = Circuit(sc.circuit.n_wires, tuple(g for g, t in zip(gates, at) if t < keep))
     return ScheduledCircuit(circuit, sc.arch, swap_flow_map(circuit))
 
 
@@ -717,7 +701,6 @@ __all__ = [
     "invert_permutation",
     "is_permutation",
     "is_two_qubit",
-    "layers",
     "p",
     "parse_architecture",
     "parse_circuit",

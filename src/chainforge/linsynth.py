@@ -137,15 +137,6 @@ class GF2Matrix:
                 y |= 1 << i
         return y
 
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(
-            self.n,
-            tuple(
-                sum(((self.rows[i] >> j) & 1) << i for i in range(self.n))
-                for j in range(self.n)
-            ),
-        )
-
     def relabel(self, output_map: Sequence[int]) -> "GF2Matrix":
         """Read row output_map[l] as logical output l."""
         if not is_permutation(output_map, self.n):
@@ -181,9 +172,6 @@ class GaussJordanTrace:
                 raise ValueError(f"pivot donor {j} for column {c} must satisfy c < j < n")
         for a, b in self.lower | self.upper:
             _check_pair(a, b, self.n)
-
-    def pivot_flags(self) -> tuple[int, ...]:
-        return tuple(0 if j is None else 1 for j in self.pivot_donor)
 
     def gates_in_order(self) -> list[Gate]:
         """The trace's gates in elimination time order."""

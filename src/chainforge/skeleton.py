@@ -14,7 +14,7 @@ stage by stage is equivalent to executing slots in lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import AbstractSet, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -49,72 +49,76 @@ class Slot(NamedTuple):
 
 
 class _Absent(AbstractSet):
-    """The pairs a slot map leaves out, without listing all n(n-1)/2 pairs."""
+    """Pairs a slot map marks None, or leaves out when the fill is None (holds no spec)."""
 
-    def __init__(self, n: int, slots: Mapping[Pair, Slot]) -> None:
-        self.n, self.slots = n, slots
+    def __init__(self, n: int, slots: Mapping[Pair, Slot | None], fill: Slot | None) -> None:
+        self.n, self.slots, self.fill = n, slots, fill  # not the spec: no reference cycle
 
     def __contains__(self, pr: object) -> bool:
-        a, b = pr if type(pr) is tuple and len(pr) == 2 else (0, 0)  # (0, 0) is no pair
-        return 0 <= a < b < self.n and pr not in self.slots
+        try:
+            a, b = pr
+            return 0 <= a < b < self.n and self.slots.get(pr, self.fill) is None
+        except (TypeError, ValueError):  # not a pair of wires
+            return False
 
     def __len__(self) -> int:
-        return self.n * (self.n - 1) // 2 - len(self.slots)
+        unlisted = self.n * (self.n - 1) // 2 - len(self.slots) if self.fill is None else 0
+        return unlisted + sum(e is None for e in self.slots.values())
 
     def __iter__(self) -> Iterator[Pair]:
-        return (pr for pr in all_pairs(self.n) if pr not in self.slots)
+        pairs = all_pairs(self.n) if self.fill is None else self.slots
+        return (pr for pr in pairs if self.slots.get(pr, self.fill) is None)
 
 
-@dataclass(frozen=True)
 class SkeletonSpec:
-    """Presence flags and payloads for the n-wire all-pairs skeleton."""
+    """Presence flags and payloads for the n-wire all-pairs skeleton.
 
-    n: int
-    absent: frozenset[Pair] = frozenset()
-    payload: Mapping[Pair, Gate] = field(default_factory=dict)
-    _fill = Slot(GateKind.GENERIC2)  # for pairs missing from the slot map (pair -> Slot or None)
+    A spec is a slot map (pair -> Slot, or None for an absent pair) plus the
+    fill every unlisted pair takes. `absent` is a view of the map, and
+    `payload` holds the listed slots' gates, made on first read.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"skeleton needs n >= 2, got {self.n}")
-        absent, payload = frozenset(self.absent), dict(self.payload)
+    def __init__(
+        self, n: int, absent: AbstractSet[Pair] = frozenset(), payload: Mapping[Pair, Gate] = {}
+    ) -> None:
+        """Unlisted pairs hold the generic two-qubit placeholder."""
         slots: dict[Pair, Slot | None] = dict.fromkeys(absent)
-        for a, b in absent:
-            _check_pair(a, b, self.n)
         for (a, b), g in payload.items():
-            _check_pair(a, b, self.n)
             if type(g) is not Gate:
                 raise ValueError(f"payload {g!r} of pair ({a}, {b}) is not a Gate")
-            if (a, b) in absent:
+            if (a, b) in slots:
                 raise ValueError(f"pair ({a}, {b}) is absent but has a payload")
             if set(g.qubits) != {a, b}:
                 raise ValueError(f"payload gate {g} does not act on pair ({a}, {b})")
             slots[a, b] = Slot(g.kind, g.qubits[0] > g.qubits[1], g.param)
-        self.__dict__.update(absent=absent, payload=payload, _slots=slots)
+        self._bind(n, slots, Slot(GateKind.GENERIC2))
 
     @classmethod
     def on_pairs(cls, n: int, slots: Mapping[Pair, Slot]) -> SkeletonSpec:
         """The spec whose present pairs are exactly the listed ones; no `Gate` is made."""
-        if n < 2:
-            raise ValueError(f"skeleton needs n >= 2, got {n}")
-        slots = dict(slots)
-        for (a, b), e in slots.items():
-            _check_pair(a, b, n)
-            if type(e) is not Slot:
-                raise ValueError(f"slot ({a}, {b}) holds {e!r}, not a Slot")
-        spec = object.__new__(cls)
-        spec.__dict__.update(n=n, absent=_Absent(n, slots), _slots=slots, _fill=None)
+        spec = cls.__new__(cls)
+        spec._bind(n, dict(slots), None)
         return spec
 
-    def __getattr__(self, name: str) -> Mapping[Pair, Gate]:
-        if name != "payload":  # only an on_pairs spec lacks it
-            raise AttributeError(name)
-        made = {pr: Gate(k, pr[::-1] if r else pr, p) for pr, (k, r, p) in self._slots.items()}
-        return self.__dict__.setdefault(name, made)
+    def _bind(self, n: int, slots: dict[Pair, Slot | None], fill: Slot | None) -> None:
+        if n < 2:
+            raise ValueError(f"skeleton needs n >= 2, got {n}")
+        for (a, b), e in slots.items():
+            _check_pair(a, b, n)
+            if e is not None and type(e) is not Slot:
+                raise ValueError(f"slot ({a}, {b}) holds {e!r}, not a Slot")
+        self.n, self._slots, self._fill = n, slots, fill
+        self.absent = _Absent(n, slots, fill)
 
-    def present(self, a: int, b: int) -> bool:
-        _check_pair(a, b, self.n)
-        return (a, b) not in self.absent
+    @cached_property
+    def payload(self) -> dict[Pair, Gate]:
+        listed = ((pr, e) for pr, e in self._slots.items() if e is not None)
+        return {pr: Gate(e.kind, pr[::-1] if e.from_larger else pr, e.param) for pr, e in listed}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.absent, self.payload) == (other.n, other.absent, other.payload)
 
 
 def _check_pair(a: int, b: int, n: int) -> None:
@@ -137,14 +141,6 @@ def stage_of(a: int, b: int) -> int:
     return a + b
 
 
-def stage_assignment(spec: SkeletonSpec) -> list[list[Pair]]:
-    """Present pairs grouped into 2n-3 stages (some possibly empty)."""
-    return [
-        [pr for pr in stage_pairs(spec.n, s) if pr not in spec.absent]
-        for s in range(1, n_stages(spec.n) + 1)
-    ]
-
-
 class StagePlan(NamedTuple):
     """Site-level gates for one stage of the schedule."""
 
@@ -153,17 +149,12 @@ class StagePlan(NamedTuple):
     placement_before: tuple[int, ...]
 
 
-def _lays_chain(placement: Sequence[int]) -> bool:
-    """True when consecutive wires sit on consecutive sites, all one way."""
-    deltas = {placement[i + 1] - placement[i] for i in range(len(placement) - 1)}
-    return len(placement) <= 1 or deltas in ({1}, {-1})
-
-
 def _check_placement(placement: Sequence[int], n: int) -> tuple[int, ...]:
     pl = tuple(placement)
     if not is_permutation(pl, n):
         raise ValueError(f"placement {pl} is not a permutation of 0..{n - 1}")
-    if not _lays_chain(pl):
+    # consecutive wires on consecutive sites, all one way (a spec has n >= 2)
+    if {pl[i + 1] - pl[i] for i in range(n - 1)} not in ({1}, {-1}):
         raise ValueError(f"placement {pl} must map the wire chain onto the site chain")
     return pl
 
@@ -225,15 +216,6 @@ def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> Scheduled
     return ScheduledCircuit(Circuit(spec.n, tuple(gates)), Architecture.lnn(spec.n), final)
 
 
-def lnn_pattern_preserved(sc: ScheduledCircuit) -> bool:
-    """True when final_map lays the wire chain along the site chain."""
-    return _lays_chain(sc.final_map)
-
-
-def full_reversal(n: int) -> tuple[int, ...]:
-    return tuple(n - 1 - i for i in range(n))
-
-
 # --- text format -----------------------------------------------------------
 
 _PAYLOAD_KINDS = {k.value: k for k in GateKind if k is not GateKind.H and k is not GateKind.P}
@@ -248,8 +230,7 @@ def parse_skeleton(text: str) -> SkeletonSpec:
     if len(toks) != 2 or toks[0] != "skeleton":
         raise ParseError(lineno, f"expected 'skeleton N', got {head!r}")
     n = _wire_count(toks[1], lineno)
-    absent = set()
-    payload = {}
+    slots: dict[Pair, Gate | None] = {}  # None for an absent pair
     for lineno, line in lines[1:]:
         toks = line.split()
         is_absent = toks[0] == "absent" and len(toks) == 3
@@ -260,12 +241,10 @@ def parse_skeleton(text: str) -> SkeletonSpec:
             pair = (min(a, b), max(a, b))
             _check_pair(*pair, n)
             if is_absent:
-                absent.add(pair)
-                continue
-            kind = _PAYLOAD_KINDS.get(toks[3])
-            if kind is None:
+                g = None
+            elif (kind := _PAYLOAD_KINDS.get(toks[3])) is None:
                 raise ParseError(lineno, f"unknown payload kind {toks[3]!r}")
-            if kind is GateKind.CPHASE:
+            elif kind is GateKind.CPHASE:
                 if len(toks) != 5:
                     raise ParseError(lineno, "cphase payload needs a parameter k")
                 g = cphase(int(toks[4]), a, b)
@@ -273,13 +252,15 @@ def parse_skeleton(text: str) -> SkeletonSpec:
                 raise ParseError(lineno, f"{toks[3]} payload takes no parameter")
             else:
                 g = Gate(kind, (a, b) if kind is GateKind.CNOT else pair)
-            payload[pair] = g
+            if slots.setdefault(pair, g) != g:  # exact repeats are fine
+                raise ParseError(lineno, f"pair {pair} conflicts with an earlier line")
         except ParseError:
             raise
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
     try:
-        return SkeletonSpec(n, frozenset(absent), payload)
+        absent = frozenset(pr for pr, g in slots.items() if g is None)
+        return SkeletonSpec(n, absent, {pr: g for pr, g in slots.items() if g is not None})
     except ValueError as exc:
         raise ParseError(lines[0][0], str(exc)) from None
 
@@ -301,12 +282,9 @@ __all__ = [
     "StagePlan",
     "all_pairs",
     "emit_skeleton",
-    "full_reversal",
-    "lnn_pattern_preserved",
     "n_stages",
     "parse_skeleton",
     "schedule_lnn",
-    "stage_assignment",
     "stage_of",
     "stage_pairs",
     "staged_schedule",

@@ -13,6 +13,7 @@ from chainforge.core import (
     GateKind,
     ParseError,
     ScheduledCircuit,
+    asap_layers,
     cnot,
     cphase,
     cz,
@@ -23,7 +24,6 @@ from chainforge.core import (
     generic_depth,
     h,
     invert_permutation,
-    layers,
     p,
     parse_architecture,
     parse_circuit,
@@ -140,7 +140,7 @@ def test_depth_counts_asap_layers():
     assert Circuit(1, ()).depth() == 0
     assert Circuit(2, (cnot(0, 1),)).depth() == 1
     c = Circuit(4, (cnot(0, 1), cnot(2, 3), cnot(1, 2)))
-    assert layers(c) == [[0, 1], [2]]
+    assert list(asap_layers(c.gates, 4)) == [0, 0, 1]
     assert c.depth() == 2
 
 

@@ -1,20 +1,26 @@
-"""The layer metrics against the four loops they replaced.
+"""The layer metrics against the loops they replaced.
 
 The reference functions below are the layering code as it stood before
 `core.asap_layers` existed, copied unchanged apart from their names, two
-docstrings, and `depth` taken off the class. Every layer metric must agree with them
-on seeded random circuits, whichever metric reads a circuit first. A
-circuit computes its metrics in two memoized walks: a plain one (depth,
-two-qubit layers) and a staged one (generic depth, stage tags).
+docstrings, and `depth` taken off the class; `ref_prune` is the
+`prune_trailing_swap_layers` body from before it read `asap_layers`. Every
+layer metric must agree with them on seeded random circuits, whichever
+metric reads a circuit first. A circuit computes its metrics in two memoized
+walks: a plain one (depth, two-qubit layers) and a staged one (generic
+depth, stage tags).
 """
 
+from itertools import combinations
 from random import Random
 
 from chainforge import core
 from chainforge.bounds import classify_layers
 from chainforge.core import (
+    Architecture,
     Circuit,
     GateKind,
+    ScheduledCircuit,
+    asap_layers,
     cnot,
     cphase,
     cz,
@@ -22,9 +28,10 @@ from chainforge.core import (
     generic_depth,
     h,
     is_two_qubit,
-    layers,
     p,
+    prune_trailing_swap_layers,
     swap,
+    swap_flow_map,
     two_qubit_layer_count,
 )
 
@@ -59,6 +66,32 @@ def ref_layers(circuit: Circuit) -> list[list[int]]:
             out.append([])
         out[layer].append(i)
     return out
+
+
+def ref_prune(sc: ScheduledCircuit) -> ScheduledCircuit:
+    """Drop trailing all-SWAP layers and adjust final_map accordingly."""
+    grouped = ref_layers(sc.circuit)
+    keep = len(grouped)
+    while keep > 0 and all(
+        sc.circuit.gates[i].kind is GateKind.SWAP for i in grouped[keep - 1]
+    ):
+        keep -= 1
+    kept_indices = sorted(i for layer in grouped[:keep] for i in layer)
+    circuit = Circuit(sc.circuit.n_wires, tuple(sc.circuit.gates[i] for i in kept_indices))
+    return ScheduledCircuit(circuit, sc.arch, swap_flow_map(circuit))
+
+
+def ref_gate_layers(circuit: Circuit) -> list[int]:
+    """Each gate's layer, read off the reference grouping."""
+    at = [0] * len(circuit.gates)
+    for layer, indices in enumerate(ref_layers(circuit)):
+        for i in indices:
+            at[i] = layer
+    return at
+
+
+def gate_layers(circuit: Circuit) -> list[int]:
+    return list(asap_layers(circuit.gates, circuit.n_wires))
 
 
 def ref_two_qubit_layer_count(circuit: Circuit) -> int:
@@ -179,14 +212,21 @@ def _circuits() -> list[Circuit]:
 
 def test_kernel_metrics_match_the_reference_loops():
     kinds_seen = set()
+    pruned = 0
     for c in _circuits():
         kinds_seen.update(g.kind for g in c.gates)
         assert c.depth() == ref_depth(c), c
-        assert layers(c) == ref_layers(c), c
+        assert gate_layers(c) == ref_gate_layers(c), c
         assert two_qubit_layer_count(c) == ref_two_qubit_layer_count(c), c
         assert generic_depth(c) == ref_generic_depth(c), c
         assert classify_layers(c) == ref_classify_layers(c), c
-    assert kinds_seen == set(GateKind)
+        # every pair is adjacent, so each circuit validates as a schedule
+        all_pairs = Architecture.graph(c.n_wires, combinations(range(c.n_wires), 2))
+        sc = ScheduledCircuit(c, all_pairs, swap_flow_map(c))
+        want = ref_prune(sc)
+        assert prune_trailing_swap_layers(sc) == want, c
+        pruned += len(want.circuit) < len(c)
+    assert kinds_seen == set(GateKind) and pruned > 0
 
 
 def test_layering_builds_no_intermediate_circuit(monkeypatch):
@@ -200,15 +240,15 @@ def test_layering_builds_no_intermediate_circuit(monkeypatch):
 
     monkeypatch.setattr(Circuit, "__post_init__", counting)
     for c in circuits:
-        for metric in (Circuit.depth, layers, two_qubit_layer_count, generic_depth, classify_layers):
+        for metric in (Circuit.depth, gate_layers, two_qubit_layer_count, generic_depth, classify_layers):
             metric(c)
     assert made[0] == 0
     ref_classify_layers(circuits[2])  # the counter does see a Circuit being made
     assert made[0] > 0
 
 
-METRICS = (Circuit.depth, layers, two_qubit_layer_count, generic_depth, classify_layers)
-REFERENCES = (ref_depth, ref_layers, ref_two_qubit_layer_count, ref_generic_depth, ref_classify_layers)
+METRICS = (Circuit.depth, gate_layers, two_qubit_layer_count, generic_depth, classify_layers)
+REFERENCES = (ref_depth, ref_gate_layers, ref_two_qubit_layer_count, ref_generic_depth, ref_classify_layers)
 
 
 def test_memoized_metrics_match_the_reference_in_every_call_order():
