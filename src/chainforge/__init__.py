@@ -52,7 +52,6 @@ from .core import (
     parse_architecture,
     parse_circuit,
     prune_trailing_swap_layers,
-    route_permutation,
     swap,
     swap_flow_map,
     to_qasm,

@@ -22,7 +22,6 @@ from .core import (
     MAX_WIRES,
     ChainNotFoundError,
     Circuit,
-    GateKind,
     ParseError,
     emit_circuit,
     generic_depth,
@@ -36,7 +35,6 @@ from .core import (
 from .css import css_flat, css_schedule_lnn, parse_css
 from .linsynth import (
     SingularMatrixError,
-    expand_circuit_to_cnot,
     expand_to_cnot,
     parse_gf2,
     synthesize_lnn,
@@ -71,15 +69,6 @@ def _verdict(ok: bool) -> str:
     return f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
 
 
-def _cnot_depth(circuit: Circuit, depth: int) -> int | None:
-    """Depth after SWAP expansion; None unless every two-qubit gate is a CNOT or SWAP."""
-    cx, sw = GateKind.CNOT, GateKind.SWAP
-    if any(len(qs) == 2 and k is not cx and k is not sw for k, qs, _ in circuit.gates):
-        return None
-    # with no SWAP the expansion returns the same gates, hence the same depth
-    return expand_circuit_to_cnot(circuit).depth() if circuit.count(sw) else depth
-
-
 def _violation_dicts(report: AuditReport) -> list[dict]:
     out = []
     for kind, windows in (("3L1S", report.violations_3l1s), ("4L2S", report.violations_4l2s)):
@@ -101,11 +90,10 @@ def _json_record(
     final_map: tuple[int, ...] | None,
     violations: list[dict],
 ) -> str:
-    depth = circuit.depth()
     record = {
-        "depth": depth,
+        "depth": circuit.depth(),
         "generic_depth": generic_depth(circuit),
-        "cnot_depth": _cnot_depth(circuit, depth),
+        "cnot_depth": circuit.cnot_depth(),
         "n": circuit.n_wires,
         "final_map": list(final_map) if final_map is not None else None,
         "violations": violations,
@@ -267,14 +255,12 @@ def _cmd_depth(args: argparse.Namespace) -> int:
     if args.report == "json":
         sys.stdout.write(_json_record(circuit, None, []))
         return 0
-    depth = circuit.depth()
-    cd = _cnot_depth(circuit, depth)
     lines = [
         f"n {circuit.n_wires}",
-        f"depth {depth}",
+        f"depth {circuit.depth()}",
         f"generic_depth {generic_depth(circuit)}",
         f"two_qubit_layers {two_qubit_layer_count(circuit)}",
-        f"cnot_depth {cd if cd is not None else 'n/a'}",
+        f"cnot_depth {'n/a' if circuit.cnot_depth() is None else circuit.cnot_depth()}",
     ]
     _write(args.out, "\n".join(lines) + "\n")
     return 0

@@ -27,6 +27,8 @@ class GateKind(Enum):
     SWAP = "swap"
     GENERIC2 = "g"
 
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ runs in Python
+
 
 _ARITY = {kind: 1 if kind in (GateKind.H, GateKind.P) else 2 for kind in GateKind}
 
@@ -68,7 +70,7 @@ MAX_WIRES = 1024
 
 def validate_gate(g: Gate) -> None:
     kind, qubits, param = g
-    if type(kind) is not GateKind:  # `is` tests, not a dict: Enum.__hash__ runs in Python
+    if type(kind) is not GateKind:
         raise ValueError(f"unknown gate kind {kind!r}")
     one_qubit = kind is GateKind.H or kind is GateKind.P
     if one_qubit:
@@ -77,8 +79,8 @@ def validate_gate(g: Gate) -> None:
     elif len(qubits) != 2 or qubits[0] == qubits[1]:
         raise ValueError(f"{kind.value} needs two distinct wires, got {qubits}")
     if kind is GateKind.CPHASE:
-        if not isinstance(param, int) or param < 1:
-            raise ValueError(f"cphase needs an integer parameter k >= 1, got {param}")
+        if not isinstance(param, int) or not 1 <= param <= MAX_WIRES:
+            raise ValueError(f"cphase needs an integer parameter k in 1..{MAX_WIRES}, got {param}")
     elif param is not None:
         raise ValueError(f"{kind.value} takes no parameter")
     for q in qubits:
@@ -129,8 +131,8 @@ def is_permutation(perm: Sequence[int], n: int) -> bool:
 class Circuit:
     """An ordered gate list over a fixed number of wires, kept as a tuple.
 
-    Layer metrics come from two walks, each made on first use and kept in
-    the instance __dict__ (fields, == and hash are untouched).
+    Layer metrics come from three walks, each made on first use and kept in the
+    instance __dict__ with the distinct gate objects (fields, == and hash are untouched).
     """
 
     n_wires: int
@@ -142,7 +144,8 @@ class Circuit:
         gates = tuple(self.gates)  # the same object when it already is a tuple
         object.__setattr__(self, "gates", gates)
         # each distinct object once, first occurrence first: errors name the first offender
-        for g in dict(zip(map(id, gates), gates)).values():
+        object.__setattr__(self, "_distinct", tuple(dict(zip(map(id, gates), gates)).values()))
+        for g in self._distinct:
             if type(g) is not Gate:
                 raise ValueError(f"{g!r} is not a Gate")
             for q in g.qubits:
@@ -158,9 +161,21 @@ class Circuit:
     def depth(self) -> int:
         return self._plain_layers[0]
 
+    def cnot_depth(self) -> int | None:
+        """Depth of `linsynth.expand_circuit_to_cnot(self)`, found without building
+        it; None when some two-qubit gate is neither a CNOT nor a SWAP."""
+        return self._cnot_depth
+
     @cached_property
     def _plain_layers(self) -> tuple[int, int]:
         return _plain_walk(self.gates, self.n_wires)
+
+    @cached_property
+    def _cnot_depth(self) -> int | None:
+        try:
+            return _fold_walk(self.gates, self.n_wires)[0]
+        except ValueError:  # a gate with no CNOT form
+            return None
 
     @cached_property
     def _staged_layers(self) -> tuple[int, tuple[tuple[int, str], ...]]:
@@ -182,6 +197,70 @@ def _plain_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, int]:
             two_qubit[layer] = 1
             free[a] = free[b] = layer + 1
     return max(free), two_qubit.count(1)
+
+
+def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> tuple[int, int]:
+    """(depth, two-qubit layer count) of the gates' CNOT expansion, appended to `out` if given.
+    A SWAP right after a CNOT on both its wires folds: the pair becomes the
+    reversed CNOT then the CNOT, one layer past the CNOT. Any other SWAP is
+    three CNOTs. One-qubit gates block folding; other two-qubit gates raise.
+    """
+    free = [0] * n_wires  # first layer each wire is free in
+    two_qubit = bytearray(3 * len(gates))  # 1 at each layer holding a two-qubit gate
+    pend = [0] * n_wires  # 1 + expansion index of an unfolded CNOT last on each wire, else 0
+    three_on: dict[tuple[int, int], tuple[Gate, Gate, Gate]] = {}  # (a, b) -> SWAP as 3 CNOTs
+    cnot_kind, swap_kind, m = GateKind.CNOT, GateKind.SWAP, 0  # m: the expansion's length
+    for g in gates:
+        kind, qs, _ = g
+        if out is not None and kind is not swap_kind:
+            out.append(g)
+        if kind is cnot_kind:
+            a, b = qs
+            layer = free[a]
+            if free[b] > layer:
+                layer = free[b]
+            two_qubit[layer] = 1
+            free[a] = free[b] = layer + 1
+            m += 1
+            pend[a] = pend[b] = m
+        elif kind is swap_kind:
+            a, b = qs
+            if out is not None and (three := three_on.get(qs)) is None:
+                ab = cnot(a, b)
+                three = three_on[qs] = (ab, cnot(b, a), ab)
+            k = pend[a]
+            if k and k == pend[b]:  # fold; free[a] == free[b] after that CNOT
+                two_qubit[free[a]] = 1
+                free[a] = free[b] = free[a] + 1
+                m += 1
+                if out is not None:
+                    g = out[k - 1]
+                    out[k - 1] = three[g.qubits[0] == a]  # the folded CNOT, reversed
+                    out.append(g)
+            else:
+                layer = free[a] if free[a] > free[b] else free[b]
+                two_qubit[layer] = two_qubit[layer + 1] = two_qubit[layer + 2] = 1
+                free[a] = free[b] = layer + 3
+                m += 3
+                if out is not None:
+                    out.extend(three)
+            pend[a] = pend[b] = 0
+        elif len(qs) == 1:
+            free[qs[0]] += 1
+            pend[qs[0]] = 0
+            m += 1
+        else:
+            raise ValueError(f"cannot expand {kind.value} gates to CNOTs")
+    return max(free), two_qubit.count(1)
+
+
+def _cnot_expansion(circuit: Circuit) -> Circuit:
+    """The CNOT expansion, memoized: with no SWAP left, its plain layering is the fold-aware one."""
+    out: list[Gate] = []
+    layers = _fold_walk(circuit.gates, circuit.n_wires, out)
+    expanded = Circuit(circuit.n_wires, tuple(out))
+    expanded.__dict__.update(_plain_layers=layers, _cnot_depth=layers[0])
+    return expanded
 
 
 def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[int, str], ...]]:
@@ -256,14 +335,15 @@ def two_qubit_layer_count(circuit: Circuit) -> int:
 
 
 def generic_depth(circuit: Circuit) -> int:
-    """Depth in merged two-qubit units.
+    """Depth in merged two-qubit units, from the staged walk.
 
     A two-qubit gate immediately followed (on both wires) by a SWAP of the
     same pair counts as one unit, as does a bare SWAP or an unmerged gate.
     Single-qubit gates are treated as absorbed into neighboring units and do
-    not count, so one between a gate and its SWAP does not split the unit;
-    `linsynth.expand_circuit_to_cnot` does not fold across one (on
-    cnot(0,1) h(0) swap(0,1) this depth is 1, the expansion has 5 gates).
+    not count, so one between a gate and its SWAP does not split the unit.
+    The third, fold-aware walk behind `Circuit.cnot_depth` and
+    `linsynth.expand_circuit_to_cnot` does not fold across one: on
+    cnot(0,1) h(0) swap(0,1) this depth is 1, the expansion has 5 gates.
     """
     return circuit._staged_layers[0]
 
@@ -368,8 +448,7 @@ def validate_on(circuit: Circuit, arch: Architecture) -> ValidationReport:
         raise ValueError(
             f"circuit has {circuit.n_wires} wires but architecture has {arch.n_sites} sites"
         )
-    wire_sets = {g.qubits for g in circuit.gates}
-    off_edge = {(min(qs), max(qs)) for qs in wire_sets if len(qs) == 2} - arch.edges
+    off_edge = {(min(qs), max(qs)) for _, qs, _ in circuit._distinct if len(qs) == 2} - arch.edges
     if off_edge:  # walk the gates only to name the first violation
         for i, g in enumerate(circuit.gates):
             pair = (min(g.qubits), max(g.qubits))
@@ -424,30 +503,6 @@ def prune_trailing_swap_layers(sc: ScheduledCircuit) -> ScheduledCircuit:
     keep = 1 + max((t for g, t in zip(gates, at) if g.kind is not GateKind.SWAP), default=-1)
     circuit = Circuit(sc.circuit.n_wires, tuple(g for g, t in zip(gates, at) if t < keep))
     return ScheduledCircuit(circuit, sc.arch, swap_flow_map(circuit))
-
-
-def route_permutation(target: Sequence[int], arch: Architecture) -> ScheduledCircuit:
-    """SWAP network on a line sending logical wire l to site target[l].
-
-    Odd-even transposition sort; depth is at most n.
-    """
-    if arch.kind is not ArchKind.LNN:
-        raise ValueError("route_permutation supports LNN architectures only")
-    n = arch.n_sites
-    if not is_permutation(target, n):
-        raise ValueError(f"target {tuple(target)} is not a permutation of 0..{n - 1}")
-    pos = list(range(n))  # site -> logical
-    gates: list[Gate] = []
-    for parity in range(n):
-        moved = False
-        for i in range(parity % 2, n - 1, 2):
-            if target[pos[i]] > target[pos[i + 1]]:
-                gates.append(swap(i, i + 1))
-                pos[i], pos[i + 1] = pos[i + 1], pos[i]
-                moved = True
-        if not moved and all(target[pos[i]] == i for i in range(n)):
-            break
-    return ScheduledCircuit(Circuit(n, tuple(gates)), arch, tuple(target))
 
 
 class ChainNotFoundError(ValueError):
@@ -648,6 +703,9 @@ def emit_architecture(arch: Architecture) -> str:
     return "\n".join(lines) + "\n"
 
 
+_QASM_NAMES = {"h": "h", "p": "s", "cnot": "cx", "cz": "cz", "swap": "swap"}  # by kind value
+
+
 def to_qasm(circuit: Circuit) -> str:
     """OpenQASM 2 text for the circuit; one-way (no importer)."""
     out = [
@@ -655,24 +713,13 @@ def to_qasm(circuit: Circuit) -> str:
         'include "qelib1.inc";',
         f"qreg q[{circuit.n_wires}];",
     ]
-    for g in circuit.gates:
-        a = g.qubits[0]
-        if g.kind is GateKind.H:
-            out.append(f"h q[{a}];")
-        elif g.kind is GateKind.P:
-            out.append(f"s q[{a}];")
-        elif g.kind is GateKind.CNOT:
-            out.append(f"cx q[{a}],q[{g.qubits[1]}];")
-        elif g.kind is GateKind.CZ:
-            out.append(f"cz q[{a}],q[{g.qubits[1]}];")
-        elif g.kind is GateKind.SWAP:
-            out.append(f"swap q[{a}],q[{g.qubits[1]}];")
-        elif g.kind is GateKind.CPHASE:
-            denom = 2 ** (g.param - 1)
-            angle = "pi" if denom == 1 else f"pi/{denom}"
-            out.append(f"cu1({angle}) q[{a}],q[{g.qubits[1]}];")
-        else:
+    for kind, qs, k in circuit.gates:
+        name = _QASM_NAMES.get(kind.value)
+        if name is None and kind is GateKind.CPHASE:
+            name = "cu1(pi)" if k == 1 else f"cu1(pi/{2 ** (k - 1)})"
+        elif name is None:
             raise ValueError("generic two-qubit placeholders cannot be exported to QASM")
+        out.append(f"{name} {','.join(f'q[{q}]' for q in qs)};")
     return "\n".join(out) + "\n"
 
 
@@ -705,7 +752,6 @@ __all__ = [
     "parse_architecture",
     "parse_circuit",
     "prune_trailing_swap_layers",
-    "route_permutation",
     "swap",
     "swap_flow_map",
     "to_qasm",

@@ -30,6 +30,7 @@ from .core import (
     ScheduledCircuit,
     _bit_rows,
     _bit_string,
+    _cnot_expansion,
     _content_lines,
     _wire_count,
     cnot,
@@ -335,40 +336,9 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     pass through and block folding across them, unlike `generic_depth`,
     which ignores them when it fuses a SWAP into the gate before it: on
     cnot(0,1) h(0) swap(0,1) its depth is 1 while this returns 5 gates.
+    The result arrives layered by `Circuit.cnot_depth`'s walk: `depth()` is a read.
     """
-    out: list[Gate] = []
-    last = [-1] * circuit.n_wires  # index in out of the last gate on each wire
-    foldable: set[int] = set()  # out indices of CNOTs no SWAP has folded yet
-    three_on: dict[Pair, tuple[Gate, Gate, Gate]] = {}  # (a, b) -> the SWAP as 3 CNOTs
-    cnot_kind, swap_kind = GateKind.CNOT, GateKind.SWAP
-    for g in circuit.gates:
-        kind, qs, _ = g
-        if kind is swap_kind:
-            a, b = qs
-            three = three_on.get(qs)
-            if three is None:
-                ab = cnot(a, b)
-                three = three_on[qs] = (ab, cnot(b, a), ab)
-            k = last[a]
-            if k == last[b] and k in foldable:
-                foldable.remove(k)
-                g = out[k]
-                out[k] = three[g.qubits[0] == a]  # the folded CNOT, reversed
-                out.append(g)
-            else:
-                out.extend(three)
-            last[a] = last[b] = len(out) - 1
-        elif kind is cnot_kind:
-            a, b = qs
-            last[a] = last[b] = k = len(out)
-            foldable.add(k)
-            out.append(g)
-        elif len(qs) == 1:
-            last[qs[0]] = len(out)
-            out.append(g)
-        else:
-            raise ValueError(f"cannot expand {kind.value} gates to CNOTs")
-    return Circuit(circuit.n_wires, tuple(out))
+    return _cnot_expansion(circuit)
 
 
 def expand_to_cnot(sc: ScheduledCircuit) -> ScheduledCircuit:

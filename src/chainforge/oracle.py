@@ -76,7 +76,7 @@ def apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
     elif g.kind is GateKind.SWAP:
         x, y = v[:, 0, :, 1], v[:, 1, :, 0]
     else:  # CZ or CPHASE
-        v[:, 1, :, 1] *= -1 if g.kind is GateKind.CZ else cmath.exp(2j * math.pi / 2**g.param)
+        v[:, 1, :, 1] *= -1 if g.kind is GateKind.CZ else cmath.rect(1, math.ldexp(math.tau, -g.param))
         return state
     tmp = x.copy()
     x[...] = y

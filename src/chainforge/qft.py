@@ -91,8 +91,7 @@ def qft_lnn(spec: QftSpec) -> ScheduledCircuit:
 
     The SWAP flow reverses the wires, so the unitary relabeled by final_map
     and then by bit reversal equals the DFT matrix. No physical reversal
-    stage is appended; callers wanting a specific output order can route it
-    with core.route_permutation.
+    stage is appended.
     """
     if spec.approx_threshold is not None:
         raise ValueError("qft_lnn runs the full transform; use aqft_lnn to truncate")

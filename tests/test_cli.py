@@ -3,7 +3,7 @@
 import json
 from random import Random
 
-from chainforge import cli, linsynth
+from chainforge import linsynth
 from chainforge.cli import main
 from chainforge.core import MAX_WIRES, Circuit, cnot, emit_circuit, parse_circuit
 from chainforge.css import emit_css, steane_syndrome
@@ -91,7 +91,6 @@ def test_cnot_only_report_expands_once(tmp_path, capsys, monkeypatch):
         return real(circuit)
 
     monkeypatch.setattr(linsynth, "expand_circuit_to_cnot", counted)
-    monkeypatch.setattr(cli, "expand_circuit_to_cnot", counted)
     matrix = tmp_path / "m.txt"
     matrix.write_text(emit_gf2(GF2Matrix.random_nonsingular(8, Random(3))))
     argv = ["linsynth", "--matrix", str(matrix), "--cnot-only", "--report", "json"]
@@ -147,6 +146,25 @@ def test_oversized_inputs_are_domain_errors(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert str(MAX_WIRES) in capsys.readouterr().err
+
+
+def test_cphase_parameter_is_bounded(tmp_path, capsys):
+    for k in (MAX_WIRES + 1, 99999999999999999999):
+        circuit, spec = tmp_path / "c.txt", tmp_path / "s.txt"
+        circuit.write_text(f"qubits 2\nh 0\ncphase {k} 0 1\n")
+        spec.write_text(f"skeleton 2\npayload 0 1 cphase {k}\n")
+        for argv, line in (
+            (["verify", "--a", str(circuit), "--b", str(circuit), "--method", "dense"], 3),
+            (["skeleton", "--spec", str(spec), "--qasm"], 2),
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert f"line {line}:" in err and f"1..{MAX_WIRES}" in err, err
+    circuit.write_text(f"qubits 2\nh 0\ncphase {MAX_WIRES} 0 1\n")
+    spec.write_text(f"skeleton 2\npayload 0 1 cphase {MAX_WIRES}\n")
+    assert main(["verify", "--a", str(circuit), "--b", str(circuit), "--method", "dense"]) == 0
+    assert main(["skeleton", "--spec", str(spec), "--qasm"]) == 0
+    assert f"cu1(pi/{2 ** (MAX_WIRES - 1)})" in capsys.readouterr().out
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -28,7 +28,6 @@ from chainforge.core import (
     parse_architecture,
     parse_circuit,
     prune_trailing_swap_layers,
-    route_permutation,
     swap,
     swap_flow_map,
     to_qasm,
@@ -237,26 +236,6 @@ def test_prune_trailing_swap_layers():
         ScheduledCircuit(Circuit(3, (swap(0, 1), cnot(1, 2))), arch, (1, 0, 2))
     )
     assert len(kept.circuit) == 2
-
-
-def test_route_permutation_sorts_any_target():
-    rng = Random(5)
-    for n in range(2, 8):
-        arch = Architecture.lnn(n)
-        target = list(range(n))
-        rng.shuffle(target)
-        sc = route_permutation(target, arch)
-        assert all(g.kind is GateKind.SWAP for g in sc.circuit.gates)
-        assert swap_flow_map(sc.circuit) == tuple(target)
-        assert sc.final_map == tuple(target)
-        assert sc.circuit.depth() <= n
-
-
-def test_route_permutation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        route_permutation((0, 0, 1), Architecture.lnn(3))
-    with pytest.raises(ValueError):
-        route_permutation((0, 1), Architecture.grid(1, 2))
 
 
 def test_embed_chain_lnn_and_grid():
