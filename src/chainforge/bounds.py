@@ -181,19 +181,17 @@ def has_triangle(arch: Architecture) -> bool:
     return any(adj[a] & adj[b] for a, b in arch.edges)
 
 
-def _matchings(edges: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
-    """All nonempty sets of pairwise disjoint edges."""
-    out: list[tuple[tuple[int, int], ...]] = []
+def _disjoint_sets(items: Sequence[tuple[object, int, int]]) -> list[tuple]:
+    """The keys of every nonempty set of (key, site, site) items on pairwise disjoint sites."""
+    out: list[tuple] = []
 
-    def extend(start: int, used: int, picked: tuple[tuple[int, int], ...]) -> None:
-        for i in range(start, len(edges)):
-            a, b = edges[i]
+    def extend(start: int, used: int, picked: tuple) -> None:
+        for i in range(start, len(items)):
+            key, a, b = items[i]
             bit = (1 << a) | (1 << b)
-            if used & bit:
-                continue
-            chosen = picked + (edges[i],)
-            out.append(chosen)
-            extend(i + 1, used | bit, chosen)
+            if not used & bit:
+                out.append(picked + (key,))
+                extend(i + 1, used | bit, out[-1])
 
     extend(0, 0, ())
     return out
@@ -224,7 +222,7 @@ def brute_force_min_depth(n: int, model: Model, arch: Architecture) -> int:
                 mask |= 1 << pair_index[other]
         preds.append(mask)
     edges = sorted(arch.edges)
-    swap_layers = _matchings(edges)
+    swap_layers = _disjoint_sets([(e, *e) for e in edges])
     adjacency = {e: True for e in edges}
 
     def gate_layers(pos: tuple[int, ...], done: int) -> list[tuple[int, ...]]:
@@ -241,20 +239,7 @@ def brute_force_min_depth(n: int, model: Model, arch: Architecture) -> int:
             sa, sb = site_of[a], site_of[b]
             if (min(sa, sb), max(sa, sb)) in adjacency:
                 ready.append((i, sa, sb))
-        out: list[tuple[int, ...]] = []
-
-        def extend(start: int, used: int, picked: tuple[int, ...]) -> None:
-            for idx in range(start, len(ready)):
-                i, sa, sb = ready[idx]
-                bit = (1 << sa) | (1 << sb)
-                if used & bit:
-                    continue
-                chosen = picked + (i,)
-                out.append(chosen)
-                extend(idx + 1, used | bit, chosen)
-
-        extend(0, 0, ())
-        return out
+        return _disjoint_sets(ready)
 
     start = (tuple(range(n)), 0)
     frontier = {start}

@@ -533,34 +533,24 @@ def embed_chain(arch: Architecture, node_budget: int = 1_000_000) -> list[int]:
     for v in adj:
         adj[v].sort(key=lambda w: (len(adj[w]), w))
     budget = node_budget
-
-    def extend(path: list[int], used: list[bool]) -> list[int] | None:
-        nonlocal budget
-        if len(path) == n:
-            return path
-        for w in adj[path[-1]]:
-            if used[w]:
+    for start in sorted(range(n), key=lambda v: (len(adj[v]), v)):
+        path, used = [start], [False] * n
+        used[start] = True
+        untried = [iter(adj[start])]  # per path site, the neighbours not yet tried from it
+        while untried:
+            w = next((w for w in untried[-1] if not used[w]), None)
+            if w is None:  # a dead end: step back
+                untried.pop()
+                used[path.pop()] = False
                 continue
             if budget <= 0:
-                raise ChainNotFoundError(
-                    f"chain search exhausted its budget of {node_budget} expansions"
-                )
+                raise ChainNotFoundError(f"chain search exhausted its budget of {node_budget} expansions")
             budget -= 1
             used[w] = True
             path.append(w)
-            found = extend(path, used)
-            if found is not None:
-                return found
-            path.pop()
-            used[w] = False
-        return None
-
-    for start in sorted(range(n), key=lambda v: (len(adj[v]), v)):
-        used = [False] * n
-        used[start] = True
-        found = extend([start], used)
-        if found is not None:
-            return found
+            if len(path) == n:
+                return path
+            untried.append(iter(adj[w]))
     raise ChainNotFoundError("architecture has no Hamiltonian path")
 
 
@@ -570,12 +560,25 @@ _KIND_BY_NAME = {k.value: k for k in GateKind}
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text) of each line with content, cut at its first '#'; none is an error."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append((lineno, line))
+    if not out:
+        raise ParseError(1, "empty file: every line is blank or a comment")
     return out
+
+
+def _headed_lines(text: str, keyword: str) -> tuple[int, list[tuple[int, str]]]:
+    """N and the content lines, header included, of a text that opens with 'keyword N'."""
+    lines = _content_lines(text)
+    lineno, head = lines[0]
+    toks = head.split()
+    if len(toks) != 2 or toks[0] != keyword:
+        raise ParseError(lineno, f"expected '{keyword} N', got {head!r}")
+    return _wire_count(toks[1], lineno), lines
 
 
 def _wire_count(raw: str | int, lineno: int) -> int:
@@ -587,6 +590,42 @@ def _wire_count(raw: str | int, lineno: int) -> int:
     if not 1 <= n <= MAX_WIRES:
         raise ParseError(lineno, f"wire count must be in 1..{MAX_WIRES}, got {n}")
     return n
+
+
+class _AtLine:
+    """A block whose ValueError is raised as a ParseError at the line; a ParseError passes.
+    A class, not @contextmanager: it runs once per distinct gate line, at a quarter of the cost."""
+
+    __slots__ = ("lineno",)
+
+    def __init__(self, lineno: int) -> None:
+        self.lineno = lineno
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type | None, exc: BaseException | None, tb: object) -> None:
+        if kind is not None and issubclass(kind, ValueError) and not issubclass(kind, ParseError):
+            raise ParseError(self.lineno, str(exc)) from None
+
+
+def _gate(lineno: int, name: str, args: Sequence[str], n: int) -> Gate:
+    """The gate `name args` on wires 0..n-1, a cphase's k first. A CNOT keeps its
+    direction; other gates store their wires ascending."""
+    kind = _KIND_BY_NAME.get(name)
+    if kind is None:
+        raise ParseError(lineno, f"unknown gate {name!r}")
+    want = _ARITY[kind] + (kind is GateKind.CPHASE)
+    if len(args) != want:
+        raise ParseError(lineno, f"{name} takes {want} arguments, got {len(args)}")
+    with _AtLine(lineno):
+        ints = [int(t) for t in args]
+        k = ints.pop(0) if kind is GateKind.CPHASE else None
+        g = Gate(kind, tuple(ints if kind is GateKind.CNOT else sorted(ints)), k)
+    for q in g.qubits:
+        if q >= n:
+            raise ParseError(lineno, f"wire {q} outside 0..{n - 1}")
+    return g
 
 
 def _bit_rows(lines: Iterable[tuple[int, str]], n: int) -> tuple[int, ...]:
@@ -606,41 +645,14 @@ def _bit_string(row: int, n: int) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty circuit file")
-    lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "qubits":
-        raise ParseError(lineno, f"expected 'qubits N', got {head!r}")
-    n = _wire_count(parts[1], lineno)
+    n, lines = _headed_lines(text, "qubits")
     gates = []
     seen: dict[str, Gate] = {}  # each distinct line is parsed and checked once
     for lineno, line in lines[1:]:
         g = seen.get(line)
         if g is None:
             toks = line.split()
-            kind = _KIND_BY_NAME.get(toks[0])
-            if kind is None:
-                raise ParseError(lineno, f"unknown gate {toks[0]!r}")
-            want = _ARITY[kind] + (kind is GateKind.CPHASE)
-            if len(toks) - 1 != want:
-                raise ParseError(lineno, f"{toks[0]} takes {want} arguments, got {len(toks) - 1}")
-            try:
-                args = [int(t) for t in toks[1:]]
-            except ValueError:
-                raise ParseError(lineno, f"non-integer argument in {line!r}") from None
-            try:
-                if kind is GateKind.CPHASE:
-                    g = cphase(*args)
-                else:  # a CNOT keeps its direction; other gates store wires ascending
-                    g = Gate(kind, tuple(args if kind is GateKind.CNOT else sorted(args)))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            for q in g.qubits:
-                if q >= n:
-                    raise ParseError(lineno, f"wire {q} outside 0..{n - 1}")
-            seen[line] = g
+            g = seen[line] = _gate(lineno, toks[0], toks[1:], n)
         gates.append(g)
     return Circuit(n, tuple(gates))
 
@@ -659,11 +671,9 @@ def emit_circuit(circuit: Circuit) -> str:
 
 def parse_architecture(text: str) -> Architecture:
     lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty architecture file")
     lineno, head = lines[0]
     toks = head.split()
-    try:
+    with _AtLine(lineno):
         if toks[0] in ("lnn", "grid") and len(lines) > 1:
             raise ParseError(lines[1][0], f"unexpected line after {head!r}")
         if toks[0] == "lnn" and len(toks) == 2:
@@ -679,17 +689,11 @@ def parse_architecture(text: str) -> Architecture:
                 etoks = line.split()
                 if etoks[0] != "edge" or len(etoks) != 3:
                     raise ParseError(lno, f"expected 'edge a b', got {line!r}")
-                try:
+                with _AtLine(lno):
                     edge = int(etoks[1]), int(etoks[2])
                     _check_edge(*edge, n)
-                except ValueError as exc:
-                    raise ParseError(lno, str(exc)) from None
                 edges.append(edge)
             return Architecture.graph(n, edges)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
     raise ParseError(lineno, f"expected 'lnn N', 'grid R C' or 'graph N', got {head!r}")
 
 

@@ -233,8 +233,6 @@ def steane_syndrome() -> CssSpec:
 
 def parse_css(text: str) -> CssSpec:
     lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty css spec file")
     lineno, head = lines[0]
     toks = head.split()
     if len(toks) != 4 or toks[0] != "css" or toks[1] not in ("encode", "syndrome"):

@@ -31,8 +31,7 @@ from .core import (
     _bit_rows,
     _bit_string,
     _cnot_expansion,
-    _content_lines,
-    _wire_count,
+    _headed_lines,
     cnot,
     is_permutation,
     prune_trailing_swap_layers,
@@ -351,16 +350,9 @@ def expand_to_cnot(sc: ScheduledCircuit) -> ScheduledCircuit:
 
 
 def parse_gf2(text: str) -> GF2Matrix:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty matrix file")
-    lineno, head = lines[0]
-    toks = head.split()
-    if len(toks) != 2 or toks[0] != "gf2":
-        raise ParseError(lineno, f"expected 'gf2 N', got {head!r}")
-    n = _wire_count(toks[1], lineno)
+    n, lines = _headed_lines(text, "gf2")
     if len(lines) - 1 != n:
-        raise ParseError(lineno, f"expected {n} rows, got {len(lines) - 1}")
+        raise ParseError(lines[0][0], f"expected {n} rows, got {len(lines) - 1}")
     return GF2Matrix(n, _bit_rows(lines[1:], n))
 
 

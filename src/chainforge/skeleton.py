@@ -24,9 +24,9 @@ from .core import (
     GateKind,
     ParseError,
     ScheduledCircuit,
-    _content_lines,
-    _wire_count,
-    cphase,
+    _AtLine,
+    _gate,
+    _headed_lines,
     is_permutation,
     swap,
 )
@@ -218,51 +218,27 @@ def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> Scheduled
 
 # --- text format -----------------------------------------------------------
 
-_PAYLOAD_KINDS = {k.value: k for k in GateKind if k is not GateKind.H and k is not GateKind.P}
-
-
 def parse_skeleton(text: str) -> SkeletonSpec:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty skeleton file")
-    lineno, head = lines[0]
-    toks = head.split()
-    if len(toks) != 2 or toks[0] != "skeleton":
-        raise ParseError(lineno, f"expected 'skeleton N', got {head!r}")
-    n = _wire_count(toks[1], lineno)
+    n, lines = _headed_lines(text, "skeleton")
     slots: dict[Pair, Gate | None] = {}  # None for an absent pair
     for lineno, line in lines[1:]:
         toks = line.split()
-        is_absent = toks[0] == "absent" and len(toks) == 3
-        if not (is_absent or toks[0] == "payload" and len(toks) in (4, 5)):
-            raise ParseError(lineno, f"expected 'absent a b' or 'payload a b kind', got {line!r}")
-        try:
-            a, b = int(toks[1]), int(toks[2])
-            pair = (min(a, b), max(a, b))
-            _check_pair(*pair, n)
-            if is_absent:
-                g = None
-            elif (kind := _PAYLOAD_KINDS.get(toks[3])) is None:
-                raise ParseError(lineno, f"unknown payload kind {toks[3]!r}")
-            elif kind is GateKind.CPHASE:
-                if len(toks) != 5:
-                    raise ParseError(lineno, "cphase payload needs a parameter k")
-                g = cphase(int(toks[4]), a, b)
-            elif len(toks) == 5:
-                raise ParseError(lineno, f"{toks[3]} payload takes no parameter")
-            else:
-                g = Gate(kind, (a, b) if kind is GateKind.CNOT else pair)
-            if slots.setdefault(pair, g) != g:  # exact repeats are fine
-                raise ParseError(lineno, f"pair {pair} conflicts with an earlier line")
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    try:
+        if toks[0] == "absent" and len(toks) == 3:
+            with _AtLine(lineno):
+                a, b = int(toks[1]), int(toks[2])
+                pair = (min(a, b), max(a, b))
+                _check_pair(*pair, n)
+            g = None
+        elif toks[0] == "payload" and len(toks) in (4, 5):  # the gate line 'kind [k] a b'
+            g = _gate(lineno, toks[3], [*toks[4:], toks[1], toks[2]], n)
+            pair = (min(g.qubits), max(g.qubits))
+        else:
+            raise ParseError(lineno, f"expected 'absent a b' or 'payload a b kind [k]', got {line!r}")
+        if slots.setdefault(pair, g) != g:  # exact repeats are fine
+            raise ParseError(lineno, f"pair {pair} conflicts with an earlier line")
+    with _AtLine(lines[0][0]):
         absent = frozenset(pr for pr, g in slots.items() if g is None)
         return SkeletonSpec(n, absent, {pr: g for pr, g in slots.items() if g is not None})
-    except ValueError as exc:
-        raise ParseError(lines[0][0], str(exc)) from None
 
 
 def emit_skeleton(spec: SkeletonSpec) -> str:

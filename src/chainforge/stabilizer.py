@@ -31,8 +31,7 @@ from .core import (
     ScheduledCircuit,
     _bit_rows,
     _bit_string,
-    _content_lines,
-    _wire_count,
+    _headed_lines,
     h,
     is_permutation,
     p,
@@ -230,18 +229,11 @@ def tableau_equiv(c1: Circuit, c2: Circuit, relabel: Sequence[int] | None = None
 
 
 def parse_stab(text: str) -> StageDecomposition:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty decomposition file")
-    lineno, head = lines[0]
-    toks = head.split()
-    if len(toks) != 2 or toks[0] != "stab":
-        raise ParseError(lineno, f"expected 'stab N', got {head!r}")
-    n = _wire_count(toks[1], lineno)
+    n, lines = _headed_lines(text, "stab")
     pos = 1
     h_masks: list[int] = []
     p_masks: list[int] = []
-    c_stages: list[GF2Matrix] = []
+    c_stages: list[tuple[int, GF2Matrix]] = []  # with the line of each 'stage c'
     for want in STAGE_ORDER:
         if pos >= len(lines):
             raise ParseError(lines[-1][0], f"missing 'stage {want}' block")
@@ -255,15 +247,16 @@ def parse_stab(text: str) -> StageDecomposition:
         rows = _bit_rows(lines[pos : pos + count], n)
         pos += count
         if want == "c":
-            c_stages.append(GF2Matrix(n, rows))
+            c_stages.append((lineno, GF2Matrix(n, rows)))
         else:
             (h_masks if want == "h" else p_masks).append(rows[0])
     if pos != len(lines):
         raise ParseError(lines[pos][0], "unexpected content after the 11 stages")
     try:
-        return StageDecomposition(n, tuple(h_masks), tuple(p_masks), tuple(c_stages))
-    except ValueError as exc:
-        raise ParseError(lines[0][0], str(exc)) from None
+        return StageDecomposition(n, tuple(h_masks), tuple(p_masks), tuple(c for _, c in c_stages))
+    except ValueError as exc:  # a singular block: found here, so a valid file pays no extra rank
+        singular = next((ln for ln, c in c_stages if c.rank() != n), lines[0][0])
+        raise ParseError(singular, str(exc)) from None
 
 
 def emit_stab(d: StageDecomposition) -> str:

@@ -35,11 +35,11 @@ from chainforge.core import (
     validate_gate,
     validate_on,
 )
-from chainforge.css import css_flat, css_schedule_lnn, steane_syndrome
-from chainforge.linsynth import GF2Matrix, expand_to_cnot, synthesize_lnn
+from chainforge.css import css_flat, css_schedule_lnn, parse_css, steane_syndrome
+from chainforge.linsynth import GF2Matrix, expand_to_cnot, parse_gf2, synthesize_lnn
 from chainforge.qft import QftSpec, aqft_lnn, qft_flat, qft_lnn
-from chainforge.skeleton import SkeletonSpec, all_pairs, schedule_lnn
-from chainforge.stabilizer import random_decomposition, schedule_stabilizer, stabilizer_flat
+from chainforge.skeleton import SkeletonSpec, all_pairs, parse_skeleton, schedule_lnn
+from chainforge.stabilizer import parse_stab, random_decomposition, schedule_stabilizer, stabilizer_flat
 
 
 def test_symmetric_gates_canonicalize_pair_order():
@@ -252,6 +252,12 @@ def test_embed_chain_graph_search():
     star = Architecture.graph(4, ((0, 1), (0, 2), (0, 3)))
     with pytest.raises(ChainNotFoundError):
         embed_chain(star)
+    # a path graph at MAX_WIRES: the search holds one frame per path site
+    n = core.MAX_WIRES
+    text = f"graph {n}\n" + "".join(f"edge {i} {i + 1}\n" for i in range(n - 1))
+    assert embed_chain(parse_architecture(text)) == list(range(n))
+    with pytest.raises(ChainNotFoundError, match="budget of 100 expansions"):
+        embed_chain(parse_architecture(text), node_budget=100)
 
 
 def test_parse_emit_circuit_roundtrip():
@@ -263,6 +269,8 @@ def test_parse_emit_circuit_roundtrip():
     assert parse_circuit(text) == c
     commented = "# header comment\n" + text + "  # trailing\n"
     assert parse_circuit(commented) == c
+    # a comment may end any line
+    assert parse_circuit("qubits 2  # two wires\nh 0 # note\ncnot 0 1#\n") == Circuit(2, (h(0), cnot(0, 1)))
     # every generator's output
     n, rng = 7, Random(11)
     makers = (lambda a, b: cnot(b, a), cz, lambda a, b: cphase(a + b + 1, a, b), generic2)
@@ -326,15 +334,20 @@ def test_parse_circuit_validates_each_distinct_line_once(monkeypatch):
 
 
 def test_oversized_headers_fail_at_line_one():
-    for parse, text in (
-        (parse_architecture, "lnn 99999999999"),
-        (parse_architecture, "grid 64 64"),
-        (parse_architecture, "graph 99999999999\nedge 0 1"),
-        (parse_circuit, "qubits 99999999999\nh 0"),
-    ):
-        with pytest.raises(ParseError) as err:
-            parse(text)
-        assert err.value.line == 1, text
+    too_many = core.MAX_WIRES + 1
+    headers = {  # a wrong keyword, then a size past MAX_WIRES
+        parse_circuit: ("qubit 3\nh 0", "qubits 99999999999\nh 0"),
+        parse_architecture: ("mesh 4", "lnn 99999999999", "grid 64 64", "graph 99999999999\nedge 0 1"),
+        parse_skeleton: ("skel 3", f"skeleton {too_many}"),
+        parse_gf2: ("gf 1\n1", f"gf2 {too_many}\n1"),
+        parse_stab: ("stabilizer 1", f"stab {too_many}"),
+        parse_css: ("csss encode 1 1\n.\n.", f"css syndrome {too_many} 1\n."),
+    }
+    for parse, texts in headers.items():
+        for text in ("", "\n  \n", "# only a comment\n   # and another", *texts):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.line == 1, (parse.__name__, text)
     assert parse_architecture(f"lnn {core.MAX_WIRES}").n_sites == core.MAX_WIRES
 
 

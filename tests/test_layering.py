@@ -5,9 +5,9 @@ The reference functions below are the layering code as it stood before
 docstrings, and `depth` taken off the class; `ref_prune` is the
 `prune_trailing_swap_layers` body from before it read `asap_layers`. Every
 layer metric must agree with them on seeded random circuits, whichever
-metric reads a circuit first. A circuit computes its metrics in two memoized
-walks: a plain one (depth, two-qubit layers) and a staged one (generic
-depth, stage tags).
+metric reads a circuit first. A circuit computes its metrics in three memoized
+walks: a plain one (depth, two-qubit layers), a staged one (generic depth,
+stage tags) and a fold-aware one (CNOT depth).
 """
 
 from itertools import combinations

@@ -183,6 +183,10 @@ def test_parse_errors_name_their_line():
         ("skeleton 4\npayload 0 2 cphase 2\n\npayload 0 2 cphase 3\n", 4),
         ("skeleton 4\nabsent 0 1\npayload 0 1 cz\n", 3),
         ("skeleton 4\npayload 0 1 cz\nabsent 1 0\n", 3),
+        # a payload is a two-qubit gate with exactly the arguments its kind takes
+        ("skeleton 4\nabsent 0 2\npayload 0 1 h\n", 3),
+        ("skeleton 4\nabsent 0 2\n# k for a cnot\npayload 0 1 cnot 5\n", 4),
+        ("skeleton 4\npayload 0 1 cz\npayload 0 2 cphase x\n", 3),
     ):
         with pytest.raises(ParseError) as err:
             parse_skeleton(text)

@@ -244,3 +244,14 @@ def test_parse_emit_roundtrip():
     with pytest.raises(ParseError) as err:
         parse_stab("\n".join(text))
     assert err.value.line == text.index("stage c") + 3
+    # a singular block fails at its 'stage c' line
+    text = emit_stab(random_decomposition(2, Random(8))).splitlines()
+    second = [i for i, line in enumerate(text) if line == "stage c"][1]
+    text[second + 1 : second + 3] = ["11", "11"]
+    with pytest.raises(ParseError, match="C stage 1 is singular") as err:
+        parse_stab("\n".join(text))
+    assert err.value.line == second + 1
+    # a malformed line after the singular block is still the error reported
+    with pytest.raises(ParseError) as err:
+        parse_stab("\n".join(text + ["stage h"]))
+    assert err.value.line == len(text) + 1
