@@ -174,11 +174,8 @@ def grid_loop_triangles(n: int) -> list[LoopWitness]:
 
 
 def has_triangle(arch: Architecture) -> bool:
-    adj = {v: set() for v in range(arch.n_sites)}
-    for a, b in arch.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return any(adj[a] & adj[b] for a, b in arch.edges)
+    nbrs = arch.neighbours
+    return any(not set(nbrs[a]).isdisjoint(nbrs[b]) for a, b in arch.edges)
 
 
 def _disjoint_sets(items: Sequence[tuple[object, int, int]]) -> list[tuple]:
@@ -223,7 +220,6 @@ def brute_force_min_depth(n: int, model: Model, arch: Architecture) -> int:
         preds.append(mask)
     edges = sorted(arch.edges)
     swap_layers = _disjoint_sets([(e, *e) for e in edges])
-    adjacency = {e: True for e in edges}
 
     def gate_layers(pos: tuple[int, ...], done: int) -> list[tuple[int, ...]]:
         # pos maps site -> wire
@@ -237,7 +233,7 @@ def brute_force_min_depth(n: int, model: Model, arch: Architecture) -> int:
             if model is Model.A and (preds[i] & ~done):
                 continue
             sa, sb = site_of[a], site_of[b]
-            if (min(sa, sb), max(sa, sb)) in adjacency:
+            if (min(sa, sb), max(sa, sb)) in arch.edges:
                 ready.append((i, sa, sb))
         return _disjoint_sets(ready)
 

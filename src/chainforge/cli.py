@@ -15,12 +15,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .bounds import AuditReport, BoundArch, BoundQuery, Model, lower_bound, stage_audit
 from .core import (
     MAX_WIRES,
-    ChainNotFoundError,
     Circuit,
     ParseError,
     emit_circuit,
@@ -33,21 +32,25 @@ from .core import (
     validate_on,
 )
 from .css import css_flat, css_schedule_lnn, parse_css
-from .linsynth import (
-    SingularMatrixError,
-    expand_to_cnot,
-    parse_gf2,
-    synthesize_lnn,
-)
+from .linsynth import expand_to_cnot, parse_gf2, synthesize_lnn
 from .oracle import gf2_action, unitary_equiv
 from .qft import QftSpec, aqft_lnn, qft_flat, qft_lnn
 from .skeleton import SkeletonSpec, parse_skeleton, schedule_lnn
 from .stabilizer import parse_stab, schedule_stabilizer, stabilizer_flat, tableau_equiv
 
 
-def _read(path: str) -> str:
+_T = TypeVar("_T")
+
+
+def _load(parse: Callable[[str], _T], path: str) -> _T:
+    """`parse` applied to the file's text; a ParseError names the file before its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = fh.read()
+    try:
+        return parse(text)
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _write(path: str | None, text: str) -> None:
@@ -153,7 +156,7 @@ def _cmd_qft(args: argparse.Namespace) -> int:
 
 
 def _cmd_linsynth(args: argparse.Namespace) -> int:
-    a = parse_gf2(_read(args.matrix))
+    a = _load(parse_gf2, args.matrix)
     sc = synthesize_lnn(a, prune_swaps=args.prune_swaps)
     if args.cnot_only:
         sc = expand_to_cnot(sc)
@@ -161,7 +164,7 @@ def _cmd_linsynth(args: argparse.Namespace) -> int:
 
 
 def _cmd_css(args: argparse.Namespace) -> int:
-    spec = parse_css(_read(args.spec))
+    spec = _load(parse_css, args.spec)
     if args.flat:
         return _deliver(args, css_flat(spec), None)
     sc = css_schedule_lnn(spec)
@@ -169,7 +172,7 @@ def _cmd_css(args: argparse.Namespace) -> int:
 
 
 def _cmd_stab(args: argparse.Namespace) -> int:
-    d = parse_stab(_read(args.spec))
+    d = _load(parse_stab, args.spec)
     if args.flat:
         return _deliver(args, stabilizer_flat(d), None)
     sc = schedule_stabilizer(d)
@@ -178,7 +181,7 @@ def _cmd_stab(args: argparse.Namespace) -> int:
 
 def _cmd_skeleton(args: argparse.Namespace) -> int:
     if args.spec is not None:
-        spec = parse_skeleton(_read(args.spec))
+        spec = _load(parse_skeleton, args.spec)
     else:
         spec = SkeletonSpec(_wire_flag(args.n))
     sc = schedule_lnn(spec, drop_last_swaps=args.drop_last_swaps)
@@ -207,8 +210,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    circuit = parse_circuit(_read(args.circuit))
-    arch = parse_architecture(_read(args.arch))
+    circuit = _load(parse_circuit, args.circuit)
+    arch = _load(parse_architecture, args.arch)
     locality = validate_on(circuit, arch)
     audit = stage_audit(circuit)
     violations = _violation_dicts(audit)
@@ -233,8 +236,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    c1 = parse_circuit(_read(args.a))
-    c2 = parse_circuit(_read(args.b))
+    c1 = _load(parse_circuit, args.a)
+    c2 = _load(parse_circuit, args.b)
     if c1.n_wires != c2.n_wires:
         print(f"error: wire counts differ ({c1.n_wires} vs {c2.n_wires})", file=sys.stderr)
         return 1
@@ -251,7 +254,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_depth(args: argparse.Namespace) -> int:
-    circuit = parse_circuit(_read(args.circuit))
+    circuit = _load(parse_circuit, args.circuit)
     if args.report == "json":
         sys.stdout.write(_json_record(circuit, None, []))
         return 0
@@ -324,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="check locality and swap discipline of a circuit")
     p.add_argument("--circuit", required=True, metavar="FILE")
     p.add_argument("--arch", required=True, metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--report", choices=["json"])
+    _add_output_flags(p, qasm=False)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("verify", help="compare two circuit files")
@@ -338,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depth", help="depth metrics of a circuit file")
     p.add_argument("--circuit", required=True, metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--report", choices=["json"])
+    _add_output_flags(p, qasm=False)
     p.set_defaults(func=_cmd_depth)
 
     return parser
@@ -356,7 +357,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, SingularMatrixError, ChainNotFoundError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every domain error, ParseError too, is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -203,7 +203,9 @@ def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> 
     """(depth, two-qubit layer count) of the gates' CNOT expansion, appended to `out` if given.
     A SWAP right after a CNOT on both its wires folds: the pair becomes the
     reversed CNOT then the CNOT, one layer past the CNOT. Any other SWAP is
-    three CNOTs. One-qubit gates block folding; other two-qubit gates raise.
+    three CNOTs. One-qubit gates block folding, unlike `generic_depth`'s fuse
+    rule: cnot(0,1) h(0) swap(0,1) has generic depth 1 and expands to 5 gates.
+    Other two-qubit gates raise.
     """
     free = [0] * n_wires  # first layer each wire is free in
     two_qubit = bytearray(3 * len(gates))  # 1 at each layer holding a two-qubit gate
@@ -252,15 +254,6 @@ def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> 
         else:
             raise ValueError(f"cannot expand {kind.value} gates to CNOTs")
     return max(free), two_qubit.count(1)
-
-
-def _cnot_expansion(circuit: Circuit) -> Circuit:
-    """The CNOT expansion, memoized: with no SWAP left, its plain layering is the fold-aware one."""
-    out: list[Gate] = []
-    layers = _fold_walk(circuit.gates, circuit.n_wires, out)
-    expanded = Circuit(circuit.n_wires, tuple(out))
-    expanded.__dict__.update(_plain_layers=layers, _cnot_depth=layers[0])
-    return expanded
 
 
 def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[int, str], ...]]:
@@ -341,9 +334,6 @@ def generic_depth(circuit: Circuit) -> int:
     same pair counts as one unit, as does a bare SWAP or an unmerged gate.
     Single-qubit gates are treated as absorbed into neighboring units and do
     not count, so one between a gate and its SWAP does not split the unit.
-    The third, fold-aware walk behind `Circuit.cnot_depth` and
-    `linsynth.expand_circuit_to_cnot` does not fold across one: on
-    cnot(0,1) h(0) swap(0,1) this depth is 1, the expansion has 5 gates.
     """
     return circuit._staged_layers[0]
 
@@ -363,14 +353,12 @@ class Architecture:
     edges: frozenset[tuple[int, int]]
     rows: int = 0
     cols: int = 0
-    max_degree: int = 0
 
     @staticmethod
     def lnn(n: int) -> "Architecture":
         if n < 1:
             raise ValueError(f"lnn needs n >= 1, got {n}")
-        edges = frozenset((i, i + 1) for i in range(n - 1))
-        return Architecture(ArchKind.LNN, n, edges, max_degree=2 if n > 2 else max(n - 1, 0))
+        return Architecture(ArchKind.LNN, n, frozenset((i, i + 1) for i in range(n - 1)))
 
     @staticmethod
     def grid(rows: int, cols: int) -> "Architecture":
@@ -384,8 +372,7 @@ class Architecture:
                     edges.add((s, s + 1))
                 if r + 1 < rows:
                     edges.add((s, s + cols))
-        deg = _max_degree(rows * cols, edges)
-        return Architecture(ArchKind.GRID, rows * cols, frozenset(edges), rows, cols, deg)
+        return Architecture(ArchKind.GRID, rows * cols, frozenset(edges), rows, cols)
 
     @staticmethod
     def graph(n: int, edges: Iterable[tuple[int, int]]) -> "Architecture":
@@ -395,9 +382,29 @@ class Architecture:
         for a, b in edges:
             _check_edge(a, b, n)
             norm.add((min(a, b), max(a, b)))
-        if n > 1 and not _connected(n, norm):
+        arch = Architecture(ArchKind.GRAPH, n, frozenset(norm))
+        seen, stack = {0}, [0]
+        while stack:
+            for w in arch.neighbours[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) < n:
             raise ValueError("graph architecture must be connected")
-        return Architecture(ArchKind.GRAPH, n, frozenset(norm), max_degree=_max_degree(n, norm))
+        return arch
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """For each site, its adjacent sites in ascending order; built on first read."""
+        adj: list[list[int]] = [[] for _ in range(self.n_sites)]
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return tuple(tuple(sorted(ws)) for ws in adj)
+
+    @property
+    def max_degree(self) -> int:
+        return max(map(len, self.neighbours))
 
     def adjacent(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
@@ -406,30 +413,6 @@ class Architecture:
 def _check_edge(a: int, b: int, n: int) -> None:
     if not (0 <= a < n and 0 <= b < n) or a == b:
         raise ValueError(f"bad edge ({a}, {b}) for {n} sites")
-
-
-def _max_degree(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    deg = [0] * n
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    return max(deg, default=0)
-
-
-def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 class Violation(NamedTuple):
@@ -526,14 +509,10 @@ def embed_chain(arch: Architecture, node_budget: int = 1_000_000) -> list[int]:
     n = arch.n_sites
     if n == 1:
         return [0]
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in arch.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort(key=lambda w: (len(adj[w]), w))
+    nbrs = arch.neighbours
+    adj = [sorted(ws, key=lambda w: (len(nbrs[w]), w)) for ws in nbrs]
     budget = node_budget
-    for start in sorted(range(n), key=lambda v: (len(adj[v]), v)):
+    for start in sorted(range(n), key=lambda v: (len(nbrs[v]), v)):
         path, used = [start], [False] * n
         used[start] = True
         untried = [iter(adj[start])]  # per path site, the neighbours not yet tried from it

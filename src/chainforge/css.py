@@ -112,12 +112,7 @@ class CssSpec:
 
     def last_level(self) -> int:
         """Highest level holding a present gate; 0 when the matrix is empty."""
-        best = 0
-        for p in range(1, self.n_controls + 1):
-            for j in range(1, self.t + 1):
-                if self.cell(p, j) is not CssGate.NONE:
-                    best = max(best, self.level_of(p, j))
-        return best
+        return max((self.level_of(p, j) for p, j, _ in self.present()), default=0)
 
     def present(self) -> Iterator[tuple[int, int, CssGate]]:
         for p in range(1, self.n_controls + 1):

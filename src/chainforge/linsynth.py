@@ -30,13 +30,13 @@ from .core import (
     ScheduledCircuit,
     _bit_rows,
     _bit_string,
-    _cnot_expansion,
+    _fold_walk,
     _headed_lines,
     cnot,
     is_permutation,
     prune_trailing_swap_layers,
 )
-from .skeleton import SkeletonSpec, Slot, _check_pair, staged_schedule
+from .skeleton import SkeletonSpec, Slot, staged_schedule
 
 Pair = tuple[int, int]
 
@@ -143,9 +143,6 @@ class GF2Matrix:
             raise ValueError(f"{tuple(output_map)} is not a permutation")
         return GF2Matrix(self.n, tuple(self.rows[output_map[l]] for l in range(self.n)))
 
-    def is_identity(self) -> bool:
-        return all(r == 1 << i for i, r in enumerate(self.rows))
-
 
 @dataclass(frozen=True)
 class GaussJordanTrace:
@@ -156,7 +153,8 @@ class GaussJordanTrace:
     entry for the last column, where a zero diagonal means singularity.
     lower holds pairs (c, s) meaning CNOT(c, s) ran while clearing column c
     below the diagonal; upper holds pairs (k, l) meaning CNOT(l, k) ran
-    while clearing column l above it.
+    while clearing column l above it. Those pairs are checked where they are
+    used, by the skeleton spec of their part or by `cnot` in `gates_in_order`.
     """
 
     n: int
@@ -170,8 +168,6 @@ class GaussJordanTrace:
         for c, j in enumerate(self.pivot_donor):
             if j is not None and not c < j < self.n:
                 raise ValueError(f"pivot donor {j} for column {c} must satisfy c < j < n")
-        for a, b in self.lower | self.upper:
-            _check_pair(a, b, self.n)
 
     def gates_in_order(self) -> list[Gate]:
         """The trace's gates in elimination time order."""
@@ -316,13 +312,8 @@ def synthesize_lnn(a: GF2Matrix, prune_swaps: bool = False) -> ScheduledCircuit:
     together with its trailing SWAP) is at most 3(2n-3).
     """
     n = a.n
-    arch = Architecture.lnn(n)
-    if n == 1:
-        if not a.is_identity():
-            raise SingularMatrixError("1x1 matrix must be [1]")
-        return ScheduledCircuit(Circuit(1), arch, (0,))
     gates, placement = schedule_parts(rearrange(gauss_jordan(a.inverse())))
-    sc = ScheduledCircuit(Circuit(n, tuple(gates)), arch, placement)
+    sc = ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), placement)
     return prune_trailing_swap_layers(sc) if prune_swaps else sc
 
 
@@ -332,12 +323,15 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     A CNOT immediately followed on both wires by a SWAP of the same pair
     becomes two CNOTs (the pair's action equals opposite-direction CNOT
     followed by same-direction); a bare SWAP becomes three. One-qubit gates
-    pass through and block folding across them, unlike `generic_depth`,
-    which ignores them when it fuses a SWAP into the gate before it: on
-    cnot(0,1) h(0) swap(0,1) its depth is 1 while this returns 5 gates.
-    The result arrives layered by `Circuit.cnot_depth`'s walk: `depth()` is a read.
+    pass through and block folding across them. The result arrives layered
+    by `Circuit.cnot_depth`'s walk: with no SWAP left, its plain layering is
+    the fold-aware one, so `depth()` is a read.
     """
-    return _cnot_expansion(circuit)
+    out: list[Gate] = []
+    layers = _fold_walk(circuit.gates, circuit.n_wires, out)
+    expanded = Circuit(circuit.n_wires, tuple(out))
+    expanded.__dict__.update(_plain_layers=layers, _cnot_depth=layers[0])
+    return expanded
 
 
 def expand_to_cnot(sc: ScheduledCircuit) -> ScheduledCircuit:

@@ -117,6 +117,20 @@ def test_singular_matrix_is_a_domain_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_parse_errors_name_the_file_at_fault(tmp_path, capsys):
+    good, empty = tmp_path / "good.txt", tmp_path / "empty.txt"
+    good.write_text(emit_circuit(Circuit(2, (cnot(0, 1),))))
+    empty.write_text("# nothing here\n")
+    want = f"error: {empty}: line 1: empty file: every line is blank or a comment\n"
+    for argv in (
+        ["audit", "--circuit", str(good), "--arch", str(empty)],
+        ["verify", "--a", str(good), "--b", str(empty), "--method", "gf2"],
+        ["depth", "--circuit", str(empty)],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == want
+
+
 def test_missing_file_is_a_domain_error(tmp_path, capsys):
     assert main(["linsynth", "--matrix", str(tmp_path / "absent.txt")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,9 +1,11 @@
 """GF(2) linear reversible synthesis on a chain."""
 
+from collections import Counter
 from random import Random
 
 import pytest
 
+from chainforge import linsynth, skeleton
 from chainforge.core import (
     Circuit,
     GateKind,
@@ -37,7 +39,7 @@ def test_matrix_basics():
     assert a.entry(0, 1) == 1 and a.entry(0, 0) == 0
     assert a.to_strings() == ["01", "11"]
     assert a.rank() == 2
-    assert (a @ a.inverse()).is_identity()
+    assert a @ a.inverse() == GF2Matrix.identity(2)
     assert a.apply(0b01) == 0b10  # column 0 of a, packed
     with pytest.raises(ValueError):
         GF2Matrix(2, (1, 4))
@@ -124,9 +126,33 @@ def test_synthesize_two_wire_swap_matrix():
 
 def test_synthesize_identity_and_one_wire():
     sc = synthesize_lnn(GF2Matrix.identity(3))
-    assert gf2_action(sc.circuit).relabel(sc.final_map).is_identity()
-    sc = synthesize_lnn(GF2Matrix.identity(1))
-    assert len(sc.circuit) == 0 and sc.final_map == (0,)
+    assert gf2_action(sc.circuit).relabel(sc.final_map) == GF2Matrix.identity(3)
+    # one wire takes the general path: no part is nonempty, so no skeleton is built
+    for prune in (False, True):
+        sc = synthesize_lnn(GF2Matrix(1, (1,)), prune_swaps=prune)
+        assert len(sc.circuit) == 0 and sc.final_map == (0,)
+    with pytest.raises(SingularMatrixError, match=r"^matrix is singular \(no pivot in column 0\)$"):
+        synthesize_lnn(GF2Matrix(1, (0,)))
+
+
+def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
+    rng = Random(5)
+    for n in (2, 5, 9):
+        a = GF2Matrix.random_nonsingular(n, rng)
+        specs = linsynth._part_specs(rearrange(gauss_jordan(a.inverse())))
+        listed = Counter(pr for spec, _ in specs for pr in spec._slots)
+        checked: Counter = Counter()
+        real = skeleton._check_pair
+
+        def counting(x: int, y: int, m: int) -> None:
+            checked[x, y] += 1
+            real(x, y, m)
+
+        for mod in (skeleton, linsynth):  # wherever the check is bound
+            monkeypatch.setattr(mod, "_check_pair", counting, raising=False)
+        synthesize_lnn(a)
+        monkeypatch.undo()
+        assert checked == listed
 
 
 def test_synthesize_random_matrices():

@@ -18,6 +18,7 @@ from chainforge.core import (
     emit_circuit,
     generic2,
     parse_circuit,
+    prune_trailing_swap_layers,
     swap,
 )
 from chainforge.linsynth import GF2Matrix, _part_specs, gauss_jordan, rearrange
@@ -126,6 +127,18 @@ def test_drop_last_swaps():
     assert len(trimmed.circuit) == len(full.circuit) - len(stage_pairs(4, n_stages(4)))
     plans, _ = staged_schedule(spec)
     assert trimmed.final_map == plans[-1].placement_before
+
+
+def test_drop_last_swaps_and_pruning_are_different_rules():
+    # drop removes the last stage's SWAPs; pruning removes trailing SWAP-only
+    # ASAP layers, which here reach back into stage 2
+    spec = SkeletonSpec(3, frozenset({(1, 2)}))
+    dropped = schedule_lnn(spec, drop_last_swaps=True)
+    assert dropped.circuit.gates == (generic2(0, 1), swap(0, 1), generic2(1, 2), swap(1, 2))
+    assert dropped.final_map == (2, 0, 1)
+    pruned = prune_trailing_swap_layers(schedule_lnn(spec))
+    assert pruned.circuit.gates == (generic2(0, 1), swap(0, 1), generic2(1, 2))
+    assert pruned.final_map == (1, 0, 2)
 
 
 def test_stage_assignment_honors_absence():
