@@ -265,7 +265,8 @@ def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[
     non-SWAP unit last on both its wires if no SWAP has joined it yet; one-qubit
     gates are ignored.
     """
-    free = [0] * n_wires  # by stage
+    free = [0] * n_wires  # by stage: a wire is free from max(free[w], floor)
+    floor = top = 0  # top: the first layer free on every wire; floor: top at the last cut
     unit_free = [0] * n_wires  # by fused unit
     last = [0] * n_wires  # id of the joinable unit last on each wire, else 0
     tags: list[str | None] = [None] * len(gates)  # stage tag of each two-qubit layer
@@ -274,7 +275,10 @@ def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[
     units = 0
     for kind, qs, _ in gates:
         if len(qs) == 1:
-            free[qs[0]] += 1
+            q = qs[0]
+            free[q] = layer = (free[q] if free[q] > floor else floor) + 1
+            if layer > top:
+                top = layer
             continue
         a, b = qs
         if kind is not last_kind:
@@ -282,12 +286,16 @@ def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[
             tag = "S" if kind is swap_kind else "L"
             if tag is not stretch:
                 if stretch is not None:
-                    free = [max(free)] * n_wires
+                    floor = top
                 stretch = tag
         layer = free[a]
         if free[b] > layer:
             layer = free[b]
+        if floor > layer:
+            layer = floor
         free[a] = free[b] = layer + 1
+        if layer >= top:
+            top = layer + 1
         tags[layer] = stretch
         if kind is swap_kind:
             joins = last[a] == last[b] != 0
@@ -301,8 +309,7 @@ def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[
         if unit_free[b] > layer:
             layer = unit_free[b]
         unit_free[a] = unit_free[b] = layer + 1
-    stage_tags = tuple((i, t) for i, t in enumerate(tags[: max(free)]) if t is not None)
-    return max(unit_free), stage_tags
+    return max(unit_free), tuple((i, t) for i, t in enumerate(tags[:top]) if t is not None)
 
 
 def asap_layers(gates: Iterable[Gate], n_wires: int) -> Iterator[int]:

@@ -66,11 +66,6 @@ class GF2Matrix:
     def identity(n: int) -> "GF2Matrix":
         return GF2Matrix(n, tuple(1 << i for i in range(n)))
 
-    @staticmethod
-    def from_strings(lines: Sequence[str]) -> "GF2Matrix":
-        n = len(lines)
-        return GF2Matrix(n, _bit_rows(enumerate((line.strip() for line in lines), 1), n))
-
     def to_strings(self) -> list[str]:
         return [_bit_string(r, self.n) for r in self.rows]
 

@@ -13,12 +13,24 @@ shape (2**n,) or (2**n, batch) is changed through reshape views and
 returned as is. Any other array is first copied to one, and the updated
 copy is returned. Matching with an output relabeling gathers rows through
 one basis-index map instead of multiplying by a permutation matrix.
+
+simulate and circuit_unitary share one gate loop. From 16 columns up, each
+run of two or more monomial gates (P, CNOT, SWAP, CZ, CPHASE: each sends a
+basis state to one phased basis state) is one row gather and one row
+scaling, read off a two-column probe (basis index, 1) that the run's gates
+pass through apply_gate in order, so gate semantics still come from
+apply_gate alone, not from the schedulers. The probe is exact: phases have
+modulus 1 and indices stay below 2**14. Narrower batches run gate by gate,
+where the probe costs more (ms at n = 10 on 1 / 8 / 16 / 1,024 columns):
+    CSS schedule  0.15 / 0.19  0.36 / 0.31  0.55 / 0.43  43.9 / 14.3  (gate by gate / fused)
+    qft_lnn(10)   0.37 / 0.58  1.01 / 1.08  1.54 / 1.54  88.0 / 52.9  (2-CPU VM, numpy 2.4)
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -96,9 +108,7 @@ def simulate(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
         state = np.array(state, dtype=complex, order="C")
         if state.shape[0] != 2**n:
             raise ValueError(f"state has dimension {state.shape[0]}, expected {2**n}")
-    for g in circuit.gates:
-        state = apply_gate(state, g, n)
-    return state
+    return _apply_gates(state, circuit.gates, n)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -106,10 +116,27 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_wires
     if n > MAX_UNITARY_WIRES:
         raise ValueError(f"dense unitary limited to {MAX_UNITARY_WIRES} wires, got {n}")
-    u = np.eye(2**n, dtype=complex)
-    for g in circuit.gates:
-        u = apply_gate(u, g, n)
-    return u
+    return _apply_gates(np.eye(2**n, dtype=complex), circuit.gates, n)
+
+
+_FUSE_COLUMNS = 16  # narrower batches run gate by gate (module docstring)
+_MONOMIAL = frozenset((GateKind.P, GateKind.CNOT, GateKind.SWAP, GateKind.CZ, GateKind.CPHASE))
+
+
+def _apply_gates(state: np.ndarray, gates: Sequence[Gate], n: int) -> np.ndarray:
+    """Apply `gates` in order to a buffer apply_gate may update; returns the result."""
+    wide = state.ndim == 2 and state.shape[1] >= _FUSE_COLUMNS
+    for fuse, run in groupby(gates, lambda g: g.kind in _MONOMIAL) if wide else ((False, gates),):
+        if fuse and len(run := tuple(run)) > 1:
+            probe = np.column_stack((np.arange(1 << n), np.ones(1 << n))).astype(np.complex128)
+            for g in run:
+                probe = apply_gate(probe, g, n)
+            state = state[np.rint(np.abs(probe[:, 0])).astype(np.intp)]  # row y <- row src[y]
+            state *= probe[:, 1:]  # times phase[y]
+        else:
+            for g in run:
+                state = apply_gate(state, g, n)
+    return state
 
 
 def _source_index(perm: Sequence[int]) -> np.ndarray:
@@ -228,15 +255,16 @@ def gf2_action(circuit: Circuit) -> GF2Matrix:
     identity, CNOT(c, t) adds row c into row t and SWAP exchanges two rows.
     """
     rows = [1 << i for i in range(circuit.n_wires)]
-    for g in circuit.gates:
-        if g.kind is GateKind.CNOT:
-            c, t = g.qubits
+    cnot_kind, swap_kind = GateKind.CNOT, GateKind.SWAP
+    for kind, qs, _ in circuit.gates:
+        if kind is cnot_kind:
+            c, t = qs
             rows[t] ^= rows[c]
-        elif g.kind is GateKind.SWAP:
-            a, b = g.qubits
+        elif kind is swap_kind:
+            a, b = qs
             rows[a], rows[b] = rows[b], rows[a]
         else:
-            raise ValueError(f"gf2_action handles cnot and swap only, got {g.kind.value}")
+            raise ValueError(f"gf2_action handles cnot and swap only, got {kind.value}")
     return GF2Matrix(circuit.n_wires, tuple(rows))
 
 

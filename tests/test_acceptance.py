@@ -49,7 +49,7 @@ from chainforge.css import (
     level_contents,
     steane_syndrome,
 )
-from chainforge.linsynth import GF2Matrix, expand_to_cnot, synthesize_lnn
+from chainforge.linsynth import GF2Matrix, expand_to_cnot, parse_gf2, synthesize_lnn
 from chainforge.oracle import (
     bit_reversal_permutation,
     circuit_unitary,
@@ -158,7 +158,7 @@ def test_acceptance_04_linear_synthesis_depth(capsys, synthesis_sample):
 
 def test_acceptance_05_swap_cnot_merge(capsys):
     with _verdict(capsys, 5, "swap-cnot merge identity"):
-        transposition = GF2Matrix.from_strings(["01", "10"])
+        transposition = parse_gf2("gf2 2\n01\n10\n")
         for a, b in ((0, 1), (1, 0)):
             merged = Circuit(2, (cnot(a, b), swap(0, 1)))
             replayed = Circuit(2, (cnot(b, a), cnot(a, b)))

@@ -76,7 +76,7 @@ def test_qasm_rejects_unnamed_two_qubit_gates(capsys):
 
 def test_linsynth_cnot_only(tmp_path, capsys):
     matrix = tmp_path / "m.txt"
-    matrix.write_text(emit_gf2(GF2Matrix.from_strings(["011", "110", "010"])))
+    matrix.write_text("gf2 3\n011\n110\n010\n")
     assert main(["linsynth", "--matrix", str(matrix), "--cnot-only"]) == 0
     circuit = parse_circuit(capsys.readouterr().out)
     assert all(g.kind.name in ("CNOT",) for g in circuit.gates)
@@ -102,7 +102,7 @@ def test_cnot_only_report_expands_once(tmp_path, capsys, monkeypatch):
 
 def test_linsynth_prune_swaps(tmp_path, capsys):
     matrix = tmp_path / "m.txt"
-    matrix.write_text(emit_gf2(GF2Matrix.from_strings(["01", "10"])))
+    matrix.write_text("gf2 2\n01\n10\n")
     assert main(["linsynth", "--matrix", str(matrix)]) == 0
     full = parse_circuit(capsys.readouterr().out)
     assert main(["linsynth", "--matrix", str(matrix), "--prune-swaps"]) == 0
@@ -112,7 +112,7 @@ def test_linsynth_prune_swaps(tmp_path, capsys):
 
 def test_singular_matrix_is_a_domain_error(tmp_path, capsys):
     matrix = tmp_path / "m.txt"
-    matrix.write_text(emit_gf2(GF2Matrix.from_strings(["11", "11"])))
+    matrix.write_text("gf2 2\n11\n11\n")
     assert main(["linsynth", "--matrix", str(matrix)]) == 1
     assert "error:" in capsys.readouterr().err
 

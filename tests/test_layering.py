@@ -206,6 +206,10 @@ def _circuits() -> list[Circuit]:
         Circuit(5),
         Circuit(3, (h(0), p(2), cnot(0, 1), swap(1, 2), h(1), cnot(2, 1))),
         Circuit(4, (cnot(0, 1), swap(0, 1), h(0), p(3), swap(2, 3), cz(1, 2), swap(1, 2))),
+        # a cut at every stretch, one-qubit gates on both sides of each cut, some on wires
+        # below the top at the last cut and some raising the top before the next
+        Circuit(4, (h(0), h(0), h(0), cnot(1, 2), swap(2, 3), h(1), swap(0, 1), p(3), cz(2, 3),
+                    h(0), h(0), swap(1, 2), cnot(3, 0), h(2), swap(0, 1), cphase(2, 1, 3), p(1))),
     ]
     return fixed + [_random_circuit(rng) for _ in range(N_CIRCUITS)]
 

@@ -34,8 +34,13 @@ def _act(n: int, gates) -> GF2Matrix:
     return gf2_action(Circuit(n, tuple(gates)))
 
 
+def _gf2(*rows: str) -> GF2Matrix:
+    """The matrix with these 0/1 rows, character j of row i being entry (i, j)."""
+    return parse_gf2("\n".join([f"gf2 {len(rows)}", *rows]))
+
+
 def test_matrix_basics():
-    a = GF2Matrix.from_strings(["01", "11"])
+    a = _gf2("01", "11")
     assert a.entry(0, 1) == 1 and a.entry(0, 0) == 0
     assert a.to_strings() == ["01", "11"]
     assert a.rank() == 2
@@ -44,7 +49,7 @@ def test_matrix_basics():
     with pytest.raises(ValueError):
         GF2Matrix(2, (1, 4))
     with pytest.raises(SingularMatrixError):
-        GF2Matrix.from_strings(["11", "11"]).inverse()
+        _gf2("11", "11").inverse()
 
 
 def test_random_nonsingular_is_reproducible_and_invertible():
@@ -55,15 +60,15 @@ def test_random_nonsingular_is_reproducible_and_invertible():
 
 
 def test_relabel_reads_rows_through_the_map():
-    a = GF2Matrix.from_strings(["100", "010", "001"])
+    a = _gf2("100", "010", "001")
     swapped = a.relabel((2, 1, 0))
-    assert swapped == GF2Matrix.from_strings(["001", "010", "100"])
+    assert swapped == _gf2("001", "010", "100")
     with pytest.raises(ValueError):
         a.relabel((0, 0, 1))
 
 
 def test_gauss_jordan_trace_fields():
-    a = GF2Matrix.from_strings(["01", "11"])
+    a = _gf2("01", "11")
     trace = gauss_jordan(a)
     assert trace.pivot_donor == (1,)
     assert trace.lower == frozenset({(0, 1)})
@@ -80,7 +85,7 @@ def test_gauss_jordan_on_identity_is_empty():
 
 def test_gauss_jordan_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        gauss_jordan(GF2Matrix.from_strings(["10", "10"]))
+        gauss_jordan(_gf2("10", "10"))
 
 
 def test_trace_replay_computes_the_inverse():
@@ -94,7 +99,7 @@ def test_trace_replay_computes_the_inverse():
 
 def test_rearrange_on_a_matrix_needing_a_pivot_crossing():
     """Pulling the pivot fix of column 1 ahead of column 0's elimination."""
-    b = GF2Matrix.from_strings(["110", "111", "010"])
+    b = _gf2("110", "111", "010")
     trace = gauss_jordan(b)
     assert trace.pivot_donor == (None, 2)
     assert trace.lower == frozenset({(0, 1), (1, 2)})
@@ -117,7 +122,7 @@ def test_rearrange_preserves_the_action():
 
 
 def test_synthesize_two_wire_swap_matrix():
-    a = GF2Matrix.from_strings(["01", "10"])
+    a = _gf2("01", "10")
     sc = synthesize_lnn(a)
     assert sc.circuit.gates == (cnot(1, 0), swap(0, 1)) * 3
     assert sc.final_map == (1, 0)
@@ -203,7 +208,8 @@ def test_expand_preserves_unitary_and_final_map():
 
 
 def test_parse_emit_gf2_roundtrip():
-    a = GF2Matrix.from_strings(["0110", "1010", "0011", "1000"])
+    a = GF2Matrix(4, (0b0110, 0b0101, 0b1100, 0b0001))  # bit j of row i is entry (i, j)
+    assert a.to_strings() == ["0110", "1010", "0011", "1000"]
     assert parse_gf2(emit_gf2(a)) == a
     assert parse_gf2("gf2 2\n10\n01\n") == GF2Matrix.identity(2)
     with pytest.raises(ParseError) as err:

@@ -9,7 +9,9 @@ import pytest
 
 from chainforge import oracle
 from chainforge.core import Circuit, Gate, GateKind, cnot, cphase, cz, generic2, h, p, swap
-from chainforge.linsynth import GF2Matrix
+from chainforge.css import CssGate, CssMode, CssSpec, css_flat, css_schedule_lnn
+from chainforge.linsynth import parse_gf2
+from chainforge.qft import QftSpec, qft_flat, qft_lnn
 from chainforge.oracle import (
     MAX_SIM_WIRES,
     MAX_UNITARY_WIRES,
@@ -144,9 +146,9 @@ def test_bit_reversal_permutation():
 
 def test_gf2_action_of_cnot_and_swap():
     a = gf2_action(Circuit(2, (cnot(0, 1),)))
-    assert a == GF2Matrix.from_strings(["10", "11"])
+    assert a == parse_gf2("gf2 2\n10\n11\n")
     a = gf2_action(Circuit(3, (swap(0, 2),)))
-    assert a == GF2Matrix.from_strings(["001", "010", "100"])
+    assert a == parse_gf2("gf2 3\n001\n010\n100\n")
     with pytest.raises(ValueError):
         gf2_action(Circuit(2, (h(0),)))
 
@@ -411,3 +413,92 @@ def test_simulate_and_unitary_apply_each_gate_once(monkeypatch):
     calls.clear()
     circuit_unitary(c)
     assert calls == list(c.gates)
+
+
+# --- wide batches: runs of monomial gates applied as one row gather
+
+
+def _runs_circuit(rng: Random, n: int) -> Circuit:
+    """Runs of 1 to 6 monomial gates: one first, one last, and H gates between them."""
+    gates = []
+    for i in range(rng.randint(2, 5)):
+        if i:
+            gates.extend(h(rng.randrange(n)) for _ in range(rng.randint(1, 2)))
+        k = rng.choice((1, 1, 2, 3, 6))
+        while k:
+            g = _random_gate(rng, n)
+            if g.kind is not GateKind.H:
+                gates.append(g)
+                k -= 1
+    return Circuit(n, tuple(gates))
+
+
+def _reference_run(state: np.ndarray, c: Circuit) -> np.ndarray:
+    for g in c.gates:
+        state = _reference_apply_gate(state, g, c.n_wires)
+    return state
+
+
+def test_fused_runs_match_the_gate_by_gate_reference():
+    rng = Random(12)
+    kinds, far = set(), False
+    for n in range(1, 11):
+        for _ in range(2):
+            c = _runs_circuit(rng, n)
+            kinds.update(g.kind for g in c.gates)
+            far |= any(len(g.qubits) == 2 and abs(g.qubits[0] - g.qubits[1]) > 1 for g in c.gates)
+            for batch in sorted({1, 3, 15, 16, 1 << n}):
+                state = _random_state(rng, n, batch)
+                before = state.copy()
+                out = simulate(c, state)
+                assert np.array_equal(state, before)
+                assert np.max(np.abs(out - _reference_run(before, c))) <= _KERNEL_TOL, (n, batch)
+            if n <= MAX_UNITARY_WIRES:
+                ref = _reference_run(np.eye(1 << n, dtype=complex), c)
+                assert np.max(np.abs(circuit_unitary(c) - ref)) <= _KERNEL_TOL, n
+    assert kinds == set(GateKind) - {GateKind.GENERIC2} and far
+
+
+def test_runs_go_through_a_probe_from_sixteen_columns(monkeypatch):
+    """A run of two or more monomial gates passes through apply_gate on a
+    two-column probe, from 16 columns up; a generic gate right after a run
+    still raises, and no gate after it is applied."""
+    seen = []
+
+    def counted(state, g, n):
+        seen.append((g, state.shape[1:]))
+        return apply_gate(state, g, n)
+
+    monkeypatch.setattr(oracle, "apply_gate", counted)
+    gates = (cnot(0, 3), cz(1, 2), h(0), p(3), h(1), swap(0, 2), cphase(3, 1, 3), generic2(0, 1), h(2))
+    c = Circuit(4, gates)
+    for run, probed in ((lambda: simulate(c, np.eye(16, 15)), set()),
+                        (lambda: simulate(c, np.eye(16)), {0, 1, 5, 6}),
+                        (lambda: circuit_unitary(c), {0, 1, 5, 6})):
+        seen.clear()
+        with pytest.raises(ValueError, match="generic two-qubit placeholders have no fixed unitary"):
+            run()
+        assert [g for g, _ in seen] == list(gates[:8])
+        assert {i for i, (_, shape) in enumerate(seen) if shape == (2,)} == probed
+
+
+@pytest.mark.parametrize("n", (9, 10))
+def test_wide_dense_check_catches_one_changed_gate(n):
+    """A schedule matches its flat reference, and fails it with one cphase
+    k or one CNOT direction changed."""
+    eye = np.eye(1 << n, dtype=complex)
+    kinds = (CssGate.CNOT, CssGate.CZ, CssGate.NONE)
+    s = n // 2
+    rows = tuple(tuple(kinds[(i + j) % 3] for j in range(n - s)) for i in range(s))
+    spec = CssSpec(CssMode.SYNDROME, s, n - s, rows, hadamard_mask=0b101)
+    for sc, flat, kind in ((css_schedule_lnn(spec), css_flat(spec), GateKind.CNOT),
+                           (qft_lnn(QftSpec(n)), qft_flat(QftSpec(n)), GateKind.CPHASE)):
+        ref = simulate(flat, eye)
+        assert matrices_equiv(simulate(sc.circuit, eye), ref, out_perm=sc.final_map)
+        gates = list(sc.circuit.gates)
+        of_kind = [i for i, g in enumerate(gates) if g.kind is kind]
+        i = of_kind[len(of_kind) // 2]
+        a, b = gates[i].qubits
+        gates[i] = cnot(b, a) if kind is GateKind.CNOT else cphase(gates[i].param + 1, a, b)
+        changed = Circuit(n, tuple(gates))
+        assert not matrices_equiv(simulate(changed, eye), ref, out_perm=sc.final_map)
