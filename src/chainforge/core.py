@@ -630,6 +630,11 @@ def _bit_string(row: int, n: int) -> str:
     return f"{row:0{n}b}"[::-1]
 
 
+def _mask_wires(mask: int, n: int) -> list[int]:
+    """The wires 0..n-1 whose bit is set in mask, ascending."""
+    return [w for w in range(n) if (mask >> w) & 1]
+
+
 def parse_circuit(text: str) -> Circuit:
     n, lines = _headed_lines(text, "qubits")
     gates = []

@@ -36,6 +36,7 @@ from .core import (
     _bit_rows,
     _bit_string,
     _content_lines,
+    _mask_wires,
     _wire_count,
     cz,
     generic_depth,
@@ -138,7 +139,7 @@ def _payload(kind: CssGate, control_site: int, target_site: int) -> Gate:
 
 
 def _hadamard_layer(spec: CssSpec) -> list[Gate]:
-    return [h(w) for w in range(spec.n_wires) if (spec.hadamard_mask >> w) & 1]
+    return [h(w) for w in _mask_wires(spec.hadamard_mask, spec.n_wires)]
 
 
 def css_flat(spec: CssSpec) -> Circuit:

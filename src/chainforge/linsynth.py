@@ -74,55 +74,25 @@ class GF2Matrix:
         bound = 1 << n
         while True:
             m = GF2Matrix(n, tuple(rng.randrange(bound) for _ in range(n)))
-            if m.rank() == n:
+            if _is_nonsingular(m):
                 return m
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def rank(self) -> int:
-        rows = list(self.rows)
-        r = 0
-        for j in range(self.n):
-            pivot = next((i for i in range(r, self.n) if (rows[i] >> j) & 1), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            for i in range(self.n):
-                if i != r and (rows[i] >> j) & 1:
-                    rows[i] ^= rows[r]
-            r += 1
-        return r
-
     def inverse(self) -> "GF2Matrix":
-        rows = list(self.rows)
-        aug = [1 << i for i in range(self.n)]
-        for j in range(self.n):
-            pivot = next((i for i in range(j, self.n) if (rows[i] >> j) & 1), None)
+        n = self.n
+        rows = [r | 1 << (n + i) for i, r in enumerate(self.rows)]  # [A | I], one int per row
+        for j in range(n):
+            bit = 1 << j
+            pivot = next((i for i in range(j, n) if rows[i] & bit), None)
             if pivot is None:
                 raise SingularMatrixError(f"matrix is singular (no pivot in column {j})")
             rows[j], rows[pivot] = rows[pivot], rows[j]
-            aug[j], aug[pivot] = aug[pivot], aug[j]
-            for i in range(self.n):
-                if i != j and (rows[i] >> j) & 1:
+            for i in range(n):
+                if i != j and rows[i] & bit:
                     rows[i] ^= rows[j]
-                    aug[i] ^= aug[j]
-        return GF2Matrix(self.n, tuple(aug))
-
-    def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        out = []
-        for r in self.rows:
-            acc = 0
-            j = 0
-            while r:
-                if r & 1:
-                    acc ^= other.rows[j]
-                r >>= 1
-                j += 1
-            out.append(acc)
-        return GF2Matrix(self.n, tuple(out))
+        return GF2Matrix(n, tuple(r >> n for r in rows))
 
     def apply(self, x: int) -> int:
         """Matrix-vector product on a bit-packed input vector."""
@@ -137,6 +107,15 @@ class GF2Matrix:
         if not is_permutation(output_map, self.n):
             raise ValueError(f"{tuple(output_map)} is not a permutation")
         return GF2Matrix(self.n, tuple(self.rows[output_map[l]] for l in range(self.n)))
+
+
+def _is_nonsingular(m: GF2Matrix) -> bool:
+    """The one nonsingularity test: whether `inverse` finds every pivot."""
+    try:
+        m.inverse()
+    except SingularMatrixError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

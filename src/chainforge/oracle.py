@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Circuit, Gate, GateKind
+from .core import Circuit, Gate, GateKind, is_permutation
 from .linsynth import GF2Matrix
 
 MAX_SIM_WIRES = 14
@@ -145,7 +145,7 @@ def _source_index(perm: Sequence[int]) -> np.ndarray:
     Wire w goes to wire perm[w], so bit w of x is bit perm[w] of y.
     """
     n = len(perm)
-    if sorted(perm) != list(range(n)):
+    if not is_permutation(perm, n):
         raise ValueError(f"{tuple(perm)} is not a permutation")
     y = np.arange(1 << n, dtype=np.int64)
     x = np.zeros_like(y)

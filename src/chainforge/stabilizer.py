@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .core import (
     Architecture,
     Circuit,
@@ -32,11 +30,12 @@ from .core import (
     _bit_rows,
     _bit_string,
     _headed_lines,
+    _mask_wires,
     h,
     is_permutation,
     p,
 )
-from .linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_parts
+from .linsynth import GF2Matrix, _is_nonsingular, gauss_jordan, rearrange, schedule_parts
 
 STAGE_ORDER = ("h", "c", "p", "c", "p", "c", "h", "p", "c", "p", "c")
 
@@ -61,7 +60,7 @@ class StageDecomposition:
         for i, c in enumerate(self.c_stages):
             if c.n != self.n:
                 raise ValueError(f"C stage {i} has dimension {c.n}, expected {self.n}")
-            if c.rank() != self.n:
+            if not _is_nonsingular(c):
                 raise ValueError(f"C stage {i} is singular")
 
     def stages(self) -> Iterator[tuple[str, int | GF2Matrix]]:
@@ -79,10 +78,6 @@ def random_decomposition(n: int, rng: Random) -> StageDecomposition:
         tuple(rng.randrange(bound) for _ in range(4)),
         tuple(GF2Matrix.random_nonsingular(n, rng) for _ in range(5)),
     )
-
-
-def _mask_wires(mask: int, n: int) -> list[int]:
-    return [w for w in range(n) if (mask >> w) & 1]
 
 
 def stabilizer_flat(d: StageDecomposition) -> Circuit:
@@ -125,8 +120,8 @@ class PauliTableau:
     """Conjugation images of the 2n Pauli generators, packed by column.
 
     Bit g of xs[w] / zs[w] is row g's X / Z bit on wire w and bit g of signs
-    is row g's sign, so a gate is a few int ops on its wires' columns. x, z
-    and r unpack them as read-only (2n, n), (2n, n) and (2n,) uint8 arrays.
+    is row g's sign, so a gate is a few int ops on its wires' columns. row(g)
+    reads one row back as packed (x_bits, z_bits, sign), bit w being wire w.
     """
 
     xs: list[int]
@@ -141,17 +136,11 @@ class PauliTableau:
     def n(self) -> int:
         return len(self.xs)
 
-    @property
-    def x(self) -> np.ndarray:
-        return _unpack(self.xs, 2 * self.n)
-
-    @property
-    def z(self) -> np.ndarray:
-        return _unpack(self.zs, 2 * self.n)
-
-    @property
-    def r(self) -> np.ndarray:
-        return _unpack([self.signs], 2 * self.n)[:, 0]
+    def row(self, g: int) -> tuple[int, int, int]:
+        """Row g as (x_bits, z_bits, sign), bit w of x_bits / z_bits being wire w."""
+        x = sum((xc >> g & 1) << w for w, xc in enumerate(self.xs))
+        z = sum((zc >> g & 1) << w for w, zc in enumerate(self.zs))
+        return x, z, self.signs >> g & 1
 
     def permute_wires(self, perm: Sequence[int]) -> "PauliTableau":
         """Relabel the image strings' wires: column w moves to perm[w]."""
@@ -163,42 +152,42 @@ class PauliTableau:
         return PauliTableau(xs, zs, self.signs)
 
     def is_symplectic(self) -> bool:
-        """Images must keep the generators' commutation pattern."""
-        m = np.concatenate([self.x, self.z], axis=1)
-        lam = np.roll(np.eye(2 * self.n, dtype=np.uint8), self.n, axis=1)
-        return bool(np.array_equal((m @ lam @ m.T) % 2, lam))
+        """Images must keep the generators' commutation pattern: of all row
+        pairs, only the images of X_w and Z_w (rows w, n + w) anticommute."""
+        rows = [self.row(g) for g in range(2 * self.n)]
+        return all(
+            ((xa & zb).bit_count() ^ (za & xb).bit_count()) & 1 == (b == a + self.n)
+            for a, (xa, za, _) in enumerate(rows)
+            for b, (xb, zb, _) in enumerate(rows[a + 1 :], a + 1)
+        )
 
 
-def _unpack(cols: list[int], rows: int) -> np.ndarray:
-    """Bit g of cols[w] as entry [g, w] of a read-only uint8 array."""
-    bits = [[c >> g & 1 for c in cols] for g in range(rows)]
-    out = np.array(bits, dtype=np.uint8).reshape(rows, len(cols))
-    out.flags.writeable = False
-    return out
+_CNOT, _SWAP, _CZ, _CPHASE = GateKind.CNOT, GateKind.SWAP, GateKind.CZ, GateKind.CPHASE
+_H, _P = GateKind.H, GateKind.P  # bound once: a read through the Enum class costs far more
 
 
 def apply_gate(t: PauliTableau, g: Gate) -> PauliTableau:
     """Update the tableau by one Clifford gate, in place."""
     kind, qubits, param = g
     xs, zs = t.xs, t.zs
-    if kind is GateKind.CNOT:
+    if kind is _CNOT:
         c, tq = qubits
         t.signs ^= xs[c] & zs[tq] & ~(xs[tq] ^ zs[c])
         xs[tq] ^= xs[c]
         zs[c] ^= zs[tq]
-    elif kind is GateKind.SWAP:
+    elif kind is _SWAP:
         a, b = qubits
         xs[a], xs[b] = xs[b], xs[a]
         zs[a], zs[b] = zs[b], zs[a]
-    elif kind is GateKind.H:
+    elif kind is _H:
         (q,) = qubits
         t.signs ^= xs[q] & zs[q]
         xs[q], zs[q] = zs[q], xs[q]
-    elif kind is GateKind.P:
+    elif kind is _P:
         (q,) = qubits
         t.signs ^= xs[q] & zs[q]
         zs[q] ^= xs[q]
-    elif kind is GateKind.CZ or (kind is GateKind.CPHASE and param == 1):
+    elif kind is _CZ or (kind is _CPHASE and param == 1):
         a, b = qubits
         t.signs ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
         zs[a] ^= xs[b]
@@ -254,8 +243,8 @@ def parse_stab(text: str) -> StageDecomposition:
         raise ParseError(lines[pos][0], "unexpected content after the 11 stages")
     try:
         return StageDecomposition(n, tuple(h_masks), tuple(p_masks), tuple(c for _, c in c_stages))
-    except ValueError as exc:  # a singular block: found here, so a valid file pays no extra rank
-        singular = next((ln for ln, c in c_stages if c.rank() != n), lines[0][0])
+    except ValueError as exc:  # a singular block: searched here, so a valid file is tested once
+        singular = next((ln for ln, c in c_stages if not _is_nonsingular(c)), lines[0][0])
         raise ParseError(singular, str(exc)) from None
 
 

@@ -49,7 +49,7 @@ from chainforge.css import (
     level_contents,
     steane_syndrome,
 )
-from chainforge.linsynth import GF2Matrix, expand_to_cnot, parse_gf2, synthesize_lnn
+from chainforge.linsynth import GF2Matrix, expand_to_cnot, synthesize_lnn
 from chainforge.oracle import (
     bit_reversal_permutation,
     circuit_unitary,
@@ -158,16 +158,17 @@ def test_acceptance_04_linear_synthesis_depth(capsys, synthesis_sample):
 
 def test_acceptance_05_swap_cnot_merge(capsys):
     with _verdict(capsys, 5, "swap-cnot merge identity"):
-        transposition = parse_gf2("gf2 2\n01\n10\n")
         for a, b in ((0, 1), (1, 0)):
             merged = Circuit(2, (cnot(a, b), swap(0, 1)))
             replayed = Circuit(2, (cnot(b, a), cnot(a, b)))
             assert unitary_equiv(merged, replayed, tol=1e-12)
             assert gf2_action(merged) == gf2_action(replayed)
-            # the reversed cnot pair matches only after relabeling both ends
+            # the reversed cnot pair matches only after relabeling both ends:
+            # a SWAP on each side conjugates the action by the transposition
             reversed_pair = Circuit(2, (cnot(a, b), cnot(b, a)))
-            conjugated = transposition @ gf2_action(merged) @ transposition
-            assert conjugated == gf2_action(reversed_pair)
+            conjugated = Circuit(2, (swap(0, 1), *merged.gates, swap(0, 1)))
+            assert gf2_action(conjugated) == gf2_action(reversed_pair)
+            assert gf2_action(merged) != gf2_action(reversed_pair)
 
 
 def test_acceptance_06_stabilizer_staging(capsys):
@@ -375,9 +376,7 @@ def _conjugation_matches(circuit):
     for row in range(2 * n):
         w = row % n
         p_in = _pauli_dense(n, (1 << w) if row < n else 0, 0 if row < n else (1 << w), 0)
-        x_bits = sum(int(t.x[row, col]) << col for col in range(n))
-        z_bits = sum(int(t.z[row, col]) << col for col in range(n))
-        image = _pauli_dense(n, x_bits, z_bits, int(t.r[row]))
+        image = _pauli_dense(n, *t.row(row))
         if np.max(np.abs(u @ p_in @ u.conj().T - image)) > 1e-10:
             return False
     return True

@@ -38,15 +38,17 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _EYE = np.eye(2, dtype=complex)
 
 
-def _pauli_dense(n: int, x_bits, z_bits, sign: int) -> np.ndarray:
-    """(-1)^sign prod_w i^{x z} X^x Z^z with wire 0 in the low bit position."""
+def _pauli_dense(n: int, x_bits: int, z_bits: int, sign: int) -> np.ndarray:
+    """(-1)^sign prod_w i^{x z} X^x Z^z, bit w of x_bits / z_bits being wire w,
+    with wire 0 in the low bit position of the basis index."""
     out = np.array([[1.0 + 0j]])
     for w in range(n - 1, -1, -1):
-        if x_bits[w] and z_bits[w]:
+        x, z = x_bits >> w & 1, z_bits >> w & 1
+        if x and z:
             m = 1j * (_X @ _Z)
-        elif x_bits[w]:
+        elif x:
             m = _X
-        elif z_bits[w]:
+        elif z:
             m = _Z
         else:
             m = _EYE
@@ -59,15 +61,10 @@ def _conjugation_matches(circuit: Circuit) -> bool:
     u = circuit_unitary(circuit)
     t = tableau_of(circuit)
     for row in range(2 * n):
-        x = [0] * n
-        z = [0] * n
-        if row < n:
-            x[row] = 1
-        else:
-            z[row - n] = 1
-        source = _pauli_dense(n, x, z, 0)
+        bit = 1 << (row % n)
+        source = _pauli_dense(n, bit if row < n else 0, 0 if row < n else bit, 0)
         expect = u @ source @ u.conj().T
-        got = _pauli_dense(n, t.x[row], t.z[row], t.r[row])
+        got = _pauli_dense(n, *t.row(row))
         if not np.allclose(expect, got, atol=1e-10):
             return False
     return True
@@ -78,6 +75,19 @@ def test_identity_tableau():
     assert t.n == 3
     assert t.is_symplectic()
     assert t == tableau_of(Circuit(3, ()))
+    assert [t.row(g) for g in range(6)] == [(1, 0, 0), (2, 0, 0), (4, 0, 0), (0, 1, 0), (0, 2, 0), (0, 4, 0)]
+
+
+def test_is_symplectic_rejects_a_broken_commutation_pattern():
+    for w in range(3):
+        for g in range(6):
+            t = PauliTableau.identity(3)
+            t.xs[w] ^= 1 << g  # one X bit flipped
+            # only Z_w -> Y_w keeps the pattern (it is a Clifford map); any other flip breaks it
+            assert t.is_symplectic() == (g == 3 + w), (w, g)
+    t = PauliTableau.identity(2)
+    t.signs = 0b1011  # signs never change the pattern
+    assert t.is_symplectic()
 
 
 def test_single_gate_conjugations_match_dense():
@@ -97,12 +107,15 @@ def test_single_gate_conjugations_match_dense():
 def test_known_conjugation_facts():
     # P sends X to Y and Y to -X; the tableau keeps the signs
     t = tableau_of(Circuit(1, (p(0),)))
-    assert t.x[0, 0] == 1 and t.z[0, 0] == 1 and t.r[0] == 0
+    assert t.row(0) == (1, 1, 0) and t.row(1) == (0, 1, 0)
     t = tableau_of(Circuit(1, (p(0), p(0))))  # Z gate: X -> -X
-    assert t.x[0, 0] == 1 and t.z[0, 0] == 0 and t.r[0] == 1
+    assert t.row(0) == (1, 0, 1) and t.row(1) == (0, 1, 0)
     # H exchanges X and Z
     t = tableau_of(Circuit(1, (h(0),)))
-    assert t.x[0, 0] == 0 and t.z[0, 0] == 1 and t.r[0] == 0
+    assert t.row(0) == (0, 1, 0) and t.row(1) == (1, 0, 0)
+    # row() reads wire w as bit w: CNOT(0, 2) sends X_0 to X_0 X_2 and Z_2 to Z_0 Z_2
+    t = tableau_of(Circuit(3, (cnot(0, 2),)))
+    assert t.row(0) == (0b101, 0, 0) and t.row(5) == (0, 0b101, 0)
 
 
 def _random_clifford(n: int, count: int, rng: Random) -> Circuit:
