@@ -59,11 +59,9 @@ from .core import (
     validate_on,
 )
 from .css import (
-    CssDepthReport,
     CssGate,
     CssMode,
     CssSpec,
-    css_depth_report,
     css_flat,
     css_schedule_lnn,
     emit_css,
@@ -97,7 +95,7 @@ from .oracle import (
     states_equiv,
     unitary_equiv,
 )
-from .qft import QftSpec, aqft_lnn, qft_flat, qft_lnn
+from .qft import QftSpec, qft_flat, qft_lnn
 from .skeleton import (
     SkeletonSpec,
     StagePlan,

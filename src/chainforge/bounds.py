@@ -122,24 +122,15 @@ def stage_audit(sc: ScheduledCircuit | Circuit) -> AuditReport:
     circuit = sc.circuit if isinstance(sc, ScheduledCircuit) else sc
     seq = classify_layers(circuit)
     l_positions = [pos for pos, (_, tag) in enumerate(seq) if tag == "L"]
-    bad3 = []
-    bad4 = []
-    for i in range(len(l_positions) - 2):
-        first, third = l_positions[i], l_positions[i + 2]
-        swaps = sum(1 for pos in range(first + 1, third) if seq[pos][1] == "S")
-        if swaps < 1:
-            bad3.append(AuditWindow(seq[first][0], seq[third][0], swaps, 1))
-    for i in range(len(l_positions) - 3):
-        first, fourth = l_positions[i], l_positions[i + 3]
-        swaps = sum(1 for pos in range(first + 1, fourth) if seq[pos][1] == "S")
-        if swaps < 2:
-            bad4.append(AuditWindow(seq[first][0], seq[fourth][0], swaps, 2))
-    return AuditReport(
-        len(l_positions),
-        sum(1 for _, tag in seq if tag == "S"),
-        tuple(bad3),
-        tuple(bad4),
-    )
+    bad: dict[int, list[AuditWindow]] = {1: [], 2: []}
+    for need, windows in bad.items():  # need + 2 consecutive L layers need `need` S between
+        for i in range(len(l_positions) - need - 1):
+            first, last = l_positions[i], l_positions[i + need + 1]
+            swaps = sum(1 for pos in range(first + 1, last) if seq[pos][1] == "S")
+            if swaps < need:
+                windows.append(AuditWindow(seq[first][0], seq[last][0], swaps, need))
+    s_count = sum(1 for _, tag in seq if tag == "S")
+    return AuditReport(len(l_positions), s_count, tuple(bad[1]), tuple(bad[2]))
 
 
 def ratio_report(n: int, sc: ScheduledCircuit, q: BoundQuery) -> Fraction:

@@ -27,6 +27,7 @@ from .core import (
     is_permutation,
     parse_architecture,
     parse_circuit,
+    prune_trailing_swap_layers,
     to_qasm,
     two_qubit_layer_count,
     validate_on,
@@ -34,7 +35,7 @@ from .core import (
 from .css import css_flat, css_schedule_lnn, parse_css
 from .linsynth import expand_to_cnot, parse_gf2, synthesize_lnn
 from .oracle import gf2_action, unitary_equiv
-from .qft import QftSpec, aqft_lnn, qft_flat, qft_lnn
+from .qft import QftSpec, qft_flat, qft_lnn
 from .skeleton import SkeletonSpec, parse_skeleton, schedule_lnn
 from .stabilizer import parse_stab, schedule_stabilizer, stabilizer_flat, tableau_equiv
 
@@ -151,13 +152,15 @@ def _cmd_qft(args: argparse.Namespace) -> int:
     spec = QftSpec(_wire_flag(args.n), args.approx)
     if args.flat:
         return _deliver(args, qft_flat(spec), None)
-    sc = aqft_lnn(spec) if args.approx is not None else qft_lnn(spec)
+    sc = qft_lnn(spec)
     return _deliver(args, sc.circuit, sc.final_map)
 
 
 def _cmd_linsynth(args: argparse.Namespace) -> int:
     a = _load(parse_gf2, args.matrix)
-    sc = synthesize_lnn(a, prune_swaps=args.prune_swaps)
+    sc = synthesize_lnn(a)
+    if args.prune_swaps:
+        sc = prune_trailing_swap_layers(sc)
     if args.cnot_only:
         sc = expand_to_cnot(sc)
     return _deliver(args, sc.circuit, sc.final_map)

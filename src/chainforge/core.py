@@ -409,10 +409,6 @@ class Architecture:
             adj[b].append(a)
         return tuple(tuple(sorted(ws)) for ws in adj)
 
-    @property
-    def max_degree(self) -> int:
-        return max(map(len, self.neighbours))
-
     def adjacent(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 

@@ -39,7 +39,6 @@ from .core import (
     _mask_wires,
     _wire_count,
     cz,
-    generic_depth,
     h,
     swap,
 )
@@ -185,18 +184,6 @@ def css_schedule_lnn(spec: CssSpec) -> ScheduledCircuit:
     return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), tuple(loc))
 
 
-@dataclass(frozen=True)
-class CssDepthReport:
-    generic_depth: int
-    gate_level_depth: int
-
-
-def css_depth_report(spec: CssSpec) -> CssDepthReport:
-    """Merged two-qubit depth and the raw layer count of the line schedule."""
-    sc = css_schedule_lnn(spec)
-    return CssDepthReport(generic_depth(sc.circuit), sc.circuit.depth())
-
-
 def steane_syndrome() -> CssSpec:
     """Syndrome spec for the seven-qubit code: s=7 data wires, t=6 checks.
 
@@ -265,11 +252,9 @@ def emit_css(spec: CssSpec) -> str:
 
 
 __all__ = [
-    "CssDepthReport",
     "CssGate",
     "CssMode",
     "CssSpec",
-    "css_depth_report",
     "css_flat",
     "css_schedule_lnn",
     "emit_css",

@@ -34,7 +34,6 @@ from .core import (
     _headed_lines,
     cnot,
     is_permutation,
-    prune_trailing_swap_layers,
 )
 from .skeleton import SkeletonSpec, Slot, staged_schedule
 
@@ -62,10 +61,6 @@ class GF2Matrix:
             if r < 0 or r & ~mask:
                 raise ValueError(f"row {i} has bits outside 0..{self.n - 1}")
 
-    @staticmethod
-    def identity(n: int) -> "GF2Matrix":
-        return GF2Matrix(n, tuple(1 << i for i in range(n)))
-
     def to_strings(self) -> list[str]:
         return [_bit_string(r, self.n) for r in self.rows]
 
@@ -74,7 +69,7 @@ class GF2Matrix:
         bound = 1 << n
         while True:
             m = GF2Matrix(n, tuple(rng.randrange(bound) for _ in range(n)))
-            if _is_nonsingular(m):
+            if _try_inverse(m) is not None:
                 return m
 
     def entry(self, i: int, j: int) -> int:
@@ -109,13 +104,12 @@ class GF2Matrix:
         return GF2Matrix(self.n, tuple(self.rows[output_map[l]] for l in range(self.n)))
 
 
-def _is_nonsingular(m: GF2Matrix) -> bool:
-    """The one nonsingularity test: whether `inverse` finds every pivot."""
+def _try_inverse(m: GF2Matrix) -> GF2Matrix | None:
+    """The one nonsingularity test: `inverse`, or None where it misses a pivot."""
     try:
-        m.inverse()
+        return m.inverse()
     except SingularMatrixError:
-        return False
-    return True
+        return None
 
 
 @dataclass(frozen=True)
@@ -278,7 +272,7 @@ def schedule_parts(
     return gates, placement
 
 
-def synthesize_lnn(a: GF2Matrix, prune_swaps: bool = False) -> ScheduledCircuit:
+def synthesize_lnn(a: GF2Matrix) -> ScheduledCircuit:
     """LNN CNOT/SWAP circuit computing x -> A x up to the final placement.
 
     The circuit's GF(2) action, with row final_map[l] read as logical
@@ -287,8 +281,7 @@ def synthesize_lnn(a: GF2Matrix, prune_swaps: bool = False) -> ScheduledCircuit:
     """
     n = a.n
     gates, placement = schedule_parts(rearrange(gauss_jordan(a.inverse())))
-    sc = ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), placement)
-    return prune_trailing_swap_layers(sc) if prune_swaps else sc
+    return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), placement)
 
 
 def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:

@@ -6,11 +6,11 @@ k = b - a + 1. Its unitary composed with the bit-reversal wire relabeling
 is the DFT matrix on 2**n points.
 
 The line-scheduled form drives the same gates through the all-pairs
-skeleton. Every controlled-phase slot is present, so the schedule runs in
-2n-3 payload stages plus SWAP stages, and Hadamards are woven in: H(a)
-right before stage 2a+1 (where wire a's first phase gate sits) and H(n-1)
-at the very end. Only H(0) and H(n-1) occupy layers of their own, so the
-total depth is 4n-4 for n >= 2.
+skeleton. The schedule runs in 2n-3 payload stages plus SWAP stages, and
+Hadamards are woven in: H(a) right before stage 2a+1 (where wire a's first
+phase gate sits) and H(n-1) at the very end. Only H(0) and H(n-1) occupy
+layers of their own, so the full transform's depth is 4n-4 for n >= 2. A
+truncated spec leaves its dropped slots empty and keeps every SWAP.
 """
 
 from __future__ import annotations
@@ -69,7 +69,13 @@ def _skeleton_for(spec: QftSpec) -> SkeletonSpec:
     return SkeletonSpec.on_pairs(n, kept)
 
 
-def _schedule(spec: QftSpec) -> ScheduledCircuit:
+def qft_lnn(spec: QftSpec) -> ScheduledCircuit:
+    """Line schedule of every gate the spec keeps; truncation keeps the SWAPs.
+
+    The SWAP flow reverses the wires, so the unitary relabeled by final_map
+    and then by bit reversal equals the DFT matrix for the full transform.
+    No physical reversal stage is appended.
+    """
     n = spec.n
     if n == 1:
         return ScheduledCircuit(Circuit(1, (h(0),)), Architecture.lnn(1), (0,))
@@ -86,23 +92,4 @@ def _schedule(spec: QftSpec) -> ScheduledCircuit:
     return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), final)
 
 
-def qft_lnn(spec: QftSpec) -> ScheduledCircuit:
-    """Line schedule of the full transform; depth 4n-4 for n >= 2.
-
-    The SWAP flow reverses the wires, so the unitary relabeled by final_map
-    and then by bit reversal equals the DFT matrix. No physical reversal
-    stage is appended.
-    """
-    if spec.approx_threshold is not None:
-        raise ValueError("qft_lnn runs the full transform; use aqft_lnn to truncate")
-    return _schedule(spec)
-
-
-def aqft_lnn(spec: QftSpec) -> ScheduledCircuit:
-    """Same schedule with truncated slots left empty; SWAPs are retained."""
-    if spec.approx_threshold is None:
-        raise ValueError("aqft_lnn needs approx_threshold set")
-    return _schedule(spec)
-
-
-__all__ = ["QftSpec", "aqft_lnn", "qft_flat", "qft_lnn"]
+__all__ = ["QftSpec", "qft_flat", "qft_lnn"]

@@ -35,7 +35,7 @@ from .core import (
     is_permutation,
     p,
 )
-from .linsynth import GF2Matrix, _is_nonsingular, gauss_jordan, rearrange, schedule_parts
+from .linsynth import GF2Matrix, _try_inverse, gauss_jordan, rearrange, schedule_parts
 
 STAGE_ORDER = ("h", "c", "p", "c", "p", "c", "h", "p", "c", "p", "c")
 
@@ -57,11 +57,15 @@ class StageDecomposition:
         for mask in (*self.h_masks, *self.p_masks):
             if not 0 <= mask < (1 << self.n):
                 raise ValueError(f"mask {mask:#x} has bits outside 0..{self.n - 1}")
+        inverses = []
         for i, c in enumerate(self.c_stages):
             if c.n != self.n:
                 raise ValueError(f"C stage {i} has dimension {c.n}, expected {self.n}")
-            if not _is_nonsingular(c):
+            inverses.append(_try_inverse(c))
+            if inverses[-1] is None:
                 raise ValueError(f"C stage {i} is singular")
+        # not a field: kept so that schedule_stabilizer need not invert again
+        object.__setattr__(self, "_c_inverses", tuple(inverses))
 
     def stages(self) -> Iterator[tuple[str, int | GF2Matrix]]:
         """The 11 (kind, content) pairs in execution order."""
@@ -103,13 +107,14 @@ def schedule_stabilizer(d: StageDecomposition) -> ScheduledCircuit:
     n = d.n
     placement = tuple(range(n))
     gates: list[Gate] = []
+    inverses = iter(d._c_inverses)
     for kind, content in d.stages():
         if kind == "h":
             gates.extend(h(placement[w]) for w in _mask_wires(content, n))
         elif kind == "p":
             gates.extend(p(placement[w]) for w in _mask_wires(content, n))
         else:
-            parts = rearrange(gauss_jordan(content.inverse()))
+            parts = rearrange(gauss_jordan(next(inverses)))
             stage_gates, placement = schedule_parts(parts, placement)
             gates.extend(stage_gates)
     return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), placement)
@@ -244,7 +249,7 @@ def parse_stab(text: str) -> StageDecomposition:
     try:
         return StageDecomposition(n, tuple(h_masks), tuple(p_masks), tuple(c for _, c in c_stages))
     except ValueError as exc:  # a singular block: searched here, so a valid file is tested once
-        singular = next((ln for ln, c in c_stages if not _is_nonsingular(c)), lines[0][0])
+        singular = next((ln for ln, c in c_stages if _try_inverse(c) is None), lines[0][0])
         raise ParseError(singular, str(exc)) from None
 
 

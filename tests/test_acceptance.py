@@ -35,6 +35,7 @@ from chainforge.core import (
     h,
     is_two_qubit,
     p,
+    prune_trailing_swap_layers,
     swap,
     two_qubit_layer_count,
     validate_on,
@@ -43,7 +44,6 @@ from chainforge.css import (
     CssGate,
     CssMode,
     CssSpec,
-    css_depth_report,
     css_flat,
     css_schedule_lnn,
     level_contents,
@@ -60,7 +60,7 @@ from chainforge.oracle import (
     simulate,
     unitary_equiv,
 )
-from chainforge.qft import QftSpec, aqft_lnn, qft_lnn
+from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import SkeletonSpec, all_pairs, schedule_lnn
 from chainforge.stabilizer import (
     random_decomposition,
@@ -195,15 +195,15 @@ def test_acceptance_07_css_depths(capsys):
     with _verdict(capsys, 7, "css depths"):
         for s in range(1, 17):
             for t in range(1, 17):
-                enc = css_depth_report(_full_css(CssMode.ENCODE, s, t))
-                assert enc.generic_depth <= s + t + 1, (s, t)
-                syn = css_depth_report(_full_css(CssMode.SYNDROME, s, t))
-                assert syn.generic_depth <= s + t - 1, (s, t)
+                enc = css_schedule_lnn(_full_css(CssMode.ENCODE, s, t)).circuit
+                assert generic_depth(enc) <= s + t + 1, (s, t)
+                syn = css_schedule_lnn(_full_css(CssMode.SYNDROME, s, t)).circuit
+                assert generic_depth(syn) <= s + t - 1, (s, t)
         worked = _full_css(CssMode.ENCODE, 3, 4)
         assert level_contents(worked, 3) == [("b", "c2"), ("a3", "c3"), ("a2", "c4")]
-        steane = css_depth_report(steane_syndrome())
-        assert steane.generic_depth == 12
-        assert steane.gate_level_depth <= 26
+        steane = css_schedule_lnn(steane_syndrome()).circuit
+        assert generic_depth(steane) == 12
+        assert steane.depth() <= 26
 
 
 def _random_css(rng):
@@ -256,7 +256,7 @@ def _generated_schedules():
         yield schedule_lnn(SkeletonSpec(n))
         yield qft_lnn(QftSpec(n))
     for n in range(3, 11):
-        yield aqft_lnn(QftSpec(n, min(3, n)))
+        yield qft_lnn(QftSpec(n, min(3, n)))
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         absent = frozenset(pr for pr in pairs if rng.random() < 0.5)
         yield schedule_lnn(SkeletonSpec(n, absent=absent))
@@ -265,7 +265,7 @@ def _generated_schedules():
         n = rng.randint(2, 10)
         a = GF2Matrix.random_nonsingular(n, rng)
         yield synthesize_lnn(a)
-        yield synthesize_lnn(a, prune_swaps=True)
+        yield prune_trailing_swap_layers(synthesize_lnn(a))
     for _ in range(30):
         yield schedule_stabilizer(random_decomposition(rng.randint(2, 6), rng))
     yield css_schedule_lnn(steane_syndrome())

@@ -22,13 +22,14 @@ from chainforge.core import (
     cz,
     generic2,
     h,
+    prune_trailing_swap_layers,
     swap,
     two_qubit_layer_count,
     validate_on,
 )
 from chainforge.css import CssGate, CssMode, CssSpec, css_flat, css_schedule_lnn
 from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot, synthesize_lnn
-from chainforge.qft import QftSpec, aqft_lnn, qft_flat, qft_lnn
+from chainforge.qft import QftSpec, qft_flat, qft_lnn
 from chainforge.skeleton import SkeletonSpec, schedule_lnn
 from chainforge.stabilizer import random_decomposition, schedule_stabilizer, stabilizer_flat
 
@@ -82,14 +83,14 @@ def _generated(n: int, rng: Random) -> list[tuple[str, Circuit, bool]]:
     cnot_only, mixed = _css(n, rng, (CssGate.NONE, CssGate.CNOT)), _css(n, rng, tuple(CssGate))
     return [
         ("linsynth", synthesize_lnn(a).circuit, True),
-        ("linsynth pruned", synthesize_lnn(a, prune_swaps=True).circuit, True),
+        ("linsynth pruned", prune_trailing_swap_layers(synthesize_lnn(a)).circuit, True),
         ("stabilizer", schedule_stabilizer(d).circuit, True),
         ("stabilizer flat", stabilizer_flat(d), True),
         ("css", css_schedule_lnn(cnot_only).circuit, True),
         ("css flat", css_flat(cnot_only), True),
         ("css with cz", css_schedule_lnn(mixed).circuit, False),
         ("qft", qft_lnn(QftSpec(n)).circuit, False),
-        ("aqft", aqft_lnn(QftSpec(n, 2)).circuit, False),
+        ("aqft", qft_lnn(QftSpec(n, 2)).circuit, False),
         ("qft flat", qft_flat(QftSpec(n)), False),
         ("skeleton", schedule_lnn(SkeletonSpec(n)).circuit, False),
     ]

@@ -37,7 +37,7 @@ from chainforge.core import (
 )
 from chainforge.css import css_flat, css_schedule_lnn, parse_css, steane_syndrome
 from chainforge.linsynth import GF2Matrix, expand_to_cnot, parse_gf2, synthesize_lnn
-from chainforge.qft import QftSpec, aqft_lnn, qft_flat, qft_lnn
+from chainforge.qft import QftSpec, qft_flat, qft_lnn
 from chainforge.skeleton import SkeletonSpec, all_pairs, parse_skeleton, schedule_lnn
 from chainforge.stabilizer import parse_stab, random_decomposition, schedule_stabilizer, stabilizer_flat
 
@@ -173,7 +173,7 @@ def test_lnn_architecture_edges():
     assert arch.n_sites == 4
     assert arch.adjacent(1, 2) and arch.adjacent(2, 1)
     assert not arch.adjacent(0, 2)
-    assert arch.max_degree == 2
+    assert max(map(len, arch.neighbours)) == 2
 
 
 def test_grid_architecture_edges():
@@ -182,7 +182,7 @@ def test_grid_architecture_edges():
     assert len(arch.edges) == 7
     assert arch.adjacent(0, 3) and arch.adjacent(1, 2)
     assert not arch.adjacent(2, 3)
-    assert arch.max_degree == 3
+    assert max(map(len, arch.neighbours)) == 3
 
 
 def test_graph_architecture_requires_connectivity():
@@ -281,10 +281,10 @@ def test_parse_emit_circuit_roundtrip():
     for c in (
         schedule_lnn(SkeletonSpec(n, payload=payload)).circuit,
         qft_lnn(QftSpec(n)).circuit,
-        aqft_lnn(QftSpec(n, 3)).circuit,
+        qft_lnn(QftSpec(n, 3)).circuit,
         qft_flat(QftSpec(12)),  # two-digit phase parameters
         synthesize_lnn(a).circuit,
-        synthesize_lnn(a, prune_swaps=True).circuit,
+        prune_trailing_swap_layers(synthesize_lnn(a)).circuit,
         expand_to_cnot(synthesize_lnn(a)).circuit,
         schedule_stabilizer(d).circuit,
         stabilizer_flat(d),

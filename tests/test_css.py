@@ -10,7 +10,6 @@ from chainforge.css import (
     CssGate,
     CssMode,
     CssSpec,
-    css_depth_report,
     css_flat,
     css_schedule_lnn,
     emit_css,
@@ -95,10 +94,10 @@ def test_full_crossing_moves_controls_past_targets():
 def test_depth_bounds_on_full_presence():
     for s in (1, 2, 4):
         for t in (1, 3, 5):
-            enc = css_depth_report(_full(CssMode.ENCODE, s, t))
-            assert enc.generic_depth <= s + t + 1
-            syn = css_depth_report(_full(CssMode.SYNDROME, s, t))
-            assert syn.generic_depth <= s + t - 1
+            enc = css_schedule_lnn(_full(CssMode.ENCODE, s, t)).circuit
+            assert generic_depth(enc) <= s + t + 1
+            syn = css_schedule_lnn(_full(CssMode.SYNDROME, s, t)).circuit
+            assert generic_depth(syn) <= s + t - 1
 
 
 def test_empty_matrix_schedules_nothing():
@@ -122,9 +121,9 @@ def test_steane_preset():
     assert spec.cell(2, 4) is _N
     assert spec.cell(1, 4) is _Z
     assert spec.cell(4, 6) is _Z
-    report = css_depth_report(spec)
-    assert report.generic_depth == 12
-    assert report.gate_level_depth <= 26
+    circuit = css_schedule_lnn(spec).circuit
+    assert generic_depth(circuit) == 12
+    assert circuit.depth() <= 26
 
 
 def test_parse_emit_roundtrip():

@@ -14,6 +14,7 @@ from chainforge.core import (
     cz,
     generic_depth,
     h,
+    prune_trailing_swap_layers,
     swap,
 )
 from chainforge.linsynth import (
@@ -28,6 +29,10 @@ from chainforge.linsynth import (
     synthesize_lnn,
 )
 from chainforge.oracle import gf2_action, unitary_equiv
+
+
+def _identity(n):
+    return GF2Matrix(n, tuple(1 << i for i in range(n)))
 
 
 def _act(n: int, gates) -> GF2Matrix:
@@ -78,7 +83,7 @@ def test_gauss_jordan_trace_fields():
 
 
 def test_gauss_jordan_on_identity_is_empty():
-    trace = gauss_jordan(GF2Matrix.identity(4))
+    trace = gauss_jordan(_identity(4))
     assert trace.pivot_donor == (None, None, None)
     assert trace.lower == frozenset() and trace.upper == frozenset()
     assert trace.gates_in_order() == []
@@ -131,11 +136,12 @@ def test_synthesize_two_wire_swap_matrix():
 
 
 def test_synthesize_identity_and_one_wire():
-    sc = synthesize_lnn(GF2Matrix.identity(3))
-    assert gf2_action(sc.circuit).relabel(sc.final_map) == GF2Matrix.identity(3)
+    sc = synthesize_lnn(_identity(3))
+    assert gf2_action(sc.circuit).relabel(sc.final_map) == _identity(3)
     # one wire takes the general path: no part is nonempty, so no skeleton is built
     for prune in (False, True):
-        sc = synthesize_lnn(GF2Matrix(1, (1,)), prune_swaps=prune)
+        sc = synthesize_lnn(GF2Matrix(1, (1,)))
+        sc = prune_trailing_swap_layers(sc) if prune else sc
         assert len(sc.circuit) == 0 and sc.final_map == (0,)
     with pytest.raises(SingularMatrixError, match=r"^matrix is singular \(no pivot in column 0\)$"):
         synthesize_lnn(GF2Matrix(1, (0,)))
@@ -177,7 +183,7 @@ def test_synthesize_with_pruning_keeps_the_action():
         n = rng.randint(2, 7)
         a = GF2Matrix.random_nonsingular(n, rng)
         full = synthesize_lnn(a)
-        pruned = synthesize_lnn(a, prune_swaps=True)
+        pruned = prune_trailing_swap_layers(full)
         assert len(pruned.circuit) <= len(full.circuit)
         assert gf2_action(pruned.circuit).relabel(pruned.final_map) == a
 
@@ -212,7 +218,7 @@ def test_parse_emit_gf2_roundtrip():
     a = GF2Matrix(4, (0b0110, 0b0101, 0b1100, 0b0001))  # bit j of row i is entry (i, j)
     assert a.to_strings() == ["0110", "1010", "0011", "1000"]
     assert parse_gf2(emit_gf2(a)) == a
-    assert parse_gf2("gf2 2\n10\n01\n") == GF2Matrix.identity(2)
+    assert parse_gf2("gf2 2\n10\n01\n") == _identity(2)
     with pytest.raises(ParseError) as err:
         parse_gf2("gf2 2\n10\n0\n")
     assert err.value.line == 3  # the bad row's own line

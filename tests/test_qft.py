@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from chainforge.core import GateKind, generic_depth, two_qubit_layer_count
+from chainforge.core import Circuit, GateKind, generic_depth, two_qubit_layer_count
 from chainforge.oracle import (
     bit_reversal_permutation,
     circuit_unitary,
     dft_matrix,
     matrices_equiv,
     permutation_matrix,
+    unitary_equiv,
 )
-from chainforge.qft import QftSpec, aqft_lnn, qft_flat, qft_lnn
+from chainforge.qft import QftSpec, qft_flat, qft_lnn
 
 
 def _dft_check(circuit, final_map, n) -> bool:
@@ -68,7 +69,7 @@ def test_generic_depth_of_schedule():
 def test_approximation_drops_small_rotations_but_keeps_routing():
     spec = QftSpec(6, approx_threshold=3)
     full = qft_lnn(QftSpec(6))
-    approx = aqft_lnn(spec)
+    approx = qft_lnn(spec)
     assert approx.circuit.count(GateKind.CPHASE) < full.circuit.count(GateKind.CPHASE)
     assert approx.circuit.count(GateKind.SWAP) == full.circuit.count(GateKind.SWAP)
     assert approx.final_map == full.final_map
@@ -79,11 +80,31 @@ def test_approximation_drops_small_rotations_but_keeps_routing():
     assert all(g.param <= 3 for g in flat.gates if g.kind is GateKind.CPHASE)
 
 
+def test_truncated_schedule_is_the_full_one_without_the_dropped_rotations():
+    for n in range(2, 25):
+        full = qft_lnn(QftSpec(n))
+        for m in range(1, n + 1):
+            sc = qft_lnn(QftSpec(n, m))
+            kept = tuple(g for g in full.circuit.gates if g.kind is not GateKind.CPHASE or g.param <= m)
+            assert sc.circuit.gates == kept, (n, m)
+            assert sc.final_map == full.final_map and sc.arch == full.arch
+
+
+def test_every_scheduled_spec_matches_its_flat_circuit():
+    for n in range(2, 8):
+        for m in (None, *range(1, n + 1)):
+            spec = QftSpec(n, m)
+            sc = qft_lnn(spec)
+            assert unitary_equiv(qft_flat(spec), sc.circuit, relabel=sc.final_map), (n, m)
+    # the check sees a single missing rotation
+    spec = QftSpec(5, 3)
+    sc = qft_lnn(spec)
+    drop = next(i for i, g in enumerate(sc.circuit.gates) if g.kind is GateKind.CPHASE)
+    short = Circuit(5, sc.circuit.gates[:drop] + sc.circuit.gates[drop + 1 :])
+    assert not unitary_equiv(qft_flat(spec), short, relabel=sc.final_map)
+
+
 def test_approximation_flag_is_respected():
-    with pytest.raises(ValueError):
-        aqft_lnn(QftSpec(4))
-    with pytest.raises(ValueError):
-        qft_lnn(QftSpec(4, approx_threshold=2))
     with pytest.raises(ValueError):
         QftSpec(4, approx_threshold=9)
     with pytest.raises(ValueError):

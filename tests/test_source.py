@@ -1,13 +1,18 @@
-"""Source hygiene: every exported name exists and no module imports a name it never uses."""
+"""Source hygiene: every exported name exists, no module imports a name it never uses, and
+the README's Python examples run."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chainforge"
 _MODULES = sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "__init__")
+_README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (_PACKAGE.parents[1] / "README.md").read_text(), re.M | re.S
+)
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,3 +56,14 @@ def test_no_unused_import(name):
     used = _used_names(tree)
     unused = {n: line for n, line in _imported_names(tree).items() if n not in used}
     assert not unused, f"{name}.py imports names it never uses (name: line): {unused}"
+
+
+def test_the_readme_has_python_examples():
+    assert _README_BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(_README_BLOCKS)))
+def test_readme_python_block_runs(index):
+    """Each block runs alone, in a fresh namespace, so it must import what it uses."""
+    code = compile(_README_BLOCKS[index], f"README.md python block {index + 1}", "exec")
+    exec(code, {"__name__": "readme_example"})

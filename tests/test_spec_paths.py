@@ -16,7 +16,7 @@ import chainforge.linsynth as linsynth
 import chainforge.qft as qft
 from chainforge.core import Gate, GateKind, cnot, cphase, cz, generic2, swap
 from chainforge.linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_parts, synthesize_lnn
-from chainforge.qft import QftSpec, aqft_lnn, qft_lnn
+from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import (
     SkeletonSpec,
     StagePlan,
@@ -174,7 +174,7 @@ def test_whole_circuits_match_the_reference(monkeypatch):
             [synthesize_lnn(a) for a in matrices]
             + [schedule_stabilizer(d) for d in decompositions]
             + [qft_lnn(QftSpec(n)) for n in (2, 3, 9, 24)]
-            + [aqft_lnn(QftSpec(n, m)) for n, m in ((3, 1), (9, 3), (24, 5))]
+            + [qft_lnn(QftSpec(n, m)) for n, m in ((3, 1), (9, 3), (24, 5))]
         )
 
     new = build()

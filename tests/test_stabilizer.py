@@ -200,13 +200,31 @@ def test_tableau_equiv_and_relabel():
 
 def test_decomposition_validation():
     n = 2
-    ident = GF2Matrix.identity(n)
+    ident = GF2Matrix(n, (0b01, 0b10))
     d = StageDecomposition(n, (0, 3), (1, 2, 0, 3), (ident,) * 5)
     assert [kind for kind, _ in d.stages()] == list(stab.STAGE_ORDER)
     with pytest.raises(ValueError):
         StageDecomposition(n, (4, 0), (0,) * 4, (ident,) * 5)
     with pytest.raises(ValueError):
         StageDecomposition(n, (0, 0), (0,) * 4, (GF2Matrix(2, (3, 3)),) * 5)
+
+
+def test_schedule_reuses_the_inverses_the_decomposition_checked(monkeypatch):
+    calls = []
+    original = GF2Matrix.inverse
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(GF2Matrix, "inverse", counting)
+    d = random_decomposition(6, Random(23))
+    assert calls[-5:] == list(d.c_stages)  # the check inverts each C stage once
+    calls.clear()
+    sc = schedule_stabilizer(d)
+    assert calls == []
+    assert tableau_equiv(sc.circuit, stabilizer_flat(d), relabel=sc.final_map)
+    assert "_c_inverses" not in repr(d)  # kept beside the fields, not as one
 
 
 def test_random_decomposition_reproducible():
