@@ -36,7 +36,6 @@ from .core import (
     ScheduledCircuit,
     ValidationReport,
     Violation,
-    asap_layers,
     cnot,
     cphase,
     cz,

@@ -113,9 +113,9 @@ def classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
     stay with the stretch they were emitted in. Judging the written stage
     structure keeps the verdict stable under recompression, which would
     otherwise slide sparse stages into each other. The tags come from the
-    circuit's staged walk, made once and shared with `generic_depth`.
+    circuit's one walk as written, shared with `depth()` and `generic_depth`.
     """
-    return list(circuit._staged_layers[1])
+    return list(circuit._layers[3])
 
 
 def stage_audit(sc: ScheduledCircuit | Circuit) -> AuditReport:
@@ -157,10 +157,7 @@ def grid_loop_triangles(n: int) -> list[LoopWitness]:
     out = []
     for k in range(1, n - 1):
         pairs = ((k - 1, k), (k - 1, k + 1), (k, k + 1))
-        stages = tuple(stage_of(*pr) for pr in pairs)
-        if stages != (2 * k - 1, 2 * k, 2 * k + 1):  # pragma: no cover - closed form
-            raise AssertionError(f"stage drift for center {k}: {stages}")
-        out.append(LoopWitness((k - 1, k, k + 1), pairs, stages))
+        out.append(LoopWitness((k - 1, k, k + 1), pairs, tuple(stage_of(*pr) for pr in pairs)))
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GateKind(Enum):
@@ -131,8 +131,9 @@ def is_permutation(perm: Sequence[int], n: int) -> bool:
 class Circuit:
     """An ordered gate list over a fixed number of wires, kept as a tuple.
 
-    Layer metrics come from three walks, each made on first use and kept in the
-    instance __dict__ with the distinct gate objects (fields, == and hash are untouched).
+    Layer metrics come from two walks, one over the gates as written and one
+    over their CNOT expansion, each made on first use and kept in the instance
+    __dict__ with the distinct gate objects (fields, == and hash are untouched).
     """
 
     n_wires: int
@@ -167,8 +168,12 @@ class Circuit:
         return self._cnot_depth
 
     @cached_property
-    def _plain_layers(self) -> tuple[int, int]:
-        return _plain_walk(self.gates, self.n_wires)
+    def _layers(self) -> tuple[int, int, int, tuple[tuple[int, str], ...]]:
+        return _layer_walk(self.gates, self.n_wires)
+
+    @cached_property
+    def _plain_layers(self) -> tuple[int, int]:  # apart, so a CNOT expansion can preset it
+        return self._layers[:2]
 
     @cached_property
     def _cnot_depth(self) -> int | None:
@@ -176,27 +181,6 @@ class Circuit:
             return _fold_walk(self.gates, self.n_wires)[0]
         except ValueError:  # a gate with no CNOT form
             return None
-
-    @cached_property
-    def _staged_layers(self) -> tuple[int, tuple[tuple[int, str], ...]]:
-        return _staged_walk(self.gates, self.n_wires)
-
-
-def _plain_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, int]:
-    """(depth, two-qubit layer count) from one ASAP walk over the gates."""
-    free = [0] * n_wires  # first layer each wire is free in
-    two_qubit = bytearray(len(gates))  # 1 at each layer holding a two-qubit gate
-    for _, qs, _ in gates:
-        if len(qs) == 1:
-            free[qs[0]] += 1
-        else:
-            a, b = qs
-            layer = free[a]
-            if free[b] > layer:
-                layer = free[b]
-            two_qubit[layer] = 1
-            free[a] = free[b] = layer + 1
-    return max(free), two_qubit.count(1)
 
 
 def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> tuple[int, int]:
@@ -256,15 +240,22 @@ def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> 
     return max(free), two_qubit.count(1)
 
 
-def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[int, str], ...]]:
-    """(generic depth, (layer, 'L' or 'S') per stage layer), from two layerings in one walk.
+def _layer_walk(
+    gates: Sequence[Gate], n_wires: int, out: list | None = None
+) -> tuple[int, int, int, tuple[tuple[int, str], ...]]:
+    """(depth, two-qubit layer count, generic depth, (layer, 'L' or 'S') per stage
+    layer), from three layerings in one walk; each gate's plain layer is appended
+    to `out` if given.
 
+    Plain (depth's): each gate lands on the first layer free on all its wires.
     By stage (the audit's): the list is cut where its two-qubit gates switch
     between SWAP and non-SWAP, every wire rises to the top at a cut, and
     one-qubit gates count. By fused unit (generic depth's): a SWAP joins the
     non-SWAP unit last on both its wires if no SWAP has joined it yet; one-qubit
     gates are ignored.
     """
+    plain = [0] * n_wires  # first layer each wire is free in
+    two_qubit = bytearray(len(gates))  # 1 at each plain layer holding a two-qubit gate
     free = [0] * n_wires  # by stage: a wire is free from max(free[w], floor)
     floor = top = 0  # top: the first layer free on every wire; floor: top at the last cut
     unit_free = [0] * n_wires  # by fused unit
@@ -276,11 +267,21 @@ def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[
     for kind, qs, _ in gates:
         if len(qs) == 1:
             q = qs[0]
+            if out is not None:
+                out.append(plain[q])
+            plain[q] += 1
             free[q] = layer = (free[q] if free[q] > floor else floor) + 1
             if layer > top:
                 top = layer
             continue
         a, b = qs
+        layer = plain[a]
+        if plain[b] > layer:
+            layer = plain[b]
+        if out is not None:
+            out.append(layer)
+        two_qubit[layer] = 1
+        plain[a] = plain[b] = layer + 1
         if kind is not last_kind:
             last_kind = kind
             tag = "S" if kind is swap_kind else "L"
@@ -309,24 +310,8 @@ def _staged_walk(gates: Sequence[Gate], n_wires: int) -> tuple[int, tuple[tuple[
         if unit_free[b] > layer:
             layer = unit_free[b]
         unit_free[a] = unit_free[b] = layer + 1
-    return max(unit_free), tuple((i, t) for i, t in enumerate(tags[:top]) if t is not None)
-
-
-def asap_layers(gates: Iterable[Gate], n_wires: int) -> Iterator[int]:
-    """0-based ASAP layer of each gate, yielded in gate order."""
-    free = [0] * n_wires  # first layer each wire is free in
-    for _, qs, _ in gates:
-        if len(qs) == 1:
-            q = qs[0]
-            layer = free[q]
-            free[q] = layer + 1
-        else:
-            a, b = qs
-            layer = free[a]
-            if free[b] > layer:
-                layer = free[b]
-            free[a] = free[b] = layer + 1
-        yield layer
+    stages = tuple((i, t) for i, t in enumerate(tags[:top]) if t is not None)
+    return max(plain), two_qubit.count(1), max(unit_free), stages
 
 
 def two_qubit_layer_count(circuit: Circuit) -> int:
@@ -335,14 +320,14 @@ def two_qubit_layer_count(circuit: Circuit) -> int:
 
 
 def generic_depth(circuit: Circuit) -> int:
-    """Depth in merged two-qubit units, from the staged walk.
+    """Depth in merged two-qubit units, from the circuit's walk as written.
 
     A two-qubit gate immediately followed (on both wires) by a SWAP of the
     same pair counts as one unit, as does a bare SWAP or an unmerged gate.
     Single-qubit gates are treated as absorbed into neighboring units and do
     not count, so one between a gate and its SWAP does not split the unit.
     """
-    return circuit._staged_layers[0]
+    return circuit._layers[2]
 
 
 class ArchKind(Enum):
@@ -408,9 +393,6 @@ class Architecture:
             adj[a].append(b)
             adj[b].append(a)
         return tuple(tuple(sorted(ws)) for ws in adj)
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
 
 
 def _check_edge(a: int, b: int, n: int) -> None:
@@ -483,8 +465,8 @@ def swap_flow_map(circuit: Circuit) -> tuple[int, ...]:
 
 def prune_trailing_swap_layers(sc: ScheduledCircuit) -> ScheduledCircuit:
     """Drop trailing all-SWAP layers and adjust final_map accordingly."""
-    gates = sc.circuit.gates
-    at = list(asap_layers(gates, sc.circuit.n_wires))
+    gates, at = sc.circuit.gates, []
+    _layer_walk(gates, sc.circuit.n_wires, at)
     # keep every layer up to the last one holding a non-SWAP gate
     keep = 1 + max((t for g, t in zip(gates, at) if g.kind is not GateKind.SWAP), default=-1)
     circuit = Circuit(sc.circuit.n_wires, tuple(g for g, t in zip(gates, at) if t < keep))
@@ -726,7 +708,6 @@ __all__ = [
     "ScheduledCircuit",
     "ValidationReport",
     "Violation",
-    "asap_layers",
     "cnot",
     "cphase",
     "cz",

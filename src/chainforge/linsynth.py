@@ -72,9 +72,6 @@ class GF2Matrix:
             if _try_inverse(m) is not None:
                 return m
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def inverse(self) -> "GF2Matrix":
         n = self.n
         rows = [r | 1 << (n + i) for i, r in enumerate(self.rows)]  # [A | I], one int per row

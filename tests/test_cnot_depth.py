@@ -119,7 +119,7 @@ def test_expansion_depth_is_a_read(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the expansion was walked again")
 
-    monkeypatch.setattr(core, "_plain_walk", no_walk)
+    monkeypatch.setattr(core, "_layer_walk", no_walk)
     monkeypatch.setattr(core, "_fold_walk", no_walk)
     assert expanded.depth() == want
     assert two_qubit_layer_count(expanded) > 0

@@ -5,22 +5,22 @@ The reference functions below are the layering code as it stood before
 docstrings, and `depth` taken off the class; `ref_prune` is the
 `prune_trailing_swap_layers` body from before it read `asap_layers`. Every
 layer metric must agree with them on seeded random circuits, whichever
-metric reads a circuit first. A circuit computes its metrics in three memoized
-walks: a plain one (depth, two-qubit layers), a staged one (generic depth,
-stage tags) and a fold-aware one (CNOT depth).
+metric reads a circuit first. A circuit computes its metrics in two memoized
+walks: one over the gates as written (depth, two-qubit layers, generic depth,
+stage tags; with a list, also each gate's plain layer, which is not memoized)
+and a fold-aware one (CNOT depth).
 """
 
 from itertools import combinations
 from random import Random
 
 from chainforge import core
-from chainforge.bounds import classify_layers
+from chainforge.bounds import classify_layers, stage_audit
 from chainforge.core import (
     Architecture,
     Circuit,
     GateKind,
     ScheduledCircuit,
-    asap_layers,
     cnot,
     cphase,
     cz,
@@ -91,7 +91,9 @@ def ref_gate_layers(circuit: Circuit) -> list[int]:
 
 
 def gate_layers(circuit: Circuit) -> list[int]:
-    return list(asap_layers(circuit.gates, circuit.n_wires))
+    at: list[int] = []
+    core._layer_walk(circuit.gates, circuit.n_wires, at)
+    return at
 
 
 def ref_two_qubit_layer_count(circuit: Circuit) -> int:
@@ -267,25 +269,24 @@ def test_memoized_metrics_match_the_reference_in_every_call_order():
 
 
 def test_each_walk_runs_at_most_once_per_circuit(monkeypatch):
-    calls = {"plain": 0, "staged": 0}
+    calls = [0]
+    walk = core._layer_walk
 
-    def counted(name, walk):
-        def wrapper(*args):
-            calls[name] += 1
-            return walk(*args)
-        return wrapper
+    def counted(*args):
+        calls[0] += 1
+        return walk(*args)
 
-    monkeypatch.setattr(core, "_plain_walk", counted("plain", core._plain_walk))
-    monkeypatch.setattr(core, "_staged_walk", counted("staged", core._staged_walk))
+    monkeypatch.setattr(core, "_layer_walk", counted)
+    reads = (Circuit.depth, two_qubit_layer_count, generic_depth, classify_layers, stage_audit)
     for c in _circuits():
-        fresh = Circuit(c.n_wires, c.gates)
-        for metric in (Circuit.depth, two_qubit_layer_count) * 2:
-            metric(fresh)
-        assert calls == {"plain": 1, "staged": 0}
-        for metric in METRICS * 2:
-            metric(fresh)
-        assert calls == {"plain": 1, "staged": 1}
-        calls.update(plain=0, staged=0)
+        for shift in range(len(reads)):  # shift 4 reads the audit first
+            fresh = Circuit(c.n_wires, c.gates)
+            for metric in (reads[shift:] + reads[:shift]) * 2:
+                metric(fresh)
+            assert calls == [1], (shift, c)
+            gate_layers(fresh)  # a per-gate list is not memoized: each call walks
+            assert calls == [2], (shift, c)
+            calls[0] = 0
 
 
 def test_read_metrics_leave_equality_and_hash_alone():

@@ -46,7 +46,7 @@ def _gf2(*rows: str) -> GF2Matrix:
 
 def test_matrix_basics():
     a = _gf2("01", "11")
-    assert a.entry(0, 1) == 1 and a.entry(0, 0) == 0
+    assert a.rows == (0b10, 0b11)  # bit j of row i is entry (i, j)
     assert a.to_strings() == ["01", "11"]
     assert a.inverse() == _gf2("11", "10")
     assert a.inverse().inverse() == a

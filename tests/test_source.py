@@ -1,5 +1,5 @@
-"""Source hygiene: every exported name exists, no module imports a name it never uses, and
-the README's Python examples run."""
+"""Source hygiene: every exported name exists, no module imports a name it never uses, every
+private module-level helper has a caller in the source, and the README's Python examples run."""
 
 import ast
 import importlib
@@ -39,6 +39,22 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _referenced_names(stmt: ast.stmt) -> set[str]:
+    """Names, attributes and `from` imports read in one top-level statement, not counting
+    the name it defines itself."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        out.discard(stmt.name)
+    return out
+
+
 def test_the_module_list_is_found():
     assert {"core", "linsynth", "oracle", "stabilizer"} <= set(_MODULES), _MODULES
 
@@ -56,6 +72,19 @@ def test_no_unused_import(name):
     used = _used_names(tree)
     unused = {n: line for n, line in _imported_names(tree).items() if n not in used}
     assert not unused, f"{name}.py imports names it never uses (name: line): {unused}"
+
+
+def test_every_private_helper_has_a_source_caller():
+    """A module-level `_name` function or class is read somewhere in the package, outside its
+    own definition; one that only tests call belongs in the tests or nowhere."""
+    referenced, private = set(), {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            referenced |= _referenced_names(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                private[stmt.name] = f"{path.name}:{stmt.lineno}"
+    uncalled = {name: at for name, at in private.items() if name not in referenced}
+    assert not uncalled, f"private helpers with no caller in the source: {uncalled}"
 
 
 def test_the_readme_has_python_examples():
