@@ -104,7 +104,6 @@ from .skeleton import (
     parse_skeleton,
     schedule_lnn,
     stage_of,
-    stage_pairs,
     staged_schedule,
 )
 from .stabilizer import (

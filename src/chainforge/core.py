@@ -183,8 +183,19 @@ class Circuit:
             return None
 
 
-def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> tuple[int, int]:
-    """(depth, two-qubit layer count) of the gates' CNOT expansion, appended to `out` if given.
+def _known_circuit(n_wires: int, gates: tuple[Gate, ...], distinct: tuple[Gate, ...]) -> Circuit:
+    """A Circuit of gates already checked on these wires, each of whose objects is in
+    `distinct`: no position is scanned."""
+    circuit = object.__new__(Circuit)
+    circuit.__dict__.update(n_wires=n_wires, gates=gates, _distinct=distinct)
+    return circuit
+
+
+def _fold_walk(
+    gates: Sequence[Gate], n_wires: int, out: list | None = None, three_on: dict | None = None
+) -> tuple[int, int]:
+    """(depth, two-qubit layer count) of the gates' CNOT expansion, appended to `out` if given,
+    with each SWAP pair's three CNOTs, made once, in `three_on` (given with `out`).
     A SWAP right after a CNOT on both its wires folds: the pair becomes the
     reversed CNOT then the CNOT, one layer past the CNOT. Any other SWAP is
     three CNOTs. One-qubit gates block folding, unlike `generic_depth`'s fuse
@@ -194,7 +205,6 @@ def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> 
     free = [0] * n_wires  # first layer each wire is free in
     two_qubit = bytearray(3 * len(gates))  # 1 at each layer holding a two-qubit gate
     pend = [0] * n_wires  # 1 + expansion index of an unfolded CNOT last on each wire, else 0
-    three_on: dict[tuple[int, int], tuple[Gate, Gate, Gate]] = {}  # (a, b) -> SWAP as 3 CNOTs
     cnot_kind, swap_kind, m = GateKind.CNOT, GateKind.SWAP, 0  # m: the expansion's length
     for g in gates:
         kind, qs, _ = g

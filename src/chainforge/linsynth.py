@@ -32,10 +32,11 @@ from .core import (
     _bit_string,
     _fold_walk,
     _headed_lines,
+    _known_circuit,
     cnot,
     is_permutation,
 )
-from .skeleton import SkeletonSpec, Slot, staged_schedule
+from .skeleton import SkeletonSpec, Slot, _check_placement, staged_schedule
 
 Pair = tuple[int, int]
 
@@ -136,19 +137,22 @@ class GaussJordanTrace:
 
     def gates_in_order(self) -> list[Gate]:
         """The trace's gates in elimination time order."""
-        out: list[Gate] = []
+        return self._replay({})
+
+    def _replay(self, table: dict[Pair, Gate]) -> list[Gate]:
+        """`gates_in_order`, each CNOT read from `table` by (control, target), made there once."""
+        pairs: list[Pair] = []
         for c in range(self.n - 1):
             j = self.pivot_donor[c]
             if j is not None:
-                out.append(cnot(j, c))
-            for s in range(c + 1, self.n):
-                if (c, s) in self.lower:
-                    out.append(cnot(c, s))
+                pairs.append((j, c))
+            pairs.extend((c, s) for s in range(c + 1, self.n) if (c, s) in self.lower)
         for l in range(self.n - 1, 0, -1):
-            for k in range(l - 1, -1, -1):
-                if (k, l) in self.upper:
-                    out.append(cnot(l, k))
-        return out
+            pairs.extend((l, k) for k in range(l - 1, -1, -1) if (k, l) in self.upper)
+        for pr in pairs:
+            if pr not in table:
+                table[pr] = cnot(*pr)
+        return [table[pr] for pr in pairs]
 
 
 def gauss_jordan(a: GF2Matrix) -> GaussJordanTrace:
@@ -248,24 +252,19 @@ def schedule_parts(
 
     Every scheduled part flips the placement end to end, so consecutive
     parts need no routing between them; empty parts are skipped and leave
-    the placement alone. Returns site-level gates and the exit placement.
+    the placement alone. The placement is checked once, before the parts,
+    even when every part is empty. Returns site-level gates and the exit
+    placement.
     """
     n = parts.n
-    placement = tuple(initial_placement if initial_placement is not None else range(n))
+    placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
     gates: list[Gate] = []
     for spec, reversed_labels in _part_specs(parts):
-        if reversed_labels:
-            entry = tuple(placement[n - 1 - w] for w in range(n))
-        else:
-            entry = placement
-        plans, out = staged_schedule(spec, entry)
+        plans, out = staged_schedule(spec, placement[::-1] if reversed_labels else placement)
         for plan in plans:
             gates.extend(plan.payload)
             gates.extend(plan.swaps)
-        if reversed_labels:
-            placement = tuple(out[n - 1 - w] for w in range(n))
-        else:
-            placement = out
+        placement = out[::-1] if reversed_labels else out
     return gates, placement
 
 
@@ -289,11 +288,17 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     followed by same-direction); a bare SWAP becomes three. One-qubit gates
     pass through and block folding across them. The result arrives layered
     by `Circuit.cnot_depth`'s walk: with no SWAP left, its plain layering is
-    the fold-aware one, so `depth()` is a read.
+    the fold-aware one, so `depth()` is a read. It also arrives with its
+    distinct gates, the input's plus the CNOTs the walk made, so building
+    it costs no rescan of its positions.
     """
     out: list[Gate] = []
-    layers = _fold_walk(circuit.gates, circuit.n_wires, out)
-    expanded = Circuit(circuit.n_wires, tuple(out))
+    three_on: dict[Pair, tuple[Gate, Gate, Gate]] = {}  # (a, b) -> SWAP as 3 CNOTs
+    layers = _fold_walk(circuit.gates, circuit.n_wires, out, three_on)
+    # the input's gates were checked on these wires and the walk made the rest
+    kept = [g for g in circuit._distinct if g.kind is not GateKind.SWAP]
+    made = [g for ab, ba, _ in three_on.values() for g in (ab, ba)]
+    expanded = _known_circuit(circuit.n_wires, tuple(out), (*kept, *made))
     expanded.__dict__.update(_plain_layers=layers, _cnot_depth=layers[0])
     return expanded
 

@@ -10,10 +10,15 @@ Slots are grouped into 2n-3 stages by coordinate sum: slot (a, b) sits in
 stage a + b (1-based). Stages have pairwise disjoint supports, and slots
 sharing a wire keep their lexicographic order across stages, so executing
 stage by stage is equivalent to executing slots in lexicographic order.
+
+The sites are known in closed form. From the identity placement, slot
+(a, b) with d = b - a runs on sites (d - 1, d), wire a on site d - 1; from
+the reversal the sites are mirrored, wire a on n - d and wire b on n - 1 - d.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from typing import AbstractSet, Iterator, Mapping, NamedTuple, Sequence
 
@@ -27,7 +32,6 @@ from .core import (
     _AtLine,
     _gate,
     _headed_lines,
-    is_permutation,
     swap,
 )
 
@@ -130,13 +134,6 @@ def n_stages(n: int) -> int:
     return 2 * n - 3 if n >= 2 else 0
 
 
-def stage_pairs(n: int, stage: int) -> list[Pair]:
-    """Slots of the given stage (1-based, 1..2n-3), smaller wire ascending."""
-    if not 1 <= stage <= n_stages(n):
-        raise ValueError(f"stage {stage} outside 1..{n_stages(n)}")
-    return [(a, stage - a) for a in range(max(0, stage - n + 1), (stage + 1) // 2)]
-
-
 def stage_of(a: int, b: int) -> int:
     return a + b
 
@@ -151,11 +148,8 @@ class StagePlan(NamedTuple):
 
 def _check_placement(placement: Sequence[int], n: int) -> tuple[int, ...]:
     pl = tuple(placement)
-    if not is_permutation(pl, n):
-        raise ValueError(f"placement {pl} is not a permutation of 0..{n - 1}")
-    # consecutive wires on consecutive sites, all one way (a spec has n >= 2)
-    if {pl[i + 1] - pl[i] for i in range(n - 1)} not in ({1}, {-1}):
-        raise ValueError(f"placement {pl} must map the wire chain onto the site chain")
+    if pl != tuple(range(n)) and pl != tuple(range(n - 1, -1, -1)):
+        raise ValueError(f"placement {pl} must lay the wire chain along the site chain, in order or reversed")
     return pl
 
 
@@ -167,39 +161,50 @@ def staged_schedule(
     The placement (wire -> site) must lay the wire chain along the site
     chain in order or reversed; the uniform SWAP pattern keeps every slot's
     wires adjacent when its stage runs, and flips the placement overall.
+    Sites come from the closed form in the module docstring: each listed
+    slot is read once, and no slot's wires are walked from site to site.
     """
     n = spec.n
-    loc = list(_check_placement(initial_placement or range(n), n))
-    slots, fill, cnot_kind = spec._slots, spec._fill, GateKind.CNOT
-    # a chain has only n-1 site pairs, so each re-placed payload, keyed by
-    # (kind, sites, param), and each SWAP is made and validated once per call
+    loc = list(_check_placement(range(n) if initial_placement is None else initial_placement, n))
+    flip = loc[0] != 0  # the reversal (a spec has n >= 2)
+    slots, fill = spec._slots, spec._fill
+    # a payload's site gate depends only on its slot and d = b - a; each
+    # distinct one, keyed by (kind, sites, param), is made once per call
     made: dict[tuple, Gate] = {}
-    swap_on: dict[Pair, Gate] = {}
+    by_slot: dict[tuple[Slot, int], Gate] = {}
+
+    def site_gate(e: Slot, d: int) -> Gate:
+        kind, from_larger, param = e
+        i = n - 1 - d if flip else d - 1  # the slot's lower site, wire a's unless flipped
+        if kind is GateKind.CNOT:  # a CNOT keeps its direction
+            key = (kind, (i + 1, i) if from_larger != flip else (i, i + 1), None)
+        else:  # a symmetric gate stores its sites ascending
+            key = (kind, (i, i + 1), param)
+        g = made.get(key)
+        if g is None:
+            g = made[key] = Gate(*key)
+        by_slot[e, d] = g
+        return g
+
+    cells: list[Gate | None] = [None] * (n * n)  # cells[a * n + b]: slot (a, b)'s site gate
+    if fill is not None:  # an unlisted slot's gate depends on d alone; rows are made if used
+        listed = Counter(b - a for a, b in slots)
+        row = [site_gate(fill, d) if listed[d] < n - d else None for d in range(1, n)]
+        for a in range(n - 1):
+            cells[a * n + a + 1 : a * n + n] = row[: n - 1 - a]
+    for (a, b), e in slots.items():
+        cells[a * n + b] = None if e is None else by_slot.get((e, b - a)) or site_gate(e, b - a)
+    # table[j] swaps the lower site n - 1 - d from the reversal, d - 1 from the identity
+    table = [swap(i, i + 1) for i in range(n - 1)]
+    if not flip:
+        table.reverse()
     plans: list[StagePlan] = []
     for s in range(1, n_stages(n) + 1):
-        payload: list[Gate] = []
-        swaps: list[Gate] = []
-        before = tuple(loc)
-        for a, b in stage_pairs(n, s):
-            sa, sb = loc[a], loc[b]
-            sites = (sa, sb) if sa < sb else (sb, sa)
-            e = slots.get((a, b), fill)
-            if e is not None:
-                kind, from_larger, param = e
-                if kind is cnot_kind:  # a CNOT keeps its direction
-                    key = (kind, (sb, sa) if from_larger else (sa, sb), None)
-                else:  # a symmetric gate stores its sites ascending
-                    key = (kind, sites, param)
-                pg = made.get(key)
-                if pg is None:
-                    pg = made[key] = Gate(*key)
-                payload.append(pg)
-            sw = swap_on.get(sites)
-            if sw is None:
-                sw = swap_on[sites] = swap(*sites)
-            swaps.append(sw)
-            loc[a], loc[b] = sb, sa
-        plans.append(StagePlan(tuple(payload), tuple(swaps), before))
+        lo, hi = max(0, s - n + 1), (s + 1) // 2  # the stage's slots are (a, s - a), lo <= a < hi
+        j = n - 1 - s
+        payload = filter(None, cells[lo * (n - 1) + s : hi * (n - 1) + s : n - 1])  # a ascending
+        plans.append(StagePlan(tuple(payload), tuple(table[j + 2 * lo : j + 2 * hi : 2]), tuple(loc)))
+        loc[lo:hi], loc[s - lo : s - hi : -1] = loc[s - lo : s - hi : -1], loc[lo:hi]
     return plans, tuple(loc)
 
 
@@ -262,6 +267,5 @@ __all__ = [
     "parse_skeleton",
     "schedule_lnn",
     "stage_of",
-    "stage_pairs",
     "staged_schedule",
 ]

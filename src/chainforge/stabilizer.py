@@ -89,16 +89,18 @@ def stabilizer_flat(d: StageDecomposition) -> Circuit:
 
     Each C stage is realized by replaying its elimination trace backwards:
     the trace's gates reduce C to the identity, and CNOTs are involutions,
-    so the reversed gate list computes C itself.
+    so the reversed gate list computes C itself. The five replays share one
+    CNOT per ordered pair.
     """
     gates: list[Gate] = []
+    cnots: dict[tuple[int, int], Gate] = {}
     for kind, content in d.stages():
         if kind == "h":
             gates.extend(h(w) for w in _mask_wires(content, d.n))
         elif kind == "p":
             gates.extend(p(w) for w in _mask_wires(content, d.n))
         else:
-            gates.extend(reversed(gauss_jordan(content).gates_in_order()))
+            gates.extend(reversed(gauss_jordan(content)._replay(cnots)))
     return Circuit(d.n, tuple(gates))
 
 

@@ -126,6 +126,29 @@ def test_expansion_depth_is_a_read(monkeypatch):
     assert expanded.cnot_depth() == expanded.depth()
 
 
+def test_expansion_arrives_with_its_distinct_gates(monkeypatch):
+    """Every object of an expansion is among the distinct gates it arrives with,
+    so the placement check reads them as it reads a fresh Circuit's, and no
+    position of the expansion is scanned."""
+    rng = Random(SEED)
+    circuits = [Circuit(2, gates) for gates, _ in HAND_MADE]
+    circuits += [_random_circuit(rng) for _ in range(N_CIRCUITS)]
+    circuits += [c for n in (5, 12) for _, c, has_form in _generated(n, Random(n)) if has_form]
+    scans = []
+    real = Circuit.__post_init__
+    monkeypatch.setattr(Circuit, "__post_init__", lambda self: scans.append(self) or real(self))
+    for c in circuits:
+        expanded = expand_circuit_to_cnot(c)
+        assert scans == [], c
+        distinct = {id(g) for g in expanded._distinct}
+        assert len(distinct) == len(expanded._distinct)
+        assert all(id(g) in distinct for g in expanded.gates), c
+        fresh = Circuit(c.n_wires, expanded.gates)
+        scans.clear()
+        arch = Architecture.lnn(c.n_wires)
+        assert validate_on(expanded, arch) == validate_on(fresh, arch), c
+
+
 def test_validate_on_names_the_first_off_edge_gate():
     arch = Architecture.lnn(4)
     bad = Gate(GateKind.CNOT, (2, 0))

@@ -26,6 +26,7 @@ from chainforge.linsynth import (
     gauss_jordan,
     parse_gf2,
     rearrange,
+    schedule_parts,
     synthesize_lnn,
 )
 from chainforge.oracle import gf2_action, unitary_equiv
@@ -145,6 +146,15 @@ def test_synthesize_identity_and_one_wire():
         assert len(sc.circuit) == 0 and sc.final_map == (0,)
     with pytest.raises(SingularMatrixError, match=r"^matrix is singular \(no pivot in column 0\)$"):
         synthesize_lnn(GF2Matrix(1, (0,)))
+
+
+def test_schedule_parts_checks_the_placement_even_with_no_part():
+    empty = rearrange(gauss_jordan(_identity(3)))
+    for placement in ((7, 7, 9), (), (1, 0, 2)):
+        with pytest.raises(ValueError, match="placement"):
+            schedule_parts(empty, placement)
+    assert schedule_parts(empty, (2, 1, 0)) == ([], (2, 1, 0))
+    assert schedule_parts(empty) == ([], (0, 1, 2))
 
 
 def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):

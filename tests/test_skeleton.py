@@ -32,27 +32,57 @@ from chainforge.skeleton import (
     parse_skeleton,
     schedule_lnn,
     stage_of,
-    stage_pairs,
     staged_schedule,
 )
 
 
-def test_stage_pairs_partition_all_pairs():
+def _stage_pairs(n: int, stage: int) -> list[tuple[int, int]]:
+    return [pr for pr in all_pairs(n) if stage_of(*pr) == stage]
+
+
+def test_stages_partition_all_pairs():
     for n in range(2, 9):
+        plans, _ = staged_schedule(SkeletonSpec(n))
+        assert len(plans) == n_stages(n)
         seen = []
-        for s in range(1, n_stages(n) + 1):
-            pairs = stage_pairs(n, s)
-            assert all(stage_of(a, b) == s for a, b in pairs)
+        for s, plan in enumerate(plans, start=1):
+            pairs = _stage_pairs(n, s)
             wires = [w for pr in pairs for w in pr]
             assert len(wires) == len(set(wires)), "stage must be wire-disjoint"
+            assert len(plan.swaps) == len(plan.payload) == len(pairs)
             seen.extend(pairs)
         assert sorted(seen) == sorted(all_pairs(n))
 
 
 def test_stage_sizes_for_five_wires():
-    sizes = [len(stage_pairs(5, s)) for s in range(1, 8)]
-    assert sizes == [1, 1, 2, 2, 2, 1, 1]
-    assert stage_pairs(5, 5) == [(1, 4), (2, 3)]
+    plans, _ = staged_schedule(SkeletonSpec(5))
+    assert [len(plan.swaps) for plan in plans] == [1, 1, 2, 2, 2, 1, 1]
+    assert _stage_pairs(5, 5) == [(1, 4), (2, 3)]
+
+
+def test_slot_sites_follow_the_closed_form():
+    """Slot (a, b), d = b - a, runs at stage a + b on sites (d - 1, d) from the
+    identity, wire a on d - 1, and on the mirror (n - d, n - 1 - d) from the reversal."""
+    for n in range(2, 13):
+        spec = SkeletonSpec(n, payload={pr: cnot(*pr) for pr in all_pairs(n)})
+        for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
+            plans, final = staged_schedule(spec, placement)
+            assert final == placement[::-1]
+            for s, plan in enumerate(plans, start=1):
+                for (a, b), g, sw in zip(_stage_pairs(n, s), plan.payload, plan.swaps, strict=True):
+                    d = b - a
+                    sites = (d - 1, d) if placement[0] == 0 else (n - d, n - 1 - d)
+                    assert g == cnot(*sites)  # control on wire a's site
+                    assert (plan.placement_before[a], plan.placement_before[b]) == sites
+                    assert sw == swap(*sites)
+
+
+def test_an_empty_placement_is_not_the_default():
+    with pytest.raises(ValueError, match="placement"):
+        staged_schedule(SkeletonSpec(3), ())
+    for placement in ((0, 1, 2, 3), (1, 2, 0), (0, 2, 1)):
+        with pytest.raises(ValueError, match="placement"):
+            staged_schedule(SkeletonSpec(3), placement)
 
 
 def test_spec_validation():
@@ -124,8 +154,8 @@ def test_drop_last_swaps():
     spec = SkeletonSpec(4)
     full = schedule_lnn(spec)
     trimmed = schedule_lnn(spec, drop_last_swaps=True)
-    assert len(trimmed.circuit) == len(full.circuit) - len(stage_pairs(4, n_stages(4)))
     plans, _ = staged_schedule(spec)
+    assert len(trimmed.circuit) == len(full.circuit) - len(plans[-1].swaps)
     assert trimmed.final_map == plans[-1].placement_before
 
 
@@ -153,9 +183,7 @@ def test_stage_assignment_honors_absence():
 
 def test_shared_wire_pairs_meet_in_lexicographic_order():
     """The staged order equals lexicographic order wherever pairs share a wire."""
-    seen: list[tuple[int, int]] = []
-    for s in range(1, n_stages(6) + 1):
-        seen.extend(stage_pairs(6, s))
+    seen = [pr for s in range(1, n_stages(6) + 1) for pr in _stage_pairs(6, s)]
     for i, pr in enumerate(seen):
         for later in seen[i + 1 :]:
             if set(pr) & set(later):

@@ -5,8 +5,11 @@
 as they stood before specs kept a slot map, copied unchanged apart from
 their names and docstrings: each spec is a public `SkeletonSpec` with an
 all-pairs `absent` complement and one template `Gate` per present pair.
-Plans (payload, swaps, placement_before), final placements and whole
-circuits must be identical on seeded cases.
+`ref_staged_schedule` walks every slot's wires from site to site; its
+`stage_pairs` is the skeleton's stage listing as it stood then, kept here
+since the scheduler reads sites in closed form. Plans (payload, swaps,
+placement_before), final placements and whole circuits must be identical
+on seeded cases.
 """
 
 from random import Random
@@ -19,11 +22,11 @@ from chainforge.linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_par
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import (
     SkeletonSpec,
+    Slot,
     StagePlan,
     _check_placement,
     all_pairs,
     n_stages,
-    stage_pairs,
     staged_schedule,
 )
 from chainforge.stabilizer import random_decomposition, schedule_stabilizer
@@ -31,6 +34,13 @@ from chainforge.stabilizer import random_decomposition, schedule_stabilizer
 SEED = 20261019
 
 Pair = tuple[int, int]
+
+
+def stage_pairs(n: int, stage: int) -> list[Pair]:
+    """Slots of the given stage (1-based, 1..2n-3), smaller wire ascending."""
+    if not 1 <= stage <= n_stages(n):
+        raise ValueError(f"stage {stage} outside 1..{n_stages(n)}")
+    return [(a, stage - a) for a in range(max(0, stage - n + 1), (stage + 1) // 2)]
 
 
 def ref_part_specs(parts: linsynth.RearrangedParts) -> list[tuple[SkeletonSpec, bool]]:
@@ -156,10 +166,35 @@ def _mixed_spec(n: int, rng: Random) -> SkeletonSpec:
     return SkeletonSpec(n, frozenset(absent), payload)
 
 
+def _on_pairs_spec(n: int, rng: Random) -> SkeletonSpec:
+    """Random listed slots of every kind, cnot both ways; the rest absent."""
+    slots = {}
+    for a, b in all_pairs(n):
+        choices = (
+            Slot(GateKind.CNOT),
+            Slot(GateKind.CNOT, True),
+            Slot(GateKind.CZ),
+            Slot(GateKind.CPHASE, False, rng.randint(1, n)),
+            Slot(GateKind.GENERIC2),
+        )
+        pick = rng.randrange(len(choices) + 1)
+        if pick < len(choices):
+            slots[a, b] = choices[pick]
+    return SkeletonSpec.on_pairs(n, slots)
+
+
 def test_mixed_public_specs_match_the_reference():
     rng = Random(SEED + 1)
-    for n in range(2, 25):
+    for n in range(2, 41):
         spec = _mixed_spec(n, rng)
+        for placement in (None, tuple(range(n - 1, -1, -1))):
+            assert staged_schedule(spec, placement) == ref_staged_schedule(spec, placement)
+
+
+def test_on_pairs_specs_match_the_reference():
+    rng = Random(SEED + 3)
+    for n in range(2, 41):
+        spec = _on_pairs_spec(n, rng)
         for placement in (None, tuple(range(n - 1, -1, -1))):
             assert staged_schedule(spec, placement) == ref_staged_schedule(spec, placement)
 

@@ -1,10 +1,12 @@
 """Pauli tableau simulation and 11-stage scheduling."""
 
+from collections import Counter
 from random import Random
 
 import numpy as np
 import pytest
 
+import chainforge.core as core
 import chainforge.stabilizer as stab
 from chainforge.core import (
     Circuit,
@@ -19,7 +21,7 @@ from chainforge.core import (
     p,
     swap,
 )
-from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot
+from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot, gauss_jordan
 from chainforge.oracle import circuit_unitary
 from chainforge.stabilizer import (
     PauliTableau,
@@ -242,6 +244,36 @@ def test_flat_reference_and_schedule_agree():
         sc = schedule_stabilizer(d)
         assert tableau_equiv(sc.circuit, flat, relabel=sc.final_map)
         assert generic_depth(sc.circuit) <= 30 * n - 45
+
+
+def _ref_stabilizer_flat(d: StageDecomposition) -> Circuit:
+    """Reference: each C stage replays its own trace, with CNOTs made per stage."""
+    gates = []
+    for kind, content in d.stages():
+        if kind == "c":
+            gates.extend(reversed(gauss_jordan(content).gates_in_order()))
+        else:
+            gates.extend((h if kind == "h" else p)(w) for w in range(d.n) if content >> w & 1)
+    return Circuit(d.n, tuple(gates))
+
+
+def test_flat_reference_makes_one_cnot_per_ordered_pair(monkeypatch):
+    rng = Random(23)
+    for n in (2, 5, 16, 40):
+        d = random_decomposition(n, rng)
+        made: Counter = Counter()
+        real = core.validate_gate
+
+        def counting(g):
+            if g.kind is GateKind.CNOT:
+                made[g.qubits] += 1
+            real(g)
+
+        monkeypatch.setattr(core, "validate_gate", counting)
+        flat = stabilizer_flat(d)
+        monkeypatch.undo()
+        assert flat == _ref_stabilizer_flat(d)
+        assert sum(made.values()) == len(made) == len({g for g in flat.gates if g.kind is GateKind.CNOT})
 
 
 def test_schedule_depth_bounds():
