@@ -74,19 +74,8 @@ def _verdict(ok: bool) -> str:
 
 
 def _violation_dicts(report: AuditReport) -> list[dict]:
-    out = []
-    for kind, windows in (("3L1S", report.violations_3l1s), ("4L2S", report.violations_4l2s)):
-        for w in windows:
-            out.append(
-                {
-                    "kind": kind,
-                    "first_layer": w.first_layer,
-                    "last_layer": w.last_layer,
-                    "swaps_between": w.swaps_between,
-                    "required": w.required,
-                }
-            )
-    return out
+    pairs = (("3L1S", report.violations_3l1s), ("4L2S", report.violations_4l2s))
+    return [{"kind": kind, **w._asdict()} for kind, windows in pairs for w in windows]
 
 
 def _json_record(

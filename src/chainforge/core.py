@@ -79,12 +79,12 @@ def validate_gate(g: Gate) -> None:
     elif len(qubits) != 2 or qubits[0] == qubits[1]:
         raise ValueError(f"{kind.value} needs two distinct wires, got {qubits}")
     if kind is GateKind.CPHASE:
-        if not isinstance(param, int) or not 1 <= param <= MAX_WIRES:
+        if type(param) is not int or not 1 <= param <= MAX_WIRES:
             raise ValueError(f"cphase needs an integer parameter k in 1..{MAX_WIRES}, got {param}")
     elif param is not None:
         raise ValueError(f"{kind.value} takes no parameter")
     for q in qubits:
-        if not isinstance(q, int) or q < 0:
+        if type(q) is not int or q < 0:
             raise ValueError(f"wire indices must be non-negative integers, got {qubits}")
     if not one_qubit and kind is not GateKind.CNOT and qubits[0] > qubits[1]:
         raise ValueError(f"{kind.value} is symmetric and stores its wires ascending, got {qubits}")
@@ -633,7 +633,7 @@ def parse_circuit(text: str) -> Circuit:
             toks = line.split()
             g = seen[line] = _gate(lineno, toks[0], toks[1:], n)
         gates.append(g)
-    return Circuit(n, tuple(gates))
+    return _known_circuit(n, tuple(gates), tuple(seen.values()))  # `_gate` checked each one
 
 
 def emit_circuit(circuit: Circuit) -> str:

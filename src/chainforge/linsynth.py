@@ -18,6 +18,7 @@ compose exactly like the circuits they came from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Sequence
 
@@ -260,11 +261,9 @@ def schedule_parts(
     placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
     gates: list[Gate] = []
     for spec, reversed_labels in _part_specs(parts):
-        plans, out = staged_schedule(spec, placement[::-1] if reversed_labels else placement)
-        for plan in plans:
-            gates.extend(plan.payload)
-            gates.extend(plan.swaps)
-        placement = out[::-1] if reversed_labels else out
+        plans, _ = staged_schedule(spec, placement[::-1] if reversed_labels else placement)
+        gates.extend(chain.from_iterable(chain.from_iterable(plans)))  # each stage's payload, then SWAPs
+        placement = placement[::-1]  # every part flips it end to end
     return gates, placement
 
 

@@ -8,7 +8,10 @@ is the DFT matrix on 2**n points.
 The line-scheduled form drives the same gates through the all-pairs
 skeleton. The schedule runs in 2n-3 payload stages plus SWAP stages, and
 Hadamards are woven in: H(a) right before stage 2a+1 (where wire a's first
-phase gate sits) and H(n-1) at the very end. Only H(0) and H(n-1) occupy
+phase gate sits) and H(n-1) at the very end. Placements come from the
+skeleton's closed form, not from a walk: wire a first meets a+1 on sites
+(0, 1) and wire n-1 ends on site 0, so every Hadamard acts on site 0, and
+the final placement is the entry one reversed. Only H(0) and H(n-1) occupy
 layers of their own, so the full transform's depth is 4n-4 for n >= 2. A
 truncated spec leaves its dropped slots empty and keeps every SWAP.
 """
@@ -80,15 +83,14 @@ def qft_lnn(spec: QftSpec) -> ScheduledCircuit:
     if n == 1:
         return ScheduledCircuit(Circuit(1, (h(0),)), Architecture.lnn(1), (0,))
     plans, final = staged_schedule(_skeleton_for(spec))
+    h0 = h(0)  # every Hadamard sits on site 0
     gates: list[Gate] = []
     for idx, plan in enumerate(plans):
-        a = idx // 2
-        if idx % 2 == 0 and a < n - 1:
-            # wire a's first slot, pair (a, a+1), lives in this stage
-            gates.append(h(plan.placement_before[a]))
+        if idx % 2 == 0:  # wire idx // 2 first meets its successor here, on sites (0, 1)
+            gates.append(h0)
         gates.extend(plan.payload)
         gates.extend(plan.swaps)
-    gates.append(h(final[n - 1]))
+    gates.append(h0)  # wire n - 1 ends on site 0
     return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), final)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import chain
 from typing import AbstractSet, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -29,6 +30,7 @@ from .core import (
     GateKind,
     ParseError,
     ScheduledCircuit,
+    _ARITY,
     _AtLine,
     _gate,
     _headed_lines,
@@ -99,18 +101,28 @@ class SkeletonSpec:
 
     @classmethod
     def on_pairs(cls, n: int, slots: Mapping[Pair, Slot]) -> SkeletonSpec:
-        """The spec whose present pairs are exactly the listed ones; no `Gate` is made."""
+        """The spec whose present pairs are exactly the listed ones; no `Gate` is made.
+        Each distinct slot is checked once; a cphase's k range is left to `Gate`."""
+        slots = dict(slots)
+        for e, pr in dict(zip(slots.values(), slots)).items():  # each distinct slot, with one pair holding it
+            if type(e) is not Slot:
+                raise ValueError(f"slot {pr} holds {e!r}, not a Slot")
+            kind, from_larger, param = e
+            if type(kind) is not GateKind or _ARITY[kind] != 2:
+                raise ValueError(f"slot {pr} holds {kind!r}, not a two-wire gate kind")
+            k_ok = type(param) is int if kind is GateKind.CPHASE else param is None
+            if type(from_larger) is not bool or from_larger and kind is not GateKind.CNOT or not k_ok:
+                reason = "from_larger is a bool, True only on a CNOT, and a cphase, alone, needs an integer k"
+                raise ValueError(f"slot {pr} holds {e}: {reason}")
         spec = cls.__new__(cls)
-        spec._bind(n, dict(slots), None)
+        spec._bind(n, slots, None)
         return spec
 
     def _bind(self, n: int, slots: dict[Pair, Slot | None], fill: Slot | None) -> None:
         if n < 2:
             raise ValueError(f"skeleton needs n >= 2, got {n}")
-        for (a, b), e in slots.items():
+        for a, b in slots:
             _check_pair(a, b, n)
-            if e is not None and type(e) is not Slot:
-                raise ValueError(f"slot ({a}, {b}) holds {e!r}, not a Slot")
         self.n, self._slots, self._fill = n, slots, fill
         self.absent = _Absent(n, slots, fill)
 
@@ -143,7 +155,6 @@ class StagePlan(NamedTuple):
 
     payload: tuple[Gate, ...]
     swaps: tuple[Gate, ...]
-    placement_before: tuple[int, ...]
 
 
 def _check_placement(placement: Sequence[int], n: int) -> tuple[int, ...]:
@@ -156,34 +167,27 @@ def _check_placement(placement: Sequence[int], n: int) -> tuple[int, ...]:
 def staged_schedule(
     spec: SkeletonSpec, initial_placement: Sequence[int] | None = None
 ) -> tuple[list[StagePlan], tuple[int, ...]]:
-    """Stage-by-stage site gates plus the final placement.
+    """Stage-by-stage site gates plus the final placement, the entry one reversed.
 
     The placement (wire -> site) must lay the wire chain along the site
     chain in order or reversed; the uniform SWAP pattern keeps every slot's
     wires adjacent when its stage runs, and flips the placement overall.
     Sites come from the closed form in the module docstring: each listed
-    slot is read once, and no slot's wires are walked from site to site.
+    slot is read once, and no wire is walked from site to site.
     """
     n = spec.n
-    loc = list(_check_placement(range(n) if initial_placement is None else initial_placement, n))
-    flip = loc[0] != 0  # the reversal (a spec has n >= 2)
+    placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
+    flip = placement[0] != 0  # the reversal (a spec has n >= 2)
     slots, fill = spec._slots, spec._fill
-    # a payload's site gate depends only on its slot and d = b - a; each
-    # distinct one, keyed by (kind, sites, param), is made once per call
-    made: dict[tuple, Gate] = {}
-    by_slot: dict[tuple[Slot, int], Gate] = {}
+    # a payload's site gate depends only on its slot and d = b - a; each is made once per call
+    made: dict[tuple[Slot, int], Gate] = {}
 
     def site_gate(e: Slot, d: int) -> Gate:
         kind, from_larger, param = e
         i = n - 1 - d if flip else d - 1  # the slot's lower site, wire a's unless flipped
-        if kind is GateKind.CNOT:  # a CNOT keeps its direction
-            key = (kind, (i + 1, i) if from_larger != flip else (i, i + 1), None)
-        else:  # a symmetric gate stores its sites ascending
-            key = (kind, (i, i + 1), param)
-        g = made.get(key)
-        if g is None:
-            g = made[key] = Gate(*key)
-        by_slot[e, d] = g
+        # a CNOT keeps its direction; a symmetric gate stores its sites ascending
+        sites = (i + 1, i) if kind is GateKind.CNOT and from_larger != flip else (i, i + 1)
+        g = made[e, d] = Gate(kind, sites, param)
         return g
 
     cells: list[Gate | None] = [None] * (n * n)  # cells[a * n + b]: slot (a, b)'s site gate
@@ -193,7 +197,7 @@ def staged_schedule(
         for a in range(n - 1):
             cells[a * n + a + 1 : a * n + n] = row[: n - 1 - a]
     for (a, b), e in slots.items():
-        cells[a * n + b] = None if e is None else by_slot.get((e, b - a)) or site_gate(e, b - a)
+        cells[a * n + b] = None if e is None else made.get((e, b - a)) or site_gate(e, b - a)
     # table[j] swaps the lower site n - 1 - d from the reversal, d - 1 from the identity
     table = [swap(i, i + 1) for i in range(n - 1)]
     if not flip:
@@ -203,22 +207,17 @@ def staged_schedule(
         lo, hi = max(0, s - n + 1), (s + 1) // 2  # the stage's slots are (a, s - a), lo <= a < hi
         j = n - 1 - s
         payload = filter(None, cells[lo * (n - 1) + s : hi * (n - 1) + s : n - 1])  # a ascending
-        plans.append(StagePlan(tuple(payload), tuple(table[j + 2 * lo : j + 2 * hi : 2]), tuple(loc)))
-        loc[lo:hi], loc[s - lo : s - hi : -1] = loc[s - lo : s - hi : -1], loc[lo:hi]
-    return plans, tuple(loc)
+        plans.append(StagePlan(tuple(payload), tuple(table[j + 2 * lo : j + 2 * hi : 2])))
+    return plans, placement[::-1]
 
 
 def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> ScheduledCircuit:
     """Execute the skeleton on a line, one payload stage + one SWAP stage each."""
     plans, final = staged_schedule(spec)
-    gates: list[Gate] = []
-    for i, plan in enumerate(plans):
-        gates.extend(plan.payload)
-        if drop_last_swaps and i == len(plans) - 1:
-            final = plan.placement_before
-        else:
-            gates.extend(plan.swaps)
-    return ScheduledCircuit(Circuit(spec.n, tuple(gates)), Architecture.lnn(spec.n), final)
+    gates = tuple(chain.from_iterable(chain.from_iterable(plans)))  # each stage's payload, then SWAPs
+    if drop_last_swaps:  # the last stage is the lone slot (n - 2, n - 1): one SWAP
+        gates, final = gates[:-1], (*final[:-2], final[-1], final[-2])
+    return ScheduledCircuit(Circuit(spec.n, gates), Architecture.lnn(spec.n), final)
 
 
 # --- text format -----------------------------------------------------------

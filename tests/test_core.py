@@ -68,6 +68,21 @@ def test_gate_validation_rejects_bad_shapes():
         validate_gate(Gate(GateKind.SWAP, (0, 1), 1))
 
 
+def test_gates_reject_bool_wires_and_parameters():
+    """A bool passes isinstance(_, int) but would be written as True, which no parser reads."""
+    for make in (
+        lambda: h(True),
+        lambda: p(False),
+        lambda: cnot(0, True),
+        lambda: swap(True, 2),
+        lambda: cphase(True, 0, 1),
+        lambda: Gate(GateKind.CPHASE, (0, 1), False),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    assert emit_circuit(Circuit(2, (h(1), cphase(1, 0, 1)))) == "qubits 2\nh 1\ncphase 1 0 1\n"
+
+
 def test_symmetric_kinds_must_store_wires_ascending():
     for kind, param in (
         (GateKind.CZ, None),
@@ -325,12 +340,56 @@ def test_parse_circuit_error_reporting():
 def test_parse_circuit_validates_each_distinct_line_once(monkeypatch):
     text = emit_circuit(schedule_lnn(SkeletonSpec(16)).circuit)
     distinct = set(text.splitlines()[1:])
-    calls = []
-    real = core.validate_gate
+    calls, scans = [], []
+    real, real_scan = core.validate_gate, Circuit.__post_init__
     monkeypatch.setattr(core, "validate_gate", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(Circuit, "__post_init__", lambda c: scans.append(c) or real_scan(c))
     c = parse_circuit(text)
     assert len(calls) == len(distinct) < len(c.gates)
     assert len({id(g) for g in c.gates}) == len(distinct)  # copies share one Gate
+    assert scans == []  # the checked gates are kept, and no position is scanned again
+    monkeypatch.undo()
+    assert c == Circuit(c.n_wires, c.gates) and c._distinct == Circuit(c.n_wires, c.gates)._distinct
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, reason",
+    [
+        (parse_circuit, "qubits x\nh 0\n", 1, "bad wire count"),
+        (parse_architecture, "# arch\nlnn 3\nedge 0 1\n", 3, "unexpected line"),
+        (parse_architecture, "graph 3\nedge 0 1\nedge 1\n", 3, "expected 'edge a b'"),
+        (parse_architecture, "graph 3\nedge 0 1\nbridge 1 2\n", 3, "expected 'edge a b'"),
+        (parse_architecture, "graph 3\nedge 0 1\nedge 1 x\n", 3, "invalid literal"),
+        (parse_css, "css encode 1 2\n.x\nzy\n", 3, ". x z"),
+        (parse_css, "css syndrome 1 2\nx.\nhadamard\n", 3, "hadamard MASK"),
+        (parse_css, "css syndrome 1 2\nx.\nhadamard 100\nhadamard 100\n", 3, "hadamard MASK"),
+        (parse_css, "css syndrome 1 2\nx.\nhadamard 10\n", 3, "3 characters of 0/1"),
+        (parse_gf2, "gf2 3\n100\n010\n", 1, "expected 3 rows"),
+        (parse_skeleton, "skeleton 3\nabsent 0 1\nremove 0 2\n", 3, "expected 'absent a b'"),
+        (parse_stab, "stab 1\nstage h\n1\nstage p\n1\n", 4, "expected 'stage c'"),
+        (parse_stab, "stab 2\nstage h\n10\nstage c\n10\n", 4, "needs 2 row"),
+    ],
+    ids=[
+        "circuit-wire-count",
+        "lnn-second-line",
+        "edge-short",
+        "edge-keyword",
+        "edge-not-int",
+        "css-type-row",
+        "css-hadamard-no-mask",
+        "css-second-hadamard",
+        "css-hadamard-short-mask",
+        "gf2-few-rows",
+        "skeleton-unknown-line",
+        "stab-wrong-stage",
+        "stab-short-block",
+    ],
+)
+def test_parsers_reject_at_the_line_at_fault(parse, text, line, reason):
+    """Each reject path of the text parsers, at the line and for the reason at fault."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line and reason in err.value.reason
 
 
 def test_oversized_headers_fail_at_line_one():

@@ -17,9 +17,11 @@ from chainforge.core import (
     cz,
     emit_circuit,
     generic2,
+    invert_permutation,
     parse_circuit,
     prune_trailing_swap_layers,
     swap,
+    swap_flow_map,
 )
 from chainforge.linsynth import GF2Matrix, _part_specs, gauss_jordan, rearrange
 from chainforge.qft import QftSpec, _skeleton_for
@@ -68,13 +70,18 @@ def test_slot_sites_follow_the_closed_form():
         for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
             plans, final = staged_schedule(spec, placement)
             assert final == placement[::-1]
+            loc = list(placement)  # wire -> site, replayed through the earlier stages' SWAPs
             for s, plan in enumerate(plans, start=1):
                 for (a, b), g, sw in zip(_stage_pairs(n, s), plan.payload, plan.swaps, strict=True):
                     d = b - a
                     sites = (d - 1, d) if placement[0] == 0 else (n - d, n - 1 - d)
                     assert g == cnot(*sites)  # control on wire a's site
-                    assert (plan.placement_before[a], plan.placement_before[b]) == sites
+                    assert (loc[a], loc[b]) == sites
                     assert sw == swap(*sites)
+                at = invert_permutation(loc)  # site -> wire
+                for x, y in (sw.qubits for sw in plan.swaps):
+                    loc[at[x]], loc[at[y]] = y, x
+            assert tuple(loc) == final
 
 
 def test_an_empty_placement_is_not_the_default():
@@ -135,7 +142,6 @@ def test_payload_direction_follows_placement():
 
 def test_reversed_initial_placement_flips_back():
     plans, final = staged_schedule(SkeletonSpec(4), initial_placement=(3, 2, 1, 0))
-    assert plans[0].placement_before == (3, 2, 1, 0)
     assert final == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         staged_schedule(SkeletonSpec(4), initial_placement=(1, 0, 3, 2))
@@ -156,7 +162,7 @@ def test_drop_last_swaps():
     trimmed = schedule_lnn(spec, drop_last_swaps=True)
     plans, _ = staged_schedule(spec)
     assert len(trimmed.circuit) == len(full.circuit) - len(plans[-1].swaps)
-    assert trimmed.final_map == plans[-1].placement_before
+    assert trimmed.final_map == swap_flow_map(trimmed.circuit)
 
 
 def test_drop_last_swaps_and_pruning_are_different_rules():
@@ -332,6 +338,27 @@ def test_on_pairs_checks_each_listed_pair_and_entry():
     spec = SkeletonSpec.on_pairs(4, {(0, 3): Slot(GateKind.CZ)})
     assert len(spec.absent) == 5 and (0, 3) not in spec.absent and (1, 2) in spec.absent
     assert schedule_lnn(spec).circuit.count(GateKind.CZ) == 1
+
+
+def test_on_pairs_rejects_slots_that_describe_no_two_wire_gate():
+    """Each would schedule, or fail only later in `payload`, `==` or `emit_skeleton`."""
+    for bad in (
+        Slot(GateKind.CZ, True),  # a direction on a symmetric gate
+        Slot(GateKind.GENERIC2, True),
+        Slot(GateKind.CNOT, 5),  # a direction is a bool
+        Slot(GateKind.CNOT, False, 5),  # a parameter on a CNOT
+        Slot(GateKind.SWAP, False, 2),
+        Slot(GateKind.CPHASE),  # a cphase with no k
+        Slot(GateKind.CPHASE, False, True),
+        Slot(GateKind.H),  # a one-wire kind
+        Slot(GateKind.P),
+        Slot("cz"),
+    ):
+        with pytest.raises(ValueError, match=r"slot \(0, 2\)"):
+            SkeletonSpec.on_pairs(3, {(0, 1): Slot(GateKind.CZ), (0, 2): bad})
+    ok = (Slot(GateKind.CNOT, True), Slot(GateKind.CPHASE, False, 2), Slot(GateKind.SWAP))
+    spec = SkeletonSpec.on_pairs(3, dict(zip(all_pairs(3), ok)))
+    assert spec.payload == {(0, 1): cnot(1, 0), (0, 2): cphase(2, 0, 2), (1, 2): swap(1, 2)}
 
 
 def test_specs_are_freed_without_the_cycle_collector():

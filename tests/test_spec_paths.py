@@ -7,9 +7,10 @@ their names and docstrings: each spec is a public `SkeletonSpec` with an
 all-pairs `absent` complement and one template `Gate` per present pair.
 `ref_staged_schedule` walks every slot's wires from site to site; its
 `stage_pairs` is the skeleton's stage listing as it stood then, kept here
-since the scheduler reads sites in closed form. Plans (payload, swaps,
-placement_before), final placements and whole circuits must be identical
-on seeded cases.
+since the scheduler reads sites in closed form. It keeps its `loc` walk,
+which also gives its final placement, but no longer records each stage's
+placement, since plans hold only (payload, swaps). Plans, final placements
+and whole circuits must be identical on seeded cases.
 """
 
 from random import Random
@@ -89,7 +90,6 @@ def ref_staged_schedule(
     for s in range(1, n_stages(n) + 1):
         payload: list[Gate] = []
         swaps: list[Gate] = []
-        before = tuple(loc)
         for a, b in stage_pairs(n, s):
             sa, sb = loc[a], loc[b]
             sites = (sa, sb) if sa < sb else (sb, sa)
@@ -110,7 +110,7 @@ def ref_staged_schedule(
                 sw = swap_on[sites] = swap(*sites)
             swaps.append(sw)
             loc[a], loc[b] = sb, sa
-        plans.append(StagePlan(tuple(payload), tuple(swaps), before))
+        plans.append(StagePlan(tuple(payload), tuple(swaps)))
     return plans, tuple(loc)
 
 
