@@ -14,15 +14,11 @@ from .bounds import (
     AuditWindow,
     BoundArch,
     BoundQuery,
-    LoopWitness,
     LowerBound,
     Model,
     brute_force_min_depth,
     classify_layers,
-    grid_loop_triangles,
-    has_triangle,
     lower_bound,
-    ratio_report,
     stage_audit,
 )
 from .core import (
@@ -39,14 +35,12 @@ from .core import (
     cnot,
     cphase,
     cz,
-    emit_architecture,
     emit_circuit,
     embed_chain,
     generic2,
     generic_depth,
     h,
     invert_permutation,
-    is_two_qubit,
     p,
     parse_architecture,
     parse_circuit,
@@ -64,7 +58,6 @@ from .css import (
     css_flat,
     css_schedule_lnn,
     emit_css,
-    level_contents,
     parse_css,
     steane_syndrome,
 )
@@ -103,7 +96,6 @@ from .skeleton import (
     n_stages,
     parse_skeleton,
     schedule_lnn,
-    stage_of,
     staged_schedule,
 )
 from .stabilizer import (

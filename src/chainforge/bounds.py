@@ -23,12 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import (
-    Architecture,
-    Circuit,
-    ScheduledCircuit,
-)
-from .skeleton import all_pairs, stage_of
+from .core import Architecture, Circuit, ScheduledCircuit
+from .skeleton import all_pairs
 
 
 class Model(Enum):
@@ -133,39 +129,6 @@ def stage_audit(sc: ScheduledCircuit | Circuit) -> AuditReport:
     return AuditReport(len(l_positions), s_count, tuple(bad[1]), tuple(bad[2]))
 
 
-def ratio_report(n: int, sc: ScheduledCircuit, q: BoundQuery) -> Fraction:
-    """depth / (coefficient * n), exact."""
-    if q.n != n:
-        raise ValueError(f"query is for n={q.n}, got n={n}")
-    return Fraction(sc.circuit.depth()) / (lower_bound(q).coefficient * n)
-
-
-class LoopWitness(NamedTuple):
-    wires: tuple[int, int, int]
-    pairs: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    stages: tuple[int, int, int]
-
-
-def grid_loop_triangles(n: int) -> list[LoopWitness]:
-    """Triples of skeleton slots forming a length-3 interaction loop.
-
-    For each center wire k, the pairs (k-1, k), (k-1, k+1), (k, k+1) run in
-    three consecutive stages. They demand pairwise adjacency of three wires
-    within a window that allows no relocation, which no two-colorable
-    layout (such as a square grid) can provide.
-    """
-    out = []
-    for k in range(1, n - 1):
-        pairs = ((k - 1, k), (k - 1, k + 1), (k, k + 1))
-        out.append(LoopWitness((k - 1, k, k + 1), pairs, tuple(stage_of(*pr) for pr in pairs)))
-    return out
-
-
-def has_triangle(arch: Architecture) -> bool:
-    nbrs = arch.neighbours
-    return any(not set(nbrs[a]).isdisjoint(nbrs[b]) for a, b in arch.edges)
-
-
 def _disjoint_sets(items: Sequence[tuple[object, int, int]]) -> list[tuple]:
     """The keys of every nonempty set of (key, site, site) items on pairwise disjoint sites."""
     out: list[tuple] = []
@@ -260,14 +223,10 @@ __all__ = [
     "AuditWindow",
     "BoundArch",
     "BoundQuery",
-    "LoopWitness",
     "LowerBound",
     "Model",
     "brute_force_min_depth",
     "classify_layers",
-    "grid_loop_triangles",
-    "has_triangle",
     "lower_bound",
-    "ratio_report",
     "stage_audit",
 ]

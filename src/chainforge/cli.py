@@ -44,14 +44,19 @@ _T = TypeVar("_T")
 
 
 def _load(parse: Callable[[str], _T], path: str) -> _T:
-    """`parse` applied to the file's text; a ParseError names the file before its line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """`parse` applied to the file's UTF-8 text; a ParseError, or a byte that is not UTF-8,
+    names the file before its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return parse(text)
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:  # lines counted as the parsers count them
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        err = ParseError(line, f"byte {data[exc.start]:#x} is not UTF-8")
     except ParseError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+        err = exc
+    err.args = (f"{path}: {err}",)
+    raise err
 
 
 def _write(path: str | None, text: str) -> None:
@@ -129,6 +134,17 @@ def _parse_relabel(raw: str, n: int) -> tuple[int, ...] | None:
 
 class _UsageError(Exception):
     pass
+
+
+def _tolerance(raw: str) -> float:
+    """A `--tol` value; anything but a finite float >= 0 is a usage error."""
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = float("nan")
+    if not 0 <= tol < float("inf"):  # false for nan
+        raise argparse.ArgumentTypeError(f"expected a finite float >= 0, got {raw!r}")
+    return tol
 
 
 def _wire_flag(n: int) -> int:
@@ -327,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, metavar="FILE")
     p.add_argument("--relabel", default="identity", help="identity, reverse, or comma ints")
     p.add_argument("--method", choices=["dense", "gf2", "tableau"], default="dense")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("depth", help="depth metrics of a circuit file")

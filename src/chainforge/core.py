@@ -118,10 +118,6 @@ def generic2(a: int, b: int) -> Gate:
     return Gate(GateKind.GENERIC2, (min(a, b), max(a, b)))
 
 
-def is_two_qubit(g: Gate) -> bool:
-    return len(g.qubits) == 2
-
-
 def is_permutation(perm: Sequence[int], n: int) -> bool:
     """True when perm lists each of 0..n-1 exactly once."""
     return sorted(perm) == list(range(n))
@@ -676,16 +672,6 @@ def parse_architecture(text: str) -> Architecture:
     raise ParseError(lineno, f"expected 'lnn N', 'grid R C' or 'graph N', got {head!r}")
 
 
-def emit_architecture(arch: Architecture) -> str:
-    if arch.kind is ArchKind.LNN:
-        return f"lnn {arch.n_sites}\n"
-    if arch.kind is ArchKind.GRID:
-        return f"grid {arch.rows} {arch.cols}\n"
-    lines = [f"graph {arch.n_sites}"]
-    lines.extend(f"edge {a} {b}" for a, b in sorted(arch.edges))
-    return "\n".join(lines) + "\n"
-
-
 _QASM_NAMES = {"h": "h", "p": "s", "cnot": "cx", "cz": "cz", "swap": "swap"}  # by kind value
 
 
@@ -722,14 +708,12 @@ __all__ = [
     "cphase",
     "cz",
     "embed_chain",
-    "emit_architecture",
     "emit_circuit",
     "generic2",
     "generic_depth",
     "h",
     "invert_permutation",
     "is_permutation",
-    "is_two_qubit",
     "p",
     "parse_architecture",
     "parse_circuit",

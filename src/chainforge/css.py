@@ -101,9 +101,6 @@ class CssSpec:
             raise ValueError(f"target index {j} outside 1..{self.t}")
         return self.n_wires - j
 
-    def control_label(self, p: int) -> str:
-        return "b" if self.mode is CssMode.ENCODE and p == self.s + 1 else f"a{p}"
-
     def cell(self, p: int, j: int) -> CssGate:
         return self.types[p - 1][j - 1]
 
@@ -120,15 +117,6 @@ class CssSpec:
                 kind = self.cell(p, j)
                 if kind is not CssGate.NONE:
                     yield p, j, kind
-
-
-def level_contents(spec: CssSpec, level: int) -> list[tuple[str, str]]:
-    """Present gates of one level as (control, target) labels, e.g. ('a3', 'c3')."""
-    out = []
-    for p, j, _ in spec.present():
-        if spec.level_of(p, j) == level:
-            out.append((p, j))
-    return [(spec.control_label(p), f"c{j}") for p, j in sorted(out, reverse=True)]
 
 
 def _payload(kind: CssGate, control_site: int, target_site: int) -> Gate:
@@ -258,7 +246,6 @@ __all__ = [
     "css_flat",
     "css_schedule_lnn",
     "emit_css",
-    "level_contents",
     "parse_css",
     "steane_syndrome",
 ]

@@ -146,10 +146,6 @@ def n_stages(n: int) -> int:
     return 2 * n - 3 if n >= 2 else 0
 
 
-def stage_of(a: int, b: int) -> int:
-    return a + b
-
-
 class StagePlan(NamedTuple):
     """Site-level gates for one stage of the schedule."""
 
@@ -265,6 +261,5 @@ __all__ = [
     "n_stages",
     "parse_skeleton",
     "schedule_lnn",
-    "stage_of",
     "staged_schedule",
 ]

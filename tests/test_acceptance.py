@@ -21,7 +21,6 @@ from chainforge.bounds import (
     Model,
     brute_force_min_depth,
     lower_bound,
-    ratio_report,
     stage_audit,
 )
 from chainforge.core import (
@@ -33,7 +32,6 @@ from chainforge.core import (
     cz,
     generic_depth,
     h,
-    is_two_qubit,
     p,
     prune_trailing_swap_layers,
     swap,
@@ -46,7 +44,6 @@ from chainforge.css import (
     CssSpec,
     css_flat,
     css_schedule_lnn,
-    level_contents,
     steane_syndrome,
 )
 from chainforge.linsynth import GF2Matrix, expand_to_cnot, synthesize_lnn
@@ -200,7 +197,8 @@ def test_acceptance_07_css_depths(capsys):
                 syn = css_schedule_lnn(_full_css(CssMode.SYNDROME, s, t)).circuit
                 assert generic_depth(syn) <= s + t - 1, (s, t)
         worked = _full_css(CssMode.ENCODE, 3, 4)
-        assert level_contents(worked, 3) == [("b", "c2"), ("a3", "c3"), ("a2", "c4")]
+        level_3 = {(c, j) for c, j, _ in worked.present() if worked.level_of(c, j) == 3}
+        assert level_3 == {(4, 2), (3, 3), (2, 4)}  # control position 4 is b
         steane = css_schedule_lnn(steane_syndrome()).circuit
         assert generic_depth(steane) == 12
         assert steane.depth() <= 26
@@ -246,7 +244,8 @@ def test_acceptance_09_lower_bound_table(capsys):
             q = BoundQuery(Model.B, BoundArch.BOUNDED_DEGREE, 8, k)
             assert lower_bound(q).coefficient == 1 + Fraction(1, k)
         n = 60
-        ratio = ratio_report(n, schedule_lnn(SkeletonSpec(n)), BoundQuery(Model.A, BoundArch.LNN, n))
+        sc, q = schedule_lnn(SkeletonSpec(n)), BoundQuery(Model.A, BoundArch.LNN, n)
+        ratio = Fraction(sc.circuit.depth()) / (lower_bound(q).coefficient * n)
         assert abs(ratio - Fraction(6, 5)) <= Fraction(6, 5) * Fraction(5, 100)
 
 
@@ -294,7 +293,7 @@ def _stage_blocks(circuit):
     blocks = []
     flavor = None
     for g in circuit.gates:
-        if not is_two_qubit(g):
+        if len(g.qubits) != 2:
             continue
         kind = "S" if g.kind is GateKind.SWAP else "L"
         if flavor != kind:

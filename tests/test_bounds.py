@@ -11,10 +11,7 @@ from chainforge.bounds import (
     Model,
     brute_force_min_depth,
     classify_layers,
-    grid_loop_triangles,
-    has_triangle,
     lower_bound,
-    ratio_report,
     stage_audit,
 )
 from chainforge.core import Architecture, Circuit, GateKind, cnot, h, p, swap
@@ -129,7 +126,8 @@ def test_audit_tolerates_single_swap_gap():
 def test_ratio_full_schedule_near_six_fifths():
     n = 60
     sc = schedule_lnn(SkeletonSpec(n))
-    ratio = ratio_report(n, sc, BoundQuery(Model.A, BoundArch.LNN, n))
+    q = BoundQuery(Model.A, BoundArch.LNN, n)
+    ratio = Fraction(sc.circuit.depth()) / (lower_bound(q).coefficient * n)
     assert ratio == Fraction(117, 100)
     assert abs(ratio - Fraction(6, 5)) <= Fraction(6, 5) * Fraction(5, 100)
 
@@ -137,29 +135,9 @@ def test_ratio_full_schedule_near_six_fifths():
 def test_ratio_model_b():
     n = 30
     sc = schedule_lnn(SkeletonSpec(n))
-    ratio = ratio_report(n, sc, BoundQuery(Model.B, BoundArch.LNN, n))
+    q = BoundQuery(Model.B, BoundArch.LNN, n)
+    ratio = Fraction(sc.circuit.depth()) / (lower_bound(q).coefficient * n)
     assert abs(ratio - Fraction(8, 3)) <= Fraction(8, 3) * Fraction(10, 100)
-
-
-def test_ratio_rejects_mismatched_n():
-    sc = schedule_lnn(SkeletonSpec(5))
-    with pytest.raises(ValueError):
-        ratio_report(5, sc, BoundQuery(Model.A, BoundArch.LNN, 6))
-
-
-def test_grid_loop_triangles():
-    witnesses = grid_loop_triangles(7)
-    assert len(witnesses) == 5
-    for w, k in zip(witnesses, range(1, 6)):
-        assert w.wires == (k - 1, k, k + 1)
-        assert w.stages == (2 * k - 1, 2 * k, 2 * k + 1)
-        assert w.stages[2] - w.stages[0] == 2
-
-
-def test_has_triangle():
-    assert not has_triangle(Architecture.lnn(5))
-    assert not has_triangle(Architecture.grid(3, 4))
-    assert has_triangle(Architecture.graph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_brute_force_tiny_values():

@@ -3,6 +3,8 @@
 import json
 from random import Random
 
+import pytest
+
 from chainforge import linsynth
 from chainforge.cli import main
 from chainforge.core import MAX_WIRES, Circuit, cnot, emit_circuit, parse_circuit
@@ -129,6 +131,59 @@ def test_parse_errors_name_the_file_at_fault(tmp_path, capsys):
     ):
         assert main(argv) == 1
         assert capsys.readouterr().err == want
+
+
+_INPUTS = {"BAD": b"qubits 2\n\xff\xfe h 0\n", "GOOD": b"qubits 2\ncnot 0 1\n", "ARCH": b"lnn 2\n"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["depth", "--circuit", "BAD"],
+        ["audit", "--circuit", "BAD", "--arch", "ARCH"],
+        ["audit", "--circuit", "GOOD", "--arch", "BAD"],
+        ["verify", "--a", "BAD", "--b", "GOOD"],
+        ["verify", "--a", "GOOD", "--b", "BAD"],
+        ["linsynth", "--matrix", "BAD"],
+        ["css", "--spec", "BAD"],
+        ["stab", "--spec", "BAD"],
+        ["skeleton", "--spec", "BAD"],
+    ],
+    ids=lambda argv: "-".join(argv[0::2]),
+)
+def test_non_utf8_input_names_the_file_and_line(argv, tmp_path, capsys):
+    for name, data in _INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    assert main([str(tmp_path / tok) if tok in _INPUTS else tok for tok in argv]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'BAD'}: line 2: byte 0xff is not UTF-8\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_line_ends_read_as_in_text_mode(newline, tmp_path, capsys):
+    """A file is read as bytes and decoded; CRLF and CR line ends number its lines as LF does."""
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    outputs = []
+    for sep in ("\n", newline):
+        good.write_bytes(sep.join(["qubits 2", "h 0", "cnot 0 1", ""]).encode())
+        assert main(["depth", "--circuit", str(good)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    for data, reason in ((b"foo 0 1", "unknown gate"), (b"\xff", "byte 0xff is not UTF-8")):
+        bad.write_bytes(newline.join(["qubits 2", "h 0", ""]).encode() + data)
+        assert main(["depth", "--circuit", str(bad)]) == 1
+        assert f"{bad}: line 3: {reason}" in capsys.readouterr().err
+
+
+def test_verify_tol_is_a_finite_non_negative_float(tmp_path, capsys):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("qubits 2\ncnot 0 1\nswap 0 1\n")
+    verify = ["verify", "--a", str(circuit), "--b", str(circuit)]
+    for tol in ("-1", "nan", "inf", "abc"):
+        assert main([*verify, "--tol", tol]) == 2, tol
+        assert f"argument --tol: expected a finite float >= 0, got '{tol}'" in capsys.readouterr().err
+    for flags in ([], ["--tol", "0"]):
+        assert main([*verify, *flags]) == 0
+        assert capsys.readouterr().out == "dense PASS\n"
 
 
 def test_missing_file_is_a_domain_error(tmp_path, capsys):

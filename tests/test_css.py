@@ -13,7 +13,6 @@ from chainforge.css import (
     css_flat,
     css_schedule_lnn,
     emit_css,
-    level_contents,
     parse_css,
     steane_syndrome,
 )
@@ -33,10 +32,8 @@ def test_wire_geometry():
     assert spec.n_controls == 4 and spec.n_wires == 8
     assert spec.control_wire(1) == 0 and spec.control_wire(4) == 3
     assert spec.target_wire(4) == 4 and spec.target_wire(1) == 7
-    assert spec.control_label(3) == "a3" and spec.control_label(4) == "b"
     synd = _full(CssMode.SYNDROME, 3, 4)
     assert synd.n_controls == 3 and synd.n_wires == 7
-    assert synd.control_label(3) == "a3"
 
 
 def test_spec_validation():
@@ -54,9 +51,8 @@ def test_levels_of_the_worked_example():
     spec = _full(CssMode.ENCODE, 3, 4)
     assert spec.level_of(1, 1) == 7 == spec.last_level()
     assert spec.level_of(4, 4) == 1
-    assert level_contents(spec, 3) == [("b", "c2"), ("a3", "c3"), ("a2", "c4")]
-    assert level_contents(spec, 1) == [("b", "c4")]
-    assert level_contents(spec, 8) == []
+    level_3 = {(p, j) for p, j, _ in spec.present() if spec.level_of(p, j) == 3}
+    assert level_3 == {(4, 2), (3, 3), (2, 4)}  # control position 4 is b
 
 
 def test_flat_gate_order_is_block_by_block():

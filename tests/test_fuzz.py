@@ -18,13 +18,11 @@ from random import Random
 import chainforge
 from chainforge import cli
 from chainforge.core import (
-    Architecture,
     Circuit,
     ParseError,
     cnot,
     cphase,
     cz,
-    emit_architecture,
     emit_circuit,
     generic2,
     h,
@@ -53,9 +51,9 @@ def _valid_texts(rng: Random) -> list[tuple[object, str]]:
     skeleton = SkeletonSpec(5, absent=frozenset({(0, 4), (1, 2)}), payload={(0, 1): cnot(1, 0), (2, 3): cz(2, 3)})
     return [
         (parse_circuit, emit_circuit(Circuit(4, tuple(rng.sample(gates, len(gates)))))),
-        (parse_architecture, emit_architecture(Architecture.lnn(5))),
-        (parse_architecture, emit_architecture(Architecture.grid(2, 3))),
-        (parse_architecture, emit_architecture(Architecture.graph(4, ((0, 1), (1, 2), (1, 3))))),
+        (parse_architecture, "lnn 5\n"),
+        (parse_architecture, "grid 2 3\n"),
+        (parse_architecture, "graph 4\nedge 0 1\nedge 1 2\nedge 1 3\n"),
         (parse_skeleton, emit_skeleton(skeleton)),
         (parse_gf2, emit_gf2(GF2Matrix.random_nonsingular(4, rng))),
         (parse_stab, emit_stab(random_decomposition(3, rng))),

@@ -96,6 +96,7 @@ def _write_inputs(tmp: Path) -> None:
     }
     for name, text in files.items():
         (tmp / name).write_text(text, encoding="utf-8")
+    (tmp / "latin1.txt").write_bytes(b"qubits 2\n\xff\xfe h 0\n")
 
 
 # (case id, argv); file names are relative to the input directory
@@ -144,10 +145,22 @@ CASES = [
     ("exit1_qasm_generic", ["skeleton", "--n", "3", "--qasm"]),
     ("exit1_wire_counts", ["verify", "--a", "a.txt", "--b", "cs.txt"]),
     ("exit1_oversized", ["qft", "--n", "99999"]),
+    ("exit1_not_utf8_depth", ["depth", "--circuit", "latin1.txt"]),
+    ("exit1_not_utf8_audit_circuit", ["audit", "--circuit", "latin1.txt", "--arch", "lnn2.txt"]),
+    ("exit1_not_utf8_audit_arch", ["audit", "--circuit", "cs.txt", "--arch", "latin1.txt"]),
+    ("exit1_not_utf8_verify_a", ["verify", "--a", "latin1.txt", "--b", "cs.txt"]),
+    ("exit1_not_utf8_verify_b", ["verify", "--a", "cs.txt", "--b", "latin1.txt"]),
+    ("exit1_not_utf8_linsynth", ["linsynth", "--matrix", "latin1.txt"]),
+    ("exit1_not_utf8_css", ["css", "--spec", "latin1.txt"]),
+    ("exit1_not_utf8_stab", ["stab", "--spec", "latin1.txt"]),
+    ("exit1_not_utf8_skeleton", ["skeleton", "--spec", "latin1.txt"]),
     ("exit2_command", ["no-such-command"]),
     ("exit2_missing_flag", ["qft"]),
     ("exit2_bad_degree", ["bounds", "--model", "A", "--arch", "degree:x", "--n", "8"]),
     ("exit2_unknown_arch", ["bounds", "--model", "B", "--arch", "ring", "--n", "8"]),
+    ("exit2_tol_negative", ["verify", "--a", "cs.txt", "--b", "cc.txt", "--tol", "-1"]),
+    ("exit2_tol_nan", ["verify", "--a", "cs.txt", "--b", "cc.txt", "--tol", "nan"]),
+    ("exit2_tol_inf", ["verify", "--a", "cs.txt", "--b", "cc.txt", "--tol", "inf"]),
     ("exit2_bad_relabel", ["verify", "--a", "q3.txt", "--b", "q3.txt", "--relabel", "0,2,2"]),
 ]
 

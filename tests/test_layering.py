@@ -27,7 +27,6 @@ from chainforge.core import (
     generic2,
     generic_depth,
     h,
-    is_two_qubit,
     p,
     prune_trailing_swap_layers,
     swap,
@@ -100,7 +99,7 @@ def ref_two_qubit_layer_count(circuit: Circuit) -> int:
     """Number of ASAP layers that contain at least one two-qubit gate."""
     count = 0
     for layer in ref_layers(circuit):
-        if any(is_two_qubit(circuit.gates[i]) for i in layer):
+        if any(len(circuit.gates[i].qubits) == 2 for i in layer):
             count += 1
     return count
 
@@ -110,7 +109,7 @@ def ref_generic_depth(circuit: Circuit) -> int:
     last_on_wire: dict[int, int] = {}
     fusable: dict[tuple[int, int], int] = {}
     for g in circuit.gates:
-        if not is_two_qubit(g):
+        if len(g.qubits) != 2:
             continue
         pair = (min(g.qubits), max(g.qubits))
         if g.kind is GateKind.SWAP:
@@ -142,7 +141,7 @@ def ref_classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
     flavors: list[str | None] = []
     for gate in circuit.gates:
         kind = None
-        if is_two_qubit(gate):
+        if len(gate.qubits) == 2:
             kind = "S" if gate.kind is GateKind.SWAP else "L"
         if not runs or (kind is not None and flavors[-1] is not None and flavors[-1] != kind):
             runs.append([gate])
@@ -156,7 +155,7 @@ def ref_classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
     for run in runs:
         piece = Circuit(circuit.n_wires, tuple(run))
         for layer in ref_layers(piece):
-            kinds = {run[g].kind for g in layer if is_two_qubit(run[g])}
+            kinds = {run[g].kind for g in layer if len(run[g].qubits) == 2}
             if kinds:
                 out.append((index, "L" if kinds - {GateKind.SWAP} else "S"))
             index += 1

@@ -5,7 +5,6 @@ from random import Random
 
 import pytest
 
-from chainforge.bounds import has_triangle
 from chainforge.core import (
     MAX_WIRES,
     Architecture,
@@ -41,14 +40,6 @@ def _ref_connected(n, edges):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == n
-
-
-def _ref_has_triangle(arch):
-    adj = {v: set() for v in range(arch.n_sites)}
-    for a, b in arch.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return any(adj[a] & adj[b] for a, b in arch.edges)
 
 
 def _ref_graph_search(arch, node_budget):
@@ -94,7 +85,6 @@ def _outcome(search, arch, budget):
 
 def _check_graph(arch):
     assert _max_degree(arch) == _ref_max_degree(arch.n_sites, arch.edges)
-    assert has_triangle(arch) == _ref_has_triangle(arch)
     for budget in (3, 10, 10**6):
         assert _outcome(embed_chain, arch, budget) == _outcome(_ref_graph_search, arch, budget)
 

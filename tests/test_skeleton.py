@@ -33,13 +33,12 @@ from chainforge.skeleton import (
     n_stages,
     parse_skeleton,
     schedule_lnn,
-    stage_of,
     staged_schedule,
 )
 
 
 def _stage_pairs(n: int, stage: int) -> list[tuple[int, int]]:
-    return [pr for pr in all_pairs(n) if stage_of(*pr) == stage]
+    return [pr for pr in all_pairs(n) if sum(pr) == stage]
 
 
 def test_stages_partition_all_pairs():
@@ -180,11 +179,11 @@ def test_drop_last_swaps_and_pruning_are_different_rules():
 def test_stage_assignment_honors_absence():
     spec = SkeletonSpec(4, absent=frozenset({(0, 2), (1, 2)}))
     plans, _ = staged_schedule(spec)
-    assert plans[stage_of(0, 2) - 1].payload == ()
+    assert plans[0 + 2 - 1].payload == ()  # slot (a, b) runs in stage a + b
     # (1, 2) shares stage 3 with (0, 3); only the absent pair drops out
     # (stages 1 and 2 moved wire 0 next to wire 3, on site 2)
-    assert plans[stage_of(1, 2) - 1].payload == (generic2(2, 3),)
-    assert len(plans[stage_of(1, 2) - 1].swaps) == 2
+    assert plans[1 + 2 - 1].payload == (generic2(2, 3),)
+    assert len(plans[1 + 2 - 1].swaps) == 2
 
 
 def test_shared_wire_pairs_meet_in_lexicographic_order():

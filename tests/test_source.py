@@ -1,5 +1,6 @@
-"""Source hygiene: every exported name exists, no module imports a name it never uses, every
-private module-level helper has a caller in the source, and the README's Python examples run."""
+"""Source hygiene: every exported name exists and has a reader in the source or the README, no
+module imports a name it never uses, every private module-level helper has a caller in the
+source, and the README's Python examples run."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pytest
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chainforge"
 _MODULES = sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "__init__")
+_SOURCE = {path.name: ast.parse(path.read_text()) for path in sorted(_PACKAGE.glob("*.py"))}
 _README_BLOCKS = re.findall(
     r"^```python\n(.*?)^```$", (_PACKAGE.parents[1] / "README.md").read_text(), re.M | re.S
 )
@@ -40,19 +42,21 @@ def _used_names(tree: ast.Module) -> set[str]:
 
 
 def _referenced_names(stmt: ast.stmt) -> set[str]:
-    """Names, attributes and `from` imports read in one top-level statement, not counting
-    the name it defines itself."""
+    """Names and attributes read in one top-level statement, not counting the name it defines
+    itself. An import reads nothing: a name counts where it is used, not where it is bound."""
     out = set()
     for node in ast.walk(stmt):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         out.discard(stmt.name)
     return out
+
+
+_READ_IN_SOURCE = {name for tree in _SOURCE.values() for stmt in tree.body
+                   for name in _referenced_names(stmt)}
 
 
 def test_the_module_list_is_found():
@@ -68,7 +72,7 @@ def test_every_name_in_all_exists(name):
 
 @pytest.mark.parametrize("name", _MODULES)
 def test_no_unused_import(name):
-    tree = ast.parse((_PACKAGE / f"{name}.py").read_text())
+    tree = _SOURCE[f"{name}.py"]
     used = _used_names(tree)
     unused = {n: line for n, line in _imported_names(tree).items() if n not in used}
     assert not unused, f"{name}.py imports names it never uses (name: line): {unused}"
@@ -77,14 +81,31 @@ def test_no_unused_import(name):
 def test_every_private_helper_has_a_source_caller():
     """A module-level `_name` function or class is read somewhere in the package, outside its
     own definition; one that only tests call belongs in the tests or nowhere."""
-    referenced, private = set(), {}
-    for path in sorted(_PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            referenced |= _referenced_names(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
-                private[stmt.name] = f"{path.name}:{stmt.lineno}"
-    uncalled = {name: at for name, at in private.items() if name not in referenced}
+    private = {
+        stmt.name: f"{file}:{stmt.lineno}"
+        for file, tree in _SOURCE.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+    }
+    uncalled = {name: at for name, at in private.items() if name not in _READ_IN_SOURCE}
     assert not uncalled, f"private helpers with no caller in the source: {uncalled}"
+
+
+def test_every_public_name_has_a_caller():
+    """A name in a module's `__all__` is read somewhere in the package outside its own
+    definition (`__init__.py` only re-imports), or in a README `python` block, which runs as
+    a test below. A name that only its own tests read is wired into a real path or deleted."""
+    read = _READ_IN_SOURCE | {
+        name for block in _README_BLOCKS for stmt in ast.parse(block).body
+        for name in _referenced_names(stmt)
+    }
+    unread = [
+        f"{module}.{name}"
+        for module in _MODULES
+        for name in importlib.import_module(f"chainforge.{module}").__all__
+        if name not in read
+    ]
+    assert not unread, f"public names that nothing in the source or the README reads: {unread}"
 
 
 def test_the_readme_has_python_examples():
