@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -88,6 +89,11 @@ def validate_gate(g: Gate) -> None:
             raise ValueError(f"wire indices must be non-negative integers, got {qubits}")
     if not one_qubit and kind is not GateKind.CNOT and qubits[0] > qubits[1]:
         raise ValueError(f"{kind.value} is symmetric and stores its wires ascending, got {qubits}")
+
+
+def _unchecked_gate(kind: GateKind, qubits: tuple[int, ...], param: int | None = None) -> Gate:
+    """A gate valid by construction, made without `validate_gate`; tests/test_source.py pins the callers."""
+    return tuple.__new__(Gate, (kind, qubits, param))
 
 
 def h(q: int) -> Gate:
@@ -179,9 +185,11 @@ class Circuit:
             return None
 
 
-def _known_circuit(n_wires: int, gates: tuple[Gate, ...], distinct: tuple[Gate, ...]) -> Circuit:
-    """A Circuit of gates already checked on these wires, each of whose objects is in
-    `distinct`: no position is scanned."""
+def _known_circuit(n_wires: int, pieces: list[tuple[Iterable[Gate], Iterable[Gate]]]) -> Circuit:
+    """A Circuit of each piece's gates in turn, where a piece is (gates, the objects they are made of),
+    each object valid on these wires: no position is scanned."""
+    gates = tuple(chain.from_iterable(gates for gates, _ in pieces))
+    distinct = tuple({id(g): g for _, objects in pieces for g in objects}.values())
     circuit = object.__new__(Circuit)
     circuit.__dict__.update(n_wires=n_wires, gates=gates, _distinct=distinct)
     return circuit
@@ -475,7 +483,8 @@ def prune_trailing_swap_layers(sc: ScheduledCircuit) -> ScheduledCircuit:
     _layer_walk(gates, sc.circuit.n_wires, at)
     # keep every layer up to the last one holding a non-SWAP gate
     keep = 1 + max((t for g, t in zip(gates, at) if g.kind is not GateKind.SWAP), default=-1)
-    circuit = Circuit(sc.circuit.n_wires, tuple(g for g, t in zip(gates, at) if t < keep))
+    kept = [g for g, t in zip(gates, at) if t < keep]
+    circuit = _known_circuit(sc.circuit.n_wires, [(kept, kept)])  # a subset of checked gates
     return ScheduledCircuit(circuit, sc.arch, swap_flow_map(circuit))
 
 
@@ -629,7 +638,7 @@ def parse_circuit(text: str) -> Circuit:
             toks = line.split()
             g = seen[line] = _gate(lineno, toks[0], toks[1:], n)
         gates.append(g)
-    return _known_circuit(n, tuple(gates), tuple(seen.values()))  # `_gate` checked each one
+    return _known_circuit(n, [(gates, seen.values())])  # `_gate` checked each one
 
 
 def emit_circuit(circuit: Circuit) -> str:

@@ -36,6 +36,7 @@ from .core import (
     _bit_rows,
     _bit_string,
     _content_lines,
+    _known_circuit,
     _mask_wires,
     _wire_count,
     cz,
@@ -143,7 +144,7 @@ def css_flat(spec: CssSpec) -> Circuit:
             kind = spec.cell(p, j)
             if kind is not CssGate.NONE:
                 gates.append(_payload(kind, spec.control_wire(p), spec.target_wire(j)))
-    return Circuit(spec.n_wires, tuple(gates))
+    return _known_circuit(spec.n_wires, [(gates, gates)])  # each gate is its own object
 
 
 def css_schedule_lnn(spec: CssSpec) -> ScheduledCircuit:
@@ -169,7 +170,7 @@ def css_schedule_lnn(spec: CssSpec) -> ScheduledCircuit:
     for m, (is_control, idx) in enumerate(sites):
         wire = spec.control_wire(idx) if is_control else spec.target_wire(idx)
         loc[wire] = m
-    return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), tuple(loc))
+    return ScheduledCircuit(_known_circuit(n, [(gates, gates)]), Architecture.lnn(n), tuple(loc))
 
 
 def steane_syndrome() -> CssSpec:

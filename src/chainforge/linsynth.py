@@ -34,6 +34,7 @@ from .core import (
     _fold_walk,
     _headed_lines,
     _known_circuit,
+    _unchecked_gate,
     cnot,
     is_permutation,
 )
@@ -121,7 +122,7 @@ class GaussJordanTrace:
     lower holds pairs (c, s) meaning CNOT(c, s) ran while clearing column c
     below the diagonal; upper holds pairs (k, l) meaning CNOT(l, k) ran
     while clearing column l above it. Those pairs are checked where they are
-    used, by the skeleton spec of their part or by `cnot` in `gates_in_order`.
+    used, by the skeleton spec of their part; `gates_in_order` replays only in-grid pairs.
     """
 
     n: int
@@ -142,18 +143,16 @@ class GaussJordanTrace:
 
     def _replay(self, table: dict[Pair, Gate]) -> list[Gate]:
         """`gates_in_order`, each CNOT read from `table` by (control, target), made there once."""
-        pairs: list[Pair] = []
-        for c in range(self.n - 1):
+        n, lower, upper, pairs = self.n, self.lower, self.upper, []
+        for c in range(n - 1):
             j = self.pivot_donor[c]
             if j is not None:
                 pairs.append((j, c))
-            pairs.extend((c, s) for s in range(c + 1, self.n) if (c, s) in self.lower)
-        for l in range(self.n - 1, 0, -1):
-            pairs.extend((l, k) for k in range(l - 1, -1, -1) if (k, l) in self.upper)
-        for pr in pairs:
-            if pr not in table:
-                table[pr] = cnot(*pr)
-        return [table[pr] for pr in pairs]
+            pairs.extend((c, s) for s in range(c + 1, n) if (c, s) in lower)
+        for l in range(n - 1, 0, -1):
+            pairs.extend((l, k) for k in range(l - 1, -1, -1) if (k, l) in upper)
+        # the loops stay in the n x n grid, so each pair is two distinct wires
+        return [table.get(pr) or table.setdefault(pr, _unchecked_gate(GateKind.CNOT, pr)) for pr in pairs]
 
 
 def gauss_jordan(a: GF2Matrix) -> GaussJordanTrace:
@@ -257,14 +256,21 @@ def schedule_parts(
     even when every part is empty. Returns site-level gates and the exit
     placement.
     """
-    n = parts.n
-    placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
-    gates: list[Gate] = []
+    pieces, placement = _part_pieces(parts, initial_placement)
+    return [g for gates, _ in pieces for g in gates], placement
+
+
+def _part_pieces(
+    parts: RearrangedParts, placement: Sequence[int] | None = None
+) -> tuple[list[tuple[list[Gate], list[Gate]]], tuple[int, ...]]:
+    """`schedule_parts` as one (gates, distinct gates) piece per part, each stage's payload then SWAPs."""
+    placement = _check_placement(range(parts.n) if placement is None else placement, parts.n)
+    pieces = []
     for spec, reversed_labels in _part_specs(parts):
-        plans, _ = staged_schedule(spec, placement[::-1] if reversed_labels else placement)
-        gates.extend(chain.from_iterable(chain.from_iterable(plans)))  # each stage's payload, then SWAPs
+        plans, _ = staged_schedule(spec, entry := placement[::-1] if reversed_labels else placement)
+        pieces.append((list(chain.from_iterable(chain.from_iterable(plans))), spec._made(entry[0] != 0)))
         placement = placement[::-1]  # every part flips it end to end
-    return gates, placement
+    return pieces, placement
 
 
 def synthesize_lnn(a: GF2Matrix) -> ScheduledCircuit:
@@ -274,9 +280,8 @@ def synthesize_lnn(a: GF2Matrix) -> ScheduledCircuit:
     output l, equals A exactly. Generic-gate depth (each payload counted
     together with its trailing SWAP) is at most 3(2n-3).
     """
-    n = a.n
-    gates, placement = schedule_parts(rearrange(gauss_jordan(a.inverse())))
-    return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), placement)
+    pieces, placement = _part_pieces(rearrange(gauss_jordan(a.inverse())))
+    return ScheduledCircuit(_known_circuit(a.n, pieces), Architecture.lnn(a.n), placement)
 
 
 def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
@@ -297,7 +302,7 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     # the input's gates were checked on these wires and the walk made the rest
     kept = [g for g in circuit._distinct if g.kind is not GateKind.SWAP]
     made = [g for ab, ba, _ in three_on.values() for g in (ab, ba)]
-    expanded = _known_circuit(circuit.n_wires, tuple(out), (*kept, *made))
+    expanded = _known_circuit(circuit.n_wires, [(out, (*kept, *made))])
     expanded.__dict__.update(_plain_layers=layers, _cnot_depth=layers[0])
     return expanded
 

@@ -26,6 +26,7 @@ from .core import (
     Gate,
     GateKind,
     ScheduledCircuit,
+    _known_circuit,
     cphase,
     h,
 )
@@ -62,7 +63,7 @@ def qft_flat(spec: QftSpec) -> Circuit:
         for b in range(a + 1, spec.n):
             if spec.keeps(a, b):
                 gates.append(cphase(b - a + 1, a, b))
-    return Circuit(spec.n, tuple(gates))
+    return _known_circuit(spec.n, [(gates, gates)])  # each gate is its own object
 
 
 def _skeleton_for(spec: QftSpec) -> SkeletonSpec:
@@ -79,11 +80,11 @@ def qft_lnn(spec: QftSpec) -> ScheduledCircuit:
     and then by bit reversal equals the DFT matrix for the full transform.
     No physical reversal stage is appended.
     """
-    n = spec.n
+    n, h0 = spec.n, h(0)  # every Hadamard sits on site 0
     if n == 1:
-        return ScheduledCircuit(Circuit(1, (h(0),)), Architecture.lnn(1), (0,))
-    plans, final = staged_schedule(_skeleton_for(spec))
-    h0 = h(0)  # every Hadamard sits on site 0
+        return ScheduledCircuit(_known_circuit(1, [((h0,), (h0,))]), Architecture.lnn(1), (0,))
+    plans, final = staged_schedule(skeleton := _skeleton_for(spec))
+    made, skeleton = (h0, *skeleton._made(False)), None  # the spec's slot map is freed here
     gates: list[Gate] = []
     for idx, plan in enumerate(plans):
         if idx % 2 == 0:  # wire idx // 2 first meets its successor here, on sites (0, 1)
@@ -91,7 +92,7 @@ def qft_lnn(spec: QftSpec) -> ScheduledCircuit:
         gates.extend(plan.payload)
         gates.extend(plan.swaps)
     gates.append(h0)  # wire n - 1 ends on site 0
-    return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), final)
+    return ScheduledCircuit(_known_circuit(n, [(gates, made)]), Architecture.lnn(n), final)
 
 
 __all__ = ["QftSpec", "qft_flat", "qft_lnn"]

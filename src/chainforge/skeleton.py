@@ -25,16 +25,17 @@ from typing import AbstractSet, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     Architecture,
-    Circuit,
     Gate,
     GateKind,
+    MAX_WIRES,
     ParseError,
     ScheduledCircuit,
     _ARITY,
     _AtLine,
     _gate,
     _headed_lines,
-    swap,
+    _known_circuit,
+    _unchecked_gate,
 )
 
 Pair = tuple[int, int]
@@ -102,7 +103,7 @@ class SkeletonSpec:
     @classmethod
     def on_pairs(cls, n: int, slots: Mapping[Pair, Slot]) -> SkeletonSpec:
         """The spec whose present pairs are exactly the listed ones; no `Gate` is made.
-        Each distinct slot is checked once; a cphase's k range is left to `Gate`."""
+        Each distinct slot is checked once, so its site gates are valid as made."""
         slots = dict(slots)
         for e, pr in dict(zip(slots.values(), slots)).items():  # each distinct slot, with one pair holding it
             if type(e) is not Slot:
@@ -110,9 +111,9 @@ class SkeletonSpec:
             kind, from_larger, param = e
             if type(kind) is not GateKind or _ARITY[kind] != 2:
                 raise ValueError(f"slot {pr} holds {kind!r}, not a two-wire gate kind")
-            k_ok = type(param) is int if kind is GateKind.CPHASE else param is None
+            k_ok = type(param) is int and 0 < param <= MAX_WIRES if kind is GateKind.CPHASE else param is None
             if type(from_larger) is not bool or from_larger and kind is not GateKind.CNOT or not k_ok:
-                reason = "from_larger is a bool, True only on a CNOT, and a cphase, alone, needs an integer k"
+                reason = f"from_larger is a bool, True only on a CNOT; only a cphase has k, in 1..{MAX_WIRES}"
                 raise ValueError(f"slot {pr} holds {e}: {reason}")
         spec = cls.__new__(cls)
         spec._bind(n, slots, None)
@@ -125,6 +126,11 @@ class SkeletonSpec:
             _check_pair(a, b, n)
         self.n, self._slots, self._fill = n, slots, fill
         self.absent = _Absent(n, slots, fill)
+        self._sites: dict[bool, dict[Slot, dict[int, Gate]]] = {}  # see `_made`
+
+    def _made(self, flip: bool) -> list[Gate]:
+        """The distinct gates `staged_schedule` kept from the identity placement (flipped: the reversal)."""
+        return [g for row in self._sites.get(flip, {}).values() for g in row.values()]
 
     @cached_property
     def payload(self) -> dict[Pair, Gate]:
@@ -175,29 +181,27 @@ def staged_schedule(
     placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
     flip = placement[0] != 0  # the reversal (a spec has n >= 2)
     slots, fill = spec._slots, spec._fill
-    # a payload's site gate depends only on its slot and d = b - a; each is made once per call
-    made: dict[tuple[Slot, int], Gate] = {}
+    rows = spec._sites.setdefault(flip, {})  # per slot, its site gates by d = b - a
 
-    def site_gate(e: Slot, d: int) -> Gate:
+    def site_gate(e: Slot, d: int) -> Gate:  # a checked slot on adjacent sites: valid as made
         kind, from_larger, param = e
         i = n - 1 - d if flip else d - 1  # the slot's lower site, wire a's unless flipped
         # a CNOT keeps its direction; a symmetric gate stores its sites ascending
         sites = (i + 1, i) if kind is GateKind.CNOT and from_larger != flip else (i, i + 1)
-        g = made[e, d] = Gate(kind, sites, param)
+        g = rows.setdefault(e, {})[d] = _unchecked_gate(kind, sites, param)
         return g
 
+    # table[j] is the SWAP after every slot with d = n - 1 - j; made first, so a SWAP payload shares it
+    table = [site_gate(e, d) for e in [Slot(GateKind.SWAP)] for d in range(n - 1, 0, -1)]
     cells: list[Gate | None] = [None] * (n * n)  # cells[a * n + b]: slot (a, b)'s site gate
     if fill is not None:  # an unlisted slot's gate depends on d alone; rows are made if used
         listed = Counter(b - a for a, b in slots)
         row = [site_gate(fill, d) if listed[d] < n - d else None for d in range(1, n)]
         for a in range(n - 1):
             cells[a * n + a + 1 : a * n + n] = row[: n - 1 - a]
-    for (a, b), e in slots.items():
-        cells[a * n + b] = None if e is None else made.get((e, b - a)) or site_gate(e, b - a)
-    # table[j] swaps the lower site n - 1 - d from the reversal, d - 1 from the identity
-    table = [swap(i, i + 1) for i in range(n - 1)]
-    if not flip:
-        table.reverse()
+    for (a, b), e in slots.items():  # a listed slot's gate is read from its row by d
+        by_d = e and rows.get(e)
+        cells[a * n + b] = e and (by_d and by_d.get(b - a) or site_gate(e, b - a))
     plans: list[StagePlan] = []
     for s in range(1, n_stages(n) + 1):
         lo, hi = max(0, s - n + 1), (s + 1) // 2  # the stage's slots are (a, s - a), lo <= a < hi
@@ -210,10 +214,12 @@ def staged_schedule(
 def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> ScheduledCircuit:
     """Execute the skeleton on a line, one payload stage + one SWAP stage each."""
     plans, final = staged_schedule(spec)
-    gates = tuple(chain.from_iterable(chain.from_iterable(plans)))  # each stage's payload, then SWAPs
-    if drop_last_swaps:  # the last stage is the lone slot (n - 2, n - 1): one SWAP
-        gates, final = gates[:-1], (*final[:-2], final[-1], final[-2])
-    return ScheduledCircuit(Circuit(spec.n, gates), Architecture.lnn(spec.n), final)
+    made = spec._made(False)
+    if drop_last_swaps:  # the last stage is the lone slot (n - 2, n - 1): one SWAP, on sites (0, 1)
+        plans[-1], final = plans[-1]._replace(swaps=()), (*final[:-2], final[-1], final[-2])
+        made = made if spec.n > 2 else plans[0].payload  # n = 2: no other SWAP is left
+    gates = chain.from_iterable(chain.from_iterable(plans))  # each stage's payload, then SWAPs
+    return ScheduledCircuit(_known_circuit(spec.n, [(gates, made)]), Architecture.lnn(spec.n), final)
 
 
 # --- text format -----------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Architecture,
@@ -30,12 +30,13 @@ from .core import (
     _bit_rows,
     _bit_string,
     _headed_lines,
+    _known_circuit,
     _mask_wires,
     h,
     is_permutation,
     p,
 )
-from .linsynth import GF2Matrix, _try_inverse, gauss_jordan, rearrange, schedule_parts
+from .linsynth import GF2Matrix, _part_pieces, _try_inverse, gauss_jordan, rearrange
 
 STAGE_ORDER = ("h", "c", "p", "c", "p", "c", "h", "p", "c", "p", "c")
 
@@ -92,34 +93,31 @@ def stabilizer_flat(d: StageDecomposition) -> Circuit:
     so the reversed gate list computes C itself. The five replays share one
     CNOT per ordered pair.
     """
-    gates: list[Gate] = []
+    pieces: list[tuple[Iterable[Gate], Iterable[Gate]]] = []
     cnots: dict[tuple[int, int], Gate] = {}
     for kind, content in d.stages():
-        if kind == "h":
-            gates.extend(h(w) for w in _mask_wires(content, d.n))
-        elif kind == "p":
-            gates.extend(p(w) for w in _mask_wires(content, d.n))
+        if kind == "c":
+            pieces.append((reversed(gauss_jordan(content)._replay(cnots)), []))
         else:
-            gates.extend(reversed(gauss_jordan(content)._replay(cnots)))
-    return Circuit(d.n, tuple(gates))
+            made = [(h if kind == "h" else p)(w) for w in _mask_wires(content, d.n)]
+            pieces.append((made, made))
+    return _known_circuit(d.n, [*pieces, ([], cnots.values())])  # the replays' CNOTs, made once each
 
 
 def schedule_stabilizer(d: StageDecomposition) -> ScheduledCircuit:
     """LNN schedule of all 11 stages under one threaded placement."""
     n = d.n
     placement = tuple(range(n))
-    gates: list[Gate] = []
+    pieces: list[tuple[list[Gate], list[Gate]]] = []
     inverses = iter(d._c_inverses)
     for kind, content in d.stages():
-        if kind == "h":
-            gates.extend(h(placement[w]) for w in _mask_wires(content, n))
-        elif kind == "p":
-            gates.extend(p(placement[w]) for w in _mask_wires(content, n))
+        if kind == "c":
+            stage_pieces, placement = _part_pieces(rearrange(gauss_jordan(next(inverses))), placement)
+            pieces += stage_pieces
         else:
-            parts = rearrange(gauss_jordan(next(inverses)))
-            stage_gates, placement = schedule_parts(parts, placement)
-            gates.extend(stage_gates)
-    return ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), placement)
+            made = [(h if kind == "h" else p)(placement[w]) for w in _mask_wires(content, n)]
+            pieces.append((made, made))
+    return ScheduledCircuit(_known_circuit(n, pieces), Architecture.lnn(n), placement)
 
 
 @dataclass

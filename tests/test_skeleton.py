@@ -8,6 +8,7 @@ import pytest
 
 import chainforge.core as core
 from chainforge.core import (
+    MAX_WIRES,
     Circuit,
     GateKind,
     _GateFields,
@@ -360,6 +361,20 @@ def test_on_pairs_rejects_slots_that_describe_no_two_wire_gate():
     assert spec.payload == {(0, 1): cnot(1, 0), (0, 2): cphase(2, 0, 2), (1, 2): swap(1, 2)}
 
 
+def test_on_pairs_checks_a_cphase_k_range():
+    """The site gates are made unchecked, so `on_pairs` holds k to 1..MAX_WIRES itself."""
+    for k in (0, -1, MAX_WIRES + 1):
+        with pytest.raises(ValueError, match=rf"slot \(0, 2\).*1\.\.{MAX_WIRES}"):
+            SkeletonSpec.on_pairs(3, {(0, 1): Slot(GateKind.CZ), (0, 2): Slot(GateKind.CPHASE, False, k)})
+        with pytest.raises(ParseError) as err:  # a payload line is a gate line, checked by `Gate`
+            parse_skeleton(f"skeleton 3\nabsent 0 1\npayload 0 2 cphase {k}\n")
+        assert err.value.line == 3
+    for k in (1, MAX_WIRES):
+        sc = schedule_lnn(SkeletonSpec.on_pairs(3, {(0, 2): Slot(GateKind.CPHASE, False, k)}))
+        # slot (0, 2) has d = 2, so it runs on sites (1, 2)
+        assert [g for g in sc.circuit.gates if g.kind is GateKind.CPHASE] == [cphase(k, 1, 2)]
+
+
 def test_specs_are_freed_without_the_cycle_collector():
     """A spec and its views form no reference cycle."""
     gc.disable()
@@ -369,6 +384,7 @@ def test_specs_are_freed_without_the_cycle_collector():
             spec = make()
             ref = weakref.ref(spec)
             assert len(spec.absent) > 0 and spec.payload and spec == spec
+            assert schedule_lnn(spec).circuit.gates  # the spec keeps the gates its schedule made
             del spec
             assert ref() is None
     finally:

@@ -1,6 +1,7 @@
 """Source hygiene: every exported name exists and has a reader in the source or the README, no
 module imports a name it never uses, every private module-level helper has a caller in the
-source, and the README's Python examples run."""
+source, the ways past a gate or circuit check have only their listed callers, and the README's
+Python examples run."""
 
 import ast
 import importlib
@@ -106,6 +107,61 @@ def test_every_public_name_has_a_caller():
         if name not in read
     ]
     assert not unread, f"public names that nothing in the source or the README reads: {unread}"
+
+
+# The ways past a check, each with the one list of places allowed to use it. A new caller is a
+# deliberate change: it makes gates valid by construction, or hands over gates it knows are valid.
+_PINNED = {
+    "_unchecked_gate": {"linsynth.GaussJordanTrace._replay", "skeleton.staged_schedule"},
+    "tuple.__new__": {"core.Gate.__new__", "core._unchecked_gate"},
+    "_known_circuit": {
+        "core.parse_circuit",
+        "core.prune_trailing_swap_layers",
+        "css.css_flat",
+        "css.css_schedule_lnn",
+        "linsynth.expand_circuit_to_cnot",
+        "linsynth.synthesize_lnn",
+        "qft.qft_flat",
+        "qft.qft_lnn",
+        "skeleton.schedule_lnn",
+        "stabilizer.schedule_stabilizer",
+        "stabilizer.stabilizer_flat",
+    },
+    "object.__new__": {"core._known_circuit"},
+}
+
+
+def _readers(target: str) -> set[str]:
+    """Each function or method (module.name or module.Class.name) that reads `target`, a bare name
+    or `value.attr`; a read outside any function is named by its module and line."""
+    value, _, attr = target.rpartition(".")
+
+    def reads(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return not value and node.id == attr
+        return (isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.value, ast.Name)
+                and node.value.id == value)
+
+    out = set()
+    for file, tree in _SOURCE.items():
+        module = file.removesuffix(".py")
+        for stmt in tree.body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for node in members:
+                where = f"{module}.{stmt.name}." if isinstance(stmt, ast.ClassDef) else f"{module}."
+                where += node.name if isinstance(node, ast.FunctionDef) else f"line {node.lineno}"
+                if any(reads(n) for n in ast.walk(node)):
+                    out.add(where)
+    return out
+
+
+@pytest.mark.parametrize("target", _PINNED)
+def test_unchecked_paths_have_only_their_listed_callers(target):
+    readers = _readers(target)
+    assert readers == _PINNED[target], (
+        f"{target} is read by {sorted(readers - _PINNED[target])} beyond its list, "
+        f"and no longer by {sorted(_PINNED[target] - readers)}"
+    )
 
 
 def test_the_readme_has_python_examples():
