@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import Callable, Sequence, TypeVar
 
 from .bounds import AuditReport, BoundArch, BoundQuery, Model, lower_bound, stage_audit
@@ -354,10 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps nothing between calls, and a build costs more than most parses
+_parser = cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -210,12 +210,12 @@ def _fold_walk(
     two_qubit = bytearray(3 * len(gates))  # 1 at each layer holding a two-qubit gate
     pend = [0] * n_wires  # 1 + expansion index of an unfolded CNOT last on each wire, else 0
     cnot_kind, swap_kind, m = GateKind.CNOT, GateKind.SWAP, 0  # m: the expansion's length
-    for g in gates:
-        kind, qs, _ = g
+    for g in gates:  # fields read by index: unpacking a tuple subclass is slower
+        kind = g[0]
         if out is not None and kind is not swap_kind:
             out.append(g)
         if kind is cnot_kind:
-            a, b = qs
+            a, b = g[1]
             layer = free[a]
             if free[b] > layer:
                 layer = free[b]
@@ -224,7 +224,7 @@ def _fold_walk(
             m += 1
             pend[a] = pend[b] = m
         elif kind is swap_kind:
-            a, b = qs
+            a, b = qs = g[1]
             if out is not None and (three := three_on.get(qs)) is None:
                 ab = cnot(a, b)
                 three = three_on[qs] = (ab, cnot(b, a), ab)
@@ -235,7 +235,7 @@ def _fold_walk(
                 m += 1
                 if out is not None:
                     g = out[k - 1]
-                    out[k - 1] = three[g.qubits[0] == a]  # the folded CNOT, reversed
+                    out[k - 1] = three[g[1][0] == a]  # the folded CNOT, reversed
                     out.append(g)
             else:
                 layer = free[a] if free[a] > free[b] else free[b]
@@ -245,7 +245,7 @@ def _fold_walk(
                 if out is not None:
                     out.extend(three)
             pend[a] = pend[b] = 0
-        elif len(qs) == 1:
+        elif len(qs := g[1]) == 1:
             free[qs[0]] += 1
             pend[qs[0]] = 0
             m += 1
@@ -278,7 +278,8 @@ def _layer_walk(
     swap_kind = GateKind.SWAP
     last_kind = stretch = None
     units = 0
-    for kind, qs, _ in gates:
+    for g in gates:  # fields read by index: unpacking a tuple subclass is slower
+        qs = g[1]
         if len(qs) == 1:
             q = qs[0]
             if out is not None:
@@ -296,6 +297,7 @@ def _layer_walk(
             out.append(layer)
         two_qubit[layer] = 1
         plain[a] = plain[b] = layer + 1
+        kind = g[0]
         if kind is not last_kind:
             last_kind = kind
             tag = "S" if kind is swap_kind else "L"

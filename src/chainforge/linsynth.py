@@ -17,10 +17,12 @@ compose exactly like the circuits they came from.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Architecture,
@@ -139,58 +141,88 @@ class GaussJordanTrace:
 
     def gates_in_order(self) -> list[Gate]:
         """The trace's gates in elimination time order."""
-        return self._replay({})
+        return _replay(self._order, self.n, {})
 
-    def _replay(self, table: dict[Pair, Gate]) -> list[Gate]:
-        """`gates_in_order`, each CNOT read from `table` by (control, target), made there once."""
-        n, lower, upper, pairs = self.n, self.lower, self.upper, []
-        for c in range(n - 1):
-            j = self.pivot_donor[c]
-            if j is not None:
-                pairs.append((j, c))
-            pairs.extend((c, s) for s in range(c + 1, n) if (c, s) in lower)
-        for l in range(n - 1, 0, -1):
-            pairs.extend((l, k) for k in range(l - 1, -1, -1) if (k, l) in upper)
-        # the loops stay in the n x n grid, so each pair is two distinct wires
-        return [table.get(pr) or table.setdefault(pr, _unchecked_gate(GateKind.CNOT, pr)) for pr in pairs]
+    @cached_property
+    def _order(self) -> array:
+        """The CNOT codes in elimination time order, as `_eliminate` records them; `gauss_jordan`
+        presets it, and a trace built from its fields sorts their in-grid pairs into that order."""
+        n = self.n
+        forward = [(c, -1, j * n + c) for c, j in enumerate(self.pivot_donor) if j is not None]
+        forward += [(c, s, c * n + s) for c, s in self.lower if 0 <= c < s < n]
+        backward = sorted((l * n + k for k, l in self.upper if 0 <= k < l < n), reverse=True)
+        return array("i", [code for *_, code in sorted(forward)] + backward)
 
 
-def gauss_jordan(a: GF2Matrix) -> GaussJordanTrace:
-    """Eliminate `a` to the identity, recording the gates applied.
+def _replay(order: Iterable[int], n: int, table: dict[int, Gate]) -> list[Gate]:
+    """The CNOT of each code control * n + target, read from `table` by code and made there once.
+    Each code stands for an in-grid pair of two distinct wires, so no gate is checked."""
+    return [table.get(k) or table.setdefault(k, _unchecked_gate(GateKind.CNOT, divmod(k, n))) for k in order]
+
+
+def _eliminate(
+    rows: list[int], n: int, order: array, lower: set | None = None, upper: set | None = None
+) -> list[int | None]:
+    """The one Gauss-Jordan loop: reduce the low n bits of `rows` to the identity, in place.
 
     Per column, left to right: fix a zero diagonal by adding the nearest
     lower row that has a one in the column, then clear the column below the
     diagonal. Afterwards clear above the diagonal, rightmost column first.
-    Replaying gates_in_order() as row operations reduces `a` to I, so the
-    same gates as a circuit compute the inverse of `a`.
+    Each CNOT's code control * n + target is appended to `order` as it runs,
+    and given `lower` and `upper`, its pair is added there as `GaussJordanTrace`
+    keeps it. Bits above n ride along, so rows of [A | I] end as [I | A^-1].
+    Returns the pivot donors; raises SingularMatrixError at a column with no pivot.
     """
-    n = a.n
-    rows = list(a.rows)
     pivot_donor: list[int | None] = []
-    lower = set()
-    upper = set()
+    record = order.append
     for c in range(n):
-        if not (rows[c] >> c) & 1:
-            j = next((i for i in range(c + 1, n) if (rows[i] >> c) & 1), None)
+        bit, row, base = 1 << c, rows[c], c * n
+        if not row & bit:
+            j = next((i for i in range(c + 1, n) if rows[i] & bit), None)
             if j is None:
                 raise SingularMatrixError(f"matrix is singular (no pivot in column {c})")
-            rows[c] ^= rows[j]
-            if c < n - 1:
-                pivot_donor.append(j)
+            row = rows[c] = row ^ rows[j]
+            record(j * n + c)
+            pivot_donor.append(j)
         elif c < n - 1:
             pivot_donor.append(None)
         for s in range(c + 1, n):
-            if (rows[s] >> c) & 1:
-                rows[s] ^= rows[c]
-                lower.add((c, s))
+            if rows[s] & bit:
+                rows[s] ^= row
+                record(base + s)
+                if lower is not None:
+                    lower.add((c, s))
     for l in range(n - 1, 0, -1):
+        bit, row, base = 1 << l, rows[l], l * n
         for k in range(l - 1, -1, -1):
-            if (rows[k] >> l) & 1:
-                rows[k] ^= rows[l]
-                upper.add((k, l))
-    if any(r != 1 << i for i, r in enumerate(rows)):  # pragma: no cover - defensive
-        raise SingularMatrixError("elimination did not reach the identity")
-    return GaussJordanTrace(n, tuple(pivot_donor), frozenset(lower), frozenset(upper))
+            if rows[k] & bit:
+                rows[k] ^= row
+                record(base + k)
+                if upper is not None:
+                    upper.add((k, l))
+    return pivot_donor
+
+
+def gauss_jordan(a: GF2Matrix) -> GaussJordanTrace:
+    """Eliminate `a` to the identity, recording the gates applied (see `_eliminate`).
+
+    Replaying gates_in_order() as row operations reduces `a` to I, so the
+    same gates as a circuit compute the inverse of `a`.
+    """
+    order, lower, upper = array("i"), set(), set()
+    pivot_donor = _eliminate(list(a.rows), a.n, order, lower, upper)
+    trace = GaussJordanTrace(a.n, tuple(pivot_donor), frozenset(lower), frozenset(upper))
+    trace.__dict__["_order"] = order  # recorded beside the fields, in one loop
+    return trace
+
+
+def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array]:
+    """`a`'s inverse and its elimination order from one pass over [a | I]: the row operations
+    that take `a` to I take I to `a`'s inverse. Raises SingularMatrixError."""
+    n, order = a.n, array("i")
+    rows = [r | 1 << (n + i) for i, r in enumerate(a.rows)]
+    _eliminate(rows, n, order)
+    return GF2Matrix(n, tuple(r >> n for r in rows)), order
 
 
 @dataclass(frozen=True)

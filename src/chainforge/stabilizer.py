@@ -8,10 +8,18 @@ where their wires currently live, and each C stage runs the three-part
 skeleton synthesis starting from the current placement, which it flips or
 preserves depending on how many of its parts are nonempty.
 
+Each C stage is eliminated once, when the decomposition is built: one pass
+over [C | I] is the nonsingularity check, yields C^-1 and records the order
+of C's elimination CNOTs. `schedule_stabilizer` eliminates each C^-1 once
+for its three-part synthesis; `stabilizer_flat` replays the recorded orders
+backwards and eliminates nothing.
+
 The tableau here is the usual conjugation table: row g holds the image of
 input Pauli X_g (rows 0..n-1) or Z_{g-n} (rows n..2n-1) as x/z bit vectors
 plus a sign bit, with the row decoding to (-1)^r * prod_w i^{x_w z_w}
-X^{x_w} Z^{z_w}.
+X^{x_w} Z^{z_w}. One loop (`_apply_gates`) holds every gate's update rule:
+`tableau_of` makes one pass of it over a circuit, and `apply_gate` runs it
+over one gate.
 """
 
 from __future__ import annotations
@@ -36,7 +44,16 @@ from .core import (
     is_permutation,
     p,
 )
-from .linsynth import GF2Matrix, _part_pieces, _try_inverse, gauss_jordan, rearrange
+from .linsynth import (
+    GF2Matrix,
+    SingularMatrixError,
+    _inverse_and_order,
+    _part_pieces,
+    _replay,
+    _try_inverse,
+    gauss_jordan,
+    rearrange,
+)
 
 STAGE_ORDER = ("h", "c", "p", "c", "p", "c", "h", "p", "c", "p", "c")
 
@@ -58,15 +75,18 @@ class StageDecomposition:
         for mask in (*self.h_masks, *self.p_masks):
             if not 0 <= mask < (1 << self.n):
                 raise ValueError(f"mask {mask:#x} has bits outside 0..{self.n - 1}")
-        inverses = []
+        eliminated = []
         for i, c in enumerate(self.c_stages):
             if c.n != self.n:
                 raise ValueError(f"C stage {i} has dimension {c.n}, expected {self.n}")
-            inverses.append(_try_inverse(c))
-            if inverses[-1] is None:
-                raise ValueError(f"C stage {i} is singular")
-        # not a field: kept so that schedule_stabilizer need not invert again
-        object.__setattr__(self, "_c_inverses", tuple(inverses))
+            try:
+                eliminated.append(_inverse_and_order(c))
+            except SingularMatrixError:
+                raise ValueError(f"C stage {i} is singular") from None
+        # not fields: each stage's inverse for schedule_stabilizer and its elimination's
+        # CNOT codes for stabilizer_flat, so neither eliminates C again
+        object.__setattr__(self, "_c_inverses", tuple(inv for inv, _ in eliminated))
+        object.__setattr__(self, "_c_orders", tuple(order for _, order in eliminated))
 
     def stages(self) -> Iterator[tuple[str, int | GF2Matrix]]:
         """The 11 (kind, content) pairs in execution order."""
@@ -88,16 +108,17 @@ def random_decomposition(n: int, rng: Random) -> StageDecomposition:
 def stabilizer_flat(d: StageDecomposition) -> Circuit:
     """Stage-by-stage reference circuit on unrestricted connectivity.
 
-    Each C stage is realized by replaying its elimination trace backwards:
-    the trace's gates reduce C to the identity, and CNOTs are involutions,
-    so the reversed gate list computes C itself. The five replays share one
-    CNOT per ordered pair.
+    Each C stage is realized by replaying the CNOTs its elimination recorded
+    in the decomposition, backwards: those gates reduce C to the identity,
+    and CNOTs are involutions, so the reversed gate list computes C itself.
+    No stage is eliminated here. The five replays share one CNOT per ordered pair.
     """
     pieces: list[tuple[Iterable[Gate], Iterable[Gate]]] = []
-    cnots: dict[tuple[int, int], Gate] = {}
+    cnots: dict[int, Gate] = {}
+    orders = iter(d._c_orders)
     for kind, content in d.stages():
         if kind == "c":
-            pieces.append((reversed(gauss_jordan(content)._replay(cnots)), []))
+            pieces.append((reversed(_replay(next(orders), d.n, cnots)), []))
         else:
             made = [(h if kind == "h" else p)(w) for w in _mask_wires(content, d.n)]
             pieces.append((made, made))
@@ -171,41 +192,52 @@ _CNOT, _SWAP, _CZ, _CPHASE = GateKind.CNOT, GateKind.SWAP, GateKind.CZ, GateKind
 _H, _P = GateKind.H, GateKind.P  # bound once: a read through the Enum class costs far more
 
 
+def _apply_gates(t: PauliTableau, gates: Iterable[Gate]) -> None:
+    """The one gate loop: update the tableau by each Clifford gate in turn, in place.
+
+    SWAP and CNOT, nearly every position of a schedule, are tested first, and a
+    gate's fields are read by index (a `Gate` is a tuple subclass, which
+    unpacking handles slower). A non-Clifford gate raises.
+    """
+    xs, zs, signs = t.xs, t.zs, t.signs
+    for g in gates:
+        kind = g[0]
+        if kind is _SWAP:
+            a, b = g[1]
+            xs[a], xs[b] = xs[b], xs[a]
+            zs[a], zs[b] = zs[b], zs[a]
+        elif kind is _CNOT:
+            c, tq = g[1]
+            signs ^= xs[c] & zs[tq] & ~(xs[tq] ^ zs[c])
+            xs[tq] ^= xs[c]
+            zs[c] ^= zs[tq]
+        elif kind is _H:
+            q = g[1][0]
+            signs ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
+        elif kind is _P:
+            q = g[1][0]
+            signs ^= xs[q] & zs[q]
+            zs[q] ^= xs[q]
+        elif kind is _CZ or (kind is _CPHASE and g[2] == 1):
+            a, b = g[1]
+            signs ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
+            zs[a] ^= xs[b]
+            zs[b] ^= xs[a]
+        else:
+            raise ValueError(f"{kind.value} (param={g[2]}) is not a Clifford gate")
+    t.signs = signs
+
+
 def apply_gate(t: PauliTableau, g: Gate) -> PauliTableau:
     """Update the tableau by one Clifford gate, in place."""
-    kind, qubits, param = g
-    xs, zs = t.xs, t.zs
-    if kind is _CNOT:
-        c, tq = qubits
-        t.signs ^= xs[c] & zs[tq] & ~(xs[tq] ^ zs[c])
-        xs[tq] ^= xs[c]
-        zs[c] ^= zs[tq]
-    elif kind is _SWAP:
-        a, b = qubits
-        xs[a], xs[b] = xs[b], xs[a]
-        zs[a], zs[b] = zs[b], zs[a]
-    elif kind is _H:
-        (q,) = qubits
-        t.signs ^= xs[q] & zs[q]
-        xs[q], zs[q] = zs[q], xs[q]
-    elif kind is _P:
-        (q,) = qubits
-        t.signs ^= xs[q] & zs[q]
-        zs[q] ^= xs[q]
-    elif kind is _CZ or (kind is _CPHASE and param == 1):
-        a, b = qubits
-        t.signs ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
-        zs[a] ^= xs[b]
-        zs[b] ^= xs[a]
-    else:
-        raise ValueError(f"{kind.value} (param={param}) is not a Clifford gate")
+    _apply_gates(t, (g,))
     return t
 
 
 def tableau_of(circuit: Circuit) -> PauliTableau:
     t = PauliTableau.identity(circuit.n_wires)
-    for g in circuit.gates:
-        apply_gate(t, g)
+    _apply_gates(t, circuit.gates)
     return t
 
 

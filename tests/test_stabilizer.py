@@ -5,6 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import chainforge.linsynth as linsynth
 import chainforge.stabilizer as stab
 from chainforge.core import (
     Circuit,
@@ -19,7 +20,7 @@ from chainforge.core import (
     p,
     swap,
 )
-from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot, gauss_jordan
+from chainforge.linsynth import GF2Matrix, GaussJordanTrace, expand_circuit_to_cnot, gauss_jordan
 from chainforge.oracle import circuit_unitary
 from chainforge.stabilizer import (
     PauliTableau,
@@ -168,19 +169,33 @@ def test_native_cz_rule_matches_h_cnot_h():
         assert native == phase1 == composed
 
 
-def test_tableau_of_calls_apply_gate_once_per_gate(monkeypatch):
-    calls = []
-    original = stab.apply_gate
+def test_tableau_of_makes_one_pass_of_the_one_gate_loop(monkeypatch):
+    passes = []
+    original = stab._apply_gates
 
-    def counting(t, g):
-        calls.append(g)
-        return original(t, g)
+    def counting(t, gates):
+        passes.append(gates)
+        return original(t, gates)
 
-    monkeypatch.setattr(stab, "apply_gate", counting)
+    monkeypatch.setattr(stab, "_apply_gates", counting)
     sc = schedule_stabilizer(random_decomposition(4, Random(5)))
     circuit = Circuit(4, sc.circuit.gates + (cz(0, 1), cphase(1, 2, 3)))
-    tableau_of(circuit)
-    assert len(calls) == len(circuit.gates)
+    t = tableau_of(circuit)
+    assert len(passes) == 1 and passes[0] is circuit.gates  # no call per gate
+    passes.clear()
+    one_by_one = PauliTableau.identity(4)
+    for g in circuit.gates:
+        assert stab.apply_gate(one_by_one, g) is one_by_one
+    assert [tuple(gates) for gates in passes] == [(g,) for g in circuit.gates]  # the same loop, one gate long
+    assert one_by_one == t
+    for bad in (cphase(2, 0, 1), generic2(0, 1)):
+        with pytest.raises(ValueError, match="not a Clifford gate"):
+            tableau_of(Circuit(2, (h(0), bad)))
+        before = tableau_of(Circuit(2, (h(0), p(0))))
+        after = tableau_of(Circuit(2, (h(0), p(0))))
+        with pytest.raises(ValueError, match="not a Clifford gate"):
+            stab.apply_gate(after, bad)
+        assert after == before  # a rejected gate leaves the tableau alone
 
 
 def test_tableau_rejects_non_clifford_gates():
@@ -209,22 +224,32 @@ def test_decomposition_validation():
         StageDecomposition(n, (0, 0), (0,) * 4, (GF2Matrix(2, (3, 3)),) * 5)
 
 
-def test_schedule_reuses_the_inverses_the_decomposition_checked(monkeypatch):
-    calls = []
-    original = GF2Matrix.inverse
+def test_each_c_stage_and_each_inverse_is_eliminated_once(monkeypatch):
+    eliminated, inverted = [], []
+    eliminate, invert = linsynth._eliminate, GF2Matrix.inverse
 
-    def counting(m):
-        calls.append(m)
-        return original(m)
+    def counting_eliminate(rows, n, *args):
+        eliminated.append(GF2Matrix(n, tuple(r & ((1 << n) - 1) for r in rows)))  # the [C | I] rows' C
+        return eliminate(rows, n, *args)
 
-    monkeypatch.setattr(GF2Matrix, "inverse", counting)
+    def counting_inverse(m):
+        inverted.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(linsynth, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(GF2Matrix, "inverse", counting_inverse)
     d = random_decomposition(6, Random(23))
-    assert calls[-5:] == list(d.c_stages)  # the check inverts each C stage once
-    calls.clear()
+    assert eliminated == list(d.c_stages)  # the check eliminates each C stage once
+    eliminated.clear()
+    inverted.clear()
     sc = schedule_stabilizer(d)
-    assert calls == []
-    assert tableau_equiv(sc.circuit, stabilizer_flat(d), relabel=sc.final_map)
-    assert "_c_inverses" not in repr(d)  # kept beside the fields, not as one
+    assert eliminated == [invert(c) for c in d.c_stages]  # and the schedule each inverse once
+    assert inverted == []
+    eliminated.clear()
+    flat = stabilizer_flat(d)
+    assert eliminated == [] and inverted == []  # the reference replays what the check recorded
+    assert tableau_equiv(sc.circuit, flat, relabel=sc.final_map)
+    assert "_c_inverses" not in repr(d) and "_c_orders" not in repr(d)  # kept beside the fields
 
 
 def test_random_decomposition_reproducible():
@@ -244,12 +269,24 @@ def test_flat_reference_and_schedule_agree():
         assert generic_depth(sc.circuit) <= 30 * n - 45
 
 
+def _grid_order(trace: GaussJordanTrace) -> list:
+    """The trace's gates in elimination time order, rebuilt from its fields by a scan of the n x n grid."""
+    n, pairs = trace.n, []
+    for c in range(n - 1):
+        if trace.pivot_donor[c] is not None:
+            pairs.append((trace.pivot_donor[c], c))
+        pairs.extend((c, s) for s in range(c + 1, n) if (c, s) in trace.lower)
+    for l in range(n - 1, 0, -1):
+        pairs.extend((l, k) for k in range(l - 1, -1, -1) if (k, l) in trace.upper)
+    return [cnot(*pair) for pair in pairs]
+
+
 def _ref_stabilizer_flat(d: StageDecomposition) -> Circuit:
-    """Reference: each C stage replays its own trace, with CNOTs made per stage."""
+    """Reference: each C stage replays its trace in grid order, with CNOTs made per stage."""
     gates = []
     for kind, content in d.stages():
         if kind == "c":
-            gates.extend(reversed(gauss_jordan(content).gates_in_order()))
+            gates.extend(reversed(_grid_order(gauss_jordan(content))))
         else:
             gates.extend((h if kind == "h" else p)(w) for w in range(d.n) if content >> w & 1)
     return Circuit(d.n, tuple(gates))
@@ -263,6 +300,38 @@ def test_flat_reference_makes_one_cnot_per_ordered_pair():
         assert flat == _ref_stabilizer_flat(d)
         cnots = [g for g in flat.gates if g.kind is GateKind.CNOT]
         assert len({id(g) for g in cnots}) == len(set(cnots))  # one object per ordered pair
+
+
+def test_one_elimination_per_c_stage_records_the_grid_order_and_the_inverse():
+    rng = Random(47)
+    for n in range(1, 41):
+        d = random_decomposition(n, rng)
+        for i, c in enumerate(d.c_stages):
+            trace = gauss_jordan(c)
+            grid = _grid_order(trace)
+            assert linsynth._replay(d._c_orders[i], n, {}) == grid, (n, i)  # the decomposition's record
+            assert trace.gates_in_order() == grid, (n, i)  # gauss_jordan's record
+            by_hand = GaussJordanTrace(n, trace.pivot_donor, trace.lower, trace.upper)
+            assert by_hand.gates_in_order() == grid, (n, i)  # a trace with no record
+            assert d._c_inverses[i] == c.inverse(), (n, i)  # [C | I] ends as [I | C^-1]
+        # a singular block: one row the sum of others (zero at n = 1) fails at a seeded column
+        i = rng.randrange(5)
+        rows = list(d.c_stages[i].rows)
+        r = rng.randrange(n)
+        others = [w for w in range(n) if w != r]
+        rows[r] = 0
+        for w in rng.sample(others, rng.randint(1, len(others))) if others else ():
+            rows[r] ^= rows[w]
+        stages = list(d.c_stages)
+        stages[i] = GF2Matrix(n, tuple(rows))
+        with pytest.raises(ValueError, match=f"^C stage {i} is singular$"):
+            StageDecomposition(n, d.h_masks, d.p_masks, tuple(stages))
+        text = emit_stab(d).splitlines()
+        at = [k for k, line in enumerate(text) if line == "stage c"][i]
+        text[at + 1 : at + 1 + n] = stages[i].to_strings()
+        with pytest.raises(ParseError, match=f"C stage {i} is singular") as err:
+            parse_stab("\n".join(text))
+        assert err.value.line == at + 1, (n, i)
 
 
 def test_schedule_depth_bounds():
