@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from random import Random
 from typing import Iterable, Sequence
@@ -74,8 +73,11 @@ class GF2Matrix:
         bound = 1 << n
         while True:
             m = GF2Matrix(n, tuple(rng.randrange(bound) for _ in range(n)))
-            if _try_inverse(m) is not None:
-                return m
+            try:
+                m.inverse()
+            except SingularMatrixError:
+                continue
+            return m
 
     def inverse(self) -> "GF2Matrix":
         n = self.n
@@ -106,14 +108,6 @@ class GF2Matrix:
         return GF2Matrix(self.n, tuple(self.rows[output_map[l]] for l in range(self.n)))
 
 
-def _try_inverse(m: GF2Matrix) -> GF2Matrix | None:
-    """The one nonsingularity test: `inverse`, or None where it misses a pivot."""
-    try:
-        return m.inverse()
-    except SingularMatrixError:
-        return None
-
-
 @dataclass(frozen=True)
 class GaussJordanTrace:
     """Elimination trace: pivot donors plus lower/upper gate flags.
@@ -140,18 +134,13 @@ class GaussJordanTrace:
                 raise ValueError(f"pivot donor {j} for column {c} must satisfy c < j < n")
 
     def gates_in_order(self) -> list[Gate]:
-        """The trace's gates in elimination time order."""
-        return _replay(self._order, self.n, {})
-
-    @cached_property
-    def _order(self) -> array:
-        """The CNOT codes in elimination time order, as `_eliminate` records them; `gauss_jordan`
-        presets it, and a trace built from its fields sorts their in-grid pairs into that order."""
+        """The trace's gates in elimination time order, as `_eliminate` makes them: per column
+        its pivot fix, then its lower pairs; then the upper pairs, rightmost column first."""
         n = self.n
         forward = [(c, -1, j * n + c) for c, j in enumerate(self.pivot_donor) if j is not None]
         forward += [(c, s, c * n + s) for c, s in self.lower if 0 <= c < s < n]
         backward = sorted((l * n + k for k, l in self.upper if 0 <= k < l < n), reverse=True)
-        return array("i", [code for *_, code in sorted(forward)] + backward)
+        return _replay([code for *_, code in sorted(forward)] + backward, n, {})
 
 
 def _replay(order: Iterable[int], n: int, table: dict[int, Gate]) -> list[Gate]:
@@ -209,11 +198,9 @@ def gauss_jordan(a: GF2Matrix) -> GaussJordanTrace:
     Replaying gates_in_order() as row operations reduces `a` to I, so the
     same gates as a circuit compute the inverse of `a`.
     """
-    order, lower, upper = array("i"), set(), set()
-    pivot_donor = _eliminate(list(a.rows), a.n, order, lower, upper)
-    trace = GaussJordanTrace(a.n, tuple(pivot_donor), frozenset(lower), frozenset(upper))
-    trace.__dict__["_order"] = order  # recorded beside the fields, in one loop
-    return trace
+    lower, upper = set(), set()  # the trace keeps the pairs, not the recorded order
+    pivot_donor = _eliminate(list(a.rows), a.n, array("i"), lower, upper)
+    return GaussJordanTrace(a.n, tuple(pivot_donor), frozenset(lower), frozenset(upper))
 
 
 def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array]:

@@ -50,12 +50,19 @@ from .linsynth import (
     _inverse_and_order,
     _part_pieces,
     _replay,
-    _try_inverse,
     gauss_jordan,
     rearrange,
 )
 
 STAGE_ORDER = ("h", "c", "p", "c", "p", "c", "h", "p", "c", "p", "c")
+
+
+class _SingularStage(ValueError):
+    """A singular C stage, with its index among the five, so a parser can name its block."""
+
+    def __init__(self, stage: int) -> None:
+        super().__init__(f"C stage {stage} is singular")
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ class StageDecomposition:
             try:
                 eliminated.append(_inverse_and_order(c))
             except SingularMatrixError:
-                raise ValueError(f"C stage {i} is singular") from None
+                raise _SingularStage(i) from None
         # not fields: each stage's inverse for schedule_stabilizer and its elimination's
         # CNOT codes for stabilizer_flat, so neither eliminates C again
         object.__setattr__(self, "_c_inverses", tuple(inv for inv, _ in eliminated))
@@ -259,7 +266,8 @@ def parse_stab(text: str) -> StageDecomposition:
     pos = 1
     h_masks: list[int] = []
     p_masks: list[int] = []
-    c_stages: list[tuple[int, GF2Matrix]] = []  # with the line of each 'stage c'
+    c_stages: list[GF2Matrix] = []
+    c_lines: list[int] = []  # the line of each 'stage c'
     for want in STAGE_ORDER:
         if pos >= len(lines):
             raise ParseError(lines[-1][0], f"missing 'stage {want}' block")
@@ -273,16 +281,16 @@ def parse_stab(text: str) -> StageDecomposition:
         rows = _bit_rows(lines[pos : pos + count], n)
         pos += count
         if want == "c":
-            c_stages.append((lineno, GF2Matrix(n, rows)))
+            c_stages.append(GF2Matrix(n, rows))
+            c_lines.append(lineno)
         else:
             (h_masks if want == "h" else p_masks).append(rows[0])
     if pos != len(lines):
         raise ParseError(lines[pos][0], "unexpected content after the 11 stages")
     try:
-        return StageDecomposition(n, tuple(h_masks), tuple(p_masks), tuple(c for _, c in c_stages))
-    except ValueError as exc:  # a singular block: searched here, so a valid file is tested once
-        singular = next((ln for ln, c in c_stages if _try_inverse(c) is None), lines[0][0])
-        raise ParseError(singular, str(exc)) from None
+        return StageDecomposition(n, tuple(h_masks), tuple(p_masks), tuple(c_stages))
+    except _SingularStage as exc:  # the only check parsing leaves to the decomposition
+        raise ParseError(c_lines[exc.stage], str(exc)) from None
 
 
 def emit_stab(d: StageDecomposition) -> str:

@@ -310,9 +310,9 @@ def test_one_elimination_per_c_stage_records_the_grid_order_and_the_inverse():
             trace = gauss_jordan(c)
             grid = _grid_order(trace)
             assert linsynth._replay(d._c_orders[i], n, {}) == grid, (n, i)  # the decomposition's record
-            assert trace.gates_in_order() == grid, (n, i)  # gauss_jordan's record
+            assert trace.gates_in_order() == grid, (n, i)  # worked out from the trace's fields
             by_hand = GaussJordanTrace(n, trace.pivot_donor, trace.lower, trace.upper)
-            assert by_hand.gates_in_order() == grid, (n, i)  # a trace with no record
+            assert by_hand.gates_in_order() == grid, (n, i)  # a trace built by hand
             assert d._c_inverses[i] == c.inverse(), (n, i)  # [C | I] ends as [I | C^-1]
         # a singular block: one row the sum of others (zero at n = 1) fails at a seeded column
         i = rng.randrange(5)
