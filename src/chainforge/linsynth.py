@@ -6,7 +6,10 @@ a gate trace whose circuit action is A; the trace is rearranged into pivot
 gates, a lower-triangular part and an upper-triangular part, each of which
 fits the all-pairs skeleton (the upper part after reversing wire labels).
 Chaining the three schedules costs no routing because each schedule flips
-the wire placement end to end.
+the wire placement end to end. Elimination marks each CNOT it runs in an
+n x n grid at the code control * n + target, the trace's pair sets are views
+of those grids, the pivot moves XOR strided grid slices, and the parts are
+staged straight from the grids: no pair tuple, set or spec is made per slot.
 
 Matrix convention: rows are bit-packed integers, row i bit j is A[i][j],
 and the matrix acts on column vectors of wire values, out_i = XOR of
@@ -21,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .core import (
     Architecture,
@@ -39,7 +42,7 @@ from .core import (
     cnot,
     is_permutation,
 )
-from .skeleton import SkeletonSpec, Slot, _check_placement, staged_schedule
+from .skeleton import Slot, _check_pair, _check_placement, _grid_stages, _GridPairs, _site_row
 
 Pair = tuple[int, int]
 
@@ -108,6 +111,19 @@ class GF2Matrix:
         return GF2Matrix(self.n, tuple(self.rows[output_map[l]] for l in range(self.n)))
 
 
+def _marks(pairs: Iterable[Pair], n: int, transposed: bool = False) -> bytearray:
+    """The n x n grid under a pair field: a grid view's own (it marks only pairs), else one marked
+    from the pairs, each checked; a transposed field's pair (a, b) is marked at b * n + a."""
+    if type(pairs) is _GridPairs and (pairs.n, pairs.transposed) == (n, transposed):
+        return pairs.grid
+    grid = bytearray(n * n)
+    for a, b in pairs:
+        if not 0 <= a < b < n:
+            _check_pair(a, b, n)  # raises
+        grid[b * n + a if transposed else a * n + b] = 1
+    return grid
+
+
 @dataclass(frozen=True)
 class GaussJordanTrace:
     """Elimination trace: pivot donors plus lower/upper gate flags.
@@ -117,14 +133,16 @@ class GaussJordanTrace:
     entry for the last column, where a zero diagonal means singularity.
     lower holds pairs (c, s) meaning CNOT(c, s) ran while clearing column c
     below the diagonal; upper holds pairs (k, l) meaning CNOT(l, k) ran
-    while clearing column l above it. Those pairs are checked where they are
-    used, by the skeleton spec of their part; `gates_in_order` replays only in-grid pairs.
+    while clearing column l above it. From `gauss_jordan` both are set views of
+    the grids elimination marked at each CNOT's code control * n + target. Pairs
+    given by hand are checked where they are used (lower by `rearrange`, upper
+    when the parts are scheduled); `gates_in_order` replays only in-grid pairs.
     """
 
     n: int
     pivot_donor: tuple[int | None, ...]
-    lower: frozenset[Pair]
-    upper: frozenset[Pair]
+    lower: AbstractSet[Pair]
+    upper: AbstractSet[Pair]
 
     def __post_init__(self) -> None:
         if len(self.pivot_donor) != max(self.n - 1, 0):
@@ -150,16 +168,17 @@ def _replay(order: Iterable[int], n: int, table: dict[int, Gate]) -> list[Gate]:
 
 
 def _eliminate(
-    rows: list[int], n: int, order: array, lower: set | None = None, upper: set | None = None
+    rows: list[int], n: int, order: array, lower: bytearray, upper: bytearray
 ) -> list[int | None]:
     """The one Gauss-Jordan loop: reduce the low n bits of `rows` to the identity, in place.
 
     Per column, left to right: fix a zero diagonal by adding the nearest
     lower row that has a one in the column, then clear the column below the
     diagonal. Afterwards clear above the diagonal, rightmost column first.
-    Each CNOT's code control * n + target is appended to `order` as it runs,
-    and given `lower` and `upper`, its pair is added there as `GaussJordanTrace`
-    keeps it. Bits above n ride along, so rows of [A | I] end as [I | A^-1].
+    Each CNOT's code control * n + target is appended to `order` as it runs; a
+    CNOT clearing below the diagonal is also marked at its code in the n x n grid
+    `lower`, one clearing above it in `upper`. Bits above n ride along, so rows
+    of [A | I] end as [I | A^-1].
     Returns the pivot donors; raises SingularMatrixError at a column with no pivot.
     """
     pivot_donor: list[int | None] = []
@@ -179,16 +198,14 @@ def _eliminate(
             if rows[s] & bit:
                 rows[s] ^= row
                 record(base + s)
-                if lower is not None:
-                    lower.add((c, s))
+                lower[base + s] = 1
     for l in range(n - 1, 0, -1):
         bit, row, base = 1 << l, rows[l], l * n
         for k in range(l - 1, -1, -1):
             if rows[k] & bit:
                 rows[k] ^= row
                 record(base + k)
-                if upper is not None:
-                    upper.add((k, l))
+                upper[base + k] = 1
     return pivot_donor
 
 
@@ -198,17 +215,18 @@ def gauss_jordan(a: GF2Matrix) -> GaussJordanTrace:
     Replaying gates_in_order() as row operations reduces `a` to I, so the
     same gates as a circuit compute the inverse of `a`.
     """
-    lower, upper = set(), set()  # the trace keeps the pairs, not the recorded order
-    pivot_donor = _eliminate(list(a.rows), a.n, array("i"), lower, upper)
-    return GaussJordanTrace(a.n, tuple(pivot_donor), frozenset(lower), frozenset(upper))
+    n = a.n
+    lower, upper = bytearray(n * n), bytearray(n * n)  # the trace keeps the marks, not the recorded order
+    pivot_donor = _eliminate(list(a.rows), n, array("i"), lower, upper)
+    return GaussJordanTrace(n, tuple(pivot_donor), _GridPairs(n, lower), _GridPairs(n, upper, True))
 
 
 def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array]:
     """`a`'s inverse and its elimination order from one pass over [a | I]: the row operations
     that take `a` to I take I to `a`'s inverse. Raises SingularMatrixError."""
-    n, order = a.n, array("i")
+    n, order, marks = a.n, array("i"), bytearray(a.n * a.n)  # the two passes mark disjoint cells
     rows = [r | 1 << (n + i) for i, r in enumerate(a.rows)]
-    _eliminate(rows, n, order)
+    _eliminate(rows, n, order, marks, marks)
     return GF2Matrix(n, tuple(r >> n for r in rows)), order
 
 
@@ -223,8 +241,8 @@ class RearrangedParts:
 
     n: int
     pivots: tuple[tuple[int, int], ...]  # (column, donor), column ascending
-    lower: frozenset[Pair]
-    upper: frozenset[Pair]
+    lower: AbstractSet[Pair]
+    upper: AbstractSet[Pair]
 
     def gates_in_order(self) -> list[Gate]:
         out = [cnot(j, c) for c, j in self.pivots]
@@ -244,24 +262,15 @@ def rearrange(trace: GaussJordanTrace) -> RearrangedParts:
     Pivots are moved in ascending column order against the flags as updated
     so far. Upper gates sit after every pivot and are never crossed.
     """
-    lower = set(trace.lower)
-    pivots: list[tuple[int, int]] = []
+    n = trace.n
+    lower = bytearray(_marks(trace.lower, n))  # a copy: the trace keeps its own
     for c, j in enumerate(trace.pivot_donor):
-        if j is None:
-            continue
-        for c_prev in range(c):
-            if (c_prev, j) in lower:
-                lower ^= {(c_prev, c)}
-        pivots.append((c, j))
-    return RearrangedParts(trace.n, tuple(pivots), frozenset(lower), trace.upper)
-
-
-def _part_specs(parts: RearrangedParts) -> list[tuple[SkeletonSpec, bool]]:
-    """Skeleton specs for the three parts; the last runs on reversed labels."""
-    n, down, up = parts.n, Slot(GateKind.CNOT, True), Slot(GateKind.CNOT)  # control larger, smaller
-    flipped = [(n - 1 - l, n - 1 - k) for k, l in parts.upper]
-    maps = ((parts.pivots, down, False), (parts.lower, up, False), (flipped, up, True))
-    return [(SkeletonSpec.on_pairs(n, dict.fromkeys(prs, e)), rev) for prs, e, rev in maps if prs]
+        if j is not None:  # column c, rows c' < c, XOR column j: one strided slice each
+            col = slice(c, c * n + c, n)
+            toggled = int.from_bytes(lower[col], "big") ^ int.from_bytes(lower[j : c * n + j : n], "big")
+            lower[col] = toggled.to_bytes(c, "big")
+    pivots = tuple((c, j) for c, j in enumerate(trace.pivot_donor) if j is not None)
+    return RearrangedParts(n, pivots, _GridPairs(n, lower), trace.upper)
 
 
 def schedule_parts(
@@ -283,12 +292,20 @@ def _part_pieces(
     parts: RearrangedParts, placement: Sequence[int] | None = None
 ) -> tuple[list[tuple[list[Gate], list[Gate]]], tuple[int, ...]]:
     """`schedule_parts` as one (gates, distinct gates) piece per part, each stage's payload then SWAPs."""
-    placement = _check_placement(range(parts.n) if placement is None else placement, parts.n)
+    n = parts.n
+    placement = _check_placement(range(n) if placement is None else placement, n)
+    pivots, lower, upper = _marks(parts.pivots, n), _marks(parts.lower, n), _marks(parts.upper, n, True)
     pieces = []
-    for spec, reversed_labels in _part_specs(parts):
-        plans, _ = staged_schedule(spec, entry := placement[::-1] if reversed_labels else placement)
-        pieces.append((list(chain.from_iterable(chain.from_iterable(plans))), spec._made(entry[0] != 0)))
-        placement = placement[::-1]  # every part flips it end to end
+    # a pivot CNOT is controlled by its pair's larger wire; the upper part runs on reversed labels,
+    # where pair (k, l) is (n - 1 - l, n - 1 - k): code l * n + k becomes n * n - 1 - (l * n + k)
+    for grid, from_larger, rev in ((pivots, True, False), (lower, False, False), (upper[::-1], False, True)):
+        if 1 in grid:  # an empty part is skipped and leaves the placement alone
+            row = _site_row(n, flip := (placement[::-1] if rev else placement)[0] != 0,
+                            [Slot(GateKind.CNOT, from_larger)] * n, grid)
+            stages, table = _grid_stages(n, flip, row, grid)  # each stage's payload, then its SWAPs
+            gates = list(chain.from_iterable(chain.from_iterable(stages)))
+            pieces.append((gates, [*table, *filter(None, row)]))
+            placement = placement[::-1]  # every part flips it end to end
     return pieces, placement
 
 

@@ -13,7 +13,9 @@ skeleton's closed form, not from a walk: wire a first meets a+1 on sites
 (0, 1) and wire n-1 ends on site 0, so every Hadamard acts on site 0, and
 the final placement is the entry one reversed. Only H(0) and H(n-1) occupy
 layers of their own, so the full transform's depth is 4n-4 for n >= 2. A
-truncated spec leaves its dropped slots empty and keeps every SWAP.
+truncated spec leaves its dropped slots empty and keeps every SWAP. Slot
+(a, b) holds k = d + 1, d = b - a, so the kept slots (d < threshold) are one
+grid and each stage's payload one slice of a row of site gates by d.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .core import (
     cphase,
     h,
 )
-from .skeleton import SkeletonSpec, Slot, staged_schedule
+from .skeleton import Slot, _band, _grid_stages, _site_row
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,6 @@ def qft_flat(spec: QftSpec) -> Circuit:
     return _known_circuit(spec.n, [(gates, gates)])  # each gate is its own object
 
 
-def _skeleton_for(spec: QftSpec) -> SkeletonSpec:
-    n, m = spec.n, spec.approx_threshold or spec.n  # spec.keeps(a, b) iff b < a + m
-    by_k = [Slot(GateKind.CPHASE, False, k) for k in range(m + 1)]
-    kept = {(a, b): by_k[b - a + 1] for a in range(n - 1) for b in range(a + 1, min(n, a + m))}
-    return SkeletonSpec.on_pairs(n, kept)
-
-
 def qft_lnn(spec: QftSpec) -> ScheduledCircuit:
     """Line schedule of every gate the spec keeps; truncation keeps the SWAPs.
 
@@ -80,18 +75,18 @@ def qft_lnn(spec: QftSpec) -> ScheduledCircuit:
     and then by bit reversal equals the DFT matrix for the full transform.
     No physical reversal stage is appended.
     """
-    n, h0 = spec.n, h(0)  # every Hadamard sits on site 0
-    if n == 1:
-        return ScheduledCircuit(_known_circuit(1, [((h0,), (h0,))]), Architecture.lnn(1), (0,))
-    plans, final = staged_schedule(skeleton := _skeleton_for(spec))
-    made, skeleton = (h0, *skeleton._made(False)), None  # the spec's slot map is freed here
+    n, h0 = spec.n, h(0)  # every Hadamard sits on site 0; n = 1 has no stage, only that one
+    kept = _band(n, spec.approx_threshold or n)  # spec.keeps(a, b) iff d = b - a < approx_threshold
+    row = _site_row(n, False, [Slot(GateKind.CPHASE, False, d + 1) for d in range(n)], kept)  # k = d + 1
+    stages, table = _grid_stages(n, False, row, kept)
     gates: list[Gate] = []
-    for idx, plan in enumerate(plans):
+    for idx, (payload, swaps) in enumerate(stages):
         if idx % 2 == 0:  # wire idx // 2 first meets its successor here, on sites (0, 1)
             gates.append(h0)
-        gates.extend(plan.payload)
-        gates.extend(plan.swaps)
+        gates.extend(payload)
+        gates.extend(swaps)
     gates.append(h0)  # wire n - 1 ends on site 0
+    made, final = (h0, *table, *filter(None, row)), tuple(range(n - 1, -1, -1))  # the entry one reversed
     return ScheduledCircuit(_known_circuit(n, [(gates, made)]), Architecture.lnn(n), final)
 
 

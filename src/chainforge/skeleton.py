@@ -14,14 +14,23 @@ stage by stage is equivalent to executing slots in lexicographic order.
 The sites are known in closed form. From the identity placement, slot
 (a, b) with d = b - a runs on sites (d - 1, d), wire a on site d - 1; from
 the reversal the sites are mirrored, wire a on n - d and wire b on n - 1 - d.
+
+So a stage is read by slices. Slot (a, b) has the code a * n + b in an n x n
+grid, and stage s's slots (a, s - a), a ascending, have the codes
+a * (n - 1) + s: one strided slice. Their d = s - 2a are one stride-2 slice
+of a row indexed by n - 1 - d. A builder whose gates depend on d alone marks
+its slots in a bytearray grid and keeps one row of site gates, so a stage's
+payload is one `compress` of the row slice by the grid slice, with no Python
+step per slot. A public spec's slot map is first written into a table of
+site gates by code, its fill a row at a time, and read by the same loop.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import chain
-from typing import AbstractSet, Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain, compress
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     Architecture,
@@ -55,34 +64,48 @@ class Slot(NamedTuple):
     param: int | None = None
 
 
-class _Absent(AbstractSet):
-    """Pairs a slot map marks None, or leaves out when the fill is None (holds no spec)."""
+def _band(n: int, m: int) -> bytearray:
+    """The n x n grid marking every pair (a, b) with b - a < m at a * n + b."""
+    grid = bytearray(n * n)
+    for a in range(n - 1):
+        grid[a * n + a + 1 : a * n + min(n, a + m)] = b"\1" * (min(n, a + m) - a - 1)
+    return grid
 
-    def __init__(self, n: int, slots: Mapping[Pair, Slot | None], fill: Slot | None) -> None:
-        self.n, self.slots, self.fill = n, slots, fill  # not the spec: no reference cycle
+
+class _GridPairs(AbstractSet):
+    """A set view of the pairs (a, b), a < b, its n x n grid marks at a * n + b (transposed: b * n + a)."""
+
+    def __init__(self, n: int, grid: bytearray, transposed: bool = False) -> None:
+        self.n, self.grid, self.transposed = n, grid, transposed
 
     def __contains__(self, pr: object) -> bool:
         try:
             a, b = pr
-            return 0 <= a < b < self.n and self.slots.get(pr, self.fill) is None
+            code = b * self.n + a if self.transposed else a * self.n + b
+            return 0 <= a < b < self.n and self.grid[code] == 1
         except (TypeError, ValueError):  # not a pair of wires
             return False
 
     def __len__(self) -> int:
-        unlisted = self.n * (self.n - 1) // 2 - len(self.slots) if self.fill is None else 0
-        return unlisted + sum(e is None for e in self.slots.values())
+        return self.grid.count(1)
 
     def __iter__(self) -> Iterator[Pair]:
-        pairs = all_pairs(self.n) if self.fill is None else self.slots
-        return (pr for pr in pairs if self.slots.get(pr, self.fill) is None)
+        pairs = (divmod(code, self.n) for code in compress(range(len(self.grid)), self.grid))
+        return ((b, a) for a, b in pairs) if self.transposed else pairs
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+    __hash__ = AbstractSet._hash
 
 
 class SkeletonSpec:
     """Presence flags and payloads for the n-wire all-pairs skeleton.
 
     A spec is a slot map (pair -> Slot, or None for an absent pair) plus the
-    fill every unlisted pair takes. `absent` is a view of the map, and
-    `payload` holds the listed slots' gates, made on first read.
+    fill every unlisted pair takes. `absent` is a set view of an n x n grid
+    marking the absent pairs, and `payload` holds the listed slots' gates,
+    made on first read.
     """
 
     def __init__(
@@ -122,15 +145,17 @@ class SkeletonSpec:
     def _bind(self, n: int, slots: dict[Pair, Slot | None], fill: Slot | None) -> None:
         if n < 2:
             raise ValueError(f"skeleton needs n >= 2, got {n}")
-        for a, b in slots:
+        absent = _band(n, n) if fill is None else bytearray(n * n)  # an unlisted pair takes the fill
+        for (a, b), e in slots.items():
             _check_pair(a, b, n)
+            absent[a * n + b] = e is None
         self.n, self._slots, self._fill = n, slots, fill
-        self.absent = _Absent(n, slots, fill)
-        self._sites: dict[bool, dict[Slot, dict[int, Gate]]] = {}  # see `_made`
+        self.absent = _GridPairs(n, absent)
+        self._sites: dict[bool, list[Gate]] = {}  # see `_made`
 
     def _made(self, flip: bool) -> list[Gate]:
-        """The distinct gates `staged_schedule` kept from the identity placement (flipped: the reversal)."""
-        return [g for row in self._sites.get(flip, {}).values() for g in row.values()]
+        """The gates `staged_schedule` last made from the identity placement (flipped: the reversal)."""
+        return self._sites.get(flip, [])
 
     @cached_property
     def payload(self) -> dict[Pair, Gate]:
@@ -166,6 +191,40 @@ def _check_placement(placement: Sequence[int], n: int) -> tuple[int, ...]:
     return pl
 
 
+def _site_gate(n: int, flip: bool, e: Slot, d: int) -> Gate:
+    """Checked slot e's gate, valid as made, for d = b - a from the identity (flip: the reversal)."""
+    kind, from_larger, param = e
+    i = n - 1 - d if flip else d - 1  # the slot's lower site, wire a's unless flipped
+    # a CNOT keeps its direction; a symmetric gate stores its sites ascending
+    sites = (i + 1, i) if kind is GateKind.CNOT and from_larger != flip else (i, i + 1)
+    return _unchecked_gate(kind, sites, param)
+
+
+def _site_row(n: int, flip: bool, slots: Sequence[Slot], present: bytes | None) -> list[Gate | None]:
+    """Slot slots[d]'s gate per d, indexed n - 1 - d, made only for a d that some slot in `present` has."""
+    used = [present is None or 1 in present[d : (n - d) * (n + 1) : n + 1] for d in range(n)]  # (a, a + d)
+    return [_site_gate(n, flip, slots[d], d) if used[d] else None for d in range(n - 1, 0, -1)]
+
+
+def _grid_stages(
+    n: int, flip: bool, gates: Sequence[Gate | None], present: bytes | None = None
+) -> tuple[Iterator[tuple[Iterable[Gate], list[Gate]]], list[Gate]]:
+    """Each stage's (payload, SWAPs) from the identity placement (flip: the reversal), and the SWAPs made.
+    `gates` holds site gates by n - 1 - d for the slots (a, b) that `present` marks at a * n + b, or,
+    without `present`, by code a * n + b, None where absent. A stage's codes and d are strided slices."""
+    table = _site_row(n, flip, [Slot(GateKind.SWAP)] * n, None)  # the SWAP after every slot of each d
+
+    def stages() -> Iterator[tuple[Iterable[Gate], list[Gate]]]:  # lazy: each is read as it comes
+        for s in range(1, n_stages(n) + 1):
+            lo, hi = max(0, s - n + 1), (s + 1) // 2  # the stage's slots are (a, s - a), lo <= a < hi
+            by_d = slice(n - 1 - s + 2 * lo, n - 1 - s + 2 * hi, 2)
+            at = slice(lo * (n - 1) + s, hi * (n - 1) + s, n - 1)
+            payload = filter(None, gates[at]) if present is None else compress(gates[by_d], present[at])
+            yield payload, table[by_d]
+
+    return stages(), table
+
+
 def staged_schedule(
     spec: SkeletonSpec, initial_placement: Sequence[int] | None = None
 ) -> tuple[list[StagePlan], tuple[int, ...]]:
@@ -181,34 +240,22 @@ def staged_schedule(
     placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
     flip = placement[0] != 0  # the reversal (a spec has n >= 2)
     slots, fill = spec._slots, spec._fill
-    rows = spec._sites.setdefault(flip, {})  # per slot, its site gates by d = b - a
+    made: dict[tuple[Slot, int], Gate] = {}  # per slot and d = b - a, its site gate, made once
 
-    def site_gate(e: Slot, d: int) -> Gate:  # a checked slot on adjacent sites: valid as made
-        kind, from_larger, param = e
-        i = n - 1 - d if flip else d - 1  # the slot's lower site, wire a's unless flipped
-        # a CNOT keeps its direction; a symmetric gate stores its sites ascending
-        sites = (i + 1, i) if kind is GateKind.CNOT and from_larger != flip else (i, i + 1)
-        g = rows.setdefault(e, {})[d] = _unchecked_gate(kind, sites, param)
-        return g
+    def site_gate(e: Slot, d: int) -> Gate:
+        return made.get((e, d)) or made.setdefault((e, d), _site_gate(n, flip, e, d))
 
-    # table[j] is the SWAP after every slot with d = n - 1 - j; made first, so a SWAP payload shares it
-    table = [site_gate(e, d) for e in [Slot(GateKind.SWAP)] for d in range(n - 1, 0, -1)]
     cells: list[Gate | None] = [None] * (n * n)  # cells[a * n + b]: slot (a, b)'s site gate
-    if fill is not None:  # an unlisted slot's gate depends on d alone; rows are made if used
+    if fill is not None:  # an unlisted slot's gate depends on d alone; made if some unlisted slot has d
         listed = Counter(b - a for a, b in slots)
         row = [site_gate(fill, d) if listed[d] < n - d else None for d in range(1, n)]
         for a in range(n - 1):
             cells[a * n + a + 1 : a * n + n] = row[: n - 1 - a]
-    for (a, b), e in slots.items():  # a listed slot's gate is read from its row by d
-        by_d = e and rows.get(e)
-        cells[a * n + b] = e and (by_d and by_d.get(b - a) or site_gate(e, b - a))
-    plans: list[StagePlan] = []
-    for s in range(1, n_stages(n) + 1):
-        lo, hi = max(0, s - n + 1), (s + 1) // 2  # the stage's slots are (a, s - a), lo <= a < hi
-        j = n - 1 - s
-        payload = filter(None, cells[lo * (n - 1) + s : hi * (n - 1) + s : n - 1])  # a ascending
-        plans.append(StagePlan(tuple(payload), tuple(table[j + 2 * lo : j + 2 * hi : 2])))
-    return plans, placement[::-1]
+    for (a, b), e in slots.items():
+        cells[a * n + b] = e and site_gate(e, b - a)
+    stages, table = _grid_stages(n, flip, cells)
+    spec._sites[flip] = [*table, *made.values()]
+    return [StagePlan(tuple(payload), tuple(swaps)) for payload, swaps in stages], placement[::-1]
 
 
 def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> ScheduledCircuit:

@@ -27,6 +27,7 @@ from chainforge.stabilizer import random_decomposition, schedule_stabilizer, sta
 _RNG = Random(20261019)
 _A = GF2Matrix.random_nonsingular(12, _RNG)
 _D = random_decomposition(7, _RNG)
+_ONE_CNOT = GF2Matrix(7, tuple(1 << i | (i == 5) << 2 for i in range(7)))  # row 5 adds row 2: one slot, d = 3
 _SWAPS = {(0, 1): swap(0, 1), (0, 2): swap(0, 2)}  # payloads, made before any count starts
 _MIXED = {
     (0, 1): cnot(1, 0), (1, 2): cz(1, 2), (1, 4): cphase(3, 1, 4), (2, 6): generic2(2, 6), (3, 4): cnot(3, 4)
@@ -54,10 +55,12 @@ BUILDERS = {
     "qft_lnn": (lambda: qft_lnn(QftSpec(9)), 1),
     "qft_lnn --approx": (lambda: qft_lnn(QftSpec(9, 3)), 1),
     "qft_lnn n=1": (lambda: qft_lnn(QftSpec(1)), 1),
+    "qft_lnn --approx 1, no rotation kept": (lambda: qft_lnn(QftSpec(9, 1)), 1),
     "qft_flat": (lambda: qft_flat(QftSpec(9)), None),
     "qft_flat --approx": (lambda: qft_flat(QftSpec(9, 3)), None),
     "qft_flat n=1": (lambda: qft_flat(QftSpec(1)), None),
     "synthesize_lnn": (lambda: synthesize_lnn(_A), 0),
+    "synthesize_lnn, one slot": (lambda: synthesize_lnn(_ONE_CNOT), 0),
     "prune_trailing_swap_layers": (lambda: prune_trailing_swap_layers(synthesize_lnn(_A)), 0),
     "schedule_stabilizer": (lambda: schedule_stabilizer(_D), None),
     "stabilizer_flat": (lambda: stabilizer_flat(_D), None),
@@ -82,6 +85,7 @@ def test_a_builder_hands_over_exactly_the_gates_it_made(name, monkeypatch):
     assert most_checks is None or len(checks) == most_checks
     fresh = Circuit(circuit.n_wires, circuit.gates)
     assert circuit == fresh and type(circuit.gates) is tuple
+    # exactly the objects that occur: a site gate is made only for a d that some present slot has
     assert sorted(map(id, circuit._distinct)) == sorted({id(g) for g in circuit.gates})
     assert len(circuit._distinct) == len(fresh._distinct)
     for g in circuit._distinct:

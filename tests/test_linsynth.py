@@ -1,5 +1,6 @@
 """GF(2) linear reversible synthesis on a chain."""
 
+import re
 from collections import Counter
 from random import Random
 
@@ -19,6 +20,8 @@ from chainforge.core import (
 )
 from chainforge.linsynth import (
     GF2Matrix,
+    GaussJordanTrace,
+    RearrangedParts,
     SingularMatrixError,
     emit_gf2,
     expand_circuit_to_cnot,
@@ -30,6 +33,8 @@ from chainforge.linsynth import (
     synthesize_lnn,
 )
 from chainforge.oracle import gf2_action, unitary_equiv
+from chainforge.qft import QftSpec, qft_lnn
+from chainforge.stabilizer import random_decomposition, schedule_stabilizer
 
 
 def _identity(n):
@@ -158,23 +163,119 @@ def test_schedule_parts_checks_the_placement_even_with_no_part():
 
 
 def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
+    """Pairs given by hand, as sets, are checked where they are used: a trace's lower pairs by
+    `rearrange`, the parts' pivots, lower and upper pairs by `schedule_parts`. The traces and parts
+    the library makes are grids it marked in range: synthesis, the stabilizer schedule and the QFT
+    check no pair, build no skeleton spec and never list a grid's pairs."""
     rng = Random(5)
     for n in (2, 5, 9):
         a = GF2Matrix.random_nonsingular(n, rng)
-        specs = linsynth._part_specs(rearrange(gauss_jordan(a.inverse())))
-        listed = Counter(pr for spec, _ in specs for pr in spec._slots)
-        checked: Counter = Counter()
-        real = skeleton._check_pair
-
-        def counting(x: int, y: int, m: int) -> None:
-            checked[x, y] += 1
-            real(x, y, m)
-
-        for mod in (skeleton, linsynth):  # wherever the check is bound
-            monkeypatch.setattr(mod, "_check_pair", counting, raising=False)
+        trace = gauss_jordan(a.inverse())
+        made = rearrange(trace)
+        by_hand = RearrangedParts(n, made.pivots, frozenset(made.lower), frozenset(made.upper))
+        assert schedule_parts(by_hand) == schedule_parts(made)
+        assert rearrange(GaussJordanTrace(n, trace.pivot_donor, set(trace.lower), set(trace.upper))) == made
+        calls: Counter = Counter()
+        watched = ((skeleton, "_check_pair"), (linsynth, "_check_pair"), (skeleton.SkeletonSpec, "_bind"),
+                   (skeleton._GridPairs, "__iter__"))
+        for owner, name in watched:
+            real = getattr(owner, name)
+            counting = lambda *args, real=real, name=name: calls.update([name]) or real(*args)
+            monkeypatch.setattr(owner, name, counting)
         synthesize_lnn(a)
+        schedule_stabilizer(random_decomposition(n, rng))
+        qft_lnn(QftSpec(n))
         monkeypatch.undo()
-        assert checked == listed
+        assert calls == Counter()
+    for bad in ((1, 0), (0, 0), (-1, 1), (0, 3)):
+        for parts in (RearrangedParts(3, (bad,), frozenset(), frozenset()),
+                      RearrangedParts(3, (), frozenset({bad}), frozenset()),
+                      RearrangedParts(3, (), frozenset(), frozenset({bad}))):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(bad))} is not a pair with 0 <= a < b < 3$"):
+                schedule_parts(parts)
+        with pytest.raises(ValueError, match=r"is not a pair with 0 <= a < b < 3"):
+            rearrange(GaussJordanTrace(3, (None, None), frozenset({bad}), frozenset()))
+
+
+def _ref_trace(b: GF2Matrix) -> tuple[tuple, set, set]:
+    """Reference elimination on pair sets, as `gauss_jordan` kept its trace before grids."""
+    n, rows = b.n, list(b.rows)
+    pivot_donor, lower, upper = [], set(), set()
+    for c in range(n):
+        if not rows[c] >> c & 1:
+            j = next(i for i in range(c + 1, n) if rows[i] >> c & 1)
+            rows[c] ^= rows[j]
+            pivot_donor.append(j)
+        elif c < n - 1:
+            pivot_donor.append(None)
+        for s in range(c + 1, n):
+            if rows[s] >> c & 1:
+                rows[s] ^= rows[c]
+                lower.add((c, s))
+    for l in range(n - 1, 0, -1):
+        for k in range(l - 1, -1, -1):
+            if rows[k] >> l & 1:
+                rows[k] ^= rows[l]
+                upper.add((k, l))
+    return tuple(pivot_donor), lower, upper
+
+
+def _ref_rearrange(pivot_donor: tuple, lower: set) -> tuple[tuple, set, int]:
+    """Reference pivot moves on a pair set; also counts the toggles."""
+    lower, pivots, toggles = set(lower), [], 0
+    for c, j in enumerate(pivot_donor):
+        if j is not None:
+            for c_prev in range(c):
+                if (c_prev, j) in lower:
+                    lower ^= {(c_prev, c)}
+                    toggles += 1
+            pivots.append((c, j))
+    return tuple(pivots), lower, toggles
+
+
+def _ref_schedule(n: int, pivots: tuple, lower: set, upper: set, placement: tuple) -> tuple[list, tuple]:
+    """Reference chaining of the three parts from pair sets, slot by slot: stage s runs its present
+    slots (a, s - a), a ascending, then a SWAP on every slot, with d = b - a on sites (d - 1, d)
+    from the identity and wire a on n - d, wire b on n - 1 - d from the reversal."""
+    gates = []
+    flipped = {(n - 1 - l, n - 1 - k) for k, l in upper}
+    for pairs, from_larger, rev in ((set(pivots), True, False), (lower, False, False), (flipped, False, True)):
+        if not pairs:
+            continue
+        flip = (placement[::-1] if rev else placement)[0] != 0
+        for s in range(1, 2 * n - 2):
+            slots = [(a, s - a) for a in range(max(0, s - n + 1), (s + 1) // 2)]
+            on = {(a, b): (n - (b - a), n - 1 - (b - a)) if flip else (b - a - 1, b - a) for a, b in slots}
+            gates += [cnot(*on[pr][:: -1 if from_larger else 1]) for pr in slots if pr in pairs]
+            gates += [swap(*sorted(on[pr])) for pr in slots]
+        placement = placement[::-1]
+    return gates, placement
+
+
+def test_grid_elimination_and_parts_match_pair_sets():
+    """The grids `gauss_jordan` marks, `rearrange` toggles by strided slices and the parts stage by
+    grid slices, against pair sets scheduled slot by slot. Every matrix eliminated needs a pivot fix
+    at column 0, so the toggles fire."""
+    rng = Random(20261019)
+    toggles = 0
+    for n in range(1, 41):
+        for _ in range(2):
+            b = GF2Matrix.random_nonsingular(n, rng)
+            while n > 1 and b.rows[0] & 1:  # a zero diagonal entry at (0, 0)
+                b = GF2Matrix.random_nonsingular(n, rng)
+            trace = gauss_jordan(b)
+            donors, lower, upper = _ref_trace(b)
+            assert (trace.pivot_donor, trace.lower, trace.upper) == (donors, lower, upper), n
+            parts = rearrange(trace)
+            pivots, moved, count = _ref_rearrange(donors, lower)
+            toggles += count
+            assert (parts.pivots, parts.lower, parts.upper) == (pivots, moved, upper), n
+            assert trace.lower == lower  # the toggles wrote a copy
+            for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
+                assert schedule_parts(parts, placement) == _ref_schedule(n, pivots, moved, upper, placement), n
+            sc = synthesize_lnn(b.inverse())
+            assert schedule_parts(parts) == (list(sc.circuit.gates), sc.final_map)
+    assert toggles > 1000
 
 
 def test_synthesize_random_matrices():

@@ -5,18 +5,22 @@ import pytest
 
 from chainforge.core import Circuit, GateKind, generic_depth, two_qubit_layer_count
 from chainforge.oracle import (
+    _source_index,
     bit_reversal_permutation,
     circuit_unitary,
     dft_matrix,
     matrices_equiv,
-    permutation_matrix,
     unitary_equiv,
 )
 from chainforge.qft import QftSpec, qft_flat, qft_lnn
 
 
 def _dft_check(circuit, final_map, n) -> bool:
-    u = circuit_unitary(circuit) @ permutation_matrix(bit_reversal_permutation(n))
+    """The unitary relabeled by bit reversal, as `unitary @ permutation_matrix(bit_reversal_permutation(n))`
+    by a column gather: that matrix's row y is one-hot at src[y], so the product's column src[y] is column y."""
+    unitary, src = circuit_unitary(circuit), _source_index(bit_reversal_permutation(n))
+    u = np.empty_like(unitary)
+    u[:, src] = unitary
     return matrices_equiv(u, dft_matrix(n), out_perm=final_map)
 
 

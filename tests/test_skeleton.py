@@ -24,8 +24,8 @@ from chainforge.core import (
     swap,
     swap_flow_map,
 )
-from chainforge.linsynth import GF2Matrix, _part_specs, gauss_jordan, rearrange
-from chainforge.qft import QftSpec, _skeleton_for
+from chainforge.linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_parts
+from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import (
     SkeletonSpec,
     Slot,
@@ -263,7 +263,8 @@ def test_staged_schedule_makes_each_distinct_gate_once(monkeypatch):
     cases = [
         (SkeletonSpec(16), None),
         (_mixed_payload_spec(12), tuple(range(11, -1, -1))),
-        (_skeleton_for(QftSpec(16)), None),
+        (SkeletonSpec.on_pairs(16, {(a, b): Slot(GateKind.CPHASE, False, b - a + 1) for a, b in all_pairs(16)}),
+         None),  # the QFT's slots
     ]
     for spec, placement in cases:  # specs and their templates are made first
         calls = []
@@ -277,15 +278,22 @@ def test_staged_schedule_makes_each_distinct_gate_once(monkeypatch):
 
 
 def test_building_part_and_qft_specs_validates_no_gate(monkeypatch):
+    """The linsynth parts and the QFT go from their grids to site gates: no gate is checked but
+    the QFT's one Hadamard, made by the public `h`."""
     rng = Random(7)
     matrices = [GF2Matrix.random_nonsingular(n, rng) for n in (6, 24)]
     parts = [rearrange(gauss_jordan(a.inverse())) for a in matrices]
     calls = []
     monkeypatch.setattr(core, "validate_gate", calls.append)
-    specs = [spec for pt in parts for spec, _ in _part_specs(pt)]
-    specs += [_skeleton_for(QftSpec(24)), _skeleton_for(QftSpec(24, 4))]
+    scheduled = [schedule_parts(pt)[0] for pt in parts]
     monkeypatch.undo()
-    assert calls == [] and len(specs) >= 4
+    assert calls == [] and all(scheduled)
+    for spec in (QftSpec(24), QftSpec(24, 4)):
+        monkeypatch.setattr(core, "validate_gate", calls.append)
+        sc = qft_lnn(spec)
+        monkeypatch.undo()
+        assert [g.kind for g in calls] == [GateKind.H] and sc.circuit.count(GateKind.CPHASE) > 0
+        calls.clear()
 
 
 def _slot_and_public_specs(n: int, rng: Random) -> tuple[SkeletonSpec, SkeletonSpec]:

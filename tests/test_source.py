@@ -112,7 +112,7 @@ def test_every_public_name_has_a_caller():
 # The ways past a check, each with the one list of places allowed to use it. A new caller is a
 # deliberate change: it makes gates valid by construction, or hands over gates it knows are valid.
 _PINNED = {
-    "_unchecked_gate": {"linsynth._replay", "skeleton.staged_schedule"},
+    "_unchecked_gate": {"linsynth._replay", "skeleton._site_gate"},
     "tuple.__new__": {"core.Gate.__new__", "core._unchecked_gate"},
     "_known_circuit": {
         "core.parse_circuit",

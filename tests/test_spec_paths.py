@@ -1,10 +1,12 @@
-"""Present-pair skeleton specs against the all-pairs builders they replaced.
+"""The grid builders and present-pair skeleton specs against the all-pairs builders they replaced.
 
 `ref_part_specs`, `ref_skeleton_for` and `ref_staged_schedule` below are
 `linsynth._part_specs`, `qft._skeleton_for` and `skeleton.staged_schedule`
 as they stood before specs kept a slot map, copied unchanged apart from
 their names and docstrings: each spec is a public `SkeletonSpec` with an
 all-pairs `absent` complement and one template `Gate` per present pair.
+`synthesize_lnn`, `schedule_stabilizer` and `qft_lnn` now go from grids to
+stages with no spec; the references are chained here the way they were.
 `ref_staged_schedule` walks every slot's wires from site to site; its
 `stage_pairs` is the skeleton's stage listing as it stood then, kept here
 since the scheduler reads sites in closed form. It keeps its `loc` walk,
@@ -17,8 +19,7 @@ from random import Random
 from typing import Sequence
 
 import chainforge.linsynth as linsynth
-import chainforge.qft as qft
-from chainforge.core import Gate, GateKind, cnot, cphase, cz, generic2, swap
+from chainforge.core import Circuit, Gate, GateKind, cnot, cphase, cz, generic2, h, p, swap
 from chainforge.linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_parts, synthesize_lnn
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import (
@@ -30,7 +31,7 @@ from chainforge.skeleton import (
     n_stages,
     staged_schedule,
 )
-from chainforge.stabilizer import random_decomposition, schedule_stabilizer
+from chainforge.stabilizer import StageDecomposition, random_decomposition, schedule_stabilizer
 
 SEED = 20261019
 
@@ -129,16 +130,49 @@ def _ref_schedule_parts(parts, placement) -> tuple[list[Gate], tuple[int, ...]]:
     return gates, placement
 
 
+def _ref_synthesize(a: GF2Matrix) -> tuple[Circuit, tuple[int, ...]]:
+    """`synthesize_lnn` over the reference specs and scheduler."""
+    gates, final = _ref_schedule_parts(rearrange(gauss_jordan(a.inverse())), tuple(range(a.n)))
+    return Circuit(a.n, tuple(gates)), final
+
+
+def _ref_schedule_stabilizer(d: StageDecomposition) -> tuple[Circuit, tuple[int, ...]]:
+    """`schedule_stabilizer` over the reference specs and scheduler, one threaded placement."""
+    placement, gates = tuple(range(d.n)), []
+    for kind, content in d.stages():
+        if kind == "c":
+            part_gates, placement = _ref_schedule_parts(rearrange(gauss_jordan(content.inverse())), placement)
+            gates += part_gates
+        else:
+            gates += [(h if kind == "h" else p)(placement[w]) for w in range(d.n) if content >> w & 1]
+    return Circuit(d.n, tuple(gates)), placement
+
+
+def _ref_qft_lnn(spec: QftSpec, scheduled=None) -> tuple[Circuit, tuple[int, ...]]:
+    """`qft_lnn` over the reference spec and scheduler (or its given result): H(a) before stage
+    2a+1, H(n-1) last, all on site 0."""
+    plans, final = scheduled or ref_staged_schedule(ref_skeleton_for(spec))
+    gates = []
+    for idx, plan in enumerate(plans):
+        gates += [h(0)] * (idx % 2 == 0) + [*plan.payload, *plan.swaps]
+    return Circuit(spec.n, (*gates, h(0))), final
+
+
 def test_linsynth_parts_match_the_reference():
     rng = Random(SEED)
     for n in range(2, 41):
         parts = _random_parts(n, rng)
-        new, ref = linsynth._part_specs(parts), ref_part_specs(parts)
-        assert [rev for _, rev in new] == [rev for _, rev in ref]
-        for (spec, _), (ref_spec, _) in zip(new, ref):
-            assert spec == ref_spec
-            for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
-                assert staged_schedule(spec, placement) == ref_staged_schedule(ref_spec, placement)
+        ref = ref_part_specs(parts)
+        for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
+            pieces, final = linsynth._part_pieces(parts, placement)
+            assert len(pieces) == len(ref)
+            for (gates, made), (ref_spec, reversed_labels) in zip(pieces, ref):
+                entry = placement[::-1] if reversed_labels else placement
+                plans, _ = ref_staged_schedule(ref_spec, entry)
+                assert gates == [g for plan in plans for g in (*plan.payload, *plan.swaps)]
+                assert {id(g) for g in gates} == {id(g) for g in made}  # each made gate occurs
+                placement = placement[::-1]
+            assert final == placement
         for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
             assert schedule_parts(parts, placement) == _ref_schedule_parts(parts, placement)
 
@@ -146,10 +180,11 @@ def test_linsynth_parts_match_the_reference():
 def test_qft_specs_match_the_reference_at_every_threshold():
     for n in range(2, 41):
         for m in (None, *range(1, n + 1)):
-            spec = QftSpec(n, m)
-            new, ref = qft._skeleton_for(spec), ref_skeleton_for(spec)
-            assert new == ref
-            assert staged_schedule(new) == ref_staged_schedule(ref)
+            spec, ref = QftSpec(n, m), ref_skeleton_for(QftSpec(n, m))
+            scheduled = ref_staged_schedule(ref)
+            assert staged_schedule(ref) == scheduled
+            sc = qft_lnn(spec)
+            assert (sc.circuit, sc.final_map) == _ref_qft_lnn(spec, scheduled)
 
 
 def _mixed_spec(n: int, rng: Random) -> SkeletonSpec:
@@ -199,23 +234,19 @@ def test_on_pairs_specs_match_the_reference():
             assert staged_schedule(spec, placement) == ref_staged_schedule(spec, placement)
 
 
-def test_whole_circuits_match_the_reference(monkeypatch):
+def test_whole_circuits_match_the_reference():
     rng = Random(SEED + 2)
     matrices = [GF2Matrix.random_nonsingular(n, rng) for n in (2, 3, 8, 17, 32)]
     decompositions = [random_decomposition(n, rng) for n in (2, 5, 16)]
-
-    def build():
-        return (
-            [synthesize_lnn(a) for a in matrices]
-            + [schedule_stabilizer(d) for d in decompositions]
-            + [qft_lnn(QftSpec(n)) for n in (2, 3, 9, 24)]
-            + [qft_lnn(QftSpec(n, m)) for n, m in ((3, 1), (9, 3), (24, 5))]
-        )
-
-    new = build()
-    monkeypatch.setattr(linsynth, "_part_specs", ref_part_specs)
-    monkeypatch.setattr(linsynth, "staged_schedule", ref_staged_schedule)
-    monkeypatch.setattr(qft, "_skeleton_for", ref_skeleton_for)
-    monkeypatch.setattr(qft, "staged_schedule", ref_staged_schedule)
-    ref = build()
-    assert [(sc.circuit, sc.final_map) for sc in new] == [(sc.circuit, sc.final_map) for sc in ref]
+    qfts = [QftSpec(n) for n in (2, 3, 9, 24)] + [QftSpec(n, m) for n, m in ((3, 1), (9, 3), (24, 5))]
+    new = (
+        [synthesize_lnn(a) for a in matrices]
+        + [schedule_stabilizer(d) for d in decompositions]
+        + [qft_lnn(spec) for spec in qfts]
+    )
+    ref = (
+        [_ref_synthesize(a) for a in matrices]
+        + [_ref_schedule_stabilizer(d) for d in decompositions]
+        + [_ref_qft_lnn(spec) for spec in qfts]
+    )
+    assert [(sc.circuit, sc.final_map) for sc in new] == ref
