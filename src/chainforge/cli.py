@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from functools import cache
-from typing import Callable, Sequence, TypeVar
+from typing import BinaryIO, Callable, Sequence, TypeVar
 
 from .bounds import AuditReport, BoundArch, BoundQuery, Model, lower_bound, stage_audit
 from .core import (
@@ -44,20 +44,15 @@ from .stabilizer import parse_stab, schedule_stabilizer, stabilizer_flat, tablea
 _T = TypeVar("_T")
 
 
-def _load(parse: Callable[[str], _T], path: str) -> _T:
-    """`parse` applied to the file's UTF-8 text; a ParseError, or a byte that is not UTF-8,
-    names the file before its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _load(parse: Callable[[BinaryIO], _T], path: str) -> _T:
+    """`parse` applied to the open binary file; a ParseError, a byte that is not UTF-8
+    among them, names the file before its line."""
     try:
-        return parse(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:  # lines counted as the parsers count them
-        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        err = ParseError(line, f"byte {data[exc.start]:#x} is not UTF-8")
-    except ParseError as exc:
-        err = exc
-    err.args = (f"{path}: {err}",)
-    raise err
+        with open(path, "rb") as fh:
+            return parse(fh)
+    except ParseError as err:
+        err.args = (f"{path}: {err}",)
+        raise
 
 
 def _write(path: str | None, text: str) -> None:
@@ -112,9 +107,7 @@ def _deliver(args: argparse.Namespace, circuit: Circuit, final_map: tuple[int, .
     if args.report == "json":
         violations = _violation_dicts(stage_audit(circuit)) if final_map is not None else []
         sys.stdout.write(_json_record(circuit, final_map, violations))
-        if args.out is not None:
-            _write(args.out, text)
-    else:
+    if args.report != "json" or args.out is not None:
         _write(args.out, text)
     return 0
 

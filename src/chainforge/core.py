@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 
 class GateKind(Enum):
@@ -67,6 +67,10 @@ class ParseError(ValueError):
 # Largest wire count a text header or CLI size flag may ask for: 4x the largest
 # n any test or workload uses (256), where O(n^2)-gate schedules reach ~1e6 gates.
 MAX_WIRES = 1024
+# Most gate lines a circuit text may hold; the stabilizer schedule at n = MAX_WIRES has ~10.5 M.
+MAX_GATES = 1 << 24
+# Bytes a circuit or input file is read in at a time; each block is cut after its last newline.
+_BLOCK_BYTES = 1 << 20
 
 
 def validate_gate(g: Gate) -> None:
@@ -372,14 +376,8 @@ class Architecture:
     def grid(rows: int, cols: int) -> "Architecture":
         if rows < 1 or cols < 1:
             raise ValueError(f"grid needs positive dimensions, got {rows}x{cols}")
-        edges = set()
-        for r in range(rows):
-            for c in range(cols):
-                s = r * cols + c
-                if c + 1 < cols:
-                    edges.add((s, s + 1))
-                if r + 1 < rows:
-                    edges.add((s, s + cols))
+        sites = range(rows * cols)  # site r * cols + c
+        edges = [(s, s + 1) for s in sites if (s + 1) % cols] + [(s, s + cols) for s in sites[:-cols]]
         return Architecture(ArchKind.GRID, rows * cols, frozenset(edges), rows, cols)
 
     @staticmethod
@@ -540,26 +538,58 @@ def embed_chain(arch: Architecture, node_budget: int = 1_000_000) -> list[int]:
 _KIND_BY_NAME = {k.value: k for k in GateKind}
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, text) of each line with content, cut at its first '#'; none is an error."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _line_blocks(source: str | BinaryIO) -> Iterator[tuple[int, list[str]]]:
+    """(lines before, raw lines) per block: a text is one block, and a binary file is read
+    _BLOCK_BYTES at a time and cut after its last newline. Lines are numbered as
+    str.splitlines numbers them; a byte that is not UTF-8 is a ParseError at its line."""
+    if isinstance(source, str):
+        yield 0, source.splitlines()
+        return
+    before, rest = 0, b""
+    while True:
+        chunk = source.read(_BLOCK_BYTES)
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        block, rest = data[:cut], data[cut:]
+        try:
+            lines = block.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            line = before + len((block[: exc.start].decode("utf-8") + ".").splitlines())
+            raise ParseError(line, f"byte {block[exc.start]:#x} is not UTF-8") from None
+        yield before, lines
+        if not chunk:
+            return
+        before += len(lines)
+
+
+def _contents(before: int, lines: list[str]) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line with content, cut at its first '#'."""
+    for lineno, raw in enumerate(lines, start=before + 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((lineno, line))
+            yield lineno, line
+
+
+def _content_lines(source: str | BinaryIO) -> list[tuple[int, str]]:
+    """The numbered content lines of a whole text or file; none is an error."""
+    out = [*chain.from_iterable(_contents(*block) for block in _line_blocks(source))]
     if not out:
         raise ParseError(1, "empty file: every line is blank or a comment")
     return out
 
 
-def _headed_lines(text: str, keyword: str) -> tuple[int, list[tuple[int, str]]]:
-    """N and the content lines, header included, of a text that opens with 'keyword N'."""
-    lines = _content_lines(text)
-    lineno, head = lines[0]
+def _header(lineno: int, head: str, keyword: str) -> int:
+    """N of a header line that must read 'keyword N'."""
     toks = head.split()
     if len(toks) != 2 or toks[0] != keyword:
         raise ParseError(lineno, f"expected '{keyword} N', got {head!r}")
-    return _wire_count(toks[1], lineno), lines
+    return _wire_count(toks[1], lineno)
+
+
+def _headed_lines(source: str | BinaryIO, keyword: str) -> tuple[int, list[tuple[int, str]]]:
+    """N and the content lines, header included, of a text that opens with 'keyword N'."""
+    lines = _content_lines(source)
+    return _header(*lines[0], keyword), lines
 
 
 def _wire_count(raw: str | int, lineno: int) -> int:
@@ -575,7 +605,7 @@ def _wire_count(raw: str | int, lineno: int) -> int:
 
 class _AtLine:
     """A block whose ValueError is raised as a ParseError at the line; a ParseError passes.
-    A class, not @contextmanager: it runs once per distinct gate line, at a quarter of the cost."""
+    A class, not @contextmanager: it runs once per edge or skeleton line, at a quarter of the cost."""
 
     __slots__ = ("lineno",)
 
@@ -590,22 +620,22 @@ class _AtLine:
             raise ParseError(self.lineno, str(exc)) from None
 
 
-def _gate(lineno: int, name: str, args: Sequence[str], n: int) -> Gate:
-    """The gate `name args` on wires 0..n-1, a cphase's k first. A CNOT keeps its
-    direction; other gates store their wires ascending."""
+def _gate(toks: Sequence[str], n: int) -> Gate:
+    """The gate of tokens `name args` on wires 0..n-1, a cphase's k first. A CNOT keeps its
+    direction; other gates store their wires ascending. A bad gate is a ValueError."""
+    name, *args = toks
     kind = _KIND_BY_NAME.get(name)
     if kind is None:
-        raise ParseError(lineno, f"unknown gate {name!r}")
+        raise ValueError(f"unknown gate {name!r}")
     want = _ARITY[kind] + (kind is GateKind.CPHASE)
     if len(args) != want:
-        raise ParseError(lineno, f"{name} takes {want} arguments, got {len(args)}")
-    with _AtLine(lineno):
-        ints = [int(t) for t in args]
-        k = ints.pop(0) if kind is GateKind.CPHASE else None
-        g = Gate(kind, tuple(ints if kind is GateKind.CNOT else sorted(ints)), k)
+        raise ValueError(f"{name} takes {want} arguments, got {len(args)}")
+    ints = [int(t) for t in args]
+    k = ints.pop(0) if kind is GateKind.CPHASE else None
+    g = Gate(kind, tuple(ints if kind is GateKind.CNOT else sorted(ints)), k)
     for q in g.qubits:
         if q >= n:
-            raise ParseError(lineno, f"wire {q} outside 0..{n - 1}")
+            raise ValueError(f"wire {q} outside 0..{n - 1}")
     return g
 
 
@@ -630,32 +660,48 @@ def _mask_wires(mask: int, n: int) -> list[int]:
     return [w for w in range(n) if (mask >> w) & 1]
 
 
-def parse_circuit(text: str) -> Circuit:
-    n, lines = _headed_lines(text, "qubits")
-    gates = []
-    seen: dict[str, Gate] = {}  # each distinct line is parsed and checked once
-    for lineno, line in lines[1:]:
-        g = seen.get(line)
-        if g is None:
-            toks = line.split()
-            g = seen[line] = _gate(lineno, toks[0], toks[1:], n)
-        gates.append(g)
-    return _known_circuit(n, [(gates, seen.values())])  # `_gate` checked each one
+def parse_circuit(text: str | BinaryIO) -> Circuit:
+    """The circuit in a text or a binary file, read a block at a time: each distinct line is parsed
+    once and each distinct gate checked once, so a line costs one table lookup. A line number
+    is counted only for a line at fault, and the gate cap is checked once per block."""
+    blocks = _line_blocks(text)
+    gates: list[Gate] = []
+    table: dict[str, Gate | tuple[()]] = {}  # raw line -> its gate, or () when it has no content
+    checked: dict[tuple[str, ...], Gate] = {}  # tokens -> the one Gate made of them
+    n = 0  # until the header is read
+    try:
+        for before, lines in blocks:
+            if not n and (head := next(_contents(before, lines), None)):  # the header: the first content line
+                n = _header(*head, "qubits")
+                before, lines = head[0], lines[head[0] - before :]
+            for raw in dict.fromkeys(lines):  # first occurrence first: errors name the first offender
+                if raw not in table:
+                    toks = tuple(raw.split("#", 1)[0].split())  # () for a line with no content
+                    try:
+                        table[raw] = toks and (checked.get(toks) or checked.setdefault(toks, _gate(toks, n)))
+                    except ValueError as exc:
+                        raise ParseError(before + lines.index(raw) + 1, str(exc)) from None
+            gates.extend(filter(None, map(table.__getitem__, lines)))
+            if len(gates) > MAX_GATES:
+                at = [i for i, raw in enumerate(lines) if table[raw]][MAX_GATES - len(gates)]
+                raise ParseError(before + at + 1, f"more than {MAX_GATES} gates")
+    except ParseError:
+        for _ in blocks:  # decoded, not parsed: a byte that is not UTF-8, anywhere, is reported first
+            pass
+        raise
+    if not n:
+        raise ParseError(1, "empty file: every line is blank or a comment")
+    return _known_circuit(n, [(gates, checked.values())])  # `_gate` checked each one
 
 
 def emit_circuit(circuit: Circuit) -> str:
-    out = [f"qubits {circuit.n_wires}"]
-    seen: dict[Gate, str] = {}  # each distinct gate is formatted once
-    for g in circuit.gates:
-        line = seen.get(g)
-        if line is None:
-            kind, qs, k = g
-            line = seen[g] = " ".join([kind.value, *map(str, qs if k is None else (k, *qs))])
-        out.append(line)
-    return "\n".join(out) + "\n"
+    """The circuit's text: each distinct Gate object is formatted once, then looked up by id."""
+    line = {id(g): " ".join([g.kind.value, *map(str, g.qubits if g.param is None else (g.param, *g.qubits))])
+            for g in circuit._distinct}
+    return "\n".join([f"qubits {circuit.n_wires}", *map(line.__getitem__, map(id, circuit.gates))]) + "\n"
 
 
-def parse_architecture(text: str) -> Architecture:
+def parse_architecture(text: str | BinaryIO) -> Architecture:
     lines = _content_lines(text)
     lineno, head = lines[0]
     toks = head.split()
@@ -710,6 +756,7 @@ __all__ = [
     "Circuit",
     "Gate",
     "GateKind",
+    "MAX_GATES",
     "MAX_WIRES",
     "ParseError",
     "ScheduledCircuit",

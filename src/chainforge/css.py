@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from .core import (
     Architecture,
@@ -203,7 +203,7 @@ def steane_syndrome() -> CssSpec:
 # --- text format -----------------------------------------------------------
 
 
-def parse_css(text: str) -> CssSpec:
+def parse_css(text: str | BinaryIO) -> CssSpec:
     lines = _content_lines(text)
     lineno, head = lines[0]
     toks = head.split()
@@ -232,12 +232,9 @@ def parse_css(text: str) -> CssSpec:
 
 
 def emit_css(spec: CssSpec) -> str:
-    out = [f"css {spec.mode.value} {spec.s} {spec.t}"]
-    for row in spec.types:
-        out.append("".join(cell.value for cell in row))
-    if spec.hadamard_mask:
-        out.append(f"hadamard {_bit_string(spec.hadamard_mask, spec.n_wires)}")
-    return "\n".join(out) + "\n"
+    rows = ("".join(cell.value for cell in row) for row in spec.types)
+    mask = [f"hadamard {_bit_string(spec.hadamard_mask, spec.n_wires)}"] if spec.hadamard_mask else []
+    return "\n".join([f"css {spec.mode.value} {spec.s} {spec.t}", *rows, *mask]) + "\n"
 
 
 __all__ = [

@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, BinaryIO, Iterable, Sequence
 
 from .core import (
     Architecture,
@@ -352,7 +352,7 @@ def expand_to_cnot(sc: ScheduledCircuit) -> ScheduledCircuit:
 # --- text format -----------------------------------------------------------
 
 
-def parse_gf2(text: str) -> GF2Matrix:
+def parse_gf2(text: str | BinaryIO) -> GF2Matrix:
     n, lines = _headed_lines(text, "gf2")
     if len(lines) - 1 != n:
         raise ParseError(lines[0][0], f"expected {n} rows, got {len(lines) - 1}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress
-from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     Architecture,
@@ -271,7 +271,7 @@ def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> Scheduled
 
 # --- text format -----------------------------------------------------------
 
-def parse_skeleton(text: str) -> SkeletonSpec:
+def parse_skeleton(text: str | BinaryIO) -> SkeletonSpec:
     n, lines = _headed_lines(text, "skeleton")
     slots: dict[Pair, Gate | None] = {}  # None for an absent pair
     for lineno, line in lines[1:]:
@@ -283,7 +283,8 @@ def parse_skeleton(text: str) -> SkeletonSpec:
                 _check_pair(*pair, n)
             g = None
         elif toks[0] == "payload" and len(toks) in (4, 5):  # the gate line 'kind [k] a b'
-            g = _gate(lineno, toks[3], [*toks[4:], toks[1], toks[2]], n)
+            with _AtLine(lineno):
+                g = _gate([toks[3], *toks[4:], toks[1], toks[2]], n)
             pair = (min(g.qubits), max(g.qubits))
         else:
             raise ParseError(lineno, f"expected 'absent a b' or 'payload a b kind [k]', got {line!r}")

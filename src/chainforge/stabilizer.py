@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .core import (
     Architecture,
@@ -261,7 +261,7 @@ def tableau_equiv(c1: Circuit, c2: Circuit, relabel: Sequence[int] | None = None
 # --- text format -----------------------------------------------------------
 
 
-def parse_stab(text: str) -> StageDecomposition:
+def parse_stab(text: str | BinaryIO) -> StageDecomposition:
     n, lines = _headed_lines(text, "stab")
     pos = 1
     h_masks: list[int] = []

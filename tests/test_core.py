@@ -349,6 +349,19 @@ def test_parse_circuit_validates_each_distinct_line_once(monkeypatch):
     assert scans == []  # the checked gates are kept, and no position is scanned again
     monkeypatch.undo()
     assert c == Circuit(c.n_wires, c.gates) and c._distinct == Circuit(c.n_wires, c.gates)._distinct
+    # copies that differ only in spacing or a comment: one validation per content, one shared Gate
+    rng = Random(5)
+    head, *body = text.splitlines()
+    dressed = [
+        rng.choice(("", " ", "\t")) + line.replace(" ", rng.choice((" ", "  ", "\t"))) + rng.choice(("", " ", " # c", "#"))
+        for line in body
+    ]
+    assert len(set(dressed)) > 2 * len(distinct)
+    calls.clear()
+    monkeypatch.setattr(core, "validate_gate", lambda g: calls.append(g) or real(g))
+    c2 = parse_circuit("\n".join([head, *dressed]) + "\n")
+    assert c2 == c and len(calls) == len(distinct)
+    assert len({id(g) for g in c2.gates}) == len(distinct)
 
 
 @pytest.mark.parametrize(
