@@ -63,8 +63,6 @@ from .css import (
 )
 from .linsynth import (
     GF2Matrix,
-    GaussJordanTrace,
-    RearrangedParts,
     SingularMatrixError,
     emit_gf2,
     expand_circuit_to_cnot,

@@ -7,8 +7,8 @@ gates, a lower-triangular part and an upper-triangular part, each of which
 fits the all-pairs skeleton (the upper part after reversing wire labels).
 Chaining the three schedules costs no routing because each schedule flips
 the wire placement end to end. Elimination marks each CNOT it runs in an
-n x n grid at the code control * n + target, the trace's pair sets are views
-of those grids, the pivot moves XOR strided grid slices, and the parts are
+n x n grid at the code control * n + target; the trace and the parts are
+such grids, the pivot moves XOR strided grid slices, and the parts are
 staged straight from the grids: no pair tuple, set or spec is made per slot.
 
 Matrix convention: rows are bit-packed integers, row i bit j is A[i][j],
@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
-from typing import AbstractSet, BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 from .core import (
     Architecture,
@@ -39,10 +39,9 @@ from .core import (
     _headed_lines,
     _known_circuit,
     _unchecked_gate,
-    cnot,
     is_permutation,
 )
-from .skeleton import Slot, _check_pair, _check_placement, _grid_stages, _GridPairs, _site_row
+from .skeleton import Slot, _check_placement, _grid_stages, _site_row
 
 Pair = tuple[int, int]
 
@@ -111,54 +110,21 @@ class GF2Matrix:
         return GF2Matrix(self.n, tuple(self.rows[output_map[l]] for l in range(self.n)))
 
 
-def _marks(pairs: Iterable[Pair], n: int, transposed: bool = False) -> bytearray:
-    """The n x n grid under a pair field: a grid view's own (it marks only pairs), else one marked
-    from the pairs, each checked; a transposed field's pair (a, b) is marked at b * n + a."""
-    if type(pairs) is _GridPairs and (pairs.n, pairs.transposed) == (n, transposed):
-        return pairs.grid
-    grid = bytearray(n * n)
-    for a, b in pairs:
-        if not 0 <= a < b < n:
-            _check_pair(a, b, n)  # raises
-        grid[b * n + a if transposed else a * n + b] = 1
-    return grid
-
-
-@dataclass(frozen=True)
-class GaussJordanTrace:
-    """Elimination trace: pivot donors plus lower/upper gate flags.
+class _Trace(NamedTuple):
+    """Elimination trace: pivot donors plus the lower and upper grids (see `_eliminate`).
 
     pivot_donor[c] is the row j > c whose row was added into row c to fix a
     zero diagonal at column c (None when no fix was needed); there is no
     entry for the last column, where a zero diagonal means singularity.
-    lower holds pairs (c, s) meaning CNOT(c, s) ran while clearing column c
-    below the diagonal; upper holds pairs (k, l) meaning CNOT(l, k) ran
-    while clearing column l above it. From `gauss_jordan` both are set views of
-    the grids elimination marked at each CNOT's code control * n + target. Pairs
-    given by hand are checked where they are used (lower by `rearrange`, upper
-    when the parts are scheduled); `gates_in_order` replays only in-grid pairs.
+    `lower` marks each CNOT(c, s) that cleared column c below the diagonal,
+    `upper` each CNOT(l, k) that cleared column l above it, at its code
+    control * n + target in an n x n grid.
     """
 
     n: int
     pivot_donor: tuple[int | None, ...]
-    lower: AbstractSet[Pair]
-    upper: AbstractSet[Pair]
-
-    def __post_init__(self) -> None:
-        if len(self.pivot_donor) != max(self.n - 1, 0):
-            raise ValueError(f"expected {self.n - 1} pivot slots, got {len(self.pivot_donor)}")
-        for c, j in enumerate(self.pivot_donor):
-            if j is not None and not c < j < self.n:
-                raise ValueError(f"pivot donor {j} for column {c} must satisfy c < j < n")
-
-    def gates_in_order(self) -> list[Gate]:
-        """The trace's gates in elimination time order, as `_eliminate` makes them: per column
-        its pivot fix, then its lower pairs; then the upper pairs, rightmost column first."""
-        n = self.n
-        forward = [(c, -1, j * n + c) for c, j in enumerate(self.pivot_donor) if j is not None]
-        forward += [(c, s, c * n + s) for c, s in self.lower if 0 <= c < s < n]
-        backward = sorted((l * n + k for k, l in self.upper if 0 <= k < l < n), reverse=True)
-        return _replay([code for *_, code in sorted(forward)] + backward, n, {})
+    lower: bytes
+    upper: bytes
 
 
 def _replay(order: Iterable[int], n: int, table: dict[int, Gate]) -> list[Gate]:
@@ -209,16 +175,16 @@ def _eliminate(
     return pivot_donor
 
 
-def gauss_jordan(a: GF2Matrix) -> GaussJordanTrace:
+def gauss_jordan(a: GF2Matrix) -> _Trace:
     """Eliminate `a` to the identity, recording the gates applied (see `_eliminate`).
 
-    Replaying gates_in_order() as row operations reduces `a` to I, so the
-    same gates as a circuit compute the inverse of `a`.
+    Replaying its gates in elimination order as row operations reduces `a`
+    to I, so the same gates as a circuit compute the inverse of `a`.
     """
     n = a.n
     lower, upper = bytearray(n * n), bytearray(n * n)  # the trace keeps the marks, not the recorded order
     pivot_donor = _eliminate(list(a.rows), n, array("i"), lower, upper)
-    return GaussJordanTrace(n, tuple(pivot_donor), _GridPairs(n, lower), _GridPairs(n, upper, True))
+    return _Trace(n, tuple(pivot_donor), bytes(lower), bytes(upper))
 
 
 def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array]:
@@ -230,30 +196,22 @@ def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array]:
     return GF2Matrix(n, tuple(r >> n for r in rows)), order
 
 
-@dataclass(frozen=True)
-class RearrangedParts:
-    """Trace gates regrouped as pivots, then lower pairs, then upper pairs.
+class _Parts(NamedTuple):
+    """Trace gates regrouped as pivots, then lower gates, then upper gates.
 
-    Replayed in that order (pivots by column, lower pairs in lexicographic
-    order, upper pairs by descending column then descending row) the gates
-    compose to the same GF(2) map as the original trace.
+    Each group is an n x n grid marking CNOT(control, target) at
+    control * n + target. Replayed in that order (pivots by column, lower
+    gates by control then target, upper gates by descending control then
+    descending target) the gates compose to the same GF(2) map as the trace.
     """
 
     n: int
-    pivots: tuple[tuple[int, int], ...]  # (column, donor), column ascending
-    lower: AbstractSet[Pair]
-    upper: AbstractSet[Pair]
-
-    def gates_in_order(self) -> list[Gate]:
-        out = [cnot(j, c) for c, j in self.pivots]
-        for c, s in sorted(self.lower):
-            out.append(cnot(c, s))
-        for k, l in sorted(self.upper, key=lambda pr: (-pr[1], -pr[0])):
-            out.append(cnot(l, k))
-        return out
+    pivots: bytes
+    lower: bytes
+    upper: bytes
 
 
-def rearrange(trace: GaussJordanTrace) -> RearrangedParts:
+def rearrange(trace: _Trace) -> _Parts:
     """Move pivot gates to the front, updating the lower flags they cross.
 
     Moving the pivot CNOT(j, c) left past a lower gate CNOT(c', j) spawns a
@@ -263,18 +221,18 @@ def rearrange(trace: GaussJordanTrace) -> RearrangedParts:
     so far. Upper gates sit after every pivot and are never crossed.
     """
     n = trace.n
-    lower = bytearray(_marks(trace.lower, n))  # a copy: the trace keeps its own
+    pivots, lower = bytearray(n * n), bytearray(trace.lower)  # a copy: the trace keeps its own
     for c, j in enumerate(trace.pivot_donor):
         if j is not None:  # column c, rows c' < c, XOR column j: one strided slice each
+            pivots[j * n + c] = 1
             col = slice(c, c * n + c, n)
             toggled = int.from_bytes(lower[col], "big") ^ int.from_bytes(lower[j : c * n + j : n], "big")
             lower[col] = toggled.to_bytes(c, "big")
-    pivots = tuple((c, j) for c, j in enumerate(trace.pivot_donor) if j is not None)
-    return RearrangedParts(n, pivots, _GridPairs(n, lower), trace.upper)
+    return _Parts(n, bytes(pivots), bytes(lower), trace.upper)
 
 
 def schedule_parts(
-    parts: RearrangedParts, initial_placement: Sequence[int] | None = None
+    parts: _Parts, initial_placement: Sequence[int] | None = None
 ) -> tuple[list[Gate], tuple[int, ...]]:
     """Chain the nonempty parts as skeleton schedules from a placement.
 
@@ -289,16 +247,17 @@ def schedule_parts(
 
 
 def _part_pieces(
-    parts: RearrangedParts, placement: Sequence[int] | None = None
+    parts: _Parts, placement: Sequence[int] | None = None
 ) -> tuple[list[tuple[list[Gate], list[Gate]]], tuple[int, ...]]:
     """`schedule_parts` as one (gates, distinct gates) piece per part, each stage's payload then SWAPs."""
     n = parts.n
     placement = _check_placement(range(n) if placement is None else placement, n)
-    pivots, lower, upper = _marks(parts.pivots, n), _marks(parts.lower, n), _marks(parts.upper, n, True)
     pieces = []
-    # a pivot CNOT is controlled by its pair's larger wire; the upper part runs on reversed labels,
-    # where pair (k, l) is (n - 1 - l, n - 1 - k): code l * n + k becomes n * n - 1 - (l * n + k)
-    for grid, from_larger, rev in ((pivots, True, False), (lower, False, False), (upper[::-1], False, True)):
+    # a part is staged from the grid of its pairs (a, b) at a * n + b: a pivot CNOT is controlled by
+    # its pair's larger wire, so that grid is the transpose; the upper part runs on reversed labels,
+    # where CNOT(l, k) is on pair (n - 1 - l, n - 1 - k): code l * n + k becomes n * n - 1 - (l * n + k)
+    pivots, lower, upper = b"".join(parts.pivots[a::n] for a in range(n)), parts.lower, parts.upper[::-1]
+    for grid, from_larger, rev in ((pivots, True, False), (lower, False, False), (upper, False, True)):
         if 1 in grid:  # an empty part is skipped and leaves the placement alone
             row = _site_row(n, flip := (placement[::-1] if rev else placement)[0] != 0,
                             [Slot(GateKind.CNOT, from_larger)] * n, grid)
@@ -365,8 +324,6 @@ def emit_gf2(m: GF2Matrix) -> str:
 
 __all__ = [
     "GF2Matrix",
-    "GaussJordanTrace",
-    "RearrangedParts",
     "SingularMatrixError",
     "emit_gf2",
     "expand_circuit_to_cnot",

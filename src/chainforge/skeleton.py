@@ -19,16 +19,15 @@ So a stage is read by slices. Slot (a, b) has the code a * n + b in an n x n
 grid, and stage s's slots (a, s - a), a ascending, have the codes
 a * (n - 1) + s: one strided slice. Their d = s - 2a are one stride-2 slice
 of a row indexed by n - 1 - d. A builder whose gates depend on d alone marks
-its slots in a bytearray grid and keeps one row of site gates, so a stage's
+its slots in a byte grid and keeps one row of site gates, so a stage's
 payload is one `compress` of the row slice by the grid slice, with no Python
-step per slot. A public spec's slot map is first written into a table of
+step per slot. A spec's slot map is first written into a table of
 site gates by code, its fill a row at a time, and read by the same loop.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from itertools import chain, compress
 from typing import AbstractSet, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -36,10 +35,8 @@ from .core import (
     Architecture,
     Gate,
     GateKind,
-    MAX_WIRES,
     ParseError,
     ScheduledCircuit,
-    _ARITY,
     _AtLine,
     _gate,
     _headed_lines,
@@ -72,47 +69,22 @@ def _band(n: int, m: int) -> bytearray:
     return grid
 
 
-class _GridPairs(AbstractSet):
-    """A set view of the pairs (a, b), a < b, its n x n grid marks at a * n + b (transposed: b * n + a)."""
-
-    def __init__(self, n: int, grid: bytearray, transposed: bool = False) -> None:
-        self.n, self.grid, self.transposed = n, grid, transposed
-
-    def __contains__(self, pr: object) -> bool:
-        try:
-            a, b = pr
-            code = b * self.n + a if self.transposed else a * self.n + b
-            return 0 <= a < b < self.n and self.grid[code] == 1
-        except (TypeError, ValueError):  # not a pair of wires
-            return False
-
-    def __len__(self) -> int:
-        return self.grid.count(1)
-
-    def __iter__(self) -> Iterator[Pair]:
-        pairs = (divmod(code, self.n) for code in compress(range(len(self.grid)), self.grid))
-        return ((b, a) for a, b in pairs) if self.transposed else pairs
-
-    def __repr__(self) -> str:
-        return repr(frozenset(self))
-
-    __hash__ = AbstractSet._hash
+_FILL = Slot(GateKind.GENERIC2)  # what every pair a spec does not list holds
 
 
 class SkeletonSpec:
     """Presence flags and payloads for the n-wire all-pairs skeleton.
 
-    A spec is a slot map (pair -> Slot, or None for an absent pair) plus the
-    fill every unlisted pair takes. `absent` is a set view of an n x n grid
-    marking the absent pairs, and `payload` holds the listed slots' gates,
-    made on first read.
+    A spec is a slot map (pair -> Slot, or None for an absent pair); every
+    unlisted pair holds the generic two-qubit placeholder. `absent` is the
+    frozenset of absent pairs and `payload` maps each listed pair to its gate.
     """
 
     def __init__(
         self, n: int, absent: AbstractSet[Pair] = frozenset(), payload: Mapping[Pair, Gate] = {}
     ) -> None:
-        """Unlisted pairs hold the generic two-qubit placeholder."""
-        slots: dict[Pair, Slot | None] = dict.fromkeys(absent)
+        self.absent, self.payload = frozenset(absent), dict(payload)
+        slots: dict[Pair, Slot | None] = dict.fromkeys(self.absent)
         for (a, b), g in payload.items():
             if type(g) is not Gate:
                 raise ValueError(f"payload {g!r} of pair ({a}, {b}) is not a Gate")
@@ -121,46 +93,16 @@ class SkeletonSpec:
             if set(g.qubits) != {a, b}:
                 raise ValueError(f"payload gate {g} does not act on pair ({a}, {b})")
             slots[a, b] = Slot(g.kind, g.qubits[0] > g.qubits[1], g.param)
-        self._bind(n, slots, Slot(GateKind.GENERIC2))
-
-    @classmethod
-    def on_pairs(cls, n: int, slots: Mapping[Pair, Slot]) -> SkeletonSpec:
-        """The spec whose present pairs are exactly the listed ones; no `Gate` is made.
-        Each distinct slot is checked once, so its site gates are valid as made."""
-        slots = dict(slots)
-        for e, pr in dict(zip(slots.values(), slots)).items():  # each distinct slot, with one pair holding it
-            if type(e) is not Slot:
-                raise ValueError(f"slot {pr} holds {e!r}, not a Slot")
-            kind, from_larger, param = e
-            if type(kind) is not GateKind or _ARITY[kind] != 2:
-                raise ValueError(f"slot {pr} holds {kind!r}, not a two-wire gate kind")
-            k_ok = type(param) is int and 0 < param <= MAX_WIRES if kind is GateKind.CPHASE else param is None
-            if type(from_larger) is not bool or from_larger and kind is not GateKind.CNOT or not k_ok:
-                reason = f"from_larger is a bool, True only on a CNOT; only a cphase has k, in 1..{MAX_WIRES}"
-                raise ValueError(f"slot {pr} holds {e}: {reason}")
-        spec = cls.__new__(cls)
-        spec._bind(n, slots, None)
-        return spec
-
-    def _bind(self, n: int, slots: dict[Pair, Slot | None], fill: Slot | None) -> None:
         if n < 2:
             raise ValueError(f"skeleton needs n >= 2, got {n}")
-        absent = _band(n, n) if fill is None else bytearray(n * n)  # an unlisted pair takes the fill
-        for (a, b), e in slots.items():
+        for a, b in slots:
             _check_pair(a, b, n)
-            absent[a * n + b] = e is None
-        self.n, self._slots, self._fill = n, slots, fill
-        self.absent = _GridPairs(n, absent)
+        self.n, self._slots = n, slots
         self._sites: dict[bool, list[Gate]] = {}  # see `_made`
 
     def _made(self, flip: bool) -> list[Gate]:
         """The gates `staged_schedule` last made from the identity placement (flipped: the reversal)."""
         return self._sites.get(flip, [])
-
-    @cached_property
-    def payload(self) -> dict[Pair, Gate]:
-        listed = ((pr, e) for pr, e in self._slots.items() if e is not None)
-        return {pr: Gate(e.kind, pr[::-1] if e.from_larger else pr, e.param) for pr, e in listed}
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -239,18 +181,17 @@ def staged_schedule(
     n = spec.n
     placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
     flip = placement[0] != 0  # the reversal (a spec has n >= 2)
-    slots, fill = spec._slots, spec._fill
+    slots = spec._slots
     made: dict[tuple[Slot, int], Gate] = {}  # per slot and d = b - a, its site gate, made once
 
     def site_gate(e: Slot, d: int) -> Gate:
         return made.get((e, d)) or made.setdefault((e, d), _site_gate(n, flip, e, d))
 
     cells: list[Gate | None] = [None] * (n * n)  # cells[a * n + b]: slot (a, b)'s site gate
-    if fill is not None:  # an unlisted slot's gate depends on d alone; made if some unlisted slot has d
-        listed = Counter(b - a for a, b in slots)
-        row = [site_gate(fill, d) if listed[d] < n - d else None for d in range(1, n)]
-        for a in range(n - 1):
-            cells[a * n + a + 1 : a * n + n] = row[: n - 1 - a]
+    listed = Counter(b - a for a, b in slots)  # an unlisted slot's gate depends on d alone
+    row = [site_gate(_FILL, d) if listed[d] < n - d else None for d in range(1, n)]  # made if some has d
+    for a in range(n - 1):
+        cells[a * n + a + 1 : a * n + n] = row[: n - 1 - a]
     for (a, b), e in slots.items():
         cells[a * n + b] = e and site_gate(e, b - a)
     stages, table = _grid_stages(n, flip, cells)
@@ -308,7 +249,6 @@ def emit_skeleton(spec: SkeletonSpec) -> str:
 __all__ = [
     "Pair",
     "SkeletonSpec",
-    "Slot",
     "StagePlan",
     "all_pairs",
     "emit_skeleton",

@@ -184,16 +184,6 @@ class PauliTableau:
             xs[dest], zs[dest] = self.xs[w], self.zs[w]
         return PauliTableau(xs, zs, self.signs)
 
-    def is_symplectic(self) -> bool:
-        """Images must keep the generators' commutation pattern: of all row
-        pairs, only the images of X_w and Z_w (rows w, n + w) anticommute."""
-        rows = [self.row(g) for g in range(2 * self.n)]
-        return all(
-            ((xa & zb).bit_count() ^ (za & xb).bit_count()) & 1 == (b == a + self.n)
-            for a, (xa, za, _) in enumerate(rows)
-            for b, (xb, zb, _) in enumerate(rows[a + 1 :], a + 1)
-        )
-
 
 _CNOT, _SWAP, _CZ, _CPHASE = GateKind.CNOT, GateKind.SWAP, GateKind.CZ, GateKind.CPHASE
 _H, _P = GateKind.H, GateKind.P  # bound once: a read through the Enum class costs far more

@@ -1,0 +1,79 @@
+"""Every input at small n, not a seeded sample: each nonsingular GF(2) matrix through `synthesize_lnn`
+and each skeleton presence pattern through `SkeletonSpec(n, absent)` and `schedule_lnn`.
+
+The largest depth, `generic_depth`, `cnot_depth` and two-qubit layer count seen are pinned per n, so
+the tests also show how tight each bound is at small n. The GL(4, 2) sweep (20,160 matrices) runs
+outside the test suite: `PYTHONPATH=src python tests/test_exhaustive.py 4`.
+"""
+
+import sys
+from itertools import combinations, product
+
+import pytest
+
+from chainforge.core import Architecture, generic_depth, two_qubit_layer_count, validate_on
+from chainforge.linsynth import GF2Matrix, SingularMatrixError, synthesize_lnn
+from chainforge.oracle import gf2_action
+from chainforge.skeleton import SkeletonSpec, all_pairs, schedule_lnn, staged_schedule
+from test_spec_paths import ref_staged_schedule
+
+# per n: the largest (depth, generic_depth, cnot_depth) over GL(n, 2)
+GL_MAXIMA = {1: (0, 0, 0), 2: (6, 3, 6), 3: (17, 9, 24)}
+# per n: the largest two-qubit layer count over every presence pattern; 4n - 6 is reached
+SKELETON_MAXIMA = {2: 2, 3: 6, 4: 10, 5: 14}
+
+
+def general_linear(n: int):
+    """Every nonsingular n x n GF(2) matrix: (2^n - 1)(2^n - 2)...(2^n - 2^(n-1)) of them."""
+    for rows in product(range(1, 1 << n), repeat=n):
+        m = GF2Matrix(n, rows)
+        try:
+            m.inverse()
+        except SingularMatrixError:
+            continue
+        yield m
+
+
+def sweep_gl(n: int) -> tuple[int, tuple[int, int, int]]:
+    """Synthesize every matrix of GL(n, 2) and check each schedule: its GF(2) action through the final
+    map is the matrix, it sits on the chain, and for n >= 2 generic_depth <= 3(2n - 3) and
+    cnot_depth <= 18n - 27. Returns the count and the largest (depth, generic_depth, cnot_depth)."""
+    count, most, chain = 0, (0, 0, 0), Architecture.lnn(n)
+    for a in general_linear(n):
+        sc = synthesize_lnn(a)
+        assert gf2_action(sc.circuit).relabel(sc.final_map) == a, a
+        assert validate_on(sc.circuit, chain).ok, a
+        depths = (sc.circuit.depth(), generic_depth(sc.circuit), sc.circuit.cnot_depth())
+        if n >= 2:
+            assert depths[1] <= 3 * (2 * n - 3) and depths[2] <= 18 * n - 27, (a, depths)
+        count, most = count + 1, tuple(map(max, most, depths))
+    return count, most
+
+
+@pytest.mark.parametrize("n, order", [(1, 1), (2, 6), (3, 168)])
+def test_every_nonsingular_matrix_synthesizes(n, order):
+    assert sweep_gl(n) == (order, GL_MAXIMA[n])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_skeleton_presence_pattern_schedules(n):
+    """Each of the 2^(n(n-1)/2) absent sets: the staged schedule equals the slot-by-slot reference,
+    the circuit sits on the chain and ends reversed, and it has at most 4n - 6 two-qubit layers."""
+    pairs, chain, most, count = list(all_pairs(n)), Architecture.lnn(n), 0, 0
+    for k in range(len(pairs) + 1):
+        for absent in map(frozenset, combinations(pairs, k)):
+            spec = SkeletonSpec(n, absent)
+            assert staged_schedule(spec) == ref_staged_schedule(spec), absent
+            sc = schedule_lnn(spec)
+            assert validate_on(sc.circuit, chain).ok and sc.final_map == tuple(range(n - 1, -1, -1))
+            layers = two_qubit_layer_count(sc.circuit)
+            assert layers <= 4 * n - 6, (absent, layers)
+            count, most = count + 1, max(most, layers)
+    assert (count, most) == (2 ** len(pairs), SKELETON_MAXIMA[n])
+
+
+if __name__ == "__main__":
+    for n in map(int, sys.argv[1:]):
+        order, (depth, generic, cnot) = sweep_gl(n)
+        print(f"GL({n}, 2): {order} matrices, all pass; "
+              f"largest depth {depth}, generic_depth {generic}, cnot_depth {cnot}")

@@ -1,12 +1,11 @@
 """GF(2) linear reversible synthesis on a chain."""
 
-import re
 from collections import Counter
 from random import Random
 
 import pytest
 
-from chainforge import linsynth, skeleton
+from chainforge import skeleton
 from chainforge.core import (
     Circuit,
     GateKind,
@@ -20,8 +19,6 @@ from chainforge.core import (
 )
 from chainforge.linsynth import (
     GF2Matrix,
-    GaussJordanTrace,
-    RearrangedParts,
     SingularMatrixError,
     emit_gf2,
     expand_circuit_to_cnot,
@@ -35,6 +32,7 @@ from chainforge.linsynth import (
 from chainforge.oracle import gf2_action, unitary_equiv
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.stabilizer import random_decomposition, schedule_stabilizer
+from test_stabilizer import gates_in_order
 
 
 def _identity(n):
@@ -43,6 +41,27 @@ def _identity(n):
 
 def _act(n: int, gates) -> GF2Matrix:
     return gf2_action(Circuit(n, tuple(gates)))
+
+
+def grid_pairs(grid: bytes, n: int) -> set:
+    """The pairs (a, b), a < b, of the CNOTs an n x n grid marks at control * n + target: a trace's
+    or parts' grid as the pair set it was kept as before grids."""
+    return {tuple(sorted(divmod(code, n))) for code, marked in enumerate(grid) if marked}
+
+
+def pivot_pairs(parts) -> tuple:
+    """The parts' pivots as (column, donor) pairs, column ascending: CNOT(donor, column) each."""
+    return tuple(sorted(grid_pairs(parts.pivots, parts.n)))
+
+
+def _parts_gates(parts) -> list:
+    """The parts' gates in replay order: pivots by column, lower gates by control then target, upper
+    gates by descending control then descending target."""
+    n = parts.n
+    codes = sorted((code for code, marked in enumerate(parts.pivots) if marked), key=lambda code: code % n)
+    codes += [code for code, marked in enumerate(parts.lower) if marked]
+    codes += reversed([code for code, marked in enumerate(parts.upper) if marked])
+    return [cnot(*divmod(code, n)) for code in codes]
 
 
 def _gf2(*rows: str) -> GF2Matrix:
@@ -83,16 +102,17 @@ def test_gauss_jordan_trace_fields():
     a = _gf2("01", "11")
     trace = gauss_jordan(a)
     assert trace.pivot_donor == (1,)
-    assert trace.lower == frozenset({(0, 1)})
-    assert trace.upper == frozenset()
-    assert trace.gates_in_order() == [cnot(1, 0), cnot(0, 1)]
+    assert type(trace.lower) is type(trace.upper) is bytes  # read-only grids
+    assert trace.lower == bytes([0, 1, 0, 0])  # CNOT(0, 1) at code 0 * 2 + 1
+    assert grid_pairs(trace.upper, 2) == set()
+    assert gates_in_order(trace) == [cnot(1, 0), cnot(0, 1)]
 
 
 def test_gauss_jordan_on_identity_is_empty():
     trace = gauss_jordan(_identity(4))
     assert trace.pivot_donor == (None, None, None)
-    assert trace.lower == frozenset() and trace.upper == frozenset()
-    assert trace.gates_in_order() == []
+    assert grid_pairs(trace.lower, 4) == grid_pairs(trace.upper, 4) == set()
+    assert gates_in_order(trace) == []
 
 
 def test_gauss_jordan_rejects_singular():
@@ -106,7 +126,7 @@ def test_trace_replay_computes_the_inverse():
         n = rng.randint(1, 7)
         a = GF2Matrix.random_nonsingular(n, rng)
         trace = gauss_jordan(a)
-        assert _act(n, trace.gates_in_order()) == a.inverse()
+        assert _act(n, gates_in_order(trace)) == a.inverse()
 
 
 def test_rearrange_on_a_matrix_needing_a_pivot_crossing():
@@ -114,12 +134,13 @@ def test_rearrange_on_a_matrix_needing_a_pivot_crossing():
     b = _gf2("110", "111", "010")
     trace = gauss_jordan(b)
     assert trace.pivot_donor == (None, 2)
-    assert trace.lower == frozenset({(0, 1), (1, 2)})
-    assert trace.upper == frozenset({(0, 1), (1, 2)})
+    assert grid_pairs(trace.lower, 3) == {(0, 1), (1, 2)}
+    assert grid_pairs(trace.upper, 3) == {(0, 1), (1, 2)}
     parts = rearrange(trace)
-    assert parts.pivots == ((1, 2),)
-    assert parts.lower == frozenset({(0, 1), (1, 2)})
-    assert _act(3, parts.gates_in_order()) == _act(3, trace.gates_in_order())
+    assert pivot_pairs(parts) == ((1, 2),)
+    assert parts.pivots[2 * 3 + 1] == 1  # CNOT(2, 1) at its code control * n + target
+    assert grid_pairs(parts.lower, 3) == {(0, 1), (1, 2)}
+    assert _act(3, _parts_gates(parts)) == _act(3, gates_in_order(trace))
 
 
 def test_rearrange_preserves_the_action():
@@ -129,8 +150,8 @@ def test_rearrange_preserves_the_action():
         a = GF2Matrix.random_nonsingular(n, rng)
         trace = gauss_jordan(a)
         parts = rearrange(trace)
-        assert _act(n, parts.gates_in_order()) == a.inverse()
-        assert [c for c, _ in parts.pivots] == sorted(c for c, _ in parts.pivots)
+        assert _act(n, _parts_gates(parts)) == a.inverse()
+        assert all(parts.pivots[code] == 0 for code in range(n * n) if code // n <= code % n)  # CNOT(j, c), j > c
 
 
 def test_synthesize_two_wire_swap_matrix():
@@ -163,22 +184,13 @@ def test_schedule_parts_checks_the_placement_even_with_no_part():
 
 
 def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
-    """Pairs given by hand, as sets, are checked where they are used: a trace's lower pairs by
-    `rearrange`, the parts' pivots, lower and upper pairs by `schedule_parts`. The traces and parts
-    the library makes are grids it marked in range: synthesis, the stabilizer schedule and the QFT
-    check no pair, build no skeleton spec and never list a grid's pairs."""
+    """The traces and parts the library makes are grids it marked in range: synthesis, the
+    stabilizer schedule and the QFT check no pair and build no skeleton spec."""
     rng = Random(5)
     for n in (2, 5, 9):
         a = GF2Matrix.random_nonsingular(n, rng)
-        trace = gauss_jordan(a.inverse())
-        made = rearrange(trace)
-        by_hand = RearrangedParts(n, made.pivots, frozenset(made.lower), frozenset(made.upper))
-        assert schedule_parts(by_hand) == schedule_parts(made)
-        assert rearrange(GaussJordanTrace(n, trace.pivot_donor, set(trace.lower), set(trace.upper))) == made
         calls: Counter = Counter()
-        watched = ((skeleton, "_check_pair"), (linsynth, "_check_pair"), (skeleton.SkeletonSpec, "_bind"),
-                   (skeleton._GridPairs, "__iter__"))
-        for owner, name in watched:
+        for owner, name in ((skeleton, "_check_pair"), (skeleton.SkeletonSpec, "__init__")):
             real = getattr(owner, name)
             counting = lambda *args, real=real, name=name: calls.update([name]) or real(*args)
             monkeypatch.setattr(owner, name, counting)
@@ -187,14 +199,6 @@ def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
         qft_lnn(QftSpec(n))
         monkeypatch.undo()
         assert calls == Counter()
-    for bad in ((1, 0), (0, 0), (-1, 1), (0, 3)):
-        for parts in (RearrangedParts(3, (bad,), frozenset(), frozenset()),
-                      RearrangedParts(3, (), frozenset({bad}), frozenset()),
-                      RearrangedParts(3, (), frozenset(), frozenset({bad}))):
-            with pytest.raises(ValueError, match=f"^{re.escape(str(bad))} is not a pair with 0 <= a < b < 3$"):
-                schedule_parts(parts)
-        with pytest.raises(ValueError, match=r"is not a pair with 0 <= a < b < 3"):
-            rearrange(GaussJordanTrace(3, (None, None), frozenset({bad}), frozenset()))
 
 
 def _ref_trace(b: GF2Matrix) -> tuple[tuple, set, set]:
@@ -265,12 +269,14 @@ def test_grid_elimination_and_parts_match_pair_sets():
                 b = GF2Matrix.random_nonsingular(n, rng)
             trace = gauss_jordan(b)
             donors, lower, upper = _ref_trace(b)
-            assert (trace.pivot_donor, trace.lower, trace.upper) == (donors, lower, upper), n
+            trace_pairs = (trace.pivot_donor, grid_pairs(trace.lower, n), grid_pairs(trace.upper, n))
+            assert trace_pairs == (donors, lower, upper), n
             parts = rearrange(trace)
             pivots, moved, count = _ref_rearrange(donors, lower)
             toggles += count
-            assert (parts.pivots, parts.lower, parts.upper) == (pivots, moved, upper), n
-            assert trace.lower == lower  # the toggles wrote a copy
+            parts_pairs = (pivot_pairs(parts), grid_pairs(parts.lower, n), grid_pairs(parts.upper, n))
+            assert parts_pairs == (pivots, moved, upper), n
+            assert grid_pairs(trace.lower, n) == lower  # the toggles wrote a copy
             for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
                 assert schedule_parts(parts, placement) == _ref_schedule(n, pivots, moved, upper, placement), n
             sc = synthesize_lnn(b.inverse())

@@ -28,7 +28,6 @@ from chainforge.linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_par
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import (
     SkeletonSpec,
-    Slot,
     all_pairs,
     emit_skeleton,
     n_stages,
@@ -95,8 +94,9 @@ def test_an_empty_placement_is_not_the_default():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SkeletonSpec(1)
-    with pytest.raises(ValueError):
-        SkeletonSpec(4, absent=frozenset({(2, 1)}))
+    for pair in ((2, 1), (1, 0), (2, 2), (-1, 1), (0, 4)):  # each listed pair is checked
+        with pytest.raises(ValueError, match="is not a pair with 0 <= a < b < 4"):
+            SkeletonSpec(4, absent=frozenset({pair}))
     with pytest.raises(ValueError):
         SkeletonSpec(4, payload={(0, 1): cnot(0, 2)})
     with pytest.raises(ValueError):
@@ -263,8 +263,7 @@ def test_staged_schedule_makes_each_distinct_gate_once(monkeypatch):
     cases = [
         (SkeletonSpec(16), None),
         (_mixed_payload_spec(12), tuple(range(11, -1, -1))),
-        (SkeletonSpec.on_pairs(16, {(a, b): Slot(GateKind.CPHASE, False, b - a + 1) for a, b in all_pairs(16)}),
-         None),  # the QFT's slots
+        (SkeletonSpec(16, payload={(a, b): cphase(b - a + 1, a, b) for a, b in all_pairs(16)}), None),  # QFT slots
     ]
     for spec, placement in cases:  # specs and their templates are made first
         calls = []
@@ -296,89 +295,40 @@ def test_building_part_and_qft_specs_validates_no_gate(monkeypatch):
         calls.clear()
 
 
-def _slot_and_public_specs(n: int, rng: Random) -> tuple[SkeletonSpec, SkeletonSpec]:
-    """The same random slots as an on_pairs spec and as a public spec."""
-    slots, payload = {}, {}
+def _random_payload(n: int, rng: Random) -> dict:
+    """Random payloads of every kind, cnot both ways, on a random share of the pairs."""
+    payload = {}
     for a, b in all_pairs(n):
-        k = rng.randint(1, n)
-        choices = (
-            (cnot(a, b), Slot(GateKind.CNOT)),
-            (cnot(b, a), Slot(GateKind.CNOT, True)),
-            (cz(a, b), Slot(GateKind.CZ)),
-            (cphase(k, a, b), Slot(GateKind.CPHASE, False, k)),
-            (generic2(a, b), Slot(GateKind.GENERIC2)),
-        )
+        choices = (cnot(a, b), cnot(b, a), cz(a, b), cphase(rng.randint(1, n), a, b), generic2(a, b))
         pick = rng.randrange(len(choices) + 1)
         if pick < len(choices):
-            payload[a, b], slots[a, b] = choices[pick]
-    absent = frozenset(pr for pr in all_pairs(n) if pr not in slots)
-    return SkeletonSpec.on_pairs(n, slots), SkeletonSpec(n, absent, payload)
+            payload[a, b] = choices[pick]
+    return payload
 
 
-def test_on_pairs_spec_agrees_with_its_public_equivalent():
+def test_random_public_specs_round_trip_through_text():
+    """A spec keeps the absent set it was given and the payload gates; its text reparses to an equal
+    spec that schedules the same."""
     rng = Random(11)
     for n in range(2, 13):
-        spec, public = _slot_and_public_specs(n, rng)
-        assert spec == public and public == spec
-        assert len(spec.absent) == len(public.absent) and set(spec.absent) == public.absent
-        assert spec.payload == public.payload and spec.payload is spec.payload
-        assert all((pr in spec.absent) == (pr in public.absent) for pr in all_pairs(n))
-        text = emit_skeleton(spec)
-        assert text == emit_skeleton(public)
-        reparsed = parse_skeleton(text)
-        assert reparsed == spec
+        payload = _random_payload(n, rng)
+        absent = frozenset(pr for pr in all_pairs(n) if pr not in payload)
+        spec = SkeletonSpec(n, absent, payload)
+        assert spec.absent is absent and spec.payload == payload and spec.payload is spec.payload
+        reparsed = parse_skeleton(emit_skeleton(spec))
+        assert reparsed == spec and spec == reparsed
         for placement in (None, tuple(range(n - 1, -1, -1))):
-            plans = staged_schedule(spec, placement)
-            assert plans == staged_schedule(public, placement)
-            assert plans == staged_schedule(reparsed, placement)
-        for outside in ((1, 0), (0, n), (-1, 0), (0, 0), (0, 1, 2), ("a", "b"), "ab", 3):
-            assert outside not in spec.absent and outside not in public.absent
+            assert staged_schedule(spec, placement) == staged_schedule(reparsed, placement)
 
 
-def test_on_pairs_checks_each_listed_pair_and_entry():
-    for pair in ((1, 0), (2, 2), (-1, 1), (0, 4)):
-        with pytest.raises(ValueError):
-            SkeletonSpec.on_pairs(4, {pair: Slot(GateKind.CZ)})
-    with pytest.raises(ValueError, match="not a Slot"):
-        SkeletonSpec.on_pairs(4, {(0, 1): (GateKind.CNOT, False, None)})
-    with pytest.raises(ValueError):
-        SkeletonSpec.on_pairs(1, {})
-    spec = SkeletonSpec.on_pairs(4, {(0, 3): Slot(GateKind.CZ)})
-    assert len(spec.absent) == 5 and (0, 3) not in spec.absent and (1, 2) in spec.absent
-    assert schedule_lnn(spec).circuit.count(GateKind.CZ) == 1
-
-
-def test_on_pairs_rejects_slots_that_describe_no_two_wire_gate():
-    """Each would schedule, or fail only later in `payload`, `==` or `emit_skeleton`."""
-    for bad in (
-        Slot(GateKind.CZ, True),  # a direction on a symmetric gate
-        Slot(GateKind.GENERIC2, True),
-        Slot(GateKind.CNOT, 5),  # a direction is a bool
-        Slot(GateKind.CNOT, False, 5),  # a parameter on a CNOT
-        Slot(GateKind.SWAP, False, 2),
-        Slot(GateKind.CPHASE),  # a cphase with no k
-        Slot(GateKind.CPHASE, False, True),
-        Slot(GateKind.H),  # a one-wire kind
-        Slot(GateKind.P),
-        Slot("cz"),
-    ):
-        with pytest.raises(ValueError, match=r"slot \(0, 2\)"):
-            SkeletonSpec.on_pairs(3, {(0, 1): Slot(GateKind.CZ), (0, 2): bad})
-    ok = (Slot(GateKind.CNOT, True), Slot(GateKind.CPHASE, False, 2), Slot(GateKind.SWAP))
-    spec = SkeletonSpec.on_pairs(3, dict(zip(all_pairs(3), ok)))
-    assert spec.payload == {(0, 1): cnot(1, 0), (0, 2): cphase(2, 0, 2), (1, 2): swap(1, 2)}
-
-
-def test_on_pairs_checks_a_cphase_k_range():
-    """The site gates are made unchecked, so `on_pairs` holds k to 1..MAX_WIRES itself."""
+def test_a_cphase_payload_k_range():
+    """A payload line is a gate line, checked by `Gate`; k = 1 and k = MAX_WIRES schedule."""
     for k in (0, -1, MAX_WIRES + 1):
-        with pytest.raises(ValueError, match=rf"slot \(0, 2\).*1\.\.{MAX_WIRES}"):
-            SkeletonSpec.on_pairs(3, {(0, 1): Slot(GateKind.CZ), (0, 2): Slot(GateKind.CPHASE, False, k)})
-        with pytest.raises(ParseError) as err:  # a payload line is a gate line, checked by `Gate`
+        with pytest.raises(ParseError) as err:
             parse_skeleton(f"skeleton 3\nabsent 0 1\npayload 0 2 cphase {k}\n")
         assert err.value.line == 3
     for k in (1, MAX_WIRES):
-        sc = schedule_lnn(SkeletonSpec.on_pairs(3, {(0, 2): Slot(GateKind.CPHASE, False, k)}))
+        sc = schedule_lnn(SkeletonSpec(3, frozenset({(0, 1), (1, 2)}), {(0, 2): cphase(k, 0, 2)}))
         # slot (0, 2) has d = 2, so it runs on sites (1, 2)
         assert [g for g in sc.circuit.gates if g.kind is GateKind.CPHASE] == [cphase(k, 1, 2)]
 
@@ -388,7 +338,7 @@ def test_specs_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         for make in (lambda: SkeletonSpec(4, frozenset({(0, 1)}), {(1, 2): cz(1, 2)}),
-                     lambda: SkeletonSpec.on_pairs(4, {(0, 3): Slot(GateKind.CZ)})):
+                     lambda: SkeletonSpec(4, frozenset(all_pairs(4)) - {(0, 3)}, {(0, 3): cz(0, 3)})):
             spec = make()
             ref = weakref.ref(spec)
             assert len(spec.absent) > 0 and spec.payload and spec == spec

@@ -1,12 +1,14 @@
-"""Source hygiene: every exported name exists and has a reader in the source or the README, no
-module imports a name it never uses, every private module-level helper has a caller in the
-source, the ways past a gate or circuit check have only their listed callers, and the README's
-Python examples run."""
+"""Source hygiene: every exported name, and every public method of an exported class, exists and
+has a reader in the source or the README, no module imports a name it never uses, every private
+module-level helper has a caller in the source, the ways past a gate or circuit check have only
+their listed callers, and the README's Python examples run."""
 
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -42,21 +44,28 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _reads(node: ast.AST) -> Iterator[str]:
+    """Each name and attribute read under `node`, once per read. An import reads nothing: a name
+    counts where it is used, not where it is bound."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
 def _referenced_names(stmt: ast.stmt) -> set[str]:
-    """Names and attributes read in one top-level statement, not counting the name it defines
-    itself. An import reads nothing: a name counts where it is used, not where it is bound."""
-    out = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
+    """Names and attributes read in one top-level statement, not counting the name it defines."""
+    out = set(_reads(stmt))
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         out.discard(stmt.name)
     return out
 
 
 _READ_IN_SOURCE = {name for tree in _SOURCE.values() for stmt in tree.body
+                   for name in _referenced_names(stmt)}
+_READS_IN_SOURCE = Counter(name for tree in _SOURCE.values() for name in _reads(tree))
+_READ_IN_README = {name for block in _README_BLOCKS for stmt in ast.parse(block).body
                    for name in _referenced_names(stmt)}
 
 
@@ -96,10 +105,7 @@ def test_every_public_name_has_a_caller():
     """A name in a module's `__all__` is read somewhere in the package outside its own
     definition (`__init__.py` only re-imports), or in a README `python` block, which runs as
     a test below. A name that only its own tests read is wired into a real path or deleted."""
-    read = _READ_IN_SOURCE | {
-        name for block in _README_BLOCKS for stmt in ast.parse(block).body
-        for name in _referenced_names(stmt)
-    }
+    read = _READ_IN_SOURCE | _READ_IN_README
     unread = [
         f"{module}.{name}"
         for module in _MODULES
@@ -107,6 +113,34 @@ def test_every_public_name_has_a_caller():
         if name not in read
     ]
     assert not unread, f"public names that nothing in the source or the README reads: {unread}"
+
+
+def _public_methods() -> Iterator[tuple[str, ast.FunctionDef]]:
+    """(module.Class.name, definition) of each public method, classmethod, staticmethod and property
+    defined in a class that its module's `__all__` lists."""
+    for module in _MODULES:
+        exported = set(importlib.import_module(f"chainforge.{module}").__all__)
+        for stmt in _SOURCE[f"{module}.py"].body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name in exported:
+                for member in stmt.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{module}.{stmt.name}.{member.name}", member
+
+
+def test_the_method_rule_sees_methods():
+    names = {name for name, _ in _public_methods()}
+    assert {"linsynth.GF2Matrix.inverse", "stabilizer.PauliTableau.identity", "core.Circuit.depth"} <= names
+
+
+def test_every_public_method_has_a_caller():
+    """Each public method of an exported class is read, by name, somewhere in the package outside
+    its own definition, or in a README `python` block. A method that only tests read is wired into
+    a real path, or moved into the tests."""
+    unread = [
+        name for name, node in _public_methods()
+        if node.name not in _READ_IN_README and _READS_IN_SOURCE[node.name] == Counter(_reads(node))[node.name]
+    ]
+    assert not unread, f"public methods that nothing in the source or the README reads: {unread}"
 
 
 # The ways past a check, each with the one list of places allowed to use it. A new caller is a

@@ -3,8 +3,10 @@
 `ref_part_specs`, `ref_skeleton_for` and `ref_staged_schedule` below are
 `linsynth._part_specs`, `qft._skeleton_for` and `skeleton.staged_schedule`
 as they stood before specs kept a slot map, copied unchanged apart from
-their names and docstrings: each spec is a public `SkeletonSpec` with an
-all-pairs `absent` complement and one template `Gate` per present pair.
+their names and docstrings, and apart from `ref_part_specs` reading the
+parts' grids through `grid_pairs` as the pair sets they were then: each
+spec is a public `SkeletonSpec` with an all-pairs `absent` complement and
+one template `Gate` per present pair.
 `synthesize_lnn`, `schedule_stabilizer` and `qft_lnn` now go from grids to
 stages with no spec; the references are chained here the way they were.
 `ref_staged_schedule` walks every slot's wires from site to site; its
@@ -24,7 +26,6 @@ from chainforge.linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_par
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import (
     SkeletonSpec,
-    Slot,
     StagePlan,
     _check_placement,
     all_pairs,
@@ -32,6 +33,7 @@ from chainforge.skeleton import (
     staged_schedule,
 )
 from chainforge.stabilizer import StageDecomposition, random_decomposition, schedule_stabilizer
+from test_linsynth import grid_pairs, pivot_pairs
 
 SEED = 20261019
 
@@ -45,20 +47,21 @@ def stage_pairs(n: int, stage: int) -> list[Pair]:
     return [(a, stage - a) for a in range(max(0, stage - n + 1), (stage + 1) // 2)]
 
 
-def ref_part_specs(parts: linsynth.RearrangedParts) -> list[tuple[SkeletonSpec, bool]]:
+def ref_part_specs(parts) -> list[tuple[SkeletonSpec, bool]]:
     """Reference: each part's absent set is the complement over all pairs."""
     n = parts.n
+    pivots, lower, upper = pivot_pairs(parts), grid_pairs(parts.lower, n), grid_pairs(parts.upper, n)
     specs: list[tuple[SkeletonSpec, bool]] = []
-    pivot_pairs = {(c, j): cnot(j, c) for c, j in parts.pivots}
-    if pivot_pairs:
-        absent = frozenset(pr for pr in all_pairs(n) if pr not in pivot_pairs)
-        specs.append((SkeletonSpec(n, absent, pivot_pairs), False))
-    if parts.lower:
-        absent = frozenset(pr for pr in all_pairs(n) if pr not in parts.lower)
-        payload = {(a, b): cnot(a, b) for a, b in parts.lower}
+    pivot_payload = {(c, j): cnot(j, c) for c, j in pivots}
+    if pivot_payload:
+        absent = frozenset(pr for pr in all_pairs(n) if pr not in pivot_payload)
+        specs.append((SkeletonSpec(n, absent, pivot_payload), False))
+    if lower:
+        absent = frozenset(pr for pr in all_pairs(n) if pr not in lower)
+        payload = {(a, b): cnot(a, b) for a, b in lower}
         specs.append((SkeletonSpec(n, absent, payload), False))
-    if parts.upper:
-        flipped = {(n - 1 - l, n - 1 - k): cnot(n - 1 - l, n - 1 - k) for k, l in parts.upper}
+    if upper:
+        flipped = {(n - 1 - l, n - 1 - k): cnot(n - 1 - l, n - 1 - k) for k, l in upper}
         absent = frozenset(pr for pr in all_pairs(n) if pr not in flipped)
         specs.append((SkeletonSpec(n, absent, flipped), True))
     return specs
@@ -115,7 +118,7 @@ def ref_staged_schedule(
     return plans, tuple(loc)
 
 
-def _random_parts(n: int, rng: Random) -> linsynth.RearrangedParts:
+def _random_parts(n: int, rng: Random):
     return rearrange(gauss_jordan(GF2Matrix.random_nonsingular(n, rng).inverse()))
 
 
@@ -201,21 +204,15 @@ def _mixed_spec(n: int, rng: Random) -> SkeletonSpec:
     return SkeletonSpec(n, frozenset(absent), payload)
 
 
-def _on_pairs_spec(n: int, rng: Random) -> SkeletonSpec:
-    """Random listed slots of every kind, cnot both ways; the rest absent."""
-    slots = {}
+def _listed_only_spec(n: int, rng: Random) -> SkeletonSpec:
+    """Random listed payloads of every kind, cnot both ways; every unlisted pair absent."""
+    payload = {}
     for a, b in all_pairs(n):
-        choices = (
-            Slot(GateKind.CNOT),
-            Slot(GateKind.CNOT, True),
-            Slot(GateKind.CZ),
-            Slot(GateKind.CPHASE, False, rng.randint(1, n)),
-            Slot(GateKind.GENERIC2),
-        )
+        choices = (cnot(a, b), cnot(b, a), cz(a, b), cphase(rng.randint(1, n), a, b), generic2(a, b))
         pick = rng.randrange(len(choices) + 1)
         if pick < len(choices):
-            slots[a, b] = choices[pick]
-    return SkeletonSpec.on_pairs(n, slots)
+            payload[a, b] = choices[pick]
+    return SkeletonSpec(n, frozenset(pr for pr in all_pairs(n) if pr not in payload), payload)
 
 
 def test_mixed_public_specs_match_the_reference():
@@ -226,10 +223,10 @@ def test_mixed_public_specs_match_the_reference():
             assert staged_schedule(spec, placement) == ref_staged_schedule(spec, placement)
 
 
-def test_on_pairs_specs_match_the_reference():
+def test_listed_only_specs_match_the_reference():
     rng = Random(SEED + 3)
     for n in range(2, 41):
-        spec = _on_pairs_spec(n, rng)
+        spec = _listed_only_spec(n, rng)
         for placement in (None, tuple(range(n - 1, -1, -1))):
             assert staged_schedule(spec, placement) == ref_staged_schedule(spec, placement)
 
