@@ -69,7 +69,6 @@ from .linsynth import (
     expand_to_cnot,
     gauss_jordan,
     parse_gf2,
-    rearrange,
     schedule_parts,
     synthesize_lnn,
 )

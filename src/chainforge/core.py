@@ -162,9 +162,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def count(self, kind: GateKind) -> int:
-        return sum(1 for g in self.gates if g.kind is kind)
-
     def depth(self) -> int:
         return self._plain_layers[0]
 

@@ -1,15 +1,16 @@
 """Depth-oriented synthesis of linear reversible functions on a line.
 
 A nonsingular GF(2) matrix A is realized as a CNOT/SWAP circuit in three
-chained skeleton schedules. Gauss-Jordan elimination of A's inverse yields
-a gate trace whose circuit action is A; the trace is rearranged into pivot
+chained skeleton schedules. Gauss-Jordan elimination of A's inverse runs
+gates whose circuit action is A, and the same pass groups them into pivot
 gates, a lower-triangular part and an upper-triangular part, each of which
 fits the all-pairs skeleton (the upper part after reversing wire labels).
 Chaining the three schedules costs no routing because each schedule flips
-the wire placement end to end. Elimination marks each CNOT it runs in an
-n x n grid at the code control * n + target; the trace and the parts are
-such grids, the pivot moves XOR strided grid slices, and the parts are
-staged straight from the grids: no pair tuple, set or spec is made per slot.
+the wire placement end to end. Elimination marks each CNOT it runs in one
+of three n x n grids at the code control * n + target; a pivot fix is moved
+ahead of the lower gates as it is made, by XOR of strided grid slices, and
+the parts are staged straight from the grids: no pair tuple, set or spec is
+made per slot.
 
 Matrix convention: rows are bit-packed integers, row i bit j is A[i][j],
 and the matrix acts on column vectors of wire values, out_i = XOR of
@@ -110,19 +111,18 @@ class GF2Matrix:
         return GF2Matrix(self.n, tuple(self.rows[output_map[l]] for l in range(self.n)))
 
 
-class _Trace(NamedTuple):
-    """Elimination trace: pivot donors plus the lower and upper grids (see `_eliminate`).
+class _Parts(NamedTuple):
+    """The elimination's gates regrouped as pivots, then lower gates, then upper gates.
 
-    pivot_donor[c] is the row j > c whose row was added into row c to fix a
-    zero diagonal at column c (None when no fix was needed); there is no
-    entry for the last column, where a zero diagonal means singularity.
-    `lower` marks each CNOT(c, s) that cleared column c below the diagonal,
-    `upper` each CNOT(l, k) that cleared column l above it, at its code
-    control * n + target in an n x n grid.
+    Each group is an n x n grid marking CNOT(control, target) at
+    control * n + target. Replayed in that order (pivots by column, lower
+    gates by control then target, upper gates by descending control then
+    descending target) the gates compose to the same GF(2) map as the
+    elimination did.
     """
 
     n: int
-    pivot_donor: tuple[int | None, ...]
+    pivots: bytes
     lower: bytes
     upper: bytes
 
@@ -134,20 +134,20 @@ def _replay(order: Iterable[int], n: int, table: dict[int, Gate]) -> list[Gate]:
 
 
 def _eliminate(
-    rows: list[int], n: int, order: array, lower: bytearray, upper: bytearray
-) -> list[int | None]:
+    rows: list[int], n: int, order: array, pivots: bytearray, lower: bytearray, upper: bytearray
+) -> None:
     """The one Gauss-Jordan loop: reduce the low n bits of `rows` to the identity, in place.
 
     Per column, left to right: fix a zero diagonal by adding the nearest
     lower row that has a one in the column, then clear the column below the
     diagonal. Afterwards clear above the diagonal, rightmost column first.
-    Each CNOT's code control * n + target is appended to `order` as it runs; a
-    CNOT clearing below the diagonal is also marked at its code in the n x n grid
-    `lower`, one clearing above it in `upper`. Bits above n ride along, so rows
-    of [A | I] end as [I | A^-1].
-    Returns the pivot donors; raises SingularMatrixError at a column with no pivot.
+    Each CNOT's code control * n + target is appended to `order` as it runs,
+    and marked at its code in an n x n grid: a pivot fix in `pivots`, a CNOT
+    clearing below the diagonal in `lower`, one clearing above it in `upper`.
+    The pivot fix is marked where the parts replay it, ahead of every lower
+    gate (see `_Parts`). Bits above n ride along, so rows of [A | I] end as
+    [I | A^-1]. Raises SingularMatrixError at a column with no pivot.
     """
-    pivot_donor: list[int | None] = []
     record = order.append
     for c in range(n):
         bit, row, base = 1 << c, rows[c], c * n
@@ -157,9 +157,13 @@ def _eliminate(
                 raise SingularMatrixError(f"matrix is singular (no pivot in column {c})")
             row = rows[c] = row ^ rows[j]
             record(j * n + c)
-            pivot_donor.append(j)
-        elif c < n - 1:
-            pivot_donor.append(None)
+            pivots[j * n + c] = 1
+            # moved ahead of the lower gates, the fix CNOT(j, c) crosses each CNOT(c', j), c' < c, and
+            # spawns a CNOT(c', c); the rest commute. Every lower mark with control c' < c is final
+            # here, so the spawns XOR column j into column c, rows c' < c: one strided slice each
+            col = slice(c, base + c, n)
+            toggled = int.from_bytes(lower[col], "big") ^ int.from_bytes(lower[j : base + j : n], "big")
+            lower[col] = toggled.to_bytes(c, "big")
         for s in range(c + 1, n):
             if rows[s] & bit:
                 rows[s] ^= row
@@ -172,63 +176,27 @@ def _eliminate(
                 rows[k] ^= row
                 record(base + k)
                 upper[base + k] = 1
-    return pivot_donor
 
 
-def gauss_jordan(a: GF2Matrix) -> _Trace:
-    """Eliminate `a` to the identity, recording the gates applied (see `_eliminate`).
+def gauss_jordan(a: GF2Matrix) -> _Parts:
+    """Eliminate `a` to the identity in one pass, its gates marked as the three parts (see `_eliminate`).
 
-    Replaying its gates in elimination order as row operations reduces `a`
-    to I, so the same gates as a circuit compute the inverse of `a`.
+    Replaying the parts' gates in order as row operations reduces `a` to I,
+    so the same gates as a circuit compute the inverse of `a`.
     """
     n = a.n
-    lower, upper = bytearray(n * n), bytearray(n * n)  # the trace keeps the marks, not the recorded order
-    pivot_donor = _eliminate(list(a.rows), n, array("i"), lower, upper)
-    return _Trace(n, tuple(pivot_donor), bytes(lower), bytes(upper))
+    grids = bytearray(n * n), bytearray(n * n), bytearray(n * n)  # the parts keep the marks, not the order
+    _eliminate(list(a.rows), n, array("i"), *grids)
+    return _Parts(n, *map(bytes, grids))
 
 
 def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array]:
     """`a`'s inverse and its elimination order from one pass over [a | I]: the row operations
     that take `a` to I take I to `a`'s inverse. Raises SingularMatrixError."""
-    n, order, marks = a.n, array("i"), bytearray(a.n * a.n)  # the two passes mark disjoint cells
+    n, order, marks = a.n, array("i"), bytearray(a.n * a.n)
     rows = [r | 1 << (n + i) for i, r in enumerate(a.rows)]
-    _eliminate(rows, n, order, marks, marks)
+    _eliminate(rows, n, order, marks, marks, marks)  # only the order is kept; the toggles read lower cells only
     return GF2Matrix(n, tuple(r >> n for r in rows)), order
-
-
-class _Parts(NamedTuple):
-    """Trace gates regrouped as pivots, then lower gates, then upper gates.
-
-    Each group is an n x n grid marking CNOT(control, target) at
-    control * n + target. Replayed in that order (pivots by column, lower
-    gates by control then target, upper gates by descending control then
-    descending target) the gates compose to the same GF(2) map as the trace.
-    """
-
-    n: int
-    pivots: bytes
-    lower: bytes
-    upper: bytes
-
-
-def rearrange(trace: _Trace) -> _Parts:
-    """Move pivot gates to the front, updating the lower flags they cross.
-
-    Moving the pivot CNOT(j, c) left past a lower gate CNOT(c', j) spawns a
-    compensating CNOT(c', c) (conjugation by the pivot); all other crossings
-    commute cleanly. Spawned gates toggle the lower flag of pair (c', c).
-    Pivots are moved in ascending column order against the flags as updated
-    so far. Upper gates sit after every pivot and are never crossed.
-    """
-    n = trace.n
-    pivots, lower = bytearray(n * n), bytearray(trace.lower)  # a copy: the trace keeps its own
-    for c, j in enumerate(trace.pivot_donor):
-        if j is not None:  # column c, rows c' < c, XOR column j: one strided slice each
-            pivots[j * n + c] = 1
-            col = slice(c, c * n + c, n)
-            toggled = int.from_bytes(lower[col], "big") ^ int.from_bytes(lower[j : c * n + j : n], "big")
-            lower[col] = toggled.to_bytes(c, "big")
-    return _Parts(n, bytes(pivots), bytes(lower), trace.upper)
 
 
 def schedule_parts(
@@ -275,7 +243,7 @@ def synthesize_lnn(a: GF2Matrix) -> ScheduledCircuit:
     output l, equals A exactly. Generic-gate depth (each payload counted
     together with its trailing SWAP) is at most 3(2n-3).
     """
-    pieces, placement = _part_pieces(rearrange(gauss_jordan(a.inverse())))
+    pieces, placement = _part_pieces(gauss_jordan(a.inverse()))
     return ScheduledCircuit(_known_circuit(a.n, pieces), Architecture.lnn(a.n), placement)
 
 
@@ -330,7 +298,6 @@ __all__ = [
     "expand_to_cnot",
     "gauss_jordan",
     "parse_gf2",
-    "rearrange",
     "schedule_parts",
     "synthesize_lnn",
 ]

@@ -98,11 +98,6 @@ class SkeletonSpec:
         for a, b in slots:
             _check_pair(a, b, n)
         self.n, self._slots = n, slots
-        self._sites: dict[bool, list[Gate]] = {}  # see `_made`
-
-    def _made(self, flip: bool) -> list[Gate]:
-        """The gates `staged_schedule` last made from the identity placement (flipped: the reversal)."""
-        return self._sites.get(flip, [])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -167,21 +162,10 @@ def _grid_stages(
     return stages(), table
 
 
-def staged_schedule(
-    spec: SkeletonSpec, initial_placement: Sequence[int] | None = None
-) -> tuple[list[StagePlan], tuple[int, ...]]:
-    """Stage-by-stage site gates plus the final placement, the entry one reversed.
-
-    The placement (wire -> site) must lay the wire chain along the site
-    chain in order or reversed; the uniform SWAP pattern keeps every slot's
-    wires adjacent when its stage runs, and flips the placement overall.
-    Sites come from the closed form in the module docstring: each listed
-    slot is read once, and no wire is walked from site to site.
-    """
-    n = spec.n
-    placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
-    flip = placement[0] != 0  # the reversal (a spec has n >= 2)
-    slots = spec._slots
+def _spec_plans(spec: SkeletonSpec, flip: bool) -> tuple[list[StagePlan], list[Gate]]:
+    """The spec's stage plans from the identity placement (flip: the reversal), and the gate objects
+    made for them, for `staged_schedule` and `schedule_lnn` both."""
+    n, slots = spec.n, spec._slots
     made: dict[tuple[Slot, int], Gate] = {}  # per slot and d = b - a, its site gate, made once
 
     def site_gate(e: Slot, d: int) -> Gate:
@@ -195,14 +179,31 @@ def staged_schedule(
     for (a, b), e in slots.items():
         cells[a * n + b] = e and site_gate(e, b - a)
     stages, table = _grid_stages(n, flip, cells)
-    spec._sites[flip] = [*table, *made.values()]
-    return [StagePlan(tuple(payload), tuple(swaps)) for payload, swaps in stages], placement[::-1]
+    plans = [StagePlan(tuple(payload), tuple(swaps)) for payload, swaps in stages]
+    return plans, [*table, *made.values()]
+
+
+def staged_schedule(
+    spec: SkeletonSpec, initial_placement: Sequence[int] | None = None
+) -> tuple[list[StagePlan], tuple[int, ...]]:
+    """Stage-by-stage site gates plus the final placement, the entry one reversed.
+
+    The placement (wire -> site) must lay the wire chain along the site
+    chain in order or reversed; the uniform SWAP pattern keeps every slot's
+    wires adjacent when its stage runs, and flips the placement overall.
+    Sites come from the closed form in the module docstring: each listed
+    slot is read once, and no wire is walked from site to site.
+    """
+    n = spec.n
+    placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
+    plans, _ = _spec_plans(spec, placement[0] != 0)  # flipped: the reversal (a spec has n >= 2)
+    return plans, placement[::-1]
 
 
 def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> ScheduledCircuit:
     """Execute the skeleton on a line, one payload stage + one SWAP stage each."""
-    plans, final = staged_schedule(spec)
-    made = spec._made(False)
+    plans, made = _spec_plans(spec, False)
+    final = tuple(range(spec.n - 1, -1, -1))
     if drop_last_swaps:  # the last stage is the lone slot (n - 2, n - 1): one SWAP, on sites (0, 1)
         plans[-1], final = plans[-1]._replace(swaps=()), (*final[:-2], final[-1], final[-2])
         made = made if spec.n > 2 else plans[0].payload  # n = 2: no other SWAP is left

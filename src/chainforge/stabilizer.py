@@ -17,9 +17,8 @@ backwards and eliminates nothing.
 The tableau here is the usual conjugation table: row g holds the image of
 input Pauli X_g (rows 0..n-1) or Z_{g-n} (rows n..2n-1) as x/z bit vectors
 plus a sign bit, with the row decoding to (-1)^r * prod_w i^{x_w z_w}
-X^{x_w} Z^{z_w}. One loop (`_apply_gates`) holds every gate's update rule:
-`tableau_of` makes one pass of it over a circuit, and `apply_gate` runs it
-over one gate.
+X^{x_w} Z^{z_w}. One loop (`_apply_gates`) holds every gate's update rule,
+and `tableau_of` makes one pass of it over a circuit.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .linsynth import (
     _part_pieces,
     _replay,
     gauss_jordan,
-    rearrange,
 )
 
 STAGE_ORDER = ("h", "c", "p", "c", "p", "c", "h", "p", "c", "p", "c")
@@ -140,7 +138,7 @@ def schedule_stabilizer(d: StageDecomposition) -> ScheduledCircuit:
     inverses = iter(d._c_inverses)
     for kind, content in d.stages():
         if kind == "c":
-            stage_pieces, placement = _part_pieces(rearrange(gauss_jordan(next(inverses))), placement)
+            stage_pieces, placement = _part_pieces(gauss_jordan(next(inverses)), placement)
             pieces += stage_pieces
         else:
             made = [(h if kind == "h" else p)(placement[w]) for w in _mask_wires(content, n)]
@@ -226,12 +224,6 @@ def _apply_gates(t: PauliTableau, gates: Iterable[Gate]) -> None:
     t.signs = signs
 
 
-def apply_gate(t: PauliTableau, g: Gate) -> PauliTableau:
-    """Update the tableau by one Clifford gate, in place."""
-    _apply_gates(t, (g,))
-    return t
-
-
 def tableau_of(circuit: Circuit) -> PauliTableau:
     t = PauliTableau.identity(circuit.n_wires)
     _apply_gates(t, circuit.gates)
@@ -298,7 +290,6 @@ __all__ = [
     "PauliTableau",
     "STAGE_ORDER",
     "StageDecomposition",
-    "apply_gate",
     "emit_stab",
     "parse_stab",
     "random_decomposition",

@@ -1,5 +1,6 @@
-"""Every input at small n, not a seeded sample: each nonsingular GF(2) matrix through `synthesize_lnn`
-and each skeleton presence pattern through `SkeletonSpec(n, absent)` and `schedule_lnn`.
+"""Every input at small n, not a seeded sample: each nonsingular GF(2) matrix through `gauss_jordan`
+and `synthesize_lnn`, each skeleton presence pattern through `SkeletonSpec(n, absent)` and
+`schedule_lnn`, and each mask choice of the 11-stage form through `schedule_stabilizer`.
 
 The largest depth, `generic_depth`, `cnot_depth` and two-qubit layer count seen are pinned per n, so
 the tests also show how tight each bound is at small n. The GL(4, 2) sweep (20,160 matrices) runs
@@ -8,13 +9,16 @@ outside the test suite: `PYTHONPATH=src python tests/test_exhaustive.py 4`.
 
 import sys
 from itertools import combinations, product
+from random import Random
 
 import pytest
 
 from chainforge.core import Architecture, generic_depth, two_qubit_layer_count, validate_on
-from chainforge.linsynth import GF2Matrix, SingularMatrixError, synthesize_lnn
+from chainforge.linsynth import GF2Matrix, SingularMatrixError, gauss_jordan, synthesize_lnn
 from chainforge.oracle import gf2_action
 from chainforge.skeleton import SkeletonSpec, all_pairs, schedule_lnn, staged_schedule
+from chainforge.stabilizer import StageDecomposition, schedule_stabilizer, stabilizer_flat, tableau_equiv
+from test_linsynth import two_step_grids
 from test_spec_paths import ref_staged_schedule
 
 # per n: the largest (depth, generic_depth, cnot_depth) over GL(n, 2)
@@ -35,11 +39,14 @@ def general_linear(n: int):
 
 
 def sweep_gl(n: int) -> tuple[int, tuple[int, int, int]]:
-    """Synthesize every matrix of GL(n, 2) and check each schedule: its GF(2) action through the final
-    map is the matrix, it sits on the chain, and for n >= 2 generic_depth <= 3(2n - 3) and
-    cnot_depth <= 18n - 27. Returns the count and the largest (depth, generic_depth, cnot_depth)."""
+    """Eliminate and synthesize every matrix of GL(n, 2). The three grids one `gauss_jordan` pass
+    marks equal the two-step reference's (the trace, then the pivot moves). Each schedule's GF(2)
+    action through the final map is the matrix, it sits on the chain, and for n >= 2
+    generic_depth <= 3(2n - 3) and cnot_depth <= 18n - 27. Returns the count and the largest
+    (depth, generic_depth, cnot_depth)."""
     count, most, chain = 0, (0, 0, 0), Architecture.lnn(n)
     for a in general_linear(n):
+        assert tuple(gauss_jordan(a))[1:] == two_step_grids(a)[0], a
         sc = synthesize_lnn(a)
         assert gf2_action(sc.circuit).relabel(sc.final_map) == a, a
         assert validate_on(sc.circuit, chain).ok, a
@@ -72,8 +79,21 @@ def test_every_skeleton_presence_pattern_schedules(n):
     assert (count, most) == (2 ** len(pairs), SKELETON_MAXIMA[n])
 
 
+@pytest.mark.parametrize("n, inputs", [(1, 64), (2, 4096)])
+def test_every_stabilizer_mask_choice_schedules(n, inputs):
+    """Each choice of the two H and four P masks, with the five C stages drawn by a seed from
+    GL(n, 2): the schedule acts like the flat reference through its final map."""
+    group, rng, count = list(general_linear(n)), Random(20261019 + n), 0
+    for masks in product(range(1 << n), repeat=6):
+        d = StageDecomposition(n, masks[:2], masks[2:], tuple(rng.choice(group) for _ in range(5)))
+        sc = schedule_stabilizer(d)
+        assert tableau_equiv(sc.circuit, stabilizer_flat(d), sc.final_map), d
+        count += 1
+    assert count == inputs
+
+
 if __name__ == "__main__":
     for n in map(int, sys.argv[1:]):
         order, (depth, generic, cnot) = sweep_gl(n)
-        print(f"GL({n}, 2): {order} matrices, all pass; "
+        print(f"GL({n}, 2): {order} matrices, all pass, their elimination grids equal the two-step reference's; "
               f"largest depth {depth}, generic_depth {generic}, cnot_depth {cnot}")

@@ -25,14 +25,12 @@ from chainforge.linsynth import (
     expand_to_cnot,
     gauss_jordan,
     parse_gf2,
-    rearrange,
     schedule_parts,
     synthesize_lnn,
 )
 from chainforge.oracle import gf2_action, unitary_equiv
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.stabilizer import random_decomposition, schedule_stabilizer
-from test_stabilizer import gates_in_order
 
 
 def _identity(n):
@@ -44,8 +42,8 @@ def _act(n: int, gates) -> GF2Matrix:
 
 
 def grid_pairs(grid: bytes, n: int) -> set:
-    """The pairs (a, b), a < b, of the CNOTs an n x n grid marks at control * n + target: a trace's
-    or parts' grid as the pair set it was kept as before grids."""
+    """The pairs (a, b), a < b, of the CNOTs an n x n grid marks at control * n + target: a part's
+    grid as the pair set it was kept as before grids."""
     return {tuple(sorted(divmod(code, n))) for code, marked in enumerate(grid) if marked}
 
 
@@ -98,21 +96,20 @@ def test_relabel_reads_rows_through_the_map():
         a.relabel((0, 0, 1))
 
 
-def test_gauss_jordan_trace_fields():
+def test_gauss_jordan_parts_fields():
     a = _gf2("01", "11")
-    trace = gauss_jordan(a)
-    assert trace.pivot_donor == (1,)
-    assert type(trace.lower) is type(trace.upper) is bytes  # read-only grids
-    assert trace.lower == bytes([0, 1, 0, 0])  # CNOT(0, 1) at code 0 * 2 + 1
-    assert grid_pairs(trace.upper, 2) == set()
-    assert gates_in_order(trace) == [cnot(1, 0), cnot(0, 1)]
+    parts = gauss_jordan(a)
+    assert type(parts.pivots) is type(parts.lower) is type(parts.upper) is bytes  # read-only grids
+    assert parts.pivots == bytes([0, 0, 1, 0])  # the fix CNOT(1, 0) at code 1 * 2 + 0
+    assert parts.lower == bytes([0, 1, 0, 0])  # CNOT(0, 1) at code 0 * 2 + 1
+    assert grid_pairs(parts.upper, 2) == set()
+    assert _parts_gates(parts) == [cnot(1, 0), cnot(0, 1)]
 
 
 def test_gauss_jordan_on_identity_is_empty():
-    trace = gauss_jordan(_identity(4))
-    assert trace.pivot_donor == (None, None, None)
-    assert grid_pairs(trace.lower, 4) == grid_pairs(trace.upper, 4) == set()
-    assert gates_in_order(trace) == []
+    parts = gauss_jordan(_identity(4))
+    assert parts.pivots == parts.lower == parts.upper == bytes(16)
+    assert _parts_gates(parts) == []
 
 
 def test_gauss_jordan_rejects_singular():
@@ -121,37 +118,29 @@ def test_gauss_jordan_rejects_singular():
 
 
 def test_trace_replay_computes_the_inverse():
+    """The parts' gates, replayed pivots first, compute the inverse, and every pivot fix CNOT(j, c)
+    has j > c."""
     rng = Random(9)
-    for _ in range(50):
+    for _ in range(200):
         n = rng.randint(1, 7)
         a = GF2Matrix.random_nonsingular(n, rng)
-        trace = gauss_jordan(a)
-        assert _act(n, gates_in_order(trace)) == a.inverse()
+        parts = gauss_jordan(a)
+        assert _act(n, _parts_gates(parts)) == a.inverse()
+        assert all(parts.pivots[code] == 0 for code in range(n * n) if code // n <= code % n)
 
 
-def test_rearrange_on_a_matrix_needing_a_pivot_crossing():
-    """Pulling the pivot fix of column 1 ahead of column 0's elimination."""
-    b = _gf2("110", "111", "010")
-    trace = gauss_jordan(b)
-    assert trace.pivot_donor == (None, 2)
-    assert grid_pairs(trace.lower, 3) == {(0, 1), (1, 2)}
-    assert grid_pairs(trace.upper, 3) == {(0, 1), (1, 2)}
-    parts = rearrange(trace)
+def test_a_pivot_fix_moved_past_a_lower_gate_toggles_its_lower_mark():
+    """Column 1's pivot fix CNOT(2, 1) runs after CNOT(0, 2) and is replayed before it: the crossing
+    spawns CNOT(0, 1), so the lower grid marks (0, 1), which elimination never ran."""
+    b = _gf2("100", "001", "110")
+    donors, lower, upper, order = ref_trace(b)
+    assert donors == (None, 2) and order == [(0, 2), (2, 1), (1, 2), (2, 1)]
+    parts = gauss_jordan(b)
     assert pivot_pairs(parts) == ((1, 2),)
     assert parts.pivots[2 * 3 + 1] == 1  # CNOT(2, 1) at its code control * n + target
-    assert grid_pairs(parts.lower, 3) == {(0, 1), (1, 2)}
-    assert _act(3, _parts_gates(parts)) == _act(3, gates_in_order(trace))
-
-
-def test_rearrange_preserves_the_action():
-    rng = Random(17)
-    for _ in range(200):
-        n = rng.randint(2, 6)
-        a = GF2Matrix.random_nonsingular(n, rng)
-        trace = gauss_jordan(a)
-        parts = rearrange(trace)
-        assert _act(n, _parts_gates(parts)) == a.inverse()
-        assert all(parts.pivots[code] == 0 for code in range(n * n) if code // n <= code % n)  # CNOT(j, c), j > c
+    assert grid_pairs(parts.lower, 3) == lower | {(0, 1)} == {(0, 1), (0, 2), (1, 2)}
+    assert grid_pairs(parts.upper, 3) == upper == {(1, 2)}
+    assert _act(3, _parts_gates(parts)) == _act(3, [cnot(*pair) for pair in order]) == b.inverse()
 
 
 def test_synthesize_two_wire_swap_matrix():
@@ -175,7 +164,7 @@ def test_synthesize_identity_and_one_wire():
 
 
 def test_schedule_parts_checks_the_placement_even_with_no_part():
-    empty = rearrange(gauss_jordan(_identity(3)))
+    empty = gauss_jordan(_identity(3))
     for placement in ((7, 7, 9), (), (1, 0, 2)):
         with pytest.raises(ValueError, match="placement"):
             schedule_parts(empty, placement)
@@ -184,7 +173,7 @@ def test_schedule_parts_checks_the_placement_even_with_no_part():
 
 
 def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
-    """The traces and parts the library makes are grids it marked in range: synthesis, the
+    """The parts the library makes are grids it marked in range: synthesis, the
     stabilizer schedule and the QFT check no pair and build no skeleton spec."""
     rng = Random(5)
     for n in (2, 5, 9):
@@ -201,31 +190,38 @@ def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
         assert calls == Counter()
 
 
-def _ref_trace(b: GF2Matrix) -> tuple[tuple, set, set]:
-    """Reference elimination on pair sets, as `gauss_jordan` kept its trace before grids."""
+def ref_trace(b: GF2Matrix) -> tuple[tuple, set, set, list]:
+    """Reference elimination on pair sets, as `gauss_jordan` kept its trace before one pass made the
+    parts: the pivot donors (None where no fix was needed, no entry for the last column), the lower
+    pairs (c, s) and upper pairs (k, l), and each CNOT (control, target) in the order it ran."""
     n, rows = b.n, list(b.rows)
-    pivot_donor, lower, upper = [], set(), set()
+    pivot_donor, lower, upper, order = [], set(), set(), []
     for c in range(n):
         if not rows[c] >> c & 1:
             j = next(i for i in range(c + 1, n) if rows[i] >> c & 1)
             rows[c] ^= rows[j]
             pivot_donor.append(j)
+            order.append((j, c))
         elif c < n - 1:
             pivot_donor.append(None)
         for s in range(c + 1, n):
             if rows[s] >> c & 1:
                 rows[s] ^= rows[c]
                 lower.add((c, s))
+                order.append((c, s))
     for l in range(n - 1, 0, -1):
         for k in range(l - 1, -1, -1):
             if rows[k] >> l & 1:
                 rows[k] ^= rows[l]
                 upper.add((k, l))
-    return tuple(pivot_donor), lower, upper
+                order.append((l, k))
+    return tuple(pivot_donor), lower, upper, order
 
 
 def _ref_rearrange(pivot_donor: tuple, lower: set) -> tuple[tuple, set, int]:
-    """Reference pivot moves on a pair set; also counts the toggles."""
+    """Reference pivot moves on a pair set, after the whole trace: moving the fix CNOT(j, c) ahead of
+    the lower gates past a CNOT(c', j) spawns a CNOT(c', c), which toggles the pair (c', c). Pivots
+    move in column order against the pairs as updated so far. Also counts the toggles."""
     lower, pivots, toggles = set(lower), [], 0
     for c, j in enumerate(pivot_donor):
         if j is not None:
@@ -235,6 +231,16 @@ def _ref_rearrange(pivot_donor: tuple, lower: set) -> tuple[tuple, set, int]:
                     toggles += 1
             pivots.append((c, j))
     return tuple(pivots), lower, toggles
+
+
+def two_step_grids(b: GF2Matrix) -> tuple[tuple[bytes, bytes, bytes], int]:
+    """`gauss_jordan(b)`'s pivot, lower and upper grids by the two-step reference (the trace, then the
+    pivot moves), and how many lower toggles the moves made."""
+    n = b.n
+    donors, lower, upper, _ = ref_trace(b)
+    pivots, moved, toggles = _ref_rearrange(donors, lower)
+    codes = ({j * n + c for c, j in pivots}, {c * n + s for c, s in moved}, {l * n + k for k, l in upper})
+    return tuple(bytes(code in marked for code in range(n * n)) for marked in codes), toggles
 
 
 def _ref_schedule(n: int, pivots: tuple, lower: set, upper: set, placement: tuple) -> tuple[list, tuple]:
@@ -256,32 +262,40 @@ def _ref_schedule(n: int, pivots: tuple, lower: set, upper: set, placement: tupl
     return gates, placement
 
 
+def _zero_diagonal(n: int, rng: Random) -> GF2Matrix:
+    """A random nonsingular matrix whose every diagonal entry is zero (n >= 2)."""
+    while True:
+        b = GF2Matrix(n, tuple(rng.randrange(1 << n) & ~(1 << i) for i in range(n)))
+        try:
+            b.inverse()
+        except SingularMatrixError:
+            continue
+        return b
+
+
 def test_grid_elimination_and_parts_match_pair_sets():
-    """The grids `gauss_jordan` marks, `rearrange` toggles by strided slices and the parts stage by
-    grid slices, against pair sets scheduled slot by slot. Every matrix eliminated needs a pivot fix
-    at column 0, so the toggles fire."""
+    """The three grids one `gauss_jordan` pass marks, against the two-step reference on pair sets
+    (the trace, then the pivot moves), and the parts staged by grid slices, against their pair sets
+    scheduled slot by slot (n <= 40), for n <= 64. Every other matrix has a zero diagonal, so the
+    pivot fixes and their toggles fire."""
     rng = Random(20261019)
     toggles = 0
-    for n in range(1, 41):
-        for _ in range(2):
-            b = GF2Matrix.random_nonsingular(n, rng)
-            while n > 1 and b.rows[0] & 1:  # a zero diagonal entry at (0, 0)
-                b = GF2Matrix.random_nonsingular(n, rng)
-            trace = gauss_jordan(b)
-            donors, lower, upper = _ref_trace(b)
-            trace_pairs = (trace.pivot_donor, grid_pairs(trace.lower, n), grid_pairs(trace.upper, n))
-            assert trace_pairs == (donors, lower, upper), n
-            parts = rearrange(trace)
-            pivots, moved, count = _ref_rearrange(donors, lower)
+    for n in range(1, 65):
+        for b in (GF2Matrix.random_nonsingular(n, rng), _zero_diagonal(n, rng) if n > 1 else None):
+            if b is None:
+                continue
+            grids, count = two_step_grids(b)
+            parts = gauss_jordan(b)
+            assert tuple(parts) == (n, *grids), n
             toggles += count
-            parts_pairs = (pivot_pairs(parts), grid_pairs(parts.lower, n), grid_pairs(parts.upper, n))
-            assert parts_pairs == (pivots, moved, upper), n
-            assert grid_pairs(trace.lower, n) == lower  # the toggles wrote a copy
+            if n > 40:
+                continue
+            pivots, lower, upper = pivot_pairs(parts), grid_pairs(parts.lower, n), grid_pairs(parts.upper, n)
             for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
-                assert schedule_parts(parts, placement) == _ref_schedule(n, pivots, moved, upper, placement), n
+                assert schedule_parts(parts, placement) == _ref_schedule(n, pivots, lower, upper, placement), n
             sc = synthesize_lnn(b.inverse())
             assert schedule_parts(parts) == (list(sc.circuit.gates), sc.final_map)
-    assert toggles > 1000
+    assert toggles > 10000
 
 
 def test_synthesize_random_matrices():
@@ -326,7 +340,7 @@ def test_expand_preserves_unitary_and_final_map():
         sc = synthesize_lnn(a)
         expanded = expand_to_cnot(sc)
         assert expanded.final_map == sc.final_map
-        assert expanded.circuit.count(GateKind.SWAP) == 0
+        assert all(g.kind is not GateKind.SWAP for g in expanded.circuit.gates)
         assert unitary_equiv(expanded.circuit, sc.circuit, tol=1e-12)
         assert gf2_action(expanded.circuit).relabel(expanded.final_map) == a
 

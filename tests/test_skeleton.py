@@ -24,7 +24,7 @@ from chainforge.core import (
     swap,
     swap_flow_map,
 )
-from chainforge.linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_parts
+from chainforge.linsynth import GF2Matrix, gauss_jordan, schedule_parts
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import (
     SkeletonSpec,
@@ -35,6 +35,11 @@ from chainforge.skeleton import (
     schedule_lnn,
     staged_schedule,
 )
+
+
+def _count(circuit, kind) -> int:
+    """How many of the circuit's gates are of `kind`."""
+    return sum(g.kind is kind for g in circuit.gates)
 
 
 def _stage_pairs(n: int, stage: int) -> list[tuple[int, int]]:
@@ -108,23 +113,23 @@ def test_spec_validation():
     spec = SkeletonSpec(4, absent=frozenset({(0, 3)}))
     assert (0, 3) in spec.absent and (0, 1) not in spec.absent
     # the five present slots each hold one placeholder in the schedule
-    assert schedule_lnn(spec).circuit.count(GateKind.GENERIC2) == 5
+    assert _count(schedule_lnn(spec).circuit, GateKind.GENERIC2) == 5
 
 
 def test_full_schedule_shape():
     sc = schedule_lnn(SkeletonSpec(5))
     assert sc.circuit.depth() == 14
     assert sc.final_map == (4, 3, 2, 1, 0)  # the full reversal
-    assert sc.circuit.count(GateKind.GENERIC2) == 10
-    assert sc.circuit.count(GateKind.SWAP) == 10
+    assert _count(sc.circuit, GateKind.GENERIC2) == 10
+    assert _count(sc.circuit, GateKind.SWAP) == 10
 
 
 def test_every_stage_swaps_all_slots():
     """SWAPs run on every slot whether or not the payload is present."""
     spec = SkeletonSpec(5, absent=frozenset(all_pairs(5)))
     sc = schedule_lnn(spec)
-    assert sc.circuit.count(GateKind.SWAP) == 10
-    assert sc.circuit.count(GateKind.GENERIC2) == 0
+    assert _count(sc.circuit, GateKind.SWAP) == 10
+    assert _count(sc.circuit, GateKind.GENERIC2) == 0
     assert sc.circuit.depth() == 7
     assert sc.final_map == (4, 3, 2, 1, 0)
 
@@ -281,7 +286,7 @@ def test_building_part_and_qft_specs_validates_no_gate(monkeypatch):
     the QFT's one Hadamard, made by the public `h`."""
     rng = Random(7)
     matrices = [GF2Matrix.random_nonsingular(n, rng) for n in (6, 24)]
-    parts = [rearrange(gauss_jordan(a.inverse())) for a in matrices]
+    parts = [gauss_jordan(a.inverse()) for a in matrices]
     calls = []
     monkeypatch.setattr(core, "validate_gate", calls.append)
     scheduled = [schedule_parts(pt)[0] for pt in parts]
@@ -291,7 +296,7 @@ def test_building_part_and_qft_specs_validates_no_gate(monkeypatch):
         monkeypatch.setattr(core, "validate_gate", calls.append)
         sc = qft_lnn(spec)
         monkeypatch.undo()
-        assert [g.kind for g in calls] == [GateKind.H] and sc.circuit.count(GateKind.CPHASE) > 0
+        assert [g.kind for g in calls] == [GateKind.H] and _count(sc.circuit, GateKind.CPHASE) > 0
         calls.clear()
 
 

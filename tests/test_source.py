@@ -1,7 +1,8 @@
 """Source hygiene: every exported name, and every public method of an exported class, exists and
-has a reader in the source or the README, no module imports a name it never uses, every private
-module-level helper has a caller in the source, the ways past a gate or circuit check have only
-their listed callers, and the README's Python examples run."""
+has a reader in the source or the README (a name where it is imported from its module, a method
+through an attribute that no builtin type or numpy array shares), no module imports a name it never
+uses, every private module-level helper has a caller in the source, the ways past a gate or circuit
+check have only their listed callers, and the README's Python examples run."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
 import pytest
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chainforge"
@@ -54,6 +56,11 @@ def _reads(node: ast.AST) -> Iterator[str]:
             yield sub.attr
 
 
+def _attribute_reads(node: ast.AST) -> Iterator[str]:
+    """Each attribute read under `node` (the `name` of `x.name`), once per read."""
+    return (sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
 def _referenced_names(stmt: ast.stmt) -> set[str]:
     """Names and attributes read in one top-level statement, not counting the name it defines."""
     out = set(_reads(stmt))
@@ -62,11 +69,50 @@ def _referenced_names(stmt: ast.stmt) -> set[str]:
     return out
 
 
+# name -> the module it comes from, for each name the package re-imports
+_PACKAGE_NAMES = {alias.name: node.module for node in _SOURCE["__init__.py"].body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+def _import_owners(tree: ast.Module) -> dict[str, str]:
+    """Each name an import binds from a chainforge module, mapped to that module: `from .M import`,
+    `from chainforge.M import`, or `from chainforge import` through the package's re-imports."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if node.level == 1 or node.module.startswith("chainforge."):
+                    owner = node.module.removeprefix("chainforge.")
+                elif node.module == "chainforge":
+                    owner = _PACKAGE_NAMES.get(alias.name)
+                else:
+                    continue
+                out[alias.asname or alias.name] = owner
+    return out
+
+
+def _owned_reads(tree: ast.Module, module: str | None) -> set[tuple[str | None, str]]:
+    """(owner, name) of each bare name read in a top-level statement outside the definition it names.
+    An imported name is owned by the chainforge module it is imported from, any other by `module`."""
+    owners = _import_owners(tree)
+    return {
+        (owners.get(sub.id, module), sub.id)
+        for stmt in tree.body
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        and not (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and sub.id == stmt.name)
+    }
+
+
 _READ_IN_SOURCE = {name for tree in _SOURCE.values() for stmt in tree.body
                    for name in _referenced_names(stmt)}
-_READS_IN_SOURCE = Counter(name for tree in _SOURCE.values() for name in _reads(tree))
-_READ_IN_README = {name for block in _README_BLOCKS for stmt in ast.parse(block).body
-                   for name in _referenced_names(stmt)}
+_OWNED_READS = {read for file, tree in _SOURCE.items() for read in _owned_reads(tree, file.removesuffix(".py"))}
+_OWNED_READS |= {read for block in _README_BLOCKS for read in _owned_reads(ast.parse(block), None)}
+_ATTRIBUTE_READS_IN_SOURCE = Counter(name for tree in _SOURCE.values() for name in _attribute_reads(tree))
+_ATTRIBUTES_READ_IN_README = {name for block in _README_BLOCKS for name in _attribute_reads(ast.parse(block))}
+# a read of one of these names may be a builtin's or a numpy array's member (the oracle reads arrays),
+# so it is no read of a package method
+_BUILTIN_MEMBERS = set().union(*map(dir, (bytes, bytearray, list, tuple, dict, str, int, np.ndarray)))
 
 
 def test_the_module_list_is_found():
@@ -102,15 +148,16 @@ def test_every_private_helper_has_a_source_caller():
 
 
 def test_every_public_name_has_a_caller():
-    """A name in a module's `__all__` is read somewhere in the package outside its own
-    definition (`__init__.py` only re-imports), or in a README `python` block, which runs as
-    a test below. A name that only its own tests read is wired into a real path or deleted."""
-    read = _READ_IN_SOURCE | _READ_IN_README
+    """A name in a module's `__all__` is read somewhere in the package outside its own definition,
+    in its own module or in one that imports it from there (`__init__.py` only re-imports), or in
+    a README `python` block that imports it, which runs as a test below. A read of another module's
+    name of the same spelling does not count. A name that only its own tests read is wired into a
+    real path or deleted."""
     unread = [
         f"{module}.{name}"
         for module in _MODULES
         for name in importlib.import_module(f"chainforge.{module}").__all__
-        if name not in read
+        if (module, name) not in _OWNED_READS
     ]
     assert not unread, f"public names that nothing in the source or the README reads: {unread}"
 
@@ -132,13 +179,29 @@ def test_the_method_rule_sees_methods():
     assert {"linsynth.GF2Matrix.inverse", "stabilizer.PauliTableau.identity", "core.Circuit.depth"} <= names
 
 
+def test_the_reader_rules_match_an_owner():
+    """A bare name is owned by the module it is imported from, and a method name that a builtin
+    type or a numpy array also defines is no reader: `oracle.py` reading its own `apply_gate` reads
+    no other module's, and `two_qubit.count(1)` on a bytearray reads no package method."""
+    assert _import_owners(_SOURCE["stabilizer.py"])["gauss_jordan"] == "linsynth"
+    assert _import_owners(ast.parse("from chainforge import gauss_jordan"))["gauss_jordan"] == "linsynth"
+    assert ("oracle", "apply_gate") in _OWNED_READS and ("linsynth", "gauss_jordan") in _OWNED_READS
+    assert ("stabilizer", "apply_gate") not in _OWNED_READS
+    assert {"count", "index", "copy", "get", "size"} <= _BUILTIN_MEMBERS and "row" not in _BUILTIN_MEMBERS
+
+
 def test_every_public_method_has_a_caller():
-    """Each public method of an exported class is read, by name, somewhere in the package outside
-    its own definition, or in a README `python` block. A method that only tests read is wired into
-    a real path, or moved into the tests."""
+    """Each public method of an exported class is read as an attribute (`x.name`) somewhere in the
+    package outside its own definition, or in a README `python` block. A name that `bytes`,
+    `bytearray`, `list`, `tuple`, `dict`, `str`, `int` or `numpy.ndarray` also defines is no reader,
+    since that read may be theirs. A method that only tests read is wired into a real path, or
+    moved into the tests."""
     unread = [
         name for name, node in _public_methods()
-        if node.name not in _READ_IN_README and _READS_IN_SOURCE[node.name] == Counter(_reads(node))[node.name]
+        if node.name in _BUILTIN_MEMBERS or (
+            node.name not in _ATTRIBUTES_READ_IN_README
+            and _ATTRIBUTE_READS_IN_SOURCE[node.name] == Counter(_attribute_reads(node))[node.name]
+        )
     ]
     assert not unread, f"public methods that nothing in the source or the README reads: {unread}"
 

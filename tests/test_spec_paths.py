@@ -22,7 +22,7 @@ from typing import Sequence
 
 import chainforge.linsynth as linsynth
 from chainforge.core import Circuit, Gate, GateKind, cnot, cphase, cz, generic2, h, p, swap
-from chainforge.linsynth import GF2Matrix, gauss_jordan, rearrange, schedule_parts, synthesize_lnn
+from chainforge.linsynth import GF2Matrix, gauss_jordan, schedule_parts, synthesize_lnn
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import (
     SkeletonSpec,
@@ -119,7 +119,7 @@ def ref_staged_schedule(
 
 
 def _random_parts(n: int, rng: Random):
-    return rearrange(gauss_jordan(GF2Matrix.random_nonsingular(n, rng).inverse()))
+    return gauss_jordan(GF2Matrix.random_nonsingular(n, rng).inverse())
 
 
 def _ref_schedule_parts(parts, placement) -> tuple[list[Gate], tuple[int, ...]]:
@@ -135,7 +135,7 @@ def _ref_schedule_parts(parts, placement) -> tuple[list[Gate], tuple[int, ...]]:
 
 def _ref_synthesize(a: GF2Matrix) -> tuple[Circuit, tuple[int, ...]]:
     """`synthesize_lnn` over the reference specs and scheduler."""
-    gates, final = _ref_schedule_parts(rearrange(gauss_jordan(a.inverse())), tuple(range(a.n)))
+    gates, final = _ref_schedule_parts(gauss_jordan(a.inverse()), tuple(range(a.n)))
     return Circuit(a.n, tuple(gates)), final
 
 
@@ -144,7 +144,7 @@ def _ref_schedule_stabilizer(d: StageDecomposition) -> tuple[Circuit, tuple[int,
     placement, gates = tuple(range(d.n)), []
     for kind, content in d.stages():
         if kind == "c":
-            part_gates, placement = _ref_schedule_parts(rearrange(gauss_jordan(content.inverse())), placement)
+            part_gates, placement = _ref_schedule_parts(gauss_jordan(content.inverse()), placement)
             gates += part_gates
         else:
             gates += [(h if kind == "h" else p)(placement[w]) for w in range(d.n) if content >> w & 1]

@@ -20,8 +20,8 @@ from chainforge.core import (
     p,
     swap,
 )
-from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot, gauss_jordan
-from chainforge.oracle import circuit_unitary
+from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot
+from chainforge.oracle import circuit_unitary, gf2_action
 from chainforge.stabilizer import (
     PauliTableau,
     StageDecomposition,
@@ -33,6 +33,7 @@ from chainforge.stabilizer import (
     tableau_equiv,
     tableau_of,
 )
+from test_linsynth import ref_trace
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -69,6 +70,12 @@ def _conjugation_matches(circuit: Circuit) -> bool:
         if not np.allclose(expect, got, atol=1e-10):
             return False
     return True
+
+
+def _apply(t: PauliTableau, g) -> PauliTableau:
+    """Update the tableau by one Clifford gate, in place: the one gate loop over one gate."""
+    stab._apply_gates(t, (g,))
+    return t
 
 
 def _is_symplectic(t: PauliTableau) -> bool:
@@ -162,7 +169,7 @@ def test_random_clifford_then_inverse_is_identity_at_n64():
     assert _is_symplectic(t)
     assert t != PauliTableau.identity(n)
     for g in inverse:
-        stab.apply_gate(t, g)
+        _apply(t, g)
     assert t == PauliTableau.identity(n)
 
 
@@ -173,10 +180,10 @@ def test_native_cz_rule_matches_h_cnot_h():
         start = _random_clifford(n, 40, rng)
         a, b = rng.sample(range(n), 2)
         native, phase1, composed = tableau_of(start), tableau_of(start), tableau_of(start)
-        stab.apply_gate(native, cz(a, b))
-        stab.apply_gate(phase1, cphase(1, a, b))
+        _apply(native, cz(a, b))
+        _apply(phase1, cphase(1, a, b))
         for g in (h(b), cnot(a, b), h(b)):
-            stab.apply_gate(composed, g)
+            _apply(composed, g)
         assert native == phase1 == composed
 
 
@@ -196,7 +203,7 @@ def test_tableau_of_makes_one_pass_of_the_one_gate_loop(monkeypatch):
     passes.clear()
     one_by_one = PauliTableau.identity(4)
     for g in circuit.gates:
-        assert stab.apply_gate(one_by_one, g) is one_by_one
+        assert _apply(one_by_one, g) is one_by_one
     assert [tuple(gates) for gates in passes] == [(g,) for g in circuit.gates]  # the same loop, one gate long
     assert one_by_one == t
     for bad in (cphase(2, 0, 1), generic2(0, 1)):
@@ -205,7 +212,7 @@ def test_tableau_of_makes_one_pass_of_the_one_gate_loop(monkeypatch):
         before = tableau_of(Circuit(2, (h(0), p(0))))
         after = tableau_of(Circuit(2, (h(0), p(0))))
         with pytest.raises(ValueError, match="not a Clifford gate"):
-            stab.apply_gate(after, bad)
+            _apply(after, bad)
         assert after == before  # a rejected gate leaves the tableau alone
 
 
@@ -280,35 +287,17 @@ def test_flat_reference_and_schedule_agree():
         assert generic_depth(sc.circuit) <= 30 * n - 45
 
 
-def _grid_order(trace) -> list:
-    """The trace's gates in elimination time order, rebuilt from its fields by a scan of the n x n grid."""
-    n, pairs = trace.n, []
-    for c in range(n - 1):
-        if trace.pivot_donor[c] is not None:
-            pairs.append((trace.pivot_donor[c], c))
-        pairs.extend((c, s) for s in range(c + 1, n) if trace.lower[c * n + s])
-    for l in range(n - 1, 0, -1):
-        pairs.extend((l, k) for k in range(l - 1, -1, -1) if trace.upper[l * n + k])
-    return [cnot(*pair) for pair in pairs]
-
-
-def gates_in_order(trace) -> list:
-    """The trace's gates in elimination time order, as `_eliminate` makes them, worked out by sorting
-    its marks' codes control * n + target: per column its pivot fix, then its lower gates; then the
-    upper gates, rightmost column first."""
-    n = trace.n
-    forward = [(c, -1, j * n + c) for c, j in enumerate(trace.pivot_donor) if j is not None]
-    forward += [(*divmod(code, n), code) for code, marked in enumerate(trace.lower) if marked]
-    backward = sorted((code for code, marked in enumerate(trace.upper) if marked), reverse=True)
-    return [cnot(*divmod(code, n)) for code in [code for *_, code in sorted(forward)] + backward]
+def _elimination_order(c: GF2Matrix) -> list:
+    """C's elimination CNOTs in the order they run, by the reference elimination."""
+    return [cnot(*pair) for pair in ref_trace(c)[3]]
 
 
 def _ref_stabilizer_flat(d: StageDecomposition) -> Circuit:
-    """Reference: each C stage replays its trace in grid order, with CNOTs made per stage."""
+    """Reference: each C stage replays its elimination backwards, with CNOTs made per stage."""
     gates = []
     for kind, content in d.stages():
         if kind == "c":
-            gates.extend(reversed(_grid_order(gauss_jordan(content))))
+            gates.extend(reversed(_elimination_order(content)))
         else:
             gates.extend((h if kind == "h" else p)(w) for w in range(d.n) if content >> w & 1)
     return Circuit(d.n, tuple(gates))
@@ -329,10 +318,9 @@ def test_one_elimination_per_c_stage_records_the_grid_order_and_the_inverse():
     for n in range(1, 41):
         d = random_decomposition(n, rng)
         for i, c in enumerate(d.c_stages):
-            trace = gauss_jordan(c)
-            grid = _grid_order(trace)
-            assert linsynth._replay(d._c_orders[i], n, {}) == grid, (n, i)  # the decomposition's record
-            assert gates_in_order(trace) == grid, (n, i)  # worked out from the trace's fields
+            order = _elimination_order(c)
+            assert linsynth._replay(d._c_orders[i], n, {}) == order, (n, i)  # the decomposition's record
+            assert gf2_action(Circuit(n, tuple(order))) == c.inverse(), (n, i)  # which reduces C to I
             assert d._c_inverses[i] == c.inverse(), (n, i)  # [C | I] ends as [I | C^-1]
         # a singular block: one row the sum of others (zero at n = 1) fails at a seeded column
         i = rng.randrange(5)
@@ -369,7 +357,7 @@ def test_symplectic_checks_can_be_enabled():
     sc = schedule_stabilizer(d)
     t = PauliTableau.identity(3)
     for g in sc.circuit.gates:
-        stab.apply_gate(t, g)
+        _apply(t, g)
         assert _is_symplectic(t), f"symplectic invariant broken by {g}"
     assert t == tableau_of(sc.circuit)
     assert tableau_equiv(sc.circuit, stabilizer_flat(d), relabel=sc.final_map)
