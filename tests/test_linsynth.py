@@ -118,14 +118,25 @@ def test_gauss_jordan_rejects_singular():
 
 
 def test_trace_replay_computes_the_inverse():
-    """The parts' gates, replayed pivots first, compute the inverse, and every pivot fix CNOT(j, c)
-    has j > c."""
+    """The parts' gates, replayed pivots first, compute the inverse."""
     rng = Random(9)
-    for _ in range(200):
+    for _ in range(50):
         n = rng.randint(1, 7)
         a = GF2Matrix.random_nonsingular(n, rng)
         parts = gauss_jordan(a)
         assert _act(n, _parts_gates(parts)) == a.inverse()
+
+
+def test_rearrange_preserves_the_action():
+    """Moving the pivot fixes ahead of the lower gates, as one `gauss_jordan` pass does, keeps the
+    action of the elimination it ran, and every pivot fix CNOT(j, c) has j > c."""
+    rng = Random(17)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        a = GF2Matrix.random_nonsingular(n, rng)
+        parts = gauss_jordan(a)
+        _, _, _, order = ref_trace(a)
+        assert _act(n, _parts_gates(parts)) == _act(n, [cnot(*pair) for pair in order]) == a.inverse()
         assert all(parts.pivots[code] == 0 for code in range(n * n) if code // n <= code % n)
 
 
