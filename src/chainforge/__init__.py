@@ -69,7 +69,6 @@ from .linsynth import (
     expand_to_cnot,
     gauss_jordan,
     parse_gf2,
-    schedule_parts,
     synthesize_lnn,
 )
 from .oracle import (
@@ -87,13 +86,11 @@ from .oracle import (
 from .qft import QftSpec, qft_flat, qft_lnn
 from .skeleton import (
     SkeletonSpec,
-    StagePlan,
     all_pairs,
     emit_skeleton,
     n_stages,
     parse_skeleton,
     schedule_lnn,
-    staged_schedule,
 )
 from .stabilizer import (
     PauliTableau,

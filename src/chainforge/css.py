@@ -15,6 +15,12 @@ flow stops after the last level that contains a present gate, so the
 generic depth is at most s + t (encode) or exactly the syndrome bound
 s + t - 1 when the closest pair (a_1, c_1) is present.
 
+Every site comes from a closed form, not from a walk. At level L the
+controls p = max(1, s' + 1 - L) .. min(s', s' + t - L) each meet a target,
+control p meeting c_j, j = s' + t + 1 - L - p, on sites (m, m + 1) with
+m = L + 2p - s' - 2. After the last level K, control p sits on site
+p - 1 + min(t, max(0, K - s' + p)) and c_j on n - j - min(s', max(0, K - t + j)).
+
 Gates sharing a wire keep the same relative order as in the flat reference
 (higher control rows first, within a row higher target columns first), so
 the two circuits agree as unitaries up to the reported final placement.
@@ -148,29 +154,21 @@ def css_flat(spec: CssSpec) -> Circuit:
 
 
 def css_schedule_lnn(spec: CssSpec) -> ScheduledCircuit:
-    """Belt schedule: per level, fire the met pairs' gates, then swap them."""
-    n = spec.n_wires
+    """Belt schedule: per level, fire the met pairs' gates, then swap them, p ascending; every site is
+    read from the closed form in the module docstring."""
+    n, sp, t, last = spec.n_wires, spec.n_controls, spec.t, spec.last_level()
     gates = _hadamard_layer(spec)
-    # tokens per site: (True, p) for control position p, (False, j) for c_j
-    sites: list[tuple[bool, int]] = [(True, p) for p in range(1, spec.n_controls + 1)]
-    sites += [(False, j) for j in range(spec.t, 0, -1)]
-    for level in range(1, spec.last_level() + 1):
-        meets = [m for m in range(n - 1) if sites[m][0] and not sites[m + 1][0]]
-        for m in meets:
-            p, j = sites[m][1], sites[m + 1][1]
-            if spec.level_of(p, j) != level:  # pragma: no cover - flow invariant
-                raise AssertionError(f"pair ({p}, {j}) met at level {level}")
-            kind = spec.cell(p, j)
+    for level in range(1, last + 1):
+        met = range(max(1, sp + 1 - level), min(sp, sp + t - level) + 1)  # the controls meeting a target
+        sites = range(level + 2 * met.start - sp - 2, level + 2 * met.stop - sp - 2, 2)  # each one's m
+        for p, m in zip(met, sites):
+            kind = spec.cell(p, sp + t + 1 - level - p)
             if kind is not CssGate.NONE:
                 gates.append(_payload(kind, m, m + 1))
-        for m in meets:
-            gates.append(swap(m, m + 1))
-            sites[m], sites[m + 1] = sites[m + 1], sites[m]
-    loc = [0] * n
-    for m, (is_control, idx) in enumerate(sites):
-        wire = spec.control_wire(idx) if is_control else spec.target_wire(idx)
-        loc[wire] = m
-    return ScheduledCircuit(_known_circuit(n, [(gates, gates)]), Architecture.lnn(n), tuple(loc))
+        gates += [swap(m, m + 1) for m in sites]
+    final = [p - 1 + min(t, max(0, last - sp + p)) for p in range(1, sp + 1)]  # by chain wire: controls,
+    final += [n - j - min(sp, max(0, last - t + j)) for j in range(t, 0, -1)]  # then c_t .. c_1
+    return ScheduledCircuit(_known_circuit(n, [(gates, gates)]), Architecture.lnn(n), tuple(final))
 
 
 def steane_syndrome() -> CssSpec:
@@ -225,9 +223,11 @@ def parse_css(text: str | BinaryIO) -> CssSpec:
     if rest:
         lno, line = rest[0]
         mtoks = line.split()
-        if len(rest) > 1 or len(mtoks) != 2 or mtoks[0] != "hadamard":
+        if len(mtoks) != 2 or mtoks[0] != "hadamard":
             raise ParseError(lno, f"expected one optional 'hadamard MASK' line, got {line!r}")
         mask = _bit_rows([(lno, mtoks[1])], n_controls + t)[0]
+        if len(rest) > 1:
+            raise ParseError(rest[1][0], f"unexpected line after the 'hadamard MASK' line: {rest[1][1]!r}")
     return CssSpec(mode, s, t, tuple(rows), mask)
 
 

@@ -42,7 +42,7 @@ from .core import (
     _unchecked_gate,
     is_permutation,
 )
-from .skeleton import Slot, _check_placement, _grid_stages, _site_row
+from .skeleton import Slot, _grid_stages, _site_row
 
 Pair = tuple[int, int]
 
@@ -199,41 +199,25 @@ def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array]:
     return GF2Matrix(n, tuple(r >> n for r in rows)), order
 
 
-def schedule_parts(
-    parts: _Parts, initial_placement: Sequence[int] | None = None
-) -> tuple[list[Gate], tuple[int, ...]]:
-    """Chain the nonempty parts as skeleton schedules from a placement.
-
-    Every scheduled part flips the placement end to end, so consecutive
-    parts need no routing between them; empty parts are skipped and leave
-    the placement alone. The placement is checked once, before the parts,
-    even when every part is empty. Returns site-level gates and the exit
-    placement.
-    """
-    pieces, placement = _part_pieces(parts, initial_placement)
-    return [g for gates, _ in pieces for g in gates], placement
-
-
-def _part_pieces(
-    parts: _Parts, placement: Sequence[int] | None = None
-) -> tuple[list[tuple[list[Gate], list[Gate]]], tuple[int, ...]]:
-    """`schedule_parts` as one (gates, distinct gates) piece per part, each stage's payload then SWAPs."""
+def _part_pieces(parts: _Parts, flip: bool = False) -> tuple[list[tuple[list[Gate], list[Gate]]], bool]:
+    """The nonempty parts chained as skeleton schedules, one (gates, distinct gates) piece per part,
+    each stage's payload then SWAPs, entered from the identity placement (flip: the reversal); and
+    whether they exit at the reversal. Every scheduled part flips the placement end to end, so
+    consecutive parts need no routing between them; an empty part is skipped and leaves it alone."""
     n = parts.n
-    placement = _check_placement(range(n) if placement is None else placement, n)
     pieces = []
     # a part is staged from the grid of its pairs (a, b) at a * n + b: a pivot CNOT is controlled by
     # its pair's larger wire, so that grid is the transpose; the upper part runs on reversed labels,
     # where CNOT(l, k) is on pair (n - 1 - l, n - 1 - k): code l * n + k becomes n * n - 1 - (l * n + k)
     pivots, lower, upper = b"".join(parts.pivots[a::n] for a in range(n)), parts.lower, parts.upper[::-1]
     for grid, from_larger, rev in ((pivots, True, False), (lower, False, False), (upper, False, True)):
-        if 1 in grid:  # an empty part is skipped and leaves the placement alone
-            row = _site_row(n, flip := (placement[::-1] if rev else placement)[0] != 0,
-                            [Slot(GateKind.CNOT, from_larger)] * n, grid)
-            stages, table = _grid_stages(n, flip, row, grid)  # each stage's payload, then its SWAPs
+        if 1 in grid:  # reversed labels see the identity as the reversal, and the reversal as the identity
+            row = _site_row(n, flip != rev, [Slot(GateKind.CNOT, from_larger)] * n, grid)
+            stages, table = _grid_stages(n, flip != rev, row, grid)  # each stage's payload, then its SWAPs
             gates = list(chain.from_iterable(chain.from_iterable(stages)))
             pieces.append((gates, [*table, *filter(None, row)]))
-            placement = placement[::-1]  # every part flips it end to end
-    return pieces, placement
+            flip = not flip
+    return pieces, flip
 
 
 def synthesize_lnn(a: GF2Matrix) -> ScheduledCircuit:
@@ -243,8 +227,9 @@ def synthesize_lnn(a: GF2Matrix) -> ScheduledCircuit:
     output l, equals A exactly. Generic-gate depth (each payload counted
     together with its trailing SWAP) is at most 3(2n-3).
     """
-    pieces, placement = _part_pieces(gauss_jordan(a.inverse()))
-    return ScheduledCircuit(_known_circuit(a.n, pieces), Architecture.lnn(a.n), placement)
+    pieces, flip = _part_pieces(gauss_jordan(a.inverse()))
+    final = tuple(range(a.n - 1, -1, -1) if flip else range(a.n))
+    return ScheduledCircuit(_known_circuit(a.n, pieces), Architecture.lnn(a.n), final)
 
 
 def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
@@ -298,6 +283,5 @@ __all__ = [
     "expand_to_cnot",
     "gauss_jordan",
     "parse_gf2",
-    "schedule_parts",
     "synthesize_lnn",
 ]

@@ -11,9 +11,11 @@ stage a + b (1-based). Stages have pairwise disjoint supports, and slots
 sharing a wire keep their lexicographic order across stages, so executing
 stage by stage is equivalent to executing slots in lexicographic order.
 
-The sites are known in closed form. From the identity placement, slot
-(a, b) with d = b - a runs on sites (d - 1, d), wire a on site d - 1; from
-the reversal the sites are mirrored, wire a on n - d and wire b on n - 1 - d.
+The sites are known in closed form, since a schedule enters in one of two
+orders. From the identity placement, slot (a, b) with d = b - a runs on
+sites (d - 1, d), wire a on site d - 1; from the reversal, where a linear
+synthesis part may enter, the sites are mirrored, wire a on n - d and wire
+b on n - 1 - d.
 
 So a stage is read by slices. Slot (a, b) has the code a * n + b in an n x n
 grid, and stage s's slots (a, s - a), a ascending, have the codes
@@ -114,20 +116,6 @@ def n_stages(n: int) -> int:
     return 2 * n - 3 if n >= 2 else 0
 
 
-class StagePlan(NamedTuple):
-    """Site-level gates for one stage of the schedule."""
-
-    payload: tuple[Gate, ...]
-    swaps: tuple[Gate, ...]
-
-
-def _check_placement(placement: Sequence[int], n: int) -> tuple[int, ...]:
-    pl = tuple(placement)
-    if pl != tuple(range(n)) and pl != tuple(range(n - 1, -1, -1)):
-        raise ValueError(f"placement {pl} must lay the wire chain along the site chain, in order or reversed")
-    return pl
-
-
 def _site_gate(n: int, flip: bool, e: Slot, d: int) -> Gate:
     """Checked slot e's gate, valid as made, for d = b - a from the identity (flip: the reversal)."""
     kind, from_larger, param = e
@@ -162,14 +150,15 @@ def _grid_stages(
     return stages(), table
 
 
-def _spec_plans(spec: SkeletonSpec, flip: bool) -> tuple[list[StagePlan], list[Gate]]:
-    """The spec's stage plans from the identity placement (flip: the reversal), and the gate objects
-    made for them, for `staged_schedule` and `schedule_lnn` both."""
+def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> ScheduledCircuit:
+    """Execute the skeleton on a line from the identity, one payload stage + one SWAP stage each.
+    Sites come from the closed form in the module docstring, each listed slot read once and each
+    distinct (slot, d) made into one gate; no wire is walked, and the chain ends reversed."""
     n, slots = spec.n, spec._slots
     made: dict[tuple[Slot, int], Gate] = {}  # per slot and d = b - a, its site gate, made once
 
     def site_gate(e: Slot, d: int) -> Gate:
-        return made.get((e, d)) or made.setdefault((e, d), _site_gate(n, flip, e, d))
+        return made.get((e, d)) or made.setdefault((e, d), _site_gate(n, False, e, d))
 
     cells: list[Gate | None] = [None] * (n * n)  # cells[a * n + b]: slot (a, b)'s site gate
     listed = Counter(b - a for a, b in slots)  # an unlisted slot's gate depends on d alone
@@ -178,37 +167,14 @@ def _spec_plans(spec: SkeletonSpec, flip: bool) -> tuple[list[StagePlan], list[G
         cells[a * n + a + 1 : a * n + n] = row[: n - 1 - a]
     for (a, b), e in slots.items():
         cells[a * n + b] = e and site_gate(e, b - a)
-    stages, table = _grid_stages(n, flip, cells)
-    plans = [StagePlan(tuple(payload), tuple(swaps)) for payload, swaps in stages]
-    return plans, [*table, *made.values()]
-
-
-def staged_schedule(
-    spec: SkeletonSpec, initial_placement: Sequence[int] | None = None
-) -> tuple[list[StagePlan], tuple[int, ...]]:
-    """Stage-by-stage site gates plus the final placement, the entry one reversed.
-
-    The placement (wire -> site) must lay the wire chain along the site
-    chain in order or reversed; the uniform SWAP pattern keeps every slot's
-    wires adjacent when its stage runs, and flips the placement overall.
-    Sites come from the closed form in the module docstring: each listed
-    slot is read once, and no wire is walked from site to site.
-    """
-    n = spec.n
-    placement = _check_placement(range(n) if initial_placement is None else initial_placement, n)
-    plans, _ = _spec_plans(spec, placement[0] != 0)  # flipped: the reversal (a spec has n >= 2)
-    return plans, placement[::-1]
-
-
-def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> ScheduledCircuit:
-    """Execute the skeleton on a line, one payload stage + one SWAP stage each."""
-    plans, made = _spec_plans(spec, False)
-    final = tuple(range(spec.n - 1, -1, -1))
-    if drop_last_swaps:  # the last stage is the lone slot (n - 2, n - 1): one SWAP, on sites (0, 1)
-        plans[-1], final = plans[-1]._replace(swaps=()), (*final[:-2], final[-1], final[-2])
-        made = made if spec.n > 2 else plans[0].payload  # n = 2: no other SWAP is left
-    gates = chain.from_iterable(chain.from_iterable(plans))  # each stage's payload, then SWAPs
-    return ScheduledCircuit(_known_circuit(spec.n, [(gates, made)]), Architecture.lnn(spec.n), final)
+    stages, table = _grid_stages(n, False, cells)
+    gates = list(chain.from_iterable(chain.from_iterable(stages)))  # each stage's payload, then SWAPs
+    distinct, final = [*table, *made.values()], tuple(range(n - 1, -1, -1))
+    if drop_last_swaps:  # the last gate is the lone SWAP of slot (n - 2, n - 1), on sites (0, 1)
+        gates.pop()
+        final = (*final[:-2], 0, 1)
+        distinct = distinct if n > 2 else gates  # n = 2: no other SWAP is left
+    return ScheduledCircuit(_known_circuit(n, [(gates, distinct)]), Architecture.lnn(n), final)
 
 
 # --- text format -----------------------------------------------------------
@@ -250,11 +216,9 @@ def emit_skeleton(spec: SkeletonSpec) -> str:
 __all__ = [
     "Pair",
     "SkeletonSpec",
-    "StagePlan",
     "all_pairs",
     "emit_skeleton",
     "n_stages",
     "parse_skeleton",
     "schedule_lnn",
-    "staged_schedule",
 ]

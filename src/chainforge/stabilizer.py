@@ -2,11 +2,12 @@
 
 Input is the fixed stage sequence H-C-P-C-P-C-H-P-C-P-C: two Hadamard
 layers, four phase layers (each a wire bitmask) and five linear reversible
-stages (each a nonsingular GF(2) matrix). Scheduling threads one wire
-placement through all 11 stages: single-qubit masks apply at the sites
-where their wires currently live, and each C stage runs the three-part
-skeleton synthesis starting from the current placement, which it flips or
-preserves depending on how many of its parts are nonempty.
+stages (each a nonsingular GF(2) matrix). The chain is always in order or
+reversed, so scheduling threads one bit through all 11 stages: single-qubit
+masks apply at the sites where their wires currently live (wire w on site
+w, or n - 1 - w), and each C stage runs the three-part skeleton synthesis
+from the current order, which it flips or keeps depending on how many of
+its parts are nonempty.
 
 Each C stage is eliminated once, when the decomposition is built: one pass
 over [C | I] is the nonsingularity check, yields C^-1 and records the order
@@ -131,19 +132,19 @@ def stabilizer_flat(d: StageDecomposition) -> Circuit:
 
 
 def schedule_stabilizer(d: StageDecomposition) -> ScheduledCircuit:
-    """LNN schedule of all 11 stages under one threaded placement."""
-    n = d.n
-    placement = tuple(range(n))
+    """LNN schedule of all 11 stages, the chain in order or reversed between them."""
+    n, flip = d.n, False  # the chain starts in order; with `flip` wire w sits on site n - 1 - w
     pieces: list[tuple[list[Gate], list[Gate]]] = []
     inverses = iter(d._c_inverses)
     for kind, content in d.stages():
         if kind == "c":
-            stage_pieces, placement = _part_pieces(gauss_jordan(next(inverses)), placement)
+            stage_pieces, flip = _part_pieces(gauss_jordan(next(inverses)), flip)
             pieces += stage_pieces
         else:
-            made = [(h if kind == "h" else p)(placement[w]) for w in _mask_wires(content, n)]
+            made = [(h if kind == "h" else p)(n - 1 - w if flip else w) for w in _mask_wires(content, n)]
             pieces.append((made, made))
-    return ScheduledCircuit(_known_circuit(n, pieces), Architecture.lnn(n), placement)
+    final = tuple(range(n - 1, -1, -1) if flip else range(n))
+    return ScheduledCircuit(_known_circuit(n, pieces), Architecture.lnn(n), final)
 
 
 @dataclass

@@ -21,25 +21,18 @@ from chainforge.core import (
 from chainforge.css import CssGate, CssMode, CssSpec, css_flat, css_schedule_lnn, steane_syndrome
 from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot, synthesize_lnn
 from chainforge.qft import QftSpec, qft_flat, qft_lnn
-from chainforge.skeleton import SkeletonSpec, schedule_lnn, staged_schedule
+from chainforge.skeleton import SkeletonSpec, schedule_lnn
 from chainforge.stabilizer import random_decomposition, schedule_stabilizer, stabilizer_flat
 
 _RNG = Random(20261019)
 _A = GF2Matrix.random_nonsingular(12, _RNG)
 _D = random_decomposition(7, _RNG)
 _ONE_CNOT = GF2Matrix(7, tuple(1 << i | (i == 5) << 2 for i in range(7)))  # row 5 adds row 2: one slot, d = 3
-_SWAPS = {(0, 1): swap(0, 1), (0, 2): swap(0, 2)}  # payloads, made before any count starts
+_SWAP = swap(0, 1)  # a payload, made before any count starts
 _MIXED = {
     (0, 1): cnot(1, 0), (1, 2): cz(1, 2), (1, 4): cphase(3, 1, 4), (2, 6): generic2(2, 6), (3, 4): cnot(3, 4)
 }
 _ENCODE = CssSpec(CssMode.ENCODE, 2, 3, ((CssGate.CNOT, CssGate.NONE, CssGate.CZ),) * 3, 0b101)
-
-
-def _scheduled_after_the_reversal() -> SkeletonSpec:
-    """A spec that already kept the gates of its schedule from the reversal."""
-    spec = SkeletonSpec(6, payload={(0, 2): _SWAPS[0, 2]})
-    staged_schedule(spec, range(5, -1, -1))
-    return spec
 
 
 # name -> (builder, validate_gate calls it may make: None where public gate helpers make gates)
@@ -47,11 +40,10 @@ BUILDERS = {
     "schedule_lnn": (lambda: schedule_lnn(SkeletonSpec(9)), 0),
     "schedule_lnn, mixed payloads and absences": (
         lambda: schedule_lnn(SkeletonSpec(7, frozenset({(0, 3), (2, 5)}), _MIXED)), 0),
-    "schedule_lnn, spec kept from the reversal": (lambda: schedule_lnn(_scheduled_after_the_reversal()), 0),
     "schedule_lnn --drop": (lambda: schedule_lnn(SkeletonSpec(6), drop_last_swaps=True), 0),
     "schedule_lnn n=2 --drop, the only SWAP dropped": (lambda: schedule_lnn(SkeletonSpec(2), True), 0),
     "schedule_lnn n=2 --drop, a SWAP payload kept": (
-        lambda: schedule_lnn(SkeletonSpec(2, payload={(0, 1): _SWAPS[0, 1]}), True), 0),
+        lambda: schedule_lnn(SkeletonSpec(2, payload={(0, 1): _SWAP}), True), 0),
     "qft_lnn": (lambda: qft_lnn(QftSpec(9)), 1),
     "qft_lnn --approx": (lambda: qft_lnn(QftSpec(9, 3)), 1),
     "qft_lnn n=1": (lambda: qft_lnn(QftSpec(1)), 1),

@@ -374,7 +374,8 @@ def test_parse_circuit_validates_each_distinct_line_once(monkeypatch):
         (parse_architecture, "graph 3\nedge 0 1\nedge 1 x\n", 3, "invalid literal"),
         (parse_css, "css encode 1 2\n.x\nzy\n", 3, ". x z"),
         (parse_css, "css syndrome 1 2\nx.\nhadamard\n", 3, "hadamard MASK"),
-        (parse_css, "css syndrome 1 2\nx.\nhadamard 100\nhadamard 100\n", 3, "hadamard MASK"),
+        (parse_css, "css syndrome 1 2\nx.\nhadamard 100\nhadamard 100\n", 4, "hadamard MASK"),
+        (parse_css, "css syndrome 1 2\nx.\nhadamard\nhadamard 100\n", 3, "hadamard MASK"),
         (parse_css, "css syndrome 1 2\nx.\nhadamard 10\n", 3, "3 characters of 0/1"),
         (parse_gf2, "gf2 3\n100\n010\n", 1, "expected 3 rows"),
         (parse_skeleton, "skeleton 3\nabsent 0 1\nremove 0 2\n", 3, "expected 'absent a b'"),
@@ -390,6 +391,7 @@ def test_parse_circuit_validates_each_distinct_line_once(monkeypatch):
         "css-type-row",
         "css-hadamard-no-mask",
         "css-second-hadamard",
+        "css-bad-hadamard-then-more",
         "css-hadamard-short-mask",
         "gf2-few-rows",
         "skeleton-unknown-line",

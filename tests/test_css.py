@@ -1,15 +1,23 @@
-"""Parity-check controlled blocks: flat references and the belt schedule."""
+"""Parity-check controlled blocks: flat references and the belt schedule.
+
+`ref_belt_schedule` below is `css_schedule_lnn` as it stood before it read
+its sites in closed form: it walks one token per site, level by level, and
+checks each met pair's level as it goes. The closed form must give the same
+gates and final placement on seeded specs.
+"""
 
 from random import Random
 
 import pytest
 
 from chainforge.bounds import stage_audit
-from chainforge.core import GateKind, cnot, cz, generic_depth
+from chainforge.core import Gate, GateKind, cnot, cz, generic_depth, swap
 from chainforge.css import (
     CssGate,
     CssMode,
     CssSpec,
+    _hadamard_layer,
+    _payload,
     css_flat,
     css_schedule_lnn,
     emit_css,
@@ -25,6 +33,55 @@ def _full(mode: CssMode, s: int, t: int, kind: CssGate = _X) -> CssSpec:
     n_controls = s + 1 if mode is CssMode.ENCODE else s
     rows = tuple(tuple(kind for _ in range(t)) for _ in range(n_controls))
     return CssSpec(mode, s, t, rows)
+
+
+def ref_belt_schedule(spec: CssSpec) -> tuple[list[Gate], tuple[int, ...]]:
+    """Reference: per level, scan the sites for a control left of a target, fire, then swap."""
+    n = spec.n_wires
+    gates = _hadamard_layer(spec)
+    # tokens per site: (True, p) for control position p, (False, j) for c_j
+    sites: list[tuple[bool, int]] = [(True, p) for p in range(1, spec.n_controls + 1)]
+    sites += [(False, j) for j in range(spec.t, 0, -1)]
+    for level in range(1, spec.last_level() + 1):
+        meets = [m for m in range(n - 1) if sites[m][0] and not sites[m + 1][0]]
+        for m in meets:
+            p, j = sites[m][1], sites[m + 1][1]
+            assert spec.level_of(p, j) == level, f"pair ({p}, {j}) met at level {level}"
+            kind = spec.cell(p, j)
+            if kind is not CssGate.NONE:
+                gates.append(_payload(kind, m, m + 1))
+        for m in meets:
+            gates.append(swap(m, m + 1))
+            sites[m], sites[m + 1] = sites[m + 1], sites[m]
+    loc = [0] * n
+    for m, (is_control, idx) in enumerate(sites):
+        wire = spec.control_wire(idx) if is_control else spec.target_wire(idx)
+        loc[wire] = m
+    return gates, tuple(loc)
+
+
+def test_closed_form_matches_the_token_walk():
+    """Both modes, s and t up to 7, densities from empty to full, random Hadamard masks; every
+    fourth spec keeps only the farthest pairs, so the flow stops early."""
+    rng = Random(20261019)
+    kinds = [_X, _Z]
+    specs = [CssSpec(mode, s, t, ((_N,) * t,) * (s + (mode is CssMode.ENCODE)))
+             for mode in CssMode for s, t in ((1, 1), (3, 5), (7, 7))]  # all '.': no level, identity map
+    for i in range(2000):
+        mode, s, t, density = rng.choice(list(CssMode)), rng.randint(1, 7), rng.randint(1, 7), rng.random()
+        rows = s + (mode is CssMode.ENCODE)
+        reach = rng.randint(0, rows + t) if i % 4 == 0 else rows + t  # keep p + j > rows + t - reach
+        types = tuple(
+            tuple(rng.choice(kinds) if rng.random() < density and p + j > rows + t - reach else _N
+                  for j in range(1, t + 1))
+            for p in range(1, rows + 1)
+        )
+        specs.append(CssSpec(mode, s, t, types, rng.randrange(1 << (rows + t))))
+    for spec in specs:
+        sc = css_schedule_lnn(spec)
+        assert (list(sc.circuit.gates), sc.final_map) == ref_belt_schedule(spec), emit_css(spec)
+    stops = [spec.last_level() / (spec.n_controls + spec.t - 1) for spec in specs]
+    assert 0 in stops and sum(0 < x < 1 for x in stops) > 300  # empty, and stopped early
 
 
 def test_wire_geometry():

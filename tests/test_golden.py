@@ -64,6 +64,12 @@ def _css_encode(s: int, t: int, rng: Random) -> CssSpec:
     return CssSpec(CssMode.ENCODE, s, t, rows, rng.randrange(1 << (s + 1 + t)))
 
 
+def _css_early_syndrome() -> CssSpec:
+    """s = 4, t = 3 with only the farthest pairs present: the flow stops at level 2 of s + t - 1 = 6."""
+    rows = ("...", "...", "..x", ".zx")  # (p, j) = (4, 3) meets at level 1, (3, 3) and (4, 2) at level 2
+    return CssSpec(CssMode.SYNDROME, 4, 3, tuple(tuple(map(CssGate, row)) for row in rows))
+
+
 def _write_inputs(tmp: Path) -> None:
     qft_sched = qft_lnn(QftSpec(4))
     a = _random_circuit(3, 24, Random(5), clifford=True)
@@ -73,6 +79,8 @@ def _write_inputs(tmp: Path) -> None:
         "singular.txt": "gf2 2\n11\n11\n",
         "steane.txt": emit_css(steane_syndrome()),
         "encode.txt": emit_css(_css_encode(2, 3, Random(13))),
+        "encode_empty.txt": emit_css(CssSpec(CssMode.ENCODE, 2, 3, ((CssGate.NONE,) * 3,) * 3, 0b100110)),
+        "syndrome_early.txt": emit_css(_css_early_syndrome()),
         "stab.txt": emit_stab(random_decomposition(4, Random(7))),
         "skel.txt": emit_skeleton(_skeleton_spec(5, Random(17))),
         "lnn2.txt": "lnn 2\n",
@@ -113,6 +121,8 @@ CASES = [
     ("css_syndrome", ["css", "--spec", "steane.txt"]),
     ("css_flat", ["css", "--spec", "steane.txt", "--flat"]),
     ("css_encode_json", ["css", "--spec", "encode.txt", "--report", "json", "--out", _OUT]),
+    ("css_encode_empty", ["css", "--spec", "encode_empty.txt"]),
+    ("css_syndrome_early", ["css", "--spec", "syndrome_early.txt"]),
     ("stab", ["stab", "--spec", "stab.txt"]),
     ("stab_flat_qasm", ["stab", "--spec", "stab.txt", "--flat", "--qasm"]),
     ("stab_json", ["stab", "--spec", "stab.txt", "--report", "json"]),

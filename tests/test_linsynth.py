@@ -20,12 +20,12 @@ from chainforge.core import (
 from chainforge.linsynth import (
     GF2Matrix,
     SingularMatrixError,
+    _part_pieces,
     emit_gf2,
     expand_circuit_to_cnot,
     expand_to_cnot,
     gauss_jordan,
     parse_gf2,
-    schedule_parts,
     synthesize_lnn,
 )
 from chainforge.oracle import gf2_action, unitary_equiv
@@ -174,13 +174,17 @@ def test_synthesize_identity_and_one_wire():
         synthesize_lnn(GF2Matrix(1, (0,)))
 
 
-def test_schedule_parts_checks_the_placement_even_with_no_part():
+def chained(parts, flip: bool = False) -> tuple[list, tuple[int, ...]]:
+    """The parts' pieces from the identity (flip: the reversal) as one gate list, beside the
+    exit order as a placement."""
+    pieces, out = _part_pieces(parts, flip)
+    return [g for gates, _ in pieces for g in gates], tuple(range(parts.n - 1, -1, -1) if out else range(parts.n))
+
+
+def test_no_part_keeps_the_entry_order():
     empty = gauss_jordan(_identity(3))
-    for placement in ((7, 7, 9), (), (1, 0, 2)):
-        with pytest.raises(ValueError, match="placement"):
-            schedule_parts(empty, placement)
-    assert schedule_parts(empty, (2, 1, 0)) == ([], (2, 1, 0))
-    assert schedule_parts(empty) == ([], (0, 1, 2))
+    assert _part_pieces(empty) == ([], False)
+    assert _part_pieces(empty, True) == ([], True)
 
 
 def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
@@ -302,10 +306,11 @@ def test_grid_elimination_and_parts_match_pair_sets():
             if n > 40:
                 continue
             pivots, lower, upper = pivot_pairs(parts), grid_pairs(parts.lower, n), grid_pairs(parts.upper, n)
-            for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
-                assert schedule_parts(parts, placement) == _ref_schedule(n, pivots, lower, upper, placement), n
+            for flip in (False, True):
+                placement = tuple(range(n - 1, -1, -1) if flip else range(n))
+                assert chained(parts, flip) == _ref_schedule(n, pivots, lower, upper, placement), n
             sc = synthesize_lnn(b.inverse())
-            assert schedule_parts(parts) == (list(sc.circuit.gates), sc.final_map)
+            assert chained(parts) == (list(sc.circuit.gates), sc.final_map)
     assert toggles > 10000
 
 

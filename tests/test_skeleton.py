@@ -9,22 +9,19 @@ import pytest
 import chainforge.core as core
 from chainforge.core import (
     MAX_WIRES,
-    Circuit,
     GateKind,
     _GateFields,
     ParseError,
     cnot,
     cphase,
     cz,
-    emit_circuit,
     generic2,
     invert_permutation,
-    parse_circuit,
     prune_trailing_swap_layers,
     swap,
     swap_flow_map,
 )
-from chainforge.linsynth import GF2Matrix, gauss_jordan, schedule_parts
+from chainforge.linsynth import GF2Matrix, _part_pieces, _Parts, gauss_jordan
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import (
     SkeletonSpec,
@@ -33,7 +30,6 @@ from chainforge.skeleton import (
     n_stages,
     parse_skeleton,
     schedule_lnn,
-    staged_schedule,
 )
 
 
@@ -46,54 +42,74 @@ def _stage_pairs(n: int, stage: int) -> list[tuple[int, int]]:
     return [pr for pr in all_pairs(n) if sum(pr) == stage]
 
 
+def _stages(gates, n: int, present=lambda pr: True) -> list[tuple[tuple, tuple]]:
+    """A schedule's gates cut into its 2n - 3 stages of (payload, SWAPs): stage s holds one
+    payload per slot that `present` keeps, then one SWAP per slot."""
+    stages, i = [], 0
+    for s in range(1, n_stages(n) + 1):
+        pairs = _stage_pairs(n, s)
+        k = sum(map(present, pairs))
+        stages.append((tuple(gates[i : i + k]), tuple(gates[i + k : i + k + len(pairs)])))
+        i += k + len(pairs)
+    assert i == len(gates)
+    return stages
+
+
+def _plans(spec: SkeletonSpec) -> list[tuple[tuple, tuple]]:
+    """`schedule_lnn(spec)`'s stages."""
+    return _stages(schedule_lnn(spec).circuit.gates, spec.n, lambda pr: pr not in spec.absent)
+
+
 def test_stages_partition_all_pairs():
     for n in range(2, 9):
-        plans, _ = staged_schedule(SkeletonSpec(n))
+        plans = _plans(SkeletonSpec(n))
         assert len(plans) == n_stages(n)
         seen = []
-        for s, plan in enumerate(plans, start=1):
+        for s, (payload, swaps) in enumerate(plans, start=1):
             pairs = _stage_pairs(n, s)
             wires = [w for pr in pairs for w in pr]
             assert len(wires) == len(set(wires)), "stage must be wire-disjoint"
-            assert len(plan.swaps) == len(plan.payload) == len(pairs)
+            assert [g.kind for g in payload] == [GateKind.GENERIC2] * len(pairs)
+            assert [g.kind for g in swaps] == [GateKind.SWAP] * len(pairs)
+            assert [g.qubits for g in payload] == [g.qubits for g in swaps]  # each slot's SWAP on its sites
             seen.extend(pairs)
         assert sorted(seen) == sorted(all_pairs(n))
 
 
 def test_stage_sizes_for_five_wires():
-    plans, _ = staged_schedule(SkeletonSpec(5))
-    assert [len(plan.swaps) for plan in plans] == [1, 1, 2, 2, 2, 1, 1]
+    plans = _plans(SkeletonSpec(5))
+    assert [len(swaps) for _, swaps in plans] == [1, 1, 2, 2, 2, 1, 1]
     assert _stage_pairs(5, 5) == [(1, 4), (2, 3)]
 
 
 def test_slot_sites_follow_the_closed_form():
     """Slot (a, b), d = b - a, runs at stage a + b on sites (d - 1, d) from the
-    identity, wire a on d - 1, and on the mirror (n - d, n - 1 - d) from the reversal."""
+    identity, wire a on d - 1, and on the mirror (n - d, n - 1 - d) from the
+    reversal, where a linear-synthesis part may enter. A lower part marking every
+    pair is the skeleton with CNOT(a, b) in every slot."""
     for n in range(2, 13):
-        spec = SkeletonSpec(n, payload={pr: cnot(*pr) for pr in all_pairs(n)})
-        for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
-            plans, final = staged_schedule(spec, placement)
-            assert final == placement[::-1]
+        every = bytearray(n * n)
+        for a, b in all_pairs(n):
+            every[a * n + b] = 1
+        part = _Parts(n, bytes(n * n), bytes(every), bytes(n * n))
+        scheduled = schedule_lnn(SkeletonSpec(n, payload={pr: cnot(*pr) for pr in all_pairs(n)}))
+        for flip in (False, True):
+            (gates, _), = _part_pieces(part, flip)[0]
+            assert flip or tuple(gates) == scheduled.circuit.gates
+            placement = tuple(range(n - 1, -1, -1) if flip else range(n))
             loc = list(placement)  # wire -> site, replayed through the earlier stages' SWAPs
-            for s, plan in enumerate(plans, start=1):
-                for (a, b), g, sw in zip(_stage_pairs(n, s), plan.payload, plan.swaps, strict=True):
+            for s, (payload, swaps) in enumerate(_stages(gates, n), start=1):
+                for (a, b), g, sw in zip(_stage_pairs(n, s), payload, swaps, strict=True):
                     d = b - a
-                    sites = (d - 1, d) if placement[0] == 0 else (n - d, n - 1 - d)
+                    sites = (n - d, n - 1 - d) if flip else (d - 1, d)
                     assert g == cnot(*sites)  # control on wire a's site
                     assert (loc[a], loc[b]) == sites
                     assert sw == swap(*sites)
                 at = invert_permutation(loc)  # site -> wire
-                for x, y in (sw.qubits for sw in plan.swaps):
+                for x, y in (sw.qubits for sw in swaps):
                     loc[at[x]], loc[at[y]] = y, x
-            assert tuple(loc) == final
-
-
-def test_an_empty_placement_is_not_the_default():
-    with pytest.raises(ValueError, match="placement"):
-        staged_schedule(SkeletonSpec(3), ())
-    for placement in ((0, 1, 2, 3), (1, 2, 0), (0, 2, 1)):
-        with pytest.raises(ValueError, match="placement"):
-            staged_schedule(SkeletonSpec(3), placement)
+            assert tuple(loc) == placement[::-1]
+        assert scheduled.final_map == tuple(range(n - 1, -1, -1))
 
 
 def test_spec_validation():
@@ -138,35 +154,34 @@ def test_payload_direction_follows_placement():
     sc = schedule_lnn(SkeletonSpec(2, payload={(0, 1): cnot(1, 0)}))
     assert sc.circuit.gates[0] == cnot(1, 0)
     spec = SkeletonSpec(3, payload={(0, 2): cnot(2, 0)})
-    plans, _ = staged_schedule(spec)
     # (0, 2) runs at stage 2; by then the stage-1 swap moved wire 0 to site 1
-    gate = plans[1].payload[0]
+    gate = _plans(spec)[1][0][0]
     assert gate.kind is GateKind.CNOT
     assert gate.qubits == (2, 1)
 
 
 def test_reversed_initial_placement_flips_back():
-    plans, final = staged_schedule(SkeletonSpec(4), initial_placement=(3, 2, 1, 0))
-    assert final == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        staged_schedule(SkeletonSpec(4), initial_placement=(1, 0, 3, 2))
+    """Entered from the reversal, the linear-synthesis parts run the mirror image of their
+    schedule from the identity, site i for site n - 1 - i, and each part flips the order."""
+    rng = Random(3)
+    for n in (2, 3, 6, 11):
+        parts = gauss_jordan(GF2Matrix.random_nonsingular(n, rng).inverse())
+        (ahead, out), (back, out_back) = _part_pieces(parts), _part_pieces(parts, True)
+        assert out is (len(ahead) % 2 == 1) and out_back is not out
 
+        def mirror(g):
+            a, b = (n - 1 - q for q in g.qubits)
+            return cnot(a, b) if g.kind is GateKind.CNOT else swap(a, b)
 
-def test_reversed_placement_stores_symmetric_payloads_ascending():
-    spec = SkeletonSpec(3, payload={(0, 1): cz(0, 1), (0, 2): cphase(2, 0, 2), (1, 2): cnot(2, 1)})
-    plans, _ = staged_schedule(spec, initial_placement=(2, 1, 0))
-    payload = [g for plan in plans for g in plan.payload]
-    assert payload == [cz(1, 2), cphase(2, 0, 1), cnot(1, 2)]
-    c = Circuit(3, tuple(payload))
-    assert parse_circuit(emit_circuit(c)) == c
+        assert [[mirror(g) for g in gates] for gates, _ in ahead] == [gates for gates, _ in back]
 
 
 def test_drop_last_swaps():
     spec = SkeletonSpec(4)
     full = schedule_lnn(spec)
     trimmed = schedule_lnn(spec, drop_last_swaps=True)
-    plans, _ = staged_schedule(spec)
-    assert len(trimmed.circuit) == len(full.circuit) - len(plans[-1].swaps)
+    assert _plans(spec)[-1][1] == (swap(0, 1),)  # the last stage's lone SWAP, the last gate
+    assert trimmed.circuit.gates == full.circuit.gates[:-1]
     assert trimmed.final_map == swap_flow_map(trimmed.circuit)
 
 
@@ -184,12 +199,11 @@ def test_drop_last_swaps_and_pruning_are_different_rules():
 
 def test_stage_assignment_honors_absence():
     spec = SkeletonSpec(4, absent=frozenset({(0, 2), (1, 2)}))
-    plans, _ = staged_schedule(spec)
-    assert plans[0 + 2 - 1].payload == ()  # slot (a, b) runs in stage a + b
+    plans = _plans(spec)
+    assert plans[0 + 2 - 1][0] == ()  # slot (a, b) runs in stage a + b
     # (1, 2) shares stage 3 with (0, 3); only the absent pair drops out
     # (stages 1 and 2 moved wire 0 next to wire 3, on site 2)
-    assert plans[1 + 2 - 1].payload == (generic2(2, 3),)
-    assert len(plans[1 + 2 - 1].swaps) == 2
+    assert plans[1 + 2 - 1] == ((generic2(2, 3),), (swap(2, 3), swap(0, 1)))  # slots (0, 3), then (1, 2)
 
 
 def test_shared_wire_pairs_meet_in_lexicographic_order():
@@ -265,18 +279,18 @@ def _mixed_payload_spec(n: int) -> SkeletonSpec:
 
 
 def test_staged_schedule_makes_each_distinct_gate_once(monkeypatch):
+    """`schedule_lnn`, stage by stage, makes one gate object per distinct site gate."""
     cases = [
-        (SkeletonSpec(16), None),
-        (_mixed_payload_spec(12), tuple(range(11, -1, -1))),
-        (SkeletonSpec(16, payload={(a, b): cphase(b - a + 1, a, b) for a, b in all_pairs(16)}), None),  # QFT slots
+        SkeletonSpec(16),
+        _mixed_payload_spec(12),
+        SkeletonSpec(16, payload={(a, b): cphase(b - a + 1, a, b) for a, b in all_pairs(16)}),  # QFT slots
     ]
-    for spec, placement in cases:  # specs and their templates are made first
+    for spec in cases:  # specs and their templates are made first
         calls = []
         real = core.validate_gate
         monkeypatch.setattr(core, "validate_gate", lambda g: calls.append(g) or real(g))
-        plans, _ = staged_schedule(spec, placement)
+        gates = schedule_lnn(spec).circuit.gates
         monkeypatch.undo()
-        gates = [g for plan in plans for g in (*plan.payload, *plan.swaps)]
         assert len(calls) <= len(set(gates)) < len(gates)
         assert len({id(g) for g in gates}) == len(set(gates))  # copies share one Gate
 
@@ -289,7 +303,7 @@ def test_building_part_and_qft_specs_validates_no_gate(monkeypatch):
     parts = [gauss_jordan(a.inverse()) for a in matrices]
     calls = []
     monkeypatch.setattr(core, "validate_gate", calls.append)
-    scheduled = [schedule_parts(pt)[0] for pt in parts]
+    scheduled = [_part_pieces(pt)[0] for pt in parts]
     monkeypatch.undo()
     assert calls == [] and all(scheduled)
     for spec in (QftSpec(24), QftSpec(24, 4)):
@@ -322,8 +336,8 @@ def test_random_public_specs_round_trip_through_text():
         assert spec.absent is absent and spec.payload == payload and spec.payload is spec.payload
         reparsed = parse_skeleton(emit_skeleton(spec))
         assert reparsed == spec and spec == reparsed
-        for placement in (None, tuple(range(n - 1, -1, -1))):
-            assert staged_schedule(spec, placement) == staged_schedule(reparsed, placement)
+        for drop in (False, True):
+            assert schedule_lnn(spec, drop) == schedule_lnn(reparsed, drop)
 
 
 def test_a_cphase_payload_k_range():

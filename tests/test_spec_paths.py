@@ -8,32 +8,28 @@ parts' grids through `grid_pairs` as the pair sets they were then: each
 spec is a public `SkeletonSpec` with an all-pairs `absent` complement and
 one template `Gate` per present pair.
 `synthesize_lnn`, `schedule_stabilizer` and `qft_lnn` now go from grids to
-stages with no spec; the references are chained here the way they were.
-`ref_staged_schedule` walks every slot's wires from site to site; its
-`stage_pairs` is the skeleton's stage listing as it stood then, kept here
-since the scheduler reads sites in closed form. It keeps its `loc` walk,
-which also gives its final placement, but no longer records each stage's
-placement, since plans hold only (payload, swaps). Plans, final placements
-and whole circuits must be identical on seeded cases.
+stages with no spec, and a schedule enters from the identity or the
+reversal, one bit; the references are chained here the way they were.
+`ref_staged_schedule` walks every slot's wires from site to site from a
+placement tuple; its `stage_pairs` and `StagePlan` are the skeleton's
+stage listing and stage type as they stood then, kept here since the
+scheduler reads sites in closed form and returns only the flattened gates.
+It keeps its `loc` walk, which also gives its final placement. Gates,
+final placements and whole circuits must be identical on seeded cases:
+`schedule_lnn(spec)` against the reference from the identity, and
+`linsynth._part_pieces(parts, flip)` against it from either entry.
 """
 
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import chainforge.linsynth as linsynth
 from chainforge.core import Circuit, Gate, GateKind, cnot, cphase, cz, generic2, h, p, swap
-from chainforge.linsynth import GF2Matrix, gauss_jordan, schedule_parts, synthesize_lnn
+from chainforge.linsynth import GF2Matrix, gauss_jordan, synthesize_lnn
 from chainforge.qft import QftSpec, qft_lnn
-from chainforge.skeleton import (
-    SkeletonSpec,
-    StagePlan,
-    _check_placement,
-    all_pairs,
-    n_stages,
-    staged_schedule,
-)
+from chainforge.skeleton import SkeletonSpec, all_pairs, n_stages, schedule_lnn
 from chainforge.stabilizer import StageDecomposition, random_decomposition, schedule_stabilizer
-from test_linsynth import grid_pairs, pivot_pairs
+from test_linsynth import chained, grid_pairs, pivot_pairs
 
 SEED = 20261019
 
@@ -45,6 +41,18 @@ def stage_pairs(n: int, stage: int) -> list[Pair]:
     if not 1 <= stage <= n_stages(n):
         raise ValueError(f"stage {stage} outside 1..{n_stages(n)}")
     return [(a, stage - a) for a in range(max(0, stage - n + 1), (stage + 1) // 2)]
+
+
+class StagePlan(NamedTuple):
+    """Site-level gates for one stage of the schedule."""
+
+    payload: tuple[Gate, ...]
+    swaps: tuple[Gate, ...]
+
+
+def _order(n: int, flip: bool) -> tuple[int, ...]:
+    """The placement laid along the chain in order, or with `flip` reversed."""
+    return tuple(range(n - 1, -1, -1) if flip else range(n))
 
 
 def ref_part_specs(parts) -> list[tuple[SkeletonSpec, bool]]:
@@ -83,7 +91,7 @@ def ref_staged_schedule(
 ) -> tuple[list[StagePlan], tuple[int, ...]]:
     """Reference: reads `absent` and the payload `Gate`s slot by slot."""
     n = spec.n
-    loc = list(_check_placement(initial_placement or range(n), n))
+    loc = list(initial_placement or range(n))
     absent, payload_of = spec.absent, spec.payload
     cnot_kind, generic_kind = GateKind.CNOT, GateKind.GENERIC2
     # a chain has only n-1 site pairs, so each re-placed payload, keyed by
@@ -118,12 +126,23 @@ def ref_staged_schedule(
     return plans, tuple(loc)
 
 
+def _flat(scheduled: tuple[list[StagePlan], tuple[int, ...]]) -> tuple[list[Gate], tuple[int, ...]]:
+    """Stage plans as one gate list, each stage's payload then SWAPs, beside the final placement."""
+    plans, final = scheduled
+    return [g for plan in plans for g in (*plan.payload, *plan.swaps)], final
+
+
+def ref_gates(spec: SkeletonSpec) -> tuple[list[Gate], tuple[int, ...]]:
+    """The reference's gates and final placement from the identity, as `schedule_lnn` gives them."""
+    return _flat(ref_staged_schedule(spec))
+
+
 def _random_parts(n: int, rng: Random):
     return gauss_jordan(GF2Matrix.random_nonsingular(n, rng).inverse())
 
 
 def _ref_schedule_parts(parts, placement) -> tuple[list[Gate], tuple[int, ...]]:
-    """`schedule_parts`' chaining over the reference specs and scheduler."""
+    """The parts' chaining over the reference specs and scheduler, from a placement tuple."""
     n, gates = parts.n, []
     for spec, reversed_labels in ref_part_specs(parts):
         entry = tuple(placement[n - 1 - w] for w in range(n)) if reversed_labels else placement
@@ -162,22 +181,23 @@ def _ref_qft_lnn(spec: QftSpec, scheduled=None) -> tuple[Circuit, tuple[int, ...
 
 
 def test_linsynth_parts_match_the_reference():
+    """From either entry, each part's gates and the exit order, the reversed entry that stabilizer C
+    stages use included."""
     rng = Random(SEED)
     for n in range(2, 41):
         parts = _random_parts(n, rng)
         ref = ref_part_specs(parts)
-        for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
-            pieces, final = linsynth._part_pieces(parts, placement)
+        for entry in (False, True):
+            pieces, exit_flip = linsynth._part_pieces(parts, entry)
             assert len(pieces) == len(ref)
+            flip = entry
             for (gates, made), (ref_spec, reversed_labels) in zip(pieces, ref):
-                entry = placement[::-1] if reversed_labels else placement
-                plans, _ = ref_staged_schedule(ref_spec, entry)
-                assert gates == [g for plan in plans for g in (*plan.payload, *plan.swaps)]
+                seen = _order(n, flip != reversed_labels)  # reversed labels see the other order
+                assert gates == _flat(ref_staged_schedule(ref_spec, seen))[0]
                 assert {id(g) for g in gates} == {id(g) for g in made}  # each made gate occurs
-                placement = placement[::-1]
-            assert final == placement
-        for placement in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
-            assert schedule_parts(parts, placement) == _ref_schedule_parts(parts, placement)
+                flip = not flip
+            assert exit_flip == flip
+            assert chained(parts, entry) == _ref_schedule_parts(parts, _order(n, entry))
 
 
 def test_qft_specs_match_the_reference_at_every_threshold():
@@ -185,7 +205,8 @@ def test_qft_specs_match_the_reference_at_every_threshold():
         for m in (None, *range(1, n + 1)):
             spec, ref = QftSpec(n, m), ref_skeleton_for(QftSpec(n, m))
             scheduled = ref_staged_schedule(ref)
-            assert staged_schedule(ref) == scheduled
+            sc = schedule_lnn(ref)
+            assert (list(sc.circuit.gates), sc.final_map) == _flat(scheduled)
             sc = qft_lnn(spec)
             assert (sc.circuit, sc.final_map) == _ref_qft_lnn(spec, scheduled)
 
@@ -215,20 +236,24 @@ def _listed_only_spec(n: int, rng: Random) -> SkeletonSpec:
     return SkeletonSpec(n, frozenset(pr for pr in all_pairs(n) if pr not in payload), payload)
 
 
+def _check_against_the_reference(spec: SkeletonSpec) -> None:
+    """`schedule_lnn` gives the reference's gates and final placement; dropping the last SWAPs
+    drops the reference's last gate, the lone SWAP of slot (n - 2, n - 1)."""
+    sc, (gates, final) = schedule_lnn(spec), ref_gates(spec)
+    assert (list(sc.circuit.gates), sc.final_map) == (gates, final)
+    assert list(schedule_lnn(spec, drop_last_swaps=True).circuit.gates) == gates[:-1]
+
+
 def test_mixed_public_specs_match_the_reference():
     rng = Random(SEED + 1)
     for n in range(2, 41):
-        spec = _mixed_spec(n, rng)
-        for placement in (None, tuple(range(n - 1, -1, -1))):
-            assert staged_schedule(spec, placement) == ref_staged_schedule(spec, placement)
+        _check_against_the_reference(_mixed_spec(n, rng))
 
 
 def test_listed_only_specs_match_the_reference():
     rng = Random(SEED + 3)
     for n in range(2, 41):
-        spec = _listed_only_spec(n, rng)
-        for placement in (None, tuple(range(n - 1, -1, -1))):
-            assert staged_schedule(spec, placement) == ref_staged_schedule(spec, placement)
+        _check_against_the_reference(_listed_only_spec(n, rng))
 
 
 def test_whole_circuits_match_the_reference():
