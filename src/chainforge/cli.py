@@ -23,6 +23,7 @@ from .core import (
     MAX_WIRES,
     Circuit,
     ParseError,
+    ScheduledCircuit,
     emit_circuit,
     generic_depth,
     is_permutation,
@@ -95,10 +96,12 @@ def _json_record(
     return json.dumps(record, indent=2) + "\n"
 
 
-def _deliver(args: argparse.Namespace, circuit: Circuit, final_map: tuple[int, ...] | None) -> int:
-    """Emit a generated circuit per the output flags. Scheduled results are
-    audited so the report surfaces any swap-discipline regression."""
-    if getattr(args, "qasm", False):
+def _deliver(args: argparse.Namespace, built: ScheduledCircuit | Circuit) -> int:
+    """Emit what a generator built per the output flags. A schedule's text carries its final map,
+    and its report is audited so it surfaces any swap-discipline regression."""
+    scheduled = isinstance(built, ScheduledCircuit)
+    circuit, final_map = (built.circuit, built.final_map) if scheduled else (built, None)
+    if args.qasm:
         text = to_qasm(circuit)
     else:
         text = emit_circuit(circuit)
@@ -149,45 +152,29 @@ def _wire_flag(n: int) -> int:
 
 def _cmd_qft(args: argparse.Namespace) -> int:
     spec = QftSpec(_wire_flag(args.n), args.approx)
-    if args.flat:
-        return _deliver(args, qft_flat(spec), None)
-    sc = qft_lnn(spec)
-    return _deliver(args, sc.circuit, sc.final_map)
+    return _deliver(args, qft_flat(spec) if args.flat else qft_lnn(spec))
 
 
 def _cmd_linsynth(args: argparse.Namespace) -> int:
-    a = _load(parse_gf2, args.matrix)
-    sc = synthesize_lnn(a)
+    sc = synthesize_lnn(_load(parse_gf2, args.matrix))
     if args.prune_swaps:
         sc = prune_trailing_swap_layers(sc)
-    if args.cnot_only:
-        sc = expand_to_cnot(sc)
-    return _deliver(args, sc.circuit, sc.final_map)
+    return _deliver(args, expand_to_cnot(sc) if args.cnot_only else sc)
 
 
 def _cmd_css(args: argparse.Namespace) -> int:
     spec = _load(parse_css, args.spec)
-    if args.flat:
-        return _deliver(args, css_flat(spec), None)
-    sc = css_schedule_lnn(spec)
-    return _deliver(args, sc.circuit, sc.final_map)
+    return _deliver(args, css_flat(spec) if args.flat else css_schedule_lnn(spec))
 
 
 def _cmd_stab(args: argparse.Namespace) -> int:
     d = _load(parse_stab, args.spec)
-    if args.flat:
-        return _deliver(args, stabilizer_flat(d), None)
-    sc = schedule_stabilizer(d)
-    return _deliver(args, sc.circuit, sc.final_map)
+    return _deliver(args, stabilizer_flat(d) if args.flat else schedule_stabilizer(d))
 
 
 def _cmd_skeleton(args: argparse.Namespace) -> int:
-    if args.spec is not None:
-        spec = _load(parse_skeleton, args.spec)
-    else:
-        spec = SkeletonSpec(_wire_flag(args.n))
-    sc = schedule_lnn(spec, drop_last_swaps=args.drop_last_swaps)
-    return _deliver(args, sc.circuit, sc.final_map)
+    spec = SkeletonSpec(_wire_flag(args.n)) if args.spec is None else _load(parse_skeleton, args.spec)
+    return _deliver(args, schedule_lnn(spec, drop_last_swaps=args.drop_last_swaps))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:

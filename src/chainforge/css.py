@@ -155,20 +155,29 @@ def css_flat(spec: CssSpec) -> Circuit:
 
 def css_schedule_lnn(spec: CssSpec) -> ScheduledCircuit:
     """Belt schedule: per level, fire the met pairs' gates, then swap them, p ascending; every site is
-    read from the closed form in the module docstring."""
+    read from the closed form in the module docstring, and each distinct gate is made once."""
     n, sp, t, last = spec.n_wires, spec.n_controls, spec.t, spec.last_level()
-    gates = _hadamard_layer(spec)
+    made: dict[tuple[CssGate | None, int], Gate] = {}  # per kind (None: the SWAP) and site m, its gate
+
+    def site_gate(kind: CssGate | None, m: int) -> Gate:
+        if (kind, m) not in made:
+            made[kind, m] = swap(m, m + 1) if kind is None else _payload(kind, m, m + 1)
+        return made[kind, m]
+
+    belt: list[Gate] = []
     for level in range(1, last + 1):
         met = range(max(1, sp + 1 - level), min(sp, sp + t - level) + 1)  # the controls meeting a target
         sites = range(level + 2 * met.start - sp - 2, level + 2 * met.stop - sp - 2, 2)  # each one's m
         for p, m in zip(met, sites):
             kind = spec.cell(p, sp + t + 1 - level - p)
             if kind is not CssGate.NONE:
-                gates.append(_payload(kind, m, m + 1))
-        gates += [swap(m, m + 1) for m in sites]
+                belt.append(site_gate(kind, m))
+        belt += [site_gate(None, m) for m in sites]
     final = [p - 1 + min(t, max(0, last - sp + p)) for p in range(1, sp + 1)]  # by chain wire: controls,
     final += [n - j - min(sp, max(0, last - t + j)) for j in range(t, 0, -1)]  # then c_t .. c_1
-    return ScheduledCircuit(_known_circuit(n, [(gates, gates)]), Architecture.lnn(n), tuple(final))
+    hadamards = _hadamard_layer(spec)
+    circuit = _known_circuit(n, [(hadamards, hadamards), (belt, made.values())])
+    return ScheduledCircuit(circuit, Architecture.lnn(n), tuple(final))
 
 
 def steane_syndrome() -> CssSpec:
@@ -191,10 +200,7 @@ def steane_syndrome() -> CssSpec:
             kind = CssGate.CNOT if j <= 3 else CssGate.CZ
             row.append(kind if hamming[(j - 1) % 3][p - 1] else CssGate.NONE)
         rows.append(tuple(row))
-    spec_no_mask = CssSpec(CssMode.SYNDROME, s, t, tuple(rows))
-    mask = 0
-    for j in range(4, 7):
-        mask |= 1 << spec_no_mask.target_wire(j)
+    mask = sum(1 << (s + t - j) for j in range(4, 7))  # c_j sits on chain wire n - j
     return CssSpec(CssMode.SYNDROME, s, t, tuple(rows), mask)
 
 

@@ -42,9 +42,7 @@ from .core import (
     _unchecked_gate,
     is_permutation,
 )
-from .skeleton import Slot, _grid_stages, _site_row
-
-Pair = tuple[int, int]
+from .skeleton import Pair, Slot, _grid_stages, _site_row
 
 
 class SingularMatrixError(ValueError):

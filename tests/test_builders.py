@@ -56,8 +56,9 @@ BUILDERS = {
     "prune_trailing_swap_layers": (lambda: prune_trailing_swap_layers(synthesize_lnn(_A)), 0),
     "schedule_stabilizer": (lambda: schedule_stabilizer(_D), None),
     "stabilizer_flat": (lambda: stabilizer_flat(_D), None),
-    "css_schedule_lnn syndrome": (lambda: css_schedule_lnn(steane_syndrome()), None),
-    "css_schedule_lnn encode": (lambda: css_schedule_lnn(_ENCODE), None),
+    # one check per distinct gate handed over: each Hadamard, and one gate per (kind, site m), SWAPs included
+    "css_schedule_lnn syndrome": (lambda: css_schedule_lnn(steane_syndrome()), 3 + 26),
+    "css_schedule_lnn encode": (lambda: css_schedule_lnn(_ENCODE), 2 + 11),
     "css_flat": (lambda: css_flat(steane_syndrome()), None),
     "expand_circuit_to_cnot": (lambda: expand_circuit_to_cnot(synthesize_lnn(_A).circuit), None),
 }

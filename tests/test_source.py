@@ -2,7 +2,8 @@
 has a reader in the source or the README (a name where it is imported from its module, a method
 through an attribute that no builtin type or numpy array shares), no module imports a name it never
 uses, every private module-level helper has a caller in the source, the ways past a gate or circuit
-check have only their listed callers, and the README's Python examples run."""
+check have only their listed callers, the package re-exports exactly its library modules' `__all__`
+lists, and the README's Python examples run."""
 
 import ast
 import importlib
@@ -13,6 +14,8 @@ from typing import Iterator
 
 import numpy as np
 import pytest
+
+import chainforge
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chainforge"
 _MODULES = sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -69,9 +72,10 @@ def _referenced_names(stmt: ast.stmt) -> set[str]:
     return out
 
 
-# name -> the module it comes from, for each name the package re-imports
-_PACKAGE_NAMES = {alias.name: node.module for node in _SOURCE["__init__.py"].body
-                  if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+_LIBRARY = [m for m in _MODULES if m != "cli"]  # the modules the package re-exports
+# name -> the module it comes from, for each name the package re-exports
+_PACKAGE_NAMES = {name: module for module in _LIBRARY
+                  for name in importlib.import_module(f"chainforge.{module}").__all__}
 
 
 def _import_owners(tree: ast.Module) -> dict[str, str]:
@@ -117,6 +121,20 @@ _BUILTIN_MEMBERS = set().union(*map(dir, (bytes, bytearray, list, tuple, dict, s
 
 def test_the_module_list_is_found():
     assert {"core", "linsynth", "oracle", "stabilizer"} <= set(_MODULES), _MODULES
+
+
+def test_the_package_exports_each_library_all_and_imports_nothing_else():
+    """`chainforge.__all__` is the library modules' `__all__` lists joined in module order, each name
+    bound to its module's own object and exported by one module only, and `__init__.py` imports
+    nothing but those modules' stars: a name is declared public once, in its module."""
+    imports = [ast.unparse(node) for node in ast.walk(_SOURCE["__init__.py"])
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports == [f"from .{m} import *" for m in _LIBRARY]
+    modules = [importlib.import_module(f"chainforge.{m}") for m in _LIBRARY]
+    assert chainforge.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(chainforge.__all__)) == len(chainforge.__all__)
+    assert all(getattr(chainforge, name, None) is getattr(module, name)
+               for module in modules for name in module.__all__)
 
 
 @pytest.mark.parametrize("name", _MODULES)
