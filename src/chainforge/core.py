@@ -464,25 +464,20 @@ def invert_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def swap_flow_map(circuit: Circuit) -> tuple[int, ...]:
-    """Final placement implied by the SWAP gates alone (logical -> site)."""
-    pos = list(range(circuit.n_wires))  # site -> logical
-    for g in circuit.gates:
-        if g.kind is GateKind.SWAP:
-            a, b = g.qubits
-            pos[a], pos[b] = pos[b], pos[a]
-    return invert_permutation(pos)
-
-
 def prune_trailing_swap_layers(sc: ScheduledCircuit) -> ScheduledCircuit:
-    """Drop trailing all-SWAP layers and adjust final_map accordingly."""
-    gates, at = sc.circuit.gates, []
-    _layer_walk(gates, sc.circuit.n_wires, at)
+    """Drop trailing all-SWAP layers and undo them on final_map."""
+    gates, at, n = sc.circuit.gates, [], sc.circuit.n_wires
+    _layer_walk(gates, n, at)
     # keep every layer up to the last one holding a non-SWAP gate
     keep = 1 + max((t for g, t in zip(gates, at) if g.kind is not GateKind.SWAP), default=-1)
     kept = [g for g, t in zip(gates, at) if t < keep]
-    circuit = _known_circuit(sc.circuit.n_wires, [(kept, kept)])  # a subset of checked gates
-    return ScheduledCircuit(circuit, sc.arch, swap_flow_map(circuit))
+    came_from = list(range(n))  # came_from[s]: the site whose wire the dropped SWAPs bring to site s
+    for g, t in zip(gates, at):
+        if t >= keep:
+            a, b = g.qubits
+            came_from[a], came_from[b] = came_from[b], came_from[a]
+    circuit = _known_circuit(n, [(kept, kept)])  # a subset of checked gates
+    return ScheduledCircuit(circuit, sc.arch, tuple(came_from[s] for s in sc.final_map))
 
 
 class ChainNotFoundError(ValueError):
@@ -774,7 +769,6 @@ __all__ = [
     "parse_circuit",
     "prune_trailing_swap_layers",
     "swap",
-    "swap_flow_map",
     "to_qasm",
     "two_qubit_layer_count",
     "validate_gate",

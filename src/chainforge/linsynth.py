@@ -1,16 +1,15 @@
 """Depth-oriented synthesis of linear reversible functions on a line.
 
-A nonsingular GF(2) matrix A is realized as a CNOT/SWAP circuit in three
+A nonsingular GF(2) matrix A is realized as a CNOT/SWAP circuit in two
 chained skeleton schedules. Gauss-Jordan elimination of A's inverse runs
-gates whose circuit action is A, and the same pass groups them into pivot
-gates, a lower-triangular part and an upper-triangular part, each of which
-fits the all-pairs skeleton (the upper part after reversing wire labels).
-Chaining the three schedules costs no routing because each schedule flips
-the wire placement end to end. Elimination marks each CNOT it runs in one
-of three n x n grids at the code control * n + target; a pivot fix is moved
-ahead of the lower gates as it is made, by XOR of strided grid slices, and
-the parts are staged straight from the grids: no pair tuple, set or spec is
-made per slot.
+gates whose circuit action is A up to an output relabel, a lower-triangular
+part then an upper-triangular part, each of which fits the all-pairs
+skeleton (the upper part after reversing wire labels). Each row pivots on
+a column with a one in it, so no pivot is fixed; the pivot columns name the
+output each wire carries. Chaining the two schedules costs no routing
+because each flips the wire placement end to end. Elimination marks each
+CNOT it runs in one of two n x n grids at the code control * n + target,
+and the parts are staged straight from the grids, with no per-slot object.
 
 Matrix convention: rows are bit-packed integers, row i bit j is A[i][j],
 and the matrix acts on column vectors of wire values, out_i = XOR of
@@ -110,17 +109,17 @@ class GF2Matrix:
 
 
 class _Parts(NamedTuple):
-    """The elimination's gates regrouped as pivots, then lower gates, then upper gates.
+    """The elimination's gates as a lower part, then an upper part, beside each row's pivot column.
 
-    Each group is an n x n grid marking CNOT(control, target) at
-    control * n + target. Replayed in that order (pivots by column, lower
-    gates by control then target, upper gates by descending control then
-    descending target) the gates compose to the same GF(2) map as the
-    elimination did.
+    Each part is an n x n grid marking CNOT(control, target) at control *
+    n + target. Replayed in that order (lower gates by control then target,
+    upper gates by descending control then descending target) they are the
+    elimination's gates as it ran them, taking the matrix to the permutation
+    matrix with a one at (c, cols[c]) in each row c.
     """
 
     n: int
-    pivots: bytes
+    cols: tuple[int, ...]
     lower: bytes
     upper: bytes
 
@@ -132,43 +131,41 @@ def _replay(order: Iterable[int], n: int, table: dict[int, Gate]) -> list[Gate]:
 
 
 def _eliminate(
-    rows: list[int], n: int, order: array, pivots: bytearray, lower: bytearray, upper: bytearray
+    rows: list[int], n: int, order: array, lower: bytearray, upper: bytearray, fix_pivots: bool = False
 ) -> None:
-    """The one Gauss-Jordan loop: reduce the low n bits of `rows` to the identity, in place.
+    """The one Gauss-Jordan loop: reduce the low n bits of `rows` to a permutation matrix, in place.
 
-    Per column, left to right: fix a zero diagonal by adding the nearest
-    lower row that has a one in the column, then clear the column below the
-    diagonal. Afterwards clear above the diagonal, rightmost column first.
-    Each CNOT's code control * n + target is appended to `order` as it runs,
-    and marked at its code in an n x n grid: a pivot fix in `pivots`, a CNOT
-    clearing below the diagonal in `lower`, one clearing above it in `upper`.
-    The pivot fix is marked where the parts replay it, ahead of every lower
-    gate (see `_Parts`). Bits above n ride along, so rows of [A | I] end as
-    [I | A^-1]. Raises SingularMatrixError at a column with no pivot.
+    Per row, top to bottom: pivot on the row's lowest column with a one
+    (every earlier pivot column is clear in it), then clear that column
+    below the row. Afterwards clear each pivot column above its row, bottom
+    row first. With `fix_pivots` row c pivots on column c, first adding the
+    nearest lower row with a one there if it has none, so the rows end as
+    the identity. Each CNOT's code control * n + target is appended to
+    `order` as it runs; one clearing below a pivot is marked at its code in
+    `lower`, one clearing above it in `upper`. Bits above n ride along, so
+    with `fix_pivots` rows of [A | I] end as [I | A^-1]. Raises
+    SingularMatrixError at a row with no pivot.
     """
-    record = order.append
+    record, mask = order.append, (1 << n) - 1
     for c in range(n):
-        bit, row, base = 1 << c, rows[c], c * n
-        if not row & bit:
-            j = next((i for i in range(c + 1, n) if rows[i] & bit), None)
+        row, base = rows[c], c * n
+        if fix_pivots and not row >> c & 1:
+            j = next((i for i in range(c + 1, n) if rows[i] >> c & 1), None)
             if j is None:
                 raise SingularMatrixError(f"matrix is singular (no pivot in column {c})")
             row = rows[c] = row ^ rows[j]
             record(j * n + c)
-            pivots[j * n + c] = 1
-            # moved ahead of the lower gates, the fix CNOT(j, c) crosses each CNOT(c', j), c' < c, and
-            # spawns a CNOT(c', c); the rest commute. Every lower mark with control c' < c is final
-            # here, so the spawns XOR column j into column c, rows c' < c: one strided slice each
-            col = slice(c, base + c, n)
-            toggled = int.from_bytes(lower[col], "big") ^ int.from_bytes(lower[j : base + j : n], "big")
-            lower[col] = toggled.to_bytes(c, "big")
+        bit = row & -row
+        if not bit & mask:
+            raise SingularMatrixError(f"matrix is singular (no pivot in row {c})")
         for s in range(c + 1, n):
             if rows[s] & bit:
                 rows[s] ^= row
                 record(base + s)
                 lower[base + s] = 1
     for l in range(n - 1, 0, -1):
-        bit, row, base = 1 << l, rows[l], l * n
+        row, base = rows[l], l * n
+        bit = row & -row  # the row's pivot: the rows below cleared its other columns
         for k in range(l - 1, -1, -1):
             if rows[k] & bit:
                 rows[k] ^= row
@@ -177,57 +174,59 @@ def _eliminate(
 
 
 def gauss_jordan(a: GF2Matrix) -> _Parts:
-    """Eliminate `a` to the identity in one pass, its gates marked as the three parts (see `_eliminate`).
+    """Eliminate `a` in one pass, pivoting by column, its gates marked as the two parts (see `_eliminate`).
 
-    Replaying the parts' gates in order as row operations reduces `a` to I,
-    so the same gates as a circuit compute the inverse of `a`.
+    Replaying the parts' gates as row operations takes `a` to the matrix
+    with row c one at cols[c], so the same gates as a circuit compute the
+    inverse of `a` with its output cols[c] on wire c.
     """
-    n = a.n
-    grids = bytearray(n * n), bytearray(n * n), bytearray(n * n)  # the parts keep the marks, not the order
-    _eliminate(list(a.rows), n, array("i"), *grids)
-    return _Parts(n, *map(bytes, grids))
+    n, rows = a.n, list(a.rows)
+    grids = bytearray(n * n), bytearray(n * n)  # the parts keep the marks, not the order
+    _eliminate(rows, n, array("i"), *grids)
+    return _Parts(n, tuple(r.bit_length() - 1 for r in rows), *map(bytes, grids))
 
 
 def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array]:
-    """`a`'s inverse and its elimination order from one pass over [a | I]: the row operations
-    that take `a` to I take I to `a`'s inverse. Raises SingularMatrixError."""
-    n, order, marks = a.n, array("i"), bytearray(a.n * a.n)
+    """`a`'s inverse and its elimination order from one pass over [a | I] with pivot fixes: the row
+    operations that take `a` to I take I to `a`'s inverse. Raises SingularMatrixError."""
+    n, order, unread = a.n, array("i"), bytearray(a.n * a.n)
     rows = [r | 1 << (n + i) for i, r in enumerate(a.rows)]
-    _eliminate(rows, n, order, marks, marks, marks)  # only the order is kept; the toggles read lower cells only
+    _eliminate(rows, n, order, unread, unread, fix_pivots=True)  # only the order is kept
     return GF2Matrix(n, tuple(r >> n for r in rows)), order
 
 
-def _part_pieces(parts: _Parts, flip: bool = False) -> tuple[list[tuple[list[Gate], list[Gate]]], bool]:
-    """The nonempty parts chained as skeleton schedules, one (gates, distinct gates) piece per part,
-    each stage's payload then SWAPs, entered from the identity placement (flip: the reversal); and
-    whether they exit at the reversal. Every scheduled part flips the placement end to end, so
-    consecutive parts need no routing between them; an empty part is skipped and leaves it alone."""
-    n = parts.n
-    pieces = []
-    # a part is staged from the grid of its pairs (a, b) at a * n + b: a pivot CNOT is controlled by
-    # its pair's larger wire, so that grid is the transpose; the upper part runs on reversed labels,
-    # where CNOT(l, k) is on pair (n - 1 - l, n - 1 - k): code l * n + k becomes n * n - 1 - (l * n + k)
-    pivots, lower, upper = b"".join(parts.pivots[a::n] for a in range(n)), parts.lower, parts.upper[::-1]
-    for grid, from_larger, rev in ((pivots, True, False), (lower, False, False), (upper, False, True)):
+def _part_pieces(parts: _Parts) -> tuple[list[tuple[list[Gate], list[Gate]]], list[int]]:
+    """The nonempty parts chained as skeleton schedules from the identity placement, one (gates,
+    distinct gates) piece per part, each stage's payload then SWAPs; and the site of each column's
+    wire at the exit. Every scheduled part flips the placement end to end, so consecutive parts
+    need no routing between them; an empty part is skipped and leaves it alone. Wire c ends on
+    site c, or n - 1 - c after one part, and carries column cols[c]."""
+    n, flip, pieces = parts.n, False, []
+    # a part is staged from the grid of its pairs (a, b) at a * n + b; the upper part runs on reversed
+    # labels, where CNOT(l, k) is on pair (n - 1 - l, n - 1 - k): code l * n + k becomes n * n - 1 - (l * n + k)
+    for grid, rev in ((parts.lower, False), (parts.upper[::-1], True)):
         if 1 in grid:  # reversed labels see the identity as the reversal, and the reversal as the identity
-            row = _site_row(n, flip != rev, [Slot(GateKind.CNOT, from_larger)] * n, grid)
+            row = _site_row(n, flip != rev, [Slot(GateKind.CNOT)] * n, grid)
             stages, table = _grid_stages(n, flip != rev, row, grid)  # each stage's payload, then its SWAPs
             gates = list(chain.from_iterable(chain.from_iterable(stages)))
             pieces.append((gates, [*table, *filter(None, row)]))
             flip = not flip
-    return pieces, flip
+    sites = [0] * n
+    for c, col in enumerate(parts.cols):
+        sites[col] = n - 1 - c if flip else c
+    return pieces, sites
 
 
 def synthesize_lnn(a: GF2Matrix) -> ScheduledCircuit:
     """LNN CNOT/SWAP circuit computing x -> A x up to the final placement.
 
-    The circuit's GF(2) action, with row final_map[l] read as logical
-    output l, equals A exactly. Generic-gate depth (each payload counted
-    together with its trailing SWAP) is at most 3(2n-3).
+    The pivot columns name the row of A each wire carries, and the parts'
+    flip where it sits: the circuit's GF(2) action, with row final_map[l]
+    read as logical output l, equals A exactly. Generic-gate depth (each
+    payload counted together with its trailing SWAP) is at most 2(2n-3).
     """
-    pieces, flip = _part_pieces(gauss_jordan(a.inverse()))
-    final = tuple(range(a.n - 1, -1, -1) if flip else range(a.n))
-    return ScheduledCircuit(_known_circuit(a.n, pieces), Architecture.lnn(a.n), final)
+    pieces, sites = _part_pieces(gauss_jordan(a.inverse()))
+    return ScheduledCircuit(_known_circuit(a.n, pieces), Architecture.lnn(a.n), tuple(sites))
 
 
 def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:

@@ -2,18 +2,18 @@
 
 Input is the fixed stage sequence H-C-P-C-P-C-H-P-C-P-C: two Hadamard
 layers, four phase layers (each a wire bitmask) and five linear reversible
-stages (each a nonsingular GF(2) matrix). The chain is always in order or
-reversed, so scheduling threads one bit through all 11 stages: single-qubit
-masks apply at the sites where their wires currently live (wire w on site
-w, or n - 1 - w), and each C stage runs the three-part skeleton synthesis
-from the current order, which it flips or keeps depending on how many of
-its parts are nonempty.
+stages (each a nonsingular GF(2) matrix). Scheduling threads a placement,
+the site of each logical wire, through all 11 stages: single-qubit masks
+apply at the sites where their wires currently live, and each C stage
+eliminates C^-1 with its rows moved to their wires' sites. Its column
+pivots absorb the column relabel and name each wire's next site.
 
 Each C stage is eliminated once, when the decomposition is built: one pass
-over [C | I] is the nonsingularity check, yields C^-1 and records the order
-of C's elimination CNOTs. `schedule_stabilizer` eliminates each C^-1 once
-for its three-part synthesis; `stabilizer_flat` replays the recorded orders
-backwards and eliminates nothing.
+over [C | I], with pivot fixes, is the nonsingularity check, yields C^-1
+and records the order of C's elimination CNOTs. `schedule_stabilizer`
+eliminates each C^-1 once, rows moved, for its two-part synthesis;
+`stabilizer_flat` replays the recorded orders backwards and eliminates
+nothing.
 
 The tableau here is the usual conjugation table: row g holds the image of
 input Pauli X_g (rows 0..n-1) or Z_{g-n} (rows n..2n-1) as x/z bit vectors
@@ -41,6 +41,7 @@ from .core import (
     _known_circuit,
     _mask_wires,
     h,
+    invert_permutation,
     is_permutation,
     p,
 )
@@ -132,19 +133,20 @@ def stabilizer_flat(d: StageDecomposition) -> Circuit:
 
 
 def schedule_stabilizer(d: StageDecomposition) -> ScheduledCircuit:
-    """LNN schedule of all 11 stages, the chain in order or reversed between them."""
-    n, flip = d.n, False  # the chain starts in order; with `flip` wire w sits on site n - 1 - w
+    """LNN schedule of all 11 stages, each logical wire's site threaded through them."""
+    n, sites = d.n, list(range(d.n))  # sites[w]: the site of logical wire w
     pieces: list[tuple[list[Gate], list[Gate]]] = []
     inverses = iter(d._c_inverses)
     for kind, content in d.stages():
         if kind == "c":
-            stage_pieces, flip = _part_pieces(gauss_jordan(next(inverses)), flip)
+            rows = next(inverses).rows  # row w of C^-1 moves to wire w's site
+            moved = GF2Matrix(n, tuple(rows[w] for w in invert_permutation(sites)))
+            stage_pieces, sites = _part_pieces(gauss_jordan(moved))
             pieces += stage_pieces
         else:
-            made = [(h if kind == "h" else p)(n - 1 - w if flip else w) for w in _mask_wires(content, n)]
+            made = [(h if kind == "h" else p)(sites[w]) for w in _mask_wires(content, n)]
             pieces.append((made, made))
-    final = tuple(range(n - 1, -1, -1) if flip else range(n))
-    return ScheduledCircuit(_known_circuit(n, pieces), Architecture.lnn(n), final)
+    return ScheduledCircuit(_known_circuit(n, pieces), Architecture.lnn(n), tuple(sites))
 
 
 @dataclass

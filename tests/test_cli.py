@@ -7,9 +7,10 @@ import pytest
 
 from chainforge import linsynth
 from chainforge.cli import main
-from chainforge.core import MAX_WIRES, Circuit, cnot, emit_circuit, parse_circuit
+from chainforge.core import MAX_WIRES, Circuit, cnot, emit_circuit, invert_permutation, parse_circuit
 from chainforge.css import emit_css, steane_syndrome
-from chainforge.linsynth import GF2Matrix, emit_gf2
+from chainforge.linsynth import GF2Matrix, emit_gf2, parse_gf2
+from chainforge.oracle import gf2_action
 from chainforge.qft import QftSpec, qft_flat, qft_lnn
 from chainforge.skeleton import SkeletonSpec, emit_skeleton
 from chainforge.stabilizer import emit_stab, random_decomposition, schedule_stabilizer
@@ -103,13 +104,20 @@ def test_cnot_only_report_expands_once(tmp_path, capsys, monkeypatch):
 
 
 def test_linsynth_prune_swaps(tmp_path, capsys):
+    """This matrix's one-part schedule ends in SWAP-only layers, and its final map relabels the
+    outputs as well as following the SWAPs (a permutation matrix would cost no gate to prune)."""
     matrix = tmp_path / "m.txt"
-    matrix.write_text("gf2 2\n01\n10\n")
+    matrix.write_text("gf2 3\n100\n101\n010\n")
     assert main(["linsynth", "--matrix", str(matrix)]) == 0
-    full = parse_circuit(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    full = parse_circuit(out)
+    assert "# final_map 2 0 1" in out
     assert main(["linsynth", "--matrix", str(matrix), "--prune-swaps"]) == 0
-    pruned = parse_circuit(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    pruned = parse_circuit(out)
     assert len(pruned.gates) < len(full.gates)
+    assert "# final_map 1 2 0" in out
+    assert gf2_action(pruned).relabel((1, 2, 0)) == parse_gf2(matrix.read_text())
 
 
 def test_singular_matrix_is_a_domain_error(tmp_path, capsys):
@@ -371,6 +379,22 @@ def test_css_and_stab_schedules_verify_against_flat(tmp_path, capsys):
     ]
     assert main(args) == 0
     assert capsys.readouterr().out == "tableau PASS\n"
+
+
+def test_stab_final_map_line_verifies_against_flat(tmp_path, capsys):
+    """The `# final_map` line that `stab` writes, passed to `verify --relabel` as comma ints, makes
+    the schedule match the flat circuit; the inverse map, a different one here, does not."""
+    spec, sched, flat = tmp_path / "stab.txt", tmp_path / "sched.txt", tmp_path / "flat.txt"
+    spec.write_text(emit_stab(random_decomposition(4, Random(1))))
+    assert main(["stab", "--spec", str(spec), "--out", str(sched)]) == 0
+    assert main(["stab", "--spec", str(spec), "--flat", "--out", str(flat)]) == 0
+    (line,) = [line for line in sched.read_text().splitlines() if line.startswith("# final_map ")]
+    final = tuple(map(int, line.split()[2:]))
+    assert invert_permutation(final) != final
+    for relabel, code, verdict in ((final, 0, "PASS"), (invert_permutation(final), 1, "FAIL")):
+        argv = ["verify", "--a", str(sched), "--b", str(flat), "--method", "tableau"]
+        assert main([*argv, "--relabel", ",".join(map(str, relabel))]) == code
+        assert capsys.readouterr().out == f"tableau {verdict}\n"
 
 
 def test_skeleton_spec_file(tmp_path, capsys):

@@ -27,7 +27,6 @@ from chainforge.core import (
     parse_circuit,
     prune_trailing_swap_layers,
     swap,
-    swap_flow_map,
     to_qasm,
     two_qubit_layer_count,
     validate_gate,
@@ -35,6 +34,7 @@ from chainforge.core import (
 )
 from chainforge.css import css_flat, css_schedule_lnn, parse_css, steane_syndrome
 from chainforge.linsynth import GF2Matrix, expand_to_cnot, parse_gf2, synthesize_lnn
+from chainforge.oracle import gf2_action
 from chainforge.qft import QftSpec, qft_flat, qft_lnn
 from chainforge.skeleton import SkeletonSpec, all_pairs, parse_skeleton, schedule_lnn
 from chainforge.stabilizer import parse_stab, random_decomposition, schedule_stabilizer, stabilizer_flat
@@ -224,10 +224,36 @@ def test_scheduled_circuit_checks_final_map_and_locality():
         ScheduledCircuit(Circuit(3, (cnot(0, 2),)), arch, (0, 1, 2))
 
 
-def test_swap_flow_map_tracks_wires():
-    c = Circuit(3, (swap(0, 1), swap(1, 2)))
-    assert swap_flow_map(c) == (2, 0, 1)
-    assert swap_flow_map(Circuit(3, (cnot(0, 1),))) == (0, 1, 2)
+def test_prune_keeps_the_relabeled_action_for_any_final_map():
+    """Prune undoes the dropped SWAPs on the final map it is given, whatever that map is (linear
+    synthesis ends on a column relabel, not on a SWAP flow): the GF(2) action read through the new
+    map is the full circuit's read through the old one. The map that the kept SWAPs alone imply
+    fails many of these cases."""
+    # wires 2, 0, 1 on sites 0, 1, 2 before the dropped swap(0, 1) and swap(1, 2), which end in order;
+    # undone the other way round, they would give (2, 0, 1)
+    arch = Architecture.lnn(3)
+    full = ScheduledCircuit(Circuit(3, (cnot(0, 1), swap(0, 1), swap(1, 2))), arch, (0, 1, 2))
+    assert prune_trailing_swap_layers(full).final_map == (1, 2, 0)
+    rng, wrong = Random(31), 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        gates = []
+        for _ in range(rng.randint(1, 12)):
+            i = rng.randrange(n - 1)
+            gates.append(rng.choice([cnot(i, i + 1), cnot(i + 1, i), swap(i, i + 1)]))
+        gates += [swap(i, i + 1) for i in (rng.randrange(n - 1) for _ in range(rng.randint(0, 4)))]
+        final = tuple(rng.sample(range(n), n))
+        sc = ScheduledCircuit(Circuit(n, tuple(gates)), Architecture.lnn(n), final)
+        pruned = prune_trailing_swap_layers(sc)
+        want = gf2_action(sc.circuit).relabel(final)
+        assert gf2_action(pruned.circuit).relabel(pruned.final_map) == want
+        wire = list(range(n))  # site -> wire, by the kept SWAPs alone
+        for g in pruned.circuit.gates:
+            if g.kind is GateKind.SWAP:
+                a, b = g.qubits
+                wire[a], wire[b] = wire[b], wire[a]
+        wrong += gf2_action(pruned.circuit).relabel(invert_permutation(wire)) != want
+    assert wrong > 100
 
 
 def test_invert_permutation():
@@ -240,7 +266,7 @@ def test_prune_trailing_swap_layers():
     sc = ScheduledCircuit(
         Circuit(3, (cnot(0, 1), swap(1, 2), swap(0, 1))),
         arch,
-        swap_flow_map(Circuit(3, (swap(1, 2), swap(0, 1)))),
+        (1, 2, 0),  # the SWAP flow of the two SWAPs
     )
     pruned = prune_trailing_swap_layers(sc)
     assert pruned.circuit.gates == (cnot(0, 1),)

@@ -18,11 +18,11 @@ from chainforge.linsynth import GF2Matrix, SingularMatrixError, gauss_jordan, sy
 from chainforge.oracle import gf2_action
 from chainforge.skeleton import SkeletonSpec, all_pairs, schedule_lnn
 from chainforge.stabilizer import StageDecomposition, schedule_stabilizer, stabilizer_flat, tableau_equiv
-from test_linsynth import two_step_grids
+from test_linsynth import column_grids
 from test_spec_paths import ref_gates
 
 # per n: the largest (depth, generic_depth, cnot_depth) over GL(n, 2)
-GL_MAXIMA = {1: (0, 0, 0), 2: (6, 3, 6), 3: (17, 9, 24)}
+GL_MAXIMA = {1: (0, 0, 0), 2: (4, 2, 4), 3: (12, 6, 16)}
 # per n: the largest two-qubit layer count over every presence pattern; 4n - 6 is reached
 SKELETON_MAXIMA = {2: 2, 3: 6, 4: 10, 5: 14}
 
@@ -39,20 +39,20 @@ def general_linear(n: int):
 
 
 def sweep_gl(n: int) -> tuple[int, tuple[int, int, int]]:
-    """Eliminate and synthesize every matrix of GL(n, 2). The three grids one `gauss_jordan` pass
-    marks equal the two-step reference's (the trace, then the pivot moves). Each schedule's GF(2)
-    action through the final map is the matrix, it sits on the chain, and for n >= 2
-    generic_depth <= 3(2n - 3) and cnot_depth <= 18n - 27. Returns the count and the largest
+    """Eliminate and synthesize every matrix of GL(n, 2). The pivot columns and two grids one
+    `gauss_jordan` pass marks equal the column-pivoting reference's. Each schedule's GF(2) action
+    through the final map is the matrix, it sits on the chain, and for n >= 2
+    generic_depth <= 2(2n - 3) and cnot_depth <= 18n - 27. Returns the count and the largest
     (depth, generic_depth, cnot_depth)."""
     count, most, chain = 0, (0, 0, 0), Architecture.lnn(n)
     for a in general_linear(n):
-        assert tuple(gauss_jordan(a))[1:] == two_step_grids(a)[0], a
+        assert tuple(gauss_jordan(a))[1:] == column_grids(a), a
         sc = synthesize_lnn(a)
         assert gf2_action(sc.circuit).relabel(sc.final_map) == a, a
         assert validate_on(sc.circuit, chain).ok, a
         depths = (sc.circuit.depth(), generic_depth(sc.circuit), sc.circuit.cnot_depth())
         if n >= 2:
-            assert depths[1] <= 3 * (2 * n - 3) and depths[2] <= 18 * n - 27, (a, depths)
+            assert depths[1] <= 2 * (2 * n - 3) and depths[2] <= 18 * n - 27, (a, depths)
         count, most = count + 1, tuple(map(max, most, depths))
     return count, most
 
@@ -95,5 +95,5 @@ def test_every_stabilizer_mask_choice_schedules(n, inputs):
 if __name__ == "__main__":
     for n in map(int, sys.argv[1:]):
         order, (depth, generic, cnot) = sweep_gl(n)
-        print(f"GL({n}, 2): {order} matrices, all pass, their elimination grids equal the two-step reference's; "
+        print(f"GL({n}, 2): {order} matrices, all pass, their elimination grids equal the column reference's; "
               f"largest depth {depth}, generic_depth {generic}, cnot_depth {cnot}")

@@ -1,6 +1,7 @@
 """GF(2) linear reversible synthesis on a chain."""
 
 from collections import Counter
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from chainforge.core import (
     cz,
     generic_depth,
     h,
+    invert_permutation,
     prune_trailing_swap_layers,
     swap,
 )
@@ -30,7 +32,7 @@ from chainforge.linsynth import (
 )
 from chainforge.oracle import gf2_action, unitary_equiv
 from chainforge.qft import QftSpec, qft_lnn
-from chainforge.stabilizer import random_decomposition, schedule_stabilizer
+from chainforge.stabilizer import random_decomposition, schedule_stabilizer, tableau_equiv
 
 
 def _identity(n):
@@ -47,19 +49,18 @@ def grid_pairs(grid: bytes, n: int) -> set:
     return {tuple(sorted(divmod(code, n))) for code, marked in enumerate(grid) if marked}
 
 
-def pivot_pairs(parts) -> tuple:
-    """The parts' pivots as (column, donor) pairs, column ascending: CNOT(donor, column) each."""
-    return tuple(sorted(grid_pairs(parts.pivots, parts.n)))
-
-
 def _parts_gates(parts) -> list:
-    """The parts' gates in replay order: pivots by column, lower gates by control then target, upper
-    gates by descending control then descending target."""
+    """The parts' gates in replay order: lower gates by control then target, upper gates by
+    descending control then descending target."""
     n = parts.n
-    codes = sorted((code for code, marked in enumerate(parts.pivots) if marked), key=lambda code: code % n)
-    codes += [code for code, marked in enumerate(parts.lower) if marked]
+    codes = [code for code, marked in enumerate(parts.lower) if marked]
     codes += reversed([code for code, marked in enumerate(parts.upper) if marked])
     return [cnot(*divmod(code, n)) for code in codes]
+
+
+def _pivoted(a: GF2Matrix, cols) -> GF2Matrix:
+    """The matrix whose row c is row cols[c] of `a`."""
+    return GF2Matrix(a.n, tuple(a.rows[col] for col in cols))
 
 
 def _gf2(*rows: str) -> GF2Matrix:
@@ -99,67 +100,80 @@ def test_relabel_reads_rows_through_the_map():
 def test_gauss_jordan_parts_fields():
     a = _gf2("01", "11")
     parts = gauss_jordan(a)
-    assert type(parts.pivots) is type(parts.lower) is type(parts.upper) is bytes  # read-only grids
-    assert parts.pivots == bytes([0, 0, 1, 0])  # the fix CNOT(1, 0) at code 1 * 2 + 0
+    assert type(parts.lower) is type(parts.upper) is bytes  # read-only grids
+    assert parts.cols == (1, 0)  # row 0 pivots on its one in column 1, and no row is added to it
     assert parts.lower == bytes([0, 1, 0, 0])  # CNOT(0, 1) at code 0 * 2 + 1
     assert grid_pairs(parts.upper, 2) == set()
-    assert _parts_gates(parts) == [cnot(1, 0), cnot(0, 1)]
+    assert _parts_gates(parts) == [cnot(0, 1)]
 
 
 def test_gauss_jordan_on_identity_is_empty():
     parts = gauss_jordan(_identity(4))
-    assert parts.pivots == parts.lower == parts.upper == bytes(16)
+    assert parts.lower == parts.upper == bytes(16) and parts.cols == (0, 1, 2, 3)
     assert _parts_gates(parts) == []
 
 
 def test_gauss_jordan_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        gauss_jordan(_gf2("10", "10"))
+    for rows in (("10", "10"), ("00", "01"), ("110", "011", "101")):
+        with pytest.raises(SingularMatrixError):
+            gauss_jordan(_gf2(*rows))
 
 
 def test_trace_replay_computes_the_inverse():
-    """The parts' gates, replayed pivots first, compute the inverse."""
+    """The parts' gates, replayed in order, compute the inverse with row c of it on wire cols[c]."""
     rng = Random(9)
     for _ in range(50):
         n = rng.randint(1, 7)
         a = GF2Matrix.random_nonsingular(n, rng)
         parts = gauss_jordan(a)
-        assert _act(n, _parts_gates(parts)) == a.inverse()
+        assert _act(n, _parts_gates(parts)) == _pivoted(a.inverse(), parts.cols)
 
 
-def test_rearrange_preserves_the_action():
-    """Moving the pivot fixes ahead of the lower gates, as one `gauss_jordan` pass does, keeps the
-    action of the elimination it ran, and every pivot fix CNOT(j, c) has j > c."""
+def test_parts_replay_the_elimination_in_order():
+    """The parts' gates, lower then upper, are the column-pivoted elimination's own in the order it
+    ran them: a lower CNOT adds a row into a later one, an upper CNOT into an earlier one, and no
+    pivot is fixed."""
     rng = Random(17)
     for _ in range(200):
         n = rng.randint(2, 6)
         a = GF2Matrix.random_nonsingular(n, rng)
         parts = gauss_jordan(a)
-        _, _, _, order = ref_trace(a)
-        assert _act(n, _parts_gates(parts)) == _act(n, [cnot(*pair) for pair in order]) == a.inverse()
-        assert all(parts.pivots[code] == 0 for code in range(n * n) if code // n <= code % n)
+        cols, _, _, order = column_trace(a)
+        assert parts.cols == cols and _parts_gates(parts) == [cnot(*pair) for pair in order]
+        assert all(parts.lower[code] == 0 for code in range(n * n) if code // n >= code % n)
+        assert all(parts.upper[code] == 0 for code in range(n * n) if code // n <= code % n)
 
 
-def test_a_pivot_fix_moved_past_a_lower_gate_toggles_its_lower_mark():
-    """Column 1's pivot fix CNOT(2, 1) runs after CNOT(0, 2) and is replayed before it: the crossing
-    spawns CNOT(0, 1), so the lower grid marks (0, 1), which elimination never ran."""
+def test_a_zero_diagonal_pivots_by_column_with_no_fix():
+    """Row 1 has no one in column 1, so it pivots on its one in column 2: one CNOT where the row
+    pivots of the flat reference's elimination run four, among them two fixes CNOT(2, 1)."""
     b = _gf2("100", "001", "110")
-    donors, lower, upper, order = ref_trace(b)
-    assert donors == (None, 2) and order == [(0, 2), (2, 1), (1, 2), (2, 1)]
+    assert ref_trace(b)[3] == [(0, 2), (2, 1), (1, 2), (2, 1)]
     parts = gauss_jordan(b)
-    assert pivot_pairs(parts) == ((1, 2),)
-    assert parts.pivots[2 * 3 + 1] == 1  # CNOT(2, 1) at its code control * n + target
-    assert grid_pairs(parts.lower, 3) == lower | {(0, 1)} == {(0, 1), (0, 2), (1, 2)}
-    assert grid_pairs(parts.upper, 3) == upper == {(1, 2)}
-    assert _act(3, _parts_gates(parts)) == _act(3, [cnot(*pair) for pair in order]) == b.inverse()
+    assert column_trace(b) == ((0, 2, 1), {(0, 2)}, set(), [(0, 2)])
+    assert parts.cols == (0, 2, 1) and _parts_gates(parts) == [cnot(0, 2)]
+    assert _act(3, _parts_gates(parts)) == _pivoted(b.inverse(), parts.cols)
+    sc = synthesize_lnn(b.inverse())
+    assert sc.final_map == (2, 0, 1)  # one part: the wire with column cols[c] ends on site 2 - c
+    assert gf2_action(sc.circuit).relabel(sc.final_map) == b.inverse()
 
 
 def test_synthesize_two_wire_swap_matrix():
+    """A permutation matrix costs no gate: the output relabel is the whole synthesis."""
     a = _gf2("01", "10")
     sc = synthesize_lnn(a)
-    assert sc.circuit.gates == (cnot(1, 0), swap(0, 1)) * 3
+    assert sc.circuit.gates == ()
     assert sc.final_map == (1, 0)
     assert gf2_action(sc.circuit).relabel(sc.final_map) == a
+
+
+def test_permutation_matrices_cost_no_gate():
+    for n in range(1, 5):
+        for perm in permutations(range(n)):
+            a = GF2Matrix(n, tuple(1 << w for w in perm))
+            sc = synthesize_lnn(a)
+            assert len(sc.circuit) == 0, perm
+            assert gf2_action(sc.circuit).relabel(sc.final_map) == a, perm
 
 
 def test_synthesize_identity_and_one_wire():
@@ -174,17 +188,16 @@ def test_synthesize_identity_and_one_wire():
         synthesize_lnn(GF2Matrix(1, (0,)))
 
 
-def chained(parts, flip: bool = False) -> tuple[list, tuple[int, ...]]:
-    """The parts' pieces from the identity (flip: the reversal) as one gate list, beside the
-    exit order as a placement."""
-    pieces, out = _part_pieces(parts, flip)
-    return [g for gates, _ in pieces for g in gates], tuple(range(parts.n - 1, -1, -1) if out else range(parts.n))
+def chained(parts) -> tuple[list, tuple[int, ...]]:
+    """The parts' pieces as one gate list, beside the exit placement."""
+    pieces, sites = _part_pieces(parts)
+    return [g for gates, _ in pieces for g in gates], tuple(sites)
 
 
 def test_no_part_keeps_the_entry_order():
-    empty = gauss_jordan(_identity(3))
-    assert _part_pieces(empty) == ([], False)
-    assert _part_pieces(empty, True) == ([], True)
+    assert _part_pieces(gauss_jordan(_identity(3))) == ([], [0, 1, 2])
+    # a permutation needs no part: the wire with column cols[c] stays on site c
+    assert _part_pieces(gauss_jordan(_gf2("010", "001", "100"))) == ([], [2, 0, 1])
 
 
 def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
@@ -206,9 +219,10 @@ def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
 
 
 def ref_trace(b: GF2Matrix) -> tuple[tuple, set, set, list]:
-    """Reference elimination on pair sets, as `gauss_jordan` kept its trace before one pass made the
-    parts: the pivot donors (None where no fix was needed, no entry for the last column), the lower
-    pairs (c, s) and upper pairs (k, l), and each CNOT (control, target) in the order it ran."""
+    """Reference elimination with row pivots on pair sets, as `_inverse_and_order` runs it for the
+    flat stabilizer's replay: the pivot donors (None where no fix was needed, no entry for the last
+    column), the lower pairs (c, s) and upper pairs (k, l), and each CNOT (control, target) in the
+    order it ran."""
     n, rows = b.n, list(b.rows)
     pivot_donor, lower, upper, order = [], set(), set(), []
     for c in range(n):
@@ -233,48 +247,59 @@ def ref_trace(b: GF2Matrix) -> tuple[tuple, set, set, list]:
     return tuple(pivot_donor), lower, upper, order
 
 
-def _ref_rearrange(pivot_donor: tuple, lower: set) -> tuple[tuple, set, int]:
-    """Reference pivot moves on a pair set, after the whole trace: moving the fix CNOT(j, c) ahead of
-    the lower gates past a CNOT(c', j) spawns a CNOT(c', c), which toggles the pair (c', c). Pivots
-    move in column order against the pairs as updated so far. Also counts the toggles."""
-    lower, pivots, toggles = set(lower), [], 0
-    for c, j in enumerate(pivot_donor):
-        if j is not None:
-            for c_prev in range(c):
-                if (c_prev, j) in lower:
-                    lower ^= {(c_prev, c)}
-                    toggles += 1
-            pivots.append((c, j))
-    return tuple(pivots), lower, toggles
+def column_trace(b: GF2Matrix) -> tuple[tuple, set, set, list]:
+    """Reference elimination with column pivots on pair sets: row c pivots on its smallest column
+    with a one among those no earlier row took. Returns each row's pivot column, the lower pairs
+    (c, s) and upper pairs (k, l), and each CNOT (control, target) in the order it ran."""
+    n, rows = b.n, list(b.rows)
+    cols, lower, upper, order = [], set(), set(), []
+    for c in range(n):
+        col = min(j for j in range(n) if rows[c] >> j & 1 and j not in cols)
+        cols.append(col)
+        for s in range(c + 1, n):
+            if rows[s] >> col & 1:
+                rows[s] ^= rows[c]
+                lower.add((c, s))
+                order.append((c, s))
+    for l in range(n - 1, 0, -1):
+        for k in range(l - 1, -1, -1):
+            if rows[k] >> cols[l] & 1:
+                rows[k] ^= rows[l]
+                upper.add((k, l))
+                order.append((l, k))
+    assert rows == [1 << col for col in cols]
+    return tuple(cols), lower, upper, order
 
 
-def two_step_grids(b: GF2Matrix) -> tuple[tuple[bytes, bytes, bytes], int]:
-    """`gauss_jordan(b)`'s pivot, lower and upper grids by the two-step reference (the trace, then the
-    pivot moves), and how many lower toggles the moves made."""
+def column_grids(b: GF2Matrix) -> tuple:
+    """`gauss_jordan(b)`'s pivot columns, lower grid and upper grid, by the column reference."""
     n = b.n
-    donors, lower, upper, _ = ref_trace(b)
-    pivots, moved, toggles = _ref_rearrange(donors, lower)
-    codes = ({j * n + c for c, j in pivots}, {c * n + s for c, s in moved}, {l * n + k for k, l in upper})
-    return tuple(bytes(code in marked for code in range(n * n)) for marked in codes), toggles
+    cols, lower, upper, _ = column_trace(b)
+    codes = ({c * n + s for c, s in lower}, {l * n + k for k, l in upper})
+    return (cols, *(bytes(code in marked for code in range(n * n)) for marked in codes))
 
 
-def _ref_schedule(n: int, pivots: tuple, lower: set, upper: set, placement: tuple) -> tuple[list, tuple]:
-    """Reference chaining of the three parts from pair sets, slot by slot: stage s runs its present
-    slots (a, s - a), a ascending, then a SWAP on every slot, with d = b - a on sites (d - 1, d)
-    from the identity and wire a on n - d, wire b on n - 1 - d from the reversal."""
-    gates = []
+def _ref_schedule(n: int, lower: set, upper: set, cols: tuple) -> tuple[list, tuple]:
+    """Reference chaining of the two parts from pair sets, slot by slot, from the identity: stage s
+    runs its present slots (a, s - a), a ascending, then a SWAP on every slot, with d = b - a on
+    sites (d - 1, d) from the identity and wire a on n - d, wire b on n - 1 - d from the reversal.
+    Beside the gates, the exit site of each column's wire: the wire of row c carries cols[c]."""
+    gates, placement = [], tuple(range(n))
     flipped = {(n - 1 - l, n - 1 - k) for k, l in upper}
-    for pairs, from_larger, rev in ((set(pivots), True, False), (lower, False, False), (flipped, False, True)):
+    for pairs, rev in ((lower, False), (flipped, True)):
         if not pairs:
             continue
         flip = (placement[::-1] if rev else placement)[0] != 0
         for s in range(1, 2 * n - 2):
             slots = [(a, s - a) for a in range(max(0, s - n + 1), (s + 1) // 2)]
             on = {(a, b): (n - (b - a), n - 1 - (b - a)) if flip else (b - a - 1, b - a) for a, b in slots}
-            gates += [cnot(*on[pr][:: -1 if from_larger else 1]) for pr in slots if pr in pairs]
+            gates += [cnot(*on[pr]) for pr in slots if pr in pairs]
             gates += [swap(*sorted(on[pr])) for pr in slots]
         placement = placement[::-1]
-    return gates, placement
+    sites = [0] * n
+    for c, col in enumerate(cols):
+        sites[col] = placement[c]
+    return gates, tuple(sites)
 
 
 def _zero_diagonal(n: int, rng: Random) -> GF2Matrix:
@@ -289,29 +314,25 @@ def _zero_diagonal(n: int, rng: Random) -> GF2Matrix:
 
 
 def test_grid_elimination_and_parts_match_pair_sets():
-    """The three grids one `gauss_jordan` pass marks, against the two-step reference on pair sets
-    (the trace, then the pivot moves), and the parts staged by grid slices, against their pair sets
-    scheduled slot by slot (n <= 40), for n <= 64. Every other matrix has a zero diagonal, so the
-    pivot fixes and their toggles fire."""
+    """The pivot columns and two grids one `gauss_jordan` pass marks, against the column reference
+    on pair sets, and the parts staged by grid slices, against their pair sets scheduled slot by
+    slot (n <= 40), for n <= 64. Every other matrix has a zero diagonal, so rows pivot off it."""
     rng = Random(20261019)
-    toggles = 0
+    off_diagonal = 0
     for n in range(1, 65):
         for b in (GF2Matrix.random_nonsingular(n, rng), _zero_diagonal(n, rng) if n > 1 else None):
             if b is None:
                 continue
-            grids, count = two_step_grids(b)
             parts = gauss_jordan(b)
-            assert tuple(parts) == (n, *grids), n
-            toggles += count
+            assert tuple(parts) == (n, *column_grids(b)), n
+            off_diagonal += sum(col != c for c, col in enumerate(parts.cols))
             if n > 40:
                 continue
-            pivots, lower, upper = pivot_pairs(parts), grid_pairs(parts.lower, n), grid_pairs(parts.upper, n)
-            for flip in (False, True):
-                placement = tuple(range(n - 1, -1, -1) if flip else range(n))
-                assert chained(parts, flip) == _ref_schedule(n, pivots, lower, upper, placement), n
+            lower, upper = grid_pairs(parts.lower, n), grid_pairs(parts.upper, n)
+            assert chained(parts) == _ref_schedule(n, lower, upper, parts.cols), n
             sc = synthesize_lnn(b.inverse())
             assert chained(parts) == (list(sc.circuit.gates), sc.final_map)
-    assert toggles > 10000
+    assert off_diagonal > 1000
 
 
 def test_synthesize_random_matrices():
@@ -321,7 +342,34 @@ def test_synthesize_random_matrices():
         a = GF2Matrix.random_nonsingular(n, rng)
         sc = synthesize_lnn(a)
         assert gf2_action(sc.circuit).relabel(sc.final_map) == a
-        assert generic_depth(sc.circuit) <= 3 * (2 * n - 3)
+        assert generic_depth(sc.circuit) <= 2 * (2 * n - 3)
+
+
+def _flat(a: GF2Matrix) -> Circuit:
+    """A CNOT circuit on unrestricted connectivity computing `a`: its row-pivot elimination, backwards."""
+    return Circuit(a.n, tuple(cnot(*pair) for pair in reversed(ref_trace(a)[3])))
+
+
+def test_final_maps_tell_a_map_from_its_inverse():
+    """Seeded matrices whose final map is not its own inverse: the GF(2), tableau and (n <= 5)
+    dense checks pass through the final map and fail through its inverse."""
+    rng, seen = Random(59), Counter()
+    while min(seen[n] for n in range(3, 9)) < 5:
+        n = rng.randint(3, 8)
+        a = GF2Matrix.random_nonsingular(n, rng)
+        sc = synthesize_lnn(a)
+        inverse = invert_permutation(sc.final_map)
+        if inverse == sc.final_map:
+            continue
+        seen[n] += 1
+        assert gf2_action(sc.circuit).relabel(sc.final_map) == a
+        assert gf2_action(sc.circuit).relabel(inverse) != a
+        flat = _flat(a)
+        assert gf2_action(flat) == a
+        assert tableau_equiv(sc.circuit, flat, sc.final_map) and not tableau_equiv(sc.circuit, flat, inverse)
+        if n <= 5:
+            assert unitary_equiv(sc.circuit, flat, relabel=sc.final_map)
+            assert not unitary_equiv(sc.circuit, flat, relabel=inverse)
 
 
 def test_synthesize_with_pruning_keeps_the_action():

@@ -19,7 +19,6 @@ from chainforge.core import (
     invert_permutation,
     prune_trailing_swap_layers,
     swap,
-    swap_flow_map,
 )
 from chainforge.linsynth import GF2Matrix, _part_pieces, _Parts, gauss_jordan
 from chainforge.qft import QftSpec, qft_lnn
@@ -85,16 +84,17 @@ def test_stage_sizes_for_five_wires():
 def test_slot_sites_follow_the_closed_form():
     """Slot (a, b), d = b - a, runs at stage a + b on sites (d - 1, d) from the
     identity, wire a on d - 1, and on the mirror (n - d, n - 1 - d) from the
-    reversal, where a linear-synthesis part may enter. A lower part marking every
-    pair is the skeleton with CNOT(a, b) in every slot."""
+    reversal, where an upper linear-synthesis part with no lower part before it enters on its
+    reversed labels. A part marking every pair is the skeleton with CNOT(a, b) in every slot
+    (a lower part), or in every slot of the reversed labels (an upper part)."""
     for n in range(2, 13):
-        every = bytearray(n * n)
+        every, none = bytearray(n * n), bytes(n * n)
         for a, b in all_pairs(n):
             every[a * n + b] = 1
-        part = _Parts(n, bytes(n * n), bytes(every), bytes(n * n))
         scheduled = schedule_lnn(SkeletonSpec(n, payload={pr: cnot(*pr) for pr in all_pairs(n)}))
         for flip in (False, True):
-            (gates, _), = _part_pieces(part, flip)[0]
+            grids = (none, bytes(every[::-1])) if flip else (bytes(every), none)
+            (gates, _), = _part_pieces(_Parts(n, tuple(range(n)), *grids))[0]
             assert flip or tuple(gates) == scheduled.circuit.gates
             placement = tuple(range(n - 1, -1, -1) if flip else range(n))
             loc = list(placement)  # wire -> site, replayed through the earlier stages' SWAPs
@@ -161,19 +161,24 @@ def test_payload_direction_follows_placement():
 
 
 def test_reversed_initial_placement_flips_back():
-    """Entered from the reversal, the linear-synthesis parts run the mirror image of their
-    schedule from the identity, site i for site n - 1 - i, and each part flips the order."""
+    """Entered from the reversal, as an upper part with no lower part before it is on its reversed
+    labels, a part runs the mirror image of the same grid's schedule from the identity, site i for
+    site n - 1 - i. Each part flips the order, so one part leaves wire c on site n - 1 - c and two
+    parts bring it back to site c."""
     rng = Random(3)
     for n in (2, 3, 6, 11):
         parts = gauss_jordan(GF2Matrix.random_nonsingular(n, rng).inverse())
-        (ahead, out), (back, out_back) = _part_pieces(parts), _part_pieces(parts, True)
-        assert out is (len(ahead) % 2 == 1) and out_back is not out
+        none, ident, back = bytes(n * n), tuple(range(n)), list(range(n - 1, -1, -1))
+        (ahead, out), (behind, out_back) = (
+            _part_pieces(_Parts(n, ident, *grids)) for grids in ((parts.lower, none), (none, parts.lower[::-1]))
+        )
+        assert out == out_back == back and _part_pieces(_Parts(n, ident, parts.lower, parts.lower[::-1]))[1] == [*ident]
 
         def mirror(g):
             a, b = (n - 1 - q for q in g.qubits)
             return cnot(a, b) if g.kind is GateKind.CNOT else swap(a, b)
 
-        assert [[mirror(g) for g in gates] for gates, _ in ahead] == [gates for gates, _ in back]
+        assert [[mirror(g) for g in gates] for gates, _ in ahead] == [gates for gates, _ in behind]
 
 
 def test_drop_last_swaps():
@@ -182,7 +187,7 @@ def test_drop_last_swaps():
     trimmed = schedule_lnn(spec, drop_last_swaps=True)
     assert _plans(spec)[-1][1] == (swap(0, 1),)  # the last stage's lone SWAP, the last gate
     assert trimmed.circuit.gates == full.circuit.gates[:-1]
-    assert trimmed.final_map == swap_flow_map(trimmed.circuit)
+    assert trimmed.final_map == (3, 2, 0, 1)  # the reversal with its last two wires exchanged
 
 
 def test_drop_last_swaps_and_pruning_are_different_rules():

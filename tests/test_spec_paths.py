@@ -8,16 +8,17 @@ parts' grids through `grid_pairs` as the pair sets they were then: each
 spec is a public `SkeletonSpec` with an all-pairs `absent` complement and
 one template `Gate` per present pair.
 `synthesize_lnn`, `schedule_stabilizer` and `qft_lnn` now go from grids to
-stages with no spec, and a schedule enters from the identity or the
-reversal, one bit; the references are chained here the way they were.
+stages with no spec, and every linear-synthesis part sequence enters from
+the identity; the references are chained here the way they were, and the
+exit placement read through the pivot columns.
 `ref_staged_schedule` walks every slot's wires from site to site from a
 placement tuple; its `stage_pairs` and `StagePlan` are the skeleton's
 stage listing and stage type as they stood then, kept here since the
 scheduler reads sites in closed form and returns only the flattened gates.
 It keeps its `loc` walk, which also gives its final placement. Gates,
 final placements and whole circuits must be identical on seeded cases:
-`schedule_lnn(spec)` against the reference from the identity, and
-`linsynth._part_pieces(parts, flip)` against it from either entry.
+`schedule_lnn(spec)` and `linsynth._part_pieces(parts)` against the
+reference from the identity.
 """
 
 from random import Random
@@ -29,7 +30,7 @@ from chainforge.linsynth import GF2Matrix, gauss_jordan, synthesize_lnn
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import SkeletonSpec, all_pairs, n_stages, schedule_lnn
 from chainforge.stabilizer import StageDecomposition, random_decomposition, schedule_stabilizer
-from test_linsynth import chained, grid_pairs, pivot_pairs
+from test_linsynth import chained, grid_pairs
 
 SEED = 20261019
 
@@ -58,12 +59,8 @@ def _order(n: int, flip: bool) -> tuple[int, ...]:
 def ref_part_specs(parts) -> list[tuple[SkeletonSpec, bool]]:
     """Reference: each part's absent set is the complement over all pairs."""
     n = parts.n
-    pivots, lower, upper = pivot_pairs(parts), grid_pairs(parts.lower, n), grid_pairs(parts.upper, n)
+    lower, upper = grid_pairs(parts.lower, n), grid_pairs(parts.upper, n)
     specs: list[tuple[SkeletonSpec, bool]] = []
-    pivot_payload = {(c, j): cnot(j, c) for c, j in pivots}
-    if pivot_payload:
-        absent = frozenset(pr for pr in all_pairs(n) if pr not in pivot_payload)
-        specs.append((SkeletonSpec(n, absent, pivot_payload), False))
     if lower:
         absent = frozenset(pr for pr in all_pairs(n) if pr not in lower)
         payload = {(a, b): cnot(a, b) for a, b in lower}
@@ -141,29 +138,36 @@ def _random_parts(n: int, rng: Random):
     return gauss_jordan(GF2Matrix.random_nonsingular(n, rng).inverse())
 
 
-def _ref_schedule_parts(parts, placement) -> tuple[list[Gate], tuple[int, ...]]:
-    """The parts' chaining over the reference specs and scheduler, from a placement tuple."""
-    n, gates = parts.n, []
+def _ref_schedule_parts(parts) -> tuple[list[Gate], tuple[int, ...]]:
+    """The parts' chaining over the reference specs and scheduler from the identity, beside the
+    exit site of each column's wire: the wire that starts on site c carries column cols[c]."""
+    n, gates, placement = parts.n, [], tuple(range(parts.n))
     for spec, reversed_labels in ref_part_specs(parts):
         entry = tuple(placement[n - 1 - w] for w in range(n)) if reversed_labels else placement
         plans, out = ref_staged_schedule(spec, entry)
         gates.extend(g for plan in plans for g in (*plan.payload, *plan.swaps))
         placement = tuple(out[n - 1 - w] for w in range(n)) if reversed_labels else out
-    return gates, placement
+    sites = [0] * n
+    for c, col in enumerate(parts.cols):
+        sites[col] = placement[c]
+    return gates, tuple(sites)
 
 
 def _ref_synthesize(a: GF2Matrix) -> tuple[Circuit, tuple[int, ...]]:
     """`synthesize_lnn` over the reference specs and scheduler."""
-    gates, final = _ref_schedule_parts(gauss_jordan(a.inverse()), tuple(range(a.n)))
+    gates, final = _ref_schedule_parts(gauss_jordan(a.inverse()))
     return Circuit(a.n, tuple(gates)), final
 
 
 def _ref_schedule_stabilizer(d: StageDecomposition) -> tuple[Circuit, tuple[int, ...]]:
-    """`schedule_stabilizer` over the reference specs and scheduler, one threaded placement."""
+    """`schedule_stabilizer` over the reference specs and scheduler, one threaded placement: each C
+    stage eliminates C^-1 with row w on wire w's site."""
     placement, gates = tuple(range(d.n)), []
     for kind, content in d.stages():
         if kind == "c":
-            part_gates, placement = _ref_schedule_parts(gauss_jordan(content.inverse()), placement)
+            inverse = content.inverse()
+            moved = GF2Matrix(d.n, tuple(inverse.rows[placement.index(site)] for site in range(d.n)))
+            part_gates, placement = _ref_schedule_parts(gauss_jordan(moved))
             gates += part_gates
         else:
             gates += [(h if kind == "h" else p)(placement[w]) for w in range(d.n) if content >> w & 1]
@@ -181,23 +185,20 @@ def _ref_qft_lnn(spec: QftSpec, scheduled=None) -> tuple[Circuit, tuple[int, ...
 
 
 def test_linsynth_parts_match_the_reference():
-    """From either entry, each part's gates and the exit order, the reversed entry that stabilizer C
-    stages use included."""
+    """Each part's gates, and the exit placement."""
     rng = Random(SEED)
     for n in range(2, 41):
         parts = _random_parts(n, rng)
         ref = ref_part_specs(parts)
-        for entry in (False, True):
-            pieces, exit_flip = linsynth._part_pieces(parts, entry)
-            assert len(pieces) == len(ref)
-            flip = entry
-            for (gates, made), (ref_spec, reversed_labels) in zip(pieces, ref):
-                seen = _order(n, flip != reversed_labels)  # reversed labels see the other order
-                assert gates == _flat(ref_staged_schedule(ref_spec, seen))[0]
-                assert {id(g) for g in gates} == {id(g) for g in made}  # each made gate occurs
-                flip = not flip
-            assert exit_flip == flip
-            assert chained(parts, entry) == _ref_schedule_parts(parts, _order(n, entry))
+        pieces, sites = linsynth._part_pieces(parts)
+        assert len(pieces) == len(ref)
+        flip = False
+        for (gates, made), (ref_spec, reversed_labels) in zip(pieces, ref):
+            seen = _order(n, flip != reversed_labels)  # reversed labels see the other order
+            assert gates == _flat(ref_staged_schedule(ref_spec, seen))[0]
+            assert {id(g) for g in gates} == {id(g) for g in made}  # each made gate occurs
+            flip = not flip
+        assert chained(parts) == _ref_schedule_parts(parts)
 
 
 def test_qft_specs_match_the_reference_at_every_threshold():

@@ -1,5 +1,6 @@
 """Pauli tableau simulation and 11-stage scheduling."""
 
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -17,11 +18,12 @@ from chainforge.core import (
     generic2,
     generic_depth,
     h,
+    invert_permutation,
     p,
     swap,
 )
 from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot
-from chainforge.oracle import circuit_unitary, gf2_action
+from chainforge.oracle import circuit_unitary, gf2_action, unitary_equiv
 from chainforge.stabilizer import (
     PauliTableau,
     StageDecomposition,
@@ -246,9 +248,9 @@ def test_each_c_stage_and_each_inverse_is_eliminated_once(monkeypatch):
     eliminated, inverted = [], []
     eliminate, invert = linsynth._eliminate, GF2Matrix.inverse
 
-    def counting_eliminate(rows, n, *args):
+    def counting_eliminate(rows, n, *args, **kwargs):
         eliminated.append(GF2Matrix(n, tuple(r & ((1 << n) - 1) for r in rows)))  # the [C | I] rows' C
-        return eliminate(rows, n, *args)
+        return eliminate(rows, n, *args, **kwargs)
 
     def counting_inverse(m):
         inverted.append(m)
@@ -261,7 +263,9 @@ def test_each_c_stage_and_each_inverse_is_eliminated_once(monkeypatch):
     eliminated.clear()
     inverted.clear()
     sc = schedule_stabilizer(d)
-    assert eliminated == [invert(c) for c in d.c_stages]  # and the schedule each inverse once
+    # and the schedule each inverse once, its rows moved to their wires' sites
+    assert [sorted(m.rows) for m in eliminated] == [sorted(invert(c).rows) for c in d.c_stages]
+    assert eliminated != [invert(c) for c in d.c_stages]
     assert inverted == []
     eliminated.clear()
     flat = stabilizer_flat(d)
@@ -284,7 +288,26 @@ def test_flat_reference_and_schedule_agree():
         flat = stabilizer_flat(d)
         sc = schedule_stabilizer(d)
         assert tableau_equiv(sc.circuit, flat, relabel=sc.final_map)
-        assert generic_depth(sc.circuit) <= 30 * n - 45
+        assert generic_depth(sc.circuit) <= 20 * n - 30
+
+
+def test_final_maps_tell_a_map_from_its_inverse():
+    """Seeded schedules whose final map is not its own inverse: the tableau and (n <= 5) dense
+    checks against the flat reference pass through the final map and fail through its inverse."""
+    rng, seen = Random(61), Counter()
+    while min(seen[n] for n in range(3, 9)) < 4:
+        n = rng.randint(3, 8)
+        d = random_decomposition(n, rng)
+        sc, flat = schedule_stabilizer(d), stabilizer_flat(d)
+        inverse = invert_permutation(sc.final_map)
+        if inverse == sc.final_map:
+            continue
+        seen[n] += 1
+        assert tableau_equiv(sc.circuit, flat, sc.final_map) and not tableau_equiv(sc.circuit, flat, inverse)
+        if n <= 5:
+            assert unitary_equiv(sc.circuit, flat, relabel=sc.final_map)
+            assert not unitary_equiv(sc.circuit, flat, relabel=inverse)
+        assert generic_depth(sc.circuit) <= 20 * n - 30
 
 
 def _elimination_order(c: GF2Matrix) -> list:
@@ -347,7 +370,7 @@ def test_schedule_depth_bounds():
     for n in (3, 5, 7):
         d = random_decomposition(n, rng)
         sc = schedule_stabilizer(d)
-        assert generic_depth(sc.circuit) <= 30 * n - 45
+        assert generic_depth(sc.circuit) <= 20 * n - 30
         expanded = expand_circuit_to_cnot(sc.circuit)
         assert expanded.depth() <= 90 * n - 129
 
