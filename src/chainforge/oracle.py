@@ -11,19 +11,29 @@ so state index x encodes wire w as bit (x >> w) & 1.
 apply_gate updates its buffer in place: a C-contiguous complex128 array of
 shape (2**n,) or (2**n, batch) is changed through reshape views and
 returned as is. Any other array is first copied to one, and the updated
-copy is returned. Matching with an output relabeling gathers rows through
-one basis-index map instead of multiplying by a permutation matrix.
+copy is returned. Matching with an output relabeling reads rows through
+one basis-index map instead of multiplying by a permutation matrix: the
+comparison gathers one block of rows at a time, never a whole relabeled
+copy.
 
 simulate and circuit_unitary share one gate loop. From 16 columns up, each
 run of two or more monomial gates (P, CNOT, SWAP, CZ, CPHASE: each sends a
-basis state to one phased basis state) is one row gather and one row
-scaling, read off a two-column probe (basis index, 1) that the run's gates
-pass through apply_gate in order, so gate semantics still come from
-apply_gate alone, not from the schedulers. The probe is exact: phases have
-modulus 1 and indices stay below 2**14. Narrower batches run gate by gate,
-where the probe costs more (ms at n = 10 on 1 / 8 / 16 / 1,024 columns):
-    CSS schedule  0.15 / 0.19  0.36 / 0.31  0.55 / 0.43  43.9 / 14.3  (gate by gate / fused)
-    qft_lnn(10)   0.37 / 0.58  1.01 / 1.08  1.54 / 1.54  88.0 / 52.9  (2-CPU VM, numpy 2.4)
+basis state to one phased basis state) is one in-place row permutation and
+one row scaling, read off a two-column probe (basis index, 1) that the
+run's gates pass through apply_gate in order, so gate semantics still come
+from apply_gate alone, not from the schedulers. The probe is exact: phases
+have modulus 1 and indices stay below 2**14. The permutation walks each
+cycle of the row map once and moves at most 64 rows per step, so simulate
+holds the caller's input, one working state (its one copy) and at most 65
+rows more, and matrices_equiv holds its two inputs and three comparison
+buffers of at most 2**15 entries. A lone CNOT or SWAP, applied gate by
+gate, swaps through a quarter-state temporary. Narrower batches run gate by
+gate. The cycle walk takes O(2**n) Python steps per run, so at n = 10
+fusing pays only from about 32 columns on the CSS belts and 128 on qft_lnn
+(ms on 1 / 8 / 16 / 1,024 columns, gate by gate / fused; 2-CPU VM, numpy
+2.4):
+    CSS schedule  0.21 / 0.54  0.46 / 0.67  0.66 / 0.76  68.5 / 15.7
+    qft_lnn(10)   0.53 / 3.11  1.43 / 4.10  2.05 / 4.61   159 / 101
 """
 
 from __future__ import annotations
@@ -131,12 +141,50 @@ def _apply_gates(state: np.ndarray, gates: Sequence[Gate], n: int) -> np.ndarray
             probe = np.column_stack((np.arange(1 << n), np.ones(1 << n))).astype(np.complex128)
             for g in run:
                 probe = apply_gate(probe, g, n)
-            state = state[np.rint(np.abs(probe[:, 0])).astype(np.intp)]  # row y <- row src[y]
+            _permute_rows(state, np.rint(np.abs(probe[:, 0])).astype(np.intp))  # row y <- row src[y]
             state *= probe[:, 1:]  # times phase[y]
         else:
             for g in run:
                 state = apply_gate(state, g, n)
     return state
+
+
+_ROWS = 64  # most rows one fancy assignment moves
+
+
+def _permute_rows(state: np.ndarray, src: np.ndarray) -> None:
+    """Row y <- row src[y] of `state` for every y, in place; `src` is a permutation.
+
+    Each cycle y0 <- y1 <- ... <- y(k-1) <- y0 of the map is walked once in
+    Python. Whole cycles of up to 64 rows are packed into one fancy
+    assignment of at most 64 rows, whose right side is read before it is
+    written, so each rotates as a unit. A longer cycle holds y0 aside and
+    moves its other rows up 64 at a time. No more than 64 rows are in
+    flight, plus that one held row.
+    """
+    src = src.tolist()
+    to: list[int] = []  # rows of the packed cycles, and where each takes its row from
+    fro: list[int] = []
+    for y, x in enumerate(src):
+        if x == y:
+            continue
+        cycle = [y]
+        while x != y:
+            cycle.append(x)
+            src[x], x = x, src[x]  # mark x walked (a fixed point now) and step on
+        if len(to) + len(cycle) > _ROWS:
+            state[to] = state[fro]
+            to, fro = [], []
+        if len(cycle) <= _ROWS:
+            to += cycle
+            fro += cycle[1:] + cycle[:1]
+            continue
+        held = state[y].copy()
+        for i in range(0, len(cycle) - 1, _ROWS):
+            stop = min(i + _ROWS, len(cycle) - 1)
+            state[cycle[i:stop]] = state[cycle[i + 1 : stop + 1]]
+        state[cycle[-1]] = held
+    state[to] = state[fro]
 
 
 def _source_index(perm: Sequence[int]) -> np.ndarray:
@@ -165,31 +213,41 @@ def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
 _BLOCK = 1 << 15  # entries per block of the phase-fixed comparison
 
 
-def _phase_fixed_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """a == phase * b elementwise, with the phase fixed at a's largest entry.
+def _phase_fixed_equal(a: np.ndarray, b: np.ndarray, tol: float, rows: np.ndarray | None = None) -> bool:
+    """a == phase * b[rows] elementwise (b itself when rows is None), with the
+    phase fixed at a's largest entry; a and b are 2-D of one shape.
 
-    Both scans go block by block through two reused buffers, so no
-    full-size temporary is made; the comparison stops at the first block
-    holding an entry off by more than tol.
+    Both scans go block by block of whole rows through reused buffers, and
+    a relabeling gathers one block of b's rows at a time, so no full-size
+    temporary is made; the comparison stops at the first block holding an
+    entry off by more than tol.
     """
-    flat1, flat2 = a.reshape(-1), b.reshape(-1)
-    size = flat1.size
-    mag, diff = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK), dtype=np.complex128)
+
+    def rows_of(lo: int, hi: int) -> np.ndarray:
+        return (b[lo:hi] if rows is None else b[rows[lo:hi]]).reshape(-1)
+
+    flat1 = a.reshape(-1)
+    size, width = flat1.size, a.shape[1]
+    step = max(1, _BLOCK // max(1, width))  # rows per block
+    block = min(size, step * width)
+    mag, diff = np.empty(block), np.empty(block, dtype=np.complex128)
     i, top = 0, -1.0
-    for start in range(0, size or 1, _BLOCK):  # an empty array raises in np.argmax
-        m = np.abs(flat1[start : start + _BLOCK], out=mag[: min(size - start, _BLOCK)])
+    for start in range(0, size or 1, block or 1):  # an empty array raises in np.argmax
+        m = np.abs(flat1[start : start + block], out=mag[: min(size - start, block)])
         j = int(np.argmax(m))
         if m[j] > top:  # the first largest entry wins; a NaN in a fails the scan below
             i, top = start + j, m[j]
-    if abs(flat1[i]) < tol or abs(flat2[i]) < tol:
+    y, x = divmod(i, width)
+    pivot = rows_of(y, y + 1)[x]
+    if abs(flat1[i]) < tol or abs(pivot) < tol:
         return False
-    phase = flat1[i] / flat2[i]
+    phase = flat1[i] / pivot
     if abs(abs(phase) - 1.0) > tol:
         return False
-    for start in range(0, size, _BLOCK):
-        stop = min(start + _BLOCK, size)
-        d = np.multiply(phase, flat2[start:stop], out=diff[: stop - start])
-        if not np.abs(np.subtract(flat1[start:stop], d, out=d), out=mag[: stop - start]).max() <= tol:
+    for lo in range(0, len(a), step):
+        gathered = rows_of(lo, lo + step)
+        d = np.multiply(phase, gathered, out=diff[: gathered.size])
+        if not np.abs(np.subtract(a[lo : lo + step].reshape(-1), d, out=d), out=mag[: d.size]).max() <= tol:
             return False
     return True
 
@@ -202,17 +260,17 @@ def matrices_equiv(
 ) -> bool:
     """True when u1 equals (relabel by out_perm) . u2 up to global phase.
 
-    The relabeling gathers the rows of u2; the phase is fixed at the
-    largest-magnitude entry of u1.
+    The relabeling gathers the rows of u2 one comparison block at a time;
+    the phase is fixed at the largest-magnitude entry of u1.
     """
     if u1.ndim != 2 or u1.shape != u2.shape:
         return False
+    src = None
     if out_perm is not None:
         src = _source_index(out_perm)
         if src.size != u2.shape[0]:
             raise ValueError(f"relabeling of {len(out_perm)} wires for {u2.shape[0]} rows")
-        u2 = u2[src]
-    return _phase_fixed_equal(u1, u2, tol)
+    return _phase_fixed_equal(u1, u2, tol, src)
 
 
 def unitary_equiv(
@@ -233,7 +291,7 @@ def unitary_equiv(
 def states_equiv(s1: np.ndarray, s2: np.ndarray, tol: float = 1e-10) -> bool:
     """True when the arrays match up to one global phase (batches share it)."""
     s1, s2 = np.asarray(s1), np.asarray(s2)
-    return s1.size == s2.size and _phase_fixed_equal(s1, s2, tol)
+    return s1.size == s2.size and _phase_fixed_equal(s1.reshape(-1, 1), s2.reshape(-1, 1), tol)
 
 
 def dft_matrix(n_wires: int) -> np.ndarray:

@@ -32,6 +32,7 @@ _SWAP = swap(0, 1)  # a payload, made before any count starts
 _MIXED = {
     (0, 1): cnot(1, 0), (1, 2): cz(1, 2), (1, 4): cphase(3, 1, 4), (2, 6): generic2(2, 6), (3, 4): cnot(3, 4)
 }
+_NEIGHBOURS = {(a, a + 1): cz(a, a + 1) for a in range(5)}  # every d = 1 pair listed on 6 wires
 _ENCODE = CssSpec(CssMode.ENCODE, 2, 3, ((CssGate.CNOT, CssGate.NONE, CssGate.CZ),) * 3, 0b101)
 
 
@@ -40,6 +41,8 @@ BUILDERS = {
     "schedule_lnn": (lambda: schedule_lnn(SkeletonSpec(9)), 0),
     "schedule_lnn, mixed payloads and absences": (
         lambda: schedule_lnn(SkeletonSpec(7, frozenset({(0, 3), (2, 5)}), _MIXED)), 0),
+    "schedule_lnn, every neighbour pair a payload": (
+        lambda: schedule_lnn(SkeletonSpec(6, payload=_NEIGHBOURS)), 0),
     "schedule_lnn --drop": (lambda: schedule_lnn(SkeletonSpec(6), drop_last_swaps=True), 0),
     "schedule_lnn n=2 --drop, the only SWAP dropped": (lambda: schedule_lnn(SkeletonSpec(2), True), 0),
     "schedule_lnn n=2 --drop, a SWAP payload kept": (

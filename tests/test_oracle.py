@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -482,15 +483,20 @@ def test_runs_go_through_a_probe_from_sixteen_columns(monkeypatch):
         assert {i for i, (_, shape) in enumerate(seen) if shape == (2,)} == probed
 
 
+def _belts(n: int) -> CssSpec:
+    """A syndrome spec on n wires whose belts hold CNOT, CZ and absent cells."""
+    kinds = (CssGate.CNOT, CssGate.CZ, CssGate.NONE)
+    s = n // 2
+    rows = tuple(tuple(kinds[(i + j) % 3] for j in range(n - s)) for i in range(s))
+    return CssSpec(CssMode.SYNDROME, s, n - s, rows, hadamard_mask=0b101)
+
+
 @pytest.mark.parametrize("n", (9, 10))
 def test_wide_dense_check_catches_one_changed_gate(n):
     """A schedule matches its flat reference, and fails it with one cphase
     k or one CNOT direction changed."""
     eye = np.eye(1 << n, dtype=complex)
-    kinds = (CssGate.CNOT, CssGate.CZ, CssGate.NONE)
-    s = n // 2
-    rows = tuple(tuple(kinds[(i + j) % 3] for j in range(n - s)) for i in range(s))
-    spec = CssSpec(CssMode.SYNDROME, s, n - s, rows, hadamard_mask=0b101)
+    spec = _belts(n)
     for sc, flat, kind in ((css_schedule_lnn(spec), css_flat(spec), GateKind.CNOT),
                            (qft_lnn(QftSpec(n)), qft_flat(QftSpec(n)), GateKind.CPHASE)):
         ref = simulate(flat, eye)
@@ -502,3 +508,54 @@ def test_wide_dense_check_catches_one_changed_gate(n):
         gates[i] = cnot(b, a) if kind is GateKind.CNOT else cphase(gates[i].param + 1, a, b)
         changed = Circuit(n, tuple(gates))
         assert not matrices_equiv(simulate(changed, eye), ref, out_perm=sc.final_map)
+
+
+# --- one working state: runs permute rows in place, relabelings gather row blocks
+
+
+def test_rows_permute_in_place_as_the_gather_does():
+    """Bit for bit `state[src]`, on the identity, an involution, one long
+    cycle and random permutations, with `src` left as it was."""
+    gen = np.random.default_rng(13)
+    for n in range(11):
+        dim = 1 << n
+        rows = np.arange(dim)
+        for src in (rows, rows[::-1].copy(), np.roll(rows, 1), *(gen.permutation(dim) for _ in range(3))):
+            state = gen.normal(size=(dim, 16)) + 1j * gen.normal(size=(dim, 16))
+            want, kept = state[src], src.copy()
+            oracle._permute_rows(state, src)
+            assert np.array_equal(state, want) and np.array_equal(src, kept), n
+
+
+def _traced_peak(run) -> int:
+    """Bytes allocated at the peak of run(), above what was allocated before it."""
+    outer = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
+_MIB = 1 << 20
+
+
+def test_a_wide_dense_check_holds_one_working_state():
+    """At n = 10, simulate peaks at its one copy plus 2 MiB, and leaves its
+    input as it was; the relabeled comparison peaks at 2 MiB, with no
+    relabeled copy of either matrix."""
+    n = 10
+    eye = np.eye(1 << n)
+    state = eye.size * np.dtype(np.complex128).itemsize  # 16 MiB
+    spec = _belts(n)
+    sc, flat = css_schedule_lnn(spec), css_flat(spec)
+    for c in (sc.circuit, flat, qft_lnn(QftSpec(n)).circuit):
+        assert _traced_peak(lambda: simulate(c, eye)) <= state + 2 * _MIB
+        assert np.array_equal(eye, np.eye(1 << n))
+    u1, u2 = simulate(sc.circuit, eye), simulate(flat, eye)
+    assert matrices_equiv(u1, u2, out_perm=sc.final_map)  # so the traced call below scans every block
+    assert _traced_peak(lambda: matrices_equiv(u1, u2, out_perm=sc.final_map)) <= 2 * _MIB

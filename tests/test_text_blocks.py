@@ -8,7 +8,8 @@ trailing spaces, repeats that differ only in a comment, and one corrupted
 token or one byte that is not UTF-8, the block reader must give the same
 result or the same `(line, reason)`, with the block size forced down so that
 lines fall on every cut. A child process under a 1 GiB address-space cap
-reads a file of over two million gate lines.
+reads a file of over two million gate lines, and exits 1 on a file one gate
+past a lowered `MAX_GATES`, naming that line.
 """
 
 import os
@@ -293,12 +294,12 @@ def _write_big(path: str, header: str) -> None:
             fh.write(round_text * 100)
 
 
-def _run_child(path: str) -> subprocess.CompletedProcess:
+def _run_child(path: str, max_gates: int = core.MAX_GATES) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(chainforge.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, __file__, path], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, __file__, path, str(max_gates)], env=env, capture_output=True, text=True, timeout=120
     )
 
 
@@ -317,8 +318,24 @@ def test_two_million_gate_file_is_read_under_a_one_gib_address_space(tmp_path):
     os.remove(path)  # 25 MB that pytest would keep with the run's temporary directory
 
 
-if __name__ == "__main__":
+def test_a_file_past_max_gates_exits_1_at_that_line_under_a_one_gib_address_space(tmp_path):
+    """The cap is crossed in the third 1 MiB block: at the cap the file reads, one gate past it
+    the child exits 1 with the ParseError that names the last line."""
+    gates = 300_001  # 9 bytes a line: 2.7 MB
+    path = str(tmp_path / "past.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("qubits 2  # at the cap, then past it\n" + "cnot 0 1\n" * gates)
+    proc = _run_child(path, gates)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["n 2", f"depth {gates}"]
+    proc = _run_child(path, gates - 1)
+    assert proc.returncode == 1 and proc.stdout == "", proc
+    assert proc.stderr == f"error: {path}: line {gates + 1}: more than {gates - 1} gates\n"
+
+
+if __name__ == "__main__":  # the child: `python test_text_blocks.py PATH MAX_GATES`
     import resource
 
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+    core.MAX_GATES = int(sys.argv[2])
     sys.exit(cli.main(["depth", "--circuit", sys.argv[1]]))
