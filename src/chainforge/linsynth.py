@@ -7,9 +7,9 @@ part then an upper-triangular part, each of which fits the all-pairs
 skeleton (the upper part after reversing wire labels). Each row pivots on
 a column with a one in it, so no pivot is fixed; the pivot columns name the
 output each wire carries. Chaining the two schedules costs no routing
-because each flips the wire placement end to end. Elimination marks each
-CNOT it runs in one of two n x n grids at the code control * n + target,
-and the parts are staged straight from the grids, with no per-slot object.
+because each flips the wire placement end to end. Elimination records each
+CNOT it runs by its code control * n + target, and the parts are staged
+straight from two n x n grids of the codes, with no per-slot object.
 
 Matrix convention: rows are bit-packed integers, row i bit j is A[i][j],
 and the matrix acts on column vectors of wire values, out_i = XOR of
@@ -39,6 +39,7 @@ from .core import (
     _headed_lines,
     _known_circuit,
     _unchecked_gate,
+    invert_permutation,
     is_permutation,
 )
 from .skeleton import Pair, Slot, _grid_stages, _site_row
@@ -80,18 +81,7 @@ class GF2Matrix:
             return m
 
     def inverse(self) -> "GF2Matrix":
-        n = self.n
-        rows = [r | 1 << (n + i) for i, r in enumerate(self.rows)]  # [A | I], one int per row
-        for j in range(n):
-            bit = 1 << j
-            pivot = next((i for i in range(j, n) if rows[i] & bit), None)
-            if pivot is None:
-                raise SingularMatrixError(f"matrix is singular (no pivot in column {j})")
-            rows[j], rows[pivot] = rows[pivot], rows[j]
-            for i in range(n):
-                if i != j and rows[i] & bit:
-                    rows[i] ^= rows[j]
-        return GF2Matrix(n, tuple(r >> n for r in rows))
+        return _inverse_and_order(self)[0]
 
     def apply(self, x: int) -> int:
         """Matrix-vector product on a bit-packed input vector."""
@@ -112,10 +102,10 @@ class _Parts(NamedTuple):
     """The elimination's gates as a lower part, then an upper part, beside each row's pivot column.
 
     Each part is an n x n grid marking CNOT(control, target) at control *
-    n + target. Replayed in that order (lower gates by control then target,
-    upper gates by descending control then descending target) they are the
-    elimination's gates as it ran them, taking the matrix to the permutation
-    matrix with a one at (c, cols[c]) in each row c.
+    n + target, marked from `_eliminate`'s record. Replayed in that order
+    (lower gates by control then target, upper gates by descending control
+    then descending target) they are the elimination's gates as it ran
+    them, taking the matrix to the permutation matrix P, one at (c, cols[c]).
     """
 
     n: int
@@ -130,39 +120,31 @@ def _replay(order: Iterable[int], n: int, table: dict[int, Gate]) -> list[Gate]:
     return [table.get(k) or table.setdefault(k, _unchecked_gate(GateKind.CNOT, divmod(k, n))) for k in order]
 
 
-def _eliminate(
-    rows: list[int], n: int, order: array, lower: bytearray, upper: bytearray, fix_pivots: bool = False
-) -> None:
+def _eliminate(rows: list[int], n: int, order: array) -> tuple[tuple[int, ...], int]:
     """The one Gauss-Jordan loop: reduce the low n bits of `rows` to a permutation matrix, in place.
 
     Per row, top to bottom: pivot on the row's lowest column with a one
     (every earlier pivot column is clear in it), then clear that column
     below the row. Afterwards clear each pivot column above its row, bottom
-    row first. With `fix_pivots` row c pivots on column c, first adding the
-    nearest lower row with a one there if it has none, so the rows end as
-    the identity. Each CNOT's code control * n + target is appended to
-    `order` as it runs; one clearing below a pivot is marked at its code in
-    `lower`, one clearing above it in `upper`. Bits above n ride along, so
-    with `fix_pivots` rows of [A | I] end as [I | A^-1]. Raises
+    row first. Each CNOT's code control * n + target is appended to `order`
+    as it runs, the clearings below the pivots first. Returns each row's
+    pivot column and how many codes clear below a pivot: the rows end as the
+    permutation matrix P with a one at (c, cols[c]). Bits above n ride
+    along, so rows of [A | I] end as [P | E] with E A = P. Raises
     SingularMatrixError at a row with no pivot.
     """
-    record, mask = order.append, (1 << n) - 1
+    record, mask, cols = order.append, (1 << n) - 1, []
     for c in range(n):
         row, base = rows[c], c * n
-        if fix_pivots and not row >> c & 1:
-            j = next((i for i in range(c + 1, n) if rows[i] >> c & 1), None)
-            if j is None:
-                raise SingularMatrixError(f"matrix is singular (no pivot in column {c})")
-            row = rows[c] = row ^ rows[j]
-            record(j * n + c)
         bit = row & -row
         if not bit & mask:
             raise SingularMatrixError(f"matrix is singular (no pivot in row {c})")
+        cols.append(bit.bit_length() - 1)
         for s in range(c + 1, n):
             if rows[s] & bit:
                 rows[s] ^= row
                 record(base + s)
-                lower[base + s] = 1
+    below = len(order)
     for l in range(n - 1, 0, -1):
         row, base = rows[l], l * n
         bit = row & -row  # the row's pivot: the rows below cleared its other columns
@@ -170,7 +152,7 @@ def _eliminate(
             if rows[k] & bit:
                 rows[k] ^= row
                 record(base + k)
-                upper[base + k] = 1
+    return tuple(cols), below
 
 
 def gauss_jordan(a: GF2Matrix) -> _Parts:
@@ -180,19 +162,23 @@ def gauss_jordan(a: GF2Matrix) -> _Parts:
     with row c one at cols[c], so the same gates as a circuit compute the
     inverse of `a` with its output cols[c] on wire c.
     """
-    n, rows = a.n, list(a.rows)
-    grids = bytearray(n * n), bytearray(n * n)  # the parts keep the marks, not the order
-    _eliminate(rows, n, array("i"), *grids)
-    return _Parts(n, tuple(r.bit_length() - 1 for r in rows), *map(bytes, grids))
+    n, order = a.n, array("i")
+    cols, below = _eliminate(list(a.rows), n, order)
+    lower, upper = bytearray(n * n), bytearray(n * n)
+    for code in order[:below]:
+        lower[code] = 1
+    for code in order[below:]:
+        upper[code] = 1
+    return _Parts(n, cols, bytes(lower), bytes(upper))
 
 
-def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array]:
-    """`a`'s inverse and its elimination order from one pass over [a | I] with pivot fixes: the row
-    operations that take `a` to I take I to `a`'s inverse. Raises SingularMatrixError."""
-    n, order, unread = a.n, array("i"), bytearray(a.n * a.n)
+def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array, tuple[int, ...]]:
+    """`a`'s inverse, elimination order and pivot columns from one pass over [a | I], which ends as
+    [P | E] with E a = P: row cols[c] of the inverse is row c of E. Raises SingularMatrixError."""
+    n, order = a.n, array("i")
     rows = [r | 1 << (n + i) for i, r in enumerate(a.rows)]
-    _eliminate(rows, n, order, unread, unread, fix_pivots=True)  # only the order is kept
-    return GF2Matrix(n, tuple(r >> n for r in rows)), order
+    cols = _eliminate(rows, n, order)[0]
+    return GF2Matrix(n, tuple(rows[c] >> n for c in invert_permutation(cols))), order, cols
 
 
 def _part_pieces(parts: _Parts) -> tuple[list[tuple[list[Gate], list[Gate]]], list[int]]:

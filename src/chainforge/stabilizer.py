@@ -9,11 +9,10 @@ eliminates C^-1 with its rows moved to their wires' sites. Its column
 pivots absorb the column relabel and name each wire's next site.
 
 Each C stage is eliminated once, when the decomposition is built: one pass
-over [C | I], with pivot fixes, is the nonsingularity check, yields C^-1
-and records the order of C's elimination CNOTs. `schedule_stabilizer`
+over [C | I], pivoting by column, is the nonsingularity check, yields C^-1
+and records C's elimination CNOTs and pivot columns. `schedule_stabilizer`
 eliminates each C^-1 once, rows moved, for its two-part synthesis;
-`stabilizer_flat` replays the recorded orders backwards and eliminates
-nothing.
+`stabilizer_flat` builds each stage from the record and eliminates nothing.
 
 The tableau here is the usual conjugation table: row g holds the image of
 input Pauli X_g (rows 0..n-1) or Z_{g-n} (rows n..2n-1) as x/z bit vectors
@@ -44,6 +43,7 @@ from .core import (
     invert_permutation,
     is_permutation,
     p,
+    swap,
 )
 from .linsynth import (
     GF2Matrix,
@@ -90,10 +90,9 @@ class StageDecomposition:
                 eliminated.append(_inverse_and_order(c))
             except SingularMatrixError:
                 raise _SingularStage(i) from None
-        # not fields: each stage's inverse for schedule_stabilizer and its elimination's
-        # CNOT codes for stabilizer_flat, so neither eliminates C again
-        object.__setattr__(self, "_c_inverses", tuple(inv for inv, _ in eliminated))
-        object.__setattr__(self, "_c_orders", tuple(order for _, order in eliminated))
+        # not fields: C^-1 for schedule_stabilizer, CNOT codes and pivots for stabilizer_flat
+        for name, kept in zip(("_c_inverses", "_c_orders", "_c_cols"), zip(*eliminated)):
+            object.__setattr__(self, name, kept)
 
     def stages(self) -> Iterator[tuple[str, int | GF2Matrix]]:
         """The 11 (kind, content) pairs in execution order."""
@@ -115,17 +114,25 @@ def random_decomposition(n: int, rng: Random) -> StageDecomposition:
 def stabilizer_flat(d: StageDecomposition) -> Circuit:
     """Stage-by-stage reference circuit on unrestricted connectivity.
 
-    Each C stage is realized by replaying the CNOTs its elimination recorded
-    in the decomposition, backwards: those gates reduce C to the identity,
-    and CNOTs are involutions, so the reversed gate list computes C itself.
-    No stage is eliminated here. The five replays share one CNOT per ordered pair.
+    The CNOTs each C stage's elimination recorded in the decomposition, as
+    the matrix E, take C to the permutation matrix P with a one at
+    (c, cols[c]) in each row c: E C = P. CNOTs are involutions, so the
+    recorded gates replayed backwards compute E^-1 = C P^-1, and C = E^-1 P:
+    the SWAPs that realize P, then that replay. No stage is eliminated here.
+    The five replays share one CNOT per ordered pair.
     """
     pieces: list[tuple[Iterable[Gate], Iterable[Gate]]] = []
     cnots: dict[int, Gate] = {}
-    orders = iter(d._c_orders)
+    records = zip(d._c_orders, d._c_cols)
     for kind, content in d.stages():
         if kind == "c":
-            pieces.append((reversed(_replay(next(orders), d.n, cnots)), []))
+            order, cols = next(records)
+            swaps, dest = [], list(invert_permutation(cols))  # SWAPs realizing P: j's value goes to dest[j]
+            for j in range(d.n):  # on each cycle of dest, its first wire trades with each later wire in turn
+                while (k := dest[j]) != j:
+                    swaps.append(swap(j, k))
+                    dest[j], dest[k] = dest[k], k
+            pieces += [(swaps, swaps), (reversed(_replay(order, d.n, cnots)), [])]
         else:
             made = [(h if kind == "h" else p)(w) for w in _mask_wires(content, d.n)]
             pieces.append((made, made))

@@ -145,10 +145,9 @@ def test_parts_replay_the_elimination_in_order():
 
 
 def test_a_zero_diagonal_pivots_by_column_with_no_fix():
-    """Row 1 has no one in column 1, so it pivots on its one in column 2: one CNOT where the row
-    pivots of the flat reference's elimination run four, among them two fixes CNOT(2, 1)."""
+    """Row 1 has no one in column 1, so it pivots on its one in column 2, with no row added to it
+    first: one CNOT."""
     b = _gf2("100", "001", "110")
-    assert ref_trace(b)[3] == [(0, 2), (2, 1), (1, 2), (2, 1)]
     parts = gauss_jordan(b)
     assert column_trace(b) == ((0, 2, 1), {(0, 2)}, set(), [(0, 2)])
     assert parts.cols == (0, 2, 1) and _parts_gates(parts) == [cnot(0, 2)]
@@ -184,7 +183,7 @@ def test_synthesize_identity_and_one_wire():
         sc = synthesize_lnn(GF2Matrix(1, (1,)))
         sc = prune_trailing_swap_layers(sc) if prune else sc
         assert len(sc.circuit) == 0 and sc.final_map == (0,)
-    with pytest.raises(SingularMatrixError, match=r"^matrix is singular \(no pivot in column 0\)$"):
+    with pytest.raises(SingularMatrixError, match=r"^matrix is singular \(no pivot in row 0\)$"):
         synthesize_lnn(GF2Matrix(1, (0,)))
 
 
@@ -218,35 +217,6 @@ def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):
         assert calls == Counter()
 
 
-def ref_trace(b: GF2Matrix) -> tuple[tuple, set, set, list]:
-    """Reference elimination with row pivots on pair sets, as `_inverse_and_order` runs it for the
-    flat stabilizer's replay: the pivot donors (None where no fix was needed, no entry for the last
-    column), the lower pairs (c, s) and upper pairs (k, l), and each CNOT (control, target) in the
-    order it ran."""
-    n, rows = b.n, list(b.rows)
-    pivot_donor, lower, upper, order = [], set(), set(), []
-    for c in range(n):
-        if not rows[c] >> c & 1:
-            j = next(i for i in range(c + 1, n) if rows[i] >> c & 1)
-            rows[c] ^= rows[j]
-            pivot_donor.append(j)
-            order.append((j, c))
-        elif c < n - 1:
-            pivot_donor.append(None)
-        for s in range(c + 1, n):
-            if rows[s] >> c & 1:
-                rows[s] ^= rows[c]
-                lower.add((c, s))
-                order.append((c, s))
-    for l in range(n - 1, 0, -1):
-        for k in range(l - 1, -1, -1):
-            if rows[k] >> l & 1:
-                rows[k] ^= rows[l]
-                upper.add((k, l))
-                order.append((l, k))
-    return tuple(pivot_donor), lower, upper, order
-
-
 def column_trace(b: GF2Matrix) -> tuple[tuple, set, set, list]:
     """Reference elimination with column pivots on pair sets: row c pivots on its smallest column
     with a one among those no earlier row took. Returns each row's pivot column, the lower pairs
@@ -269,6 +239,28 @@ def column_trace(b: GF2Matrix) -> tuple[tuple, set, set, list]:
                 order.append((l, k))
     assert rows == [1 << col for col in cols]
     return tuple(cols), lower, upper, order
+
+
+def ref_swaps(cols) -> list:
+    """SWAPs moving the value on wire cols[c] to wire c for every c, cycle by cycle: wire j's value
+    goes to wire dest[j], and on each cycle j -> dest[j] -> ... its smallest wire trades with each
+    later wire in turn."""
+    dest, swaps = {col: c for c, col in enumerate(cols)}, []
+    for j in range(len(cols)):
+        cycle = [j]
+        while dest[cycle[-1]] != j:
+            cycle.append(dest[cycle[-1]])
+        if j == min(cycle):
+            swaps += [swap(j, k) for k in cycle[1:]]
+    return swaps
+
+
+def ref_flat_gates(b: GF2Matrix) -> list:
+    """A SWAP/CNOT gate list computing `b` on unrestricted connectivity: the column reference's
+    elimination E takes b to the pivot permutation P, so b = E^-1 P, the SWAPs that realize P
+    followed by E's CNOTs backwards."""
+    cols, _, _, order = column_trace(b)
+    return ref_swaps(cols) + [cnot(*pair) for pair in reversed(order)]
 
 
 def column_grids(b: GF2Matrix) -> tuple:
@@ -345,11 +337,6 @@ def test_synthesize_random_matrices():
         assert generic_depth(sc.circuit) <= 2 * (2 * n - 3)
 
 
-def _flat(a: GF2Matrix) -> Circuit:
-    """A CNOT circuit on unrestricted connectivity computing `a`: its row-pivot elimination, backwards."""
-    return Circuit(a.n, tuple(cnot(*pair) for pair in reversed(ref_trace(a)[3])))
-
-
 def test_final_maps_tell_a_map_from_its_inverse():
     """Seeded matrices whose final map is not its own inverse: the GF(2), tableau and (n <= 5)
     dense checks pass through the final map and fail through its inverse."""
@@ -364,7 +351,7 @@ def test_final_maps_tell_a_map_from_its_inverse():
         seen[n] += 1
         assert gf2_action(sc.circuit).relabel(sc.final_map) == a
         assert gf2_action(sc.circuit).relabel(inverse) != a
-        flat = _flat(a)
+        flat = Circuit(n, tuple(ref_flat_gates(a)))
         assert gf2_action(flat) == a
         assert tableau_equiv(sc.circuit, flat, sc.final_map) and not tableau_equiv(sc.circuit, flat, inverse)
         if n <= 5:

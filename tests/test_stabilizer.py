@@ -1,6 +1,8 @@
 """Pauli tableau simulation and 11-stage scheduling."""
 
 from collections import Counter
+from functools import reduce
+from operator import xor
 from random import Random
 
 import numpy as np
@@ -35,7 +37,7 @@ from chainforge.stabilizer import (
     tableau_equiv,
     tableau_of,
 )
-from test_linsynth import ref_trace
+from test_linsynth import column_trace, ref_flat_gates
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -256,16 +258,17 @@ def test_each_c_stage_and_each_inverse_is_eliminated_once(monkeypatch):
         inverted.append(m)
         return invert(m)
 
+    drawn = random_decomposition(6, Random(23))  # drawing a stage inverts it, so count from here
+    inverses = [c.inverse() for c in drawn.c_stages]
     monkeypatch.setattr(linsynth, "_eliminate", counting_eliminate)
     monkeypatch.setattr(GF2Matrix, "inverse", counting_inverse)
-    d = random_decomposition(6, Random(23))
-    assert eliminated == list(d.c_stages)  # the check eliminates each C stage once
+    d = StageDecomposition(drawn.n, drawn.h_masks, drawn.p_masks, drawn.c_stages)
+    assert eliminated == list(d.c_stages) and inverted == []  # the check eliminates each C stage once
     eliminated.clear()
-    inverted.clear()
     sc = schedule_stabilizer(d)
     # and the schedule each inverse once, its rows moved to their wires' sites
-    assert [sorted(m.rows) for m in eliminated] == [sorted(invert(c).rows) for c in d.c_stages]
-    assert eliminated != [invert(c) for c in d.c_stages]
+    assert [sorted(m.rows) for m in eliminated] == [sorted(inv.rows) for inv in inverses]
+    assert eliminated != inverses
     assert inverted == []
     eliminated.clear()
     flat = stabilizer_flat(d)
@@ -310,17 +313,13 @@ def test_final_maps_tell_a_map_from_its_inverse():
         assert generic_depth(sc.circuit) <= 20 * n - 30
 
 
-def _elimination_order(c: GF2Matrix) -> list:
-    """C's elimination CNOTs in the order they run, by the reference elimination."""
-    return [cnot(*pair) for pair in ref_trace(c)[3]]
-
-
 def _ref_stabilizer_flat(d: StageDecomposition) -> Circuit:
-    """Reference: each C stage replays its elimination backwards, with CNOTs made per stage."""
+    """Reference: each C stage is the SWAPs that realize its pivot permutation, then its column
+    reference elimination backwards, with CNOTs made per stage."""
     gates = []
     for kind, content in d.stages():
         if kind == "c":
-            gates.extend(reversed(_elimination_order(content)))
+            gates.extend(ref_flat_gates(content))
         else:
             gates.extend((h if kind == "h" else p)(w) for w in range(d.n) if content >> w & 1)
     return Circuit(d.n, tuple(gates))
@@ -332,19 +331,31 @@ def test_flat_reference_makes_one_cnot_per_ordered_pair():
         d = random_decomposition(n, rng)
         flat = stabilizer_flat(d)
         assert flat == _ref_stabilizer_flat(d)
+        assert any(g.kind is GateKind.SWAP for g in flat.gates)  # some pivot permutation is not I
         cnots = [g for g in flat.gates if g.kind is GateKind.CNOT]
         assert len({id(g) for g in cnots}) == len(set(cnots))  # one object per ordered pair
+
+
+def _product(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
+    """a b over GF(2): row i is the XOR of the rows of b that row i of a selects."""
+    return GF2Matrix(a.n, tuple(reduce(xor, (r for j, r in enumerate(b.rows) if row >> j & 1), 0) for row in a.rows))
 
 
 def test_one_elimination_per_c_stage_records_the_grid_order_and_the_inverse():
     rng = Random(47)
     for n in range(1, 41):
         d = random_decomposition(n, rng)
+        identity = GF2Matrix(n, tuple(1 << w for w in range(n)))
         for i, c in enumerate(d.c_stages):
-            order = _elimination_order(c)
+            cols, _, _, pairs = column_trace(c)
+            order = [cnot(*pair) for pair in pairs]
             assert linsynth._replay(d._c_orders[i], n, {}) == order, (n, i)  # the decomposition's record
-            assert gf2_action(Circuit(n, tuple(order))) == c.inverse(), (n, i)  # which reduces C to I
-            assert d._c_inverses[i] == c.inverse(), (n, i)  # [C | I] ends as [I | C^-1]
+            assert d._c_cols[i] == cols, (n, i)
+            # which takes C to the pivot permutation P: E C = P
+            pivoted = GF2Matrix(n, tuple(1 << col for col in cols))
+            assert _product(gf2_action(Circuit(n, tuple(order))), c) == pivoted, (n, i)
+            inverse = d._c_inverses[i]  # read from [C | I], which ends as [P | E]
+            assert _product(c, inverse) == identity == _product(inverse, c), (n, i)
         # a singular block: one row the sum of others (zero at n = 1) fails at a seeded column
         i = rng.randrange(5)
         rows = list(d.c_stages[i].rows)
