@@ -115,18 +115,33 @@ def classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
 
 
 def stage_audit(sc: ScheduledCircuit | Circuit) -> AuditReport:
+    """Count the L and S layers of `classify_layers` and list every window that breaks the spacing.
+
+    One pass over the L/S sequence keeps a prefix count: each L layer carries the number of S
+    layers before it. The S layers strictly between two L layers are then the difference of
+    their counts, so every window costs O(1) and the audit O(layers). A window of need + 2
+    consecutive L layers (need = 1 for 3L1S, 2 for 4L2S) is a violation when that difference
+    is below need.
+    """
     circuit = sc.circuit if isinstance(sc, ScheduledCircuit) else sc
-    seq = classify_layers(circuit)
-    l_positions = [pos for pos, (_, tag) in enumerate(seq) if tag == "L"]
-    bad: dict[int, list[AuditWindow]] = {1: [], 2: []}
-    for need, windows in bad.items():  # need + 2 consecutive L layers need `need` S between
-        for i in range(len(l_positions) - need - 1):
-            first, last = l_positions[i], l_positions[i + need + 1]
-            swaps = sum(1 for pos in range(first + 1, last) if seq[pos][1] == "S")
-            if swaps < need:
-                windows.append(AuditWindow(seq[first][0], seq[last][0], swaps, need))
-    s_count = sum(1 for _, tag in seq if tag == "S")
-    return AuditReport(len(l_positions), s_count, tuple(bad[1]), tuple(bad[2]))
+    l_layers: list[int] = []
+    s_before: list[int] = []  # s_before[i]: S layers before the i-th L layer
+    s_count = 0
+    for layer, tag in classify_layers(circuit):
+        if tag == "S":
+            s_count += 1
+        else:
+            l_layers.append(layer)
+            s_before.append(s_count)
+    bad = []
+    for need in (1, 2):
+        span = need + 1
+        bad.append(tuple(
+            AuditWindow(first, last, s_last - s_first, need)
+            for first, last, s_first, s_last in zip(l_layers, l_layers[span:], s_before, s_before[span:])
+            if s_last - s_first < need
+        ))
+    return AuditReport(len(l_layers), s_count, *bad)
 
 
 def _disjoint_sets(items: Sequence[tuple[object, int, int]]) -> list[tuple]:

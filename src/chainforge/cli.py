@@ -77,7 +77,11 @@ def _verdict(ok: bool) -> str:
 
 def _violation_dicts(report: AuditReport) -> list[dict]:
     pairs = (("3L1S", report.violations_3l1s), ("4L2S", report.violations_4l2s))
-    return [{"kind": kind, **w._asdict()} for kind, windows in pairs for w in windows]
+    return [
+        {"kind": kind, "first_layer": first, "last_layer": last, "swaps_between": swaps, "required": need}
+        for kind, windows in pairs
+        for first, last, swaps, need in windows
+    ]
 
 
 def _json_record(
@@ -85,6 +89,8 @@ def _json_record(
     final_map: tuple[int, ...] | None,
     violations: list[dict],
 ) -> str:
+    """The record as one line per key, each value compact from one `json.dumps` call: any
+    `indent` would push the whole record through the pure-Python encoder."""
     record = {
         "depth": circuit.depth(),
         "generic_depth": generic_depth(circuit),
@@ -93,7 +99,7 @@ def _json_record(
         "final_map": list(final_map) if final_map is not None else None,
         "violations": violations,
     }
-    return json.dumps(record, indent=2) + "\n"
+    return "{\n" + ",\n".join(f'  "{key}": {json.dumps(value)}' for key, value in record.items()) + "\n}\n"
 
 
 def _deliver(args: argparse.Namespace, built: ScheduledCircuit | Circuit) -> int:

@@ -295,10 +295,17 @@ def states_equiv(s1: np.ndarray, s2: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def dft_matrix(n_wires: int) -> np.ndarray:
-    """Discrete Fourier transform on 2**n_wires points, unitary normalization."""
+    """Discrete Fourier transform on 2**n_wires points, unitary normalization.
+
+    Entry (j, k) is looked up in a table of the 2**n_wires roots of unity at (j * k) mod dim,
+    so each entry is exactly exp(2 pi i ((j * k) mod dim) / dim) / sqrt(dim).
+    """
     dim = 2**n_wires
     idx = np.arange(dim)
-    return np.exp(2j * math.pi * np.outer(idx, idx) / dim) / math.sqrt(dim)
+    roots = np.exp(2j * math.pi * idx / dim) / math.sqrt(dim)
+    exponents = np.outer(idx, idx)
+    exponents &= dim - 1
+    return roots[exponents]
 
 
 def bit_reversal_permutation(n_wires: int) -> tuple[int, ...]:

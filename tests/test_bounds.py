@@ -1,10 +1,13 @@
 """Lower-bound tables, the stage audit and the exhaustive scheduler."""
 
 from fractions import Fraction
+from itertools import product
+from random import Random
 
 import pytest
 
 from chainforge.bounds import (
+    AuditReport,
     AuditWindow,
     BoundArch,
     BoundQuery,
@@ -15,6 +18,7 @@ from chainforge.bounds import (
     stage_audit,
 )
 from chainforge.core import Architecture, Circuit, GateKind, cnot, h, p, swap
+from chainforge.linsynth import GF2Matrix, expand_to_cnot, synthesize_lnn
 from chainforge.qft import QftSpec, qft_lnn
 from chainforge.skeleton import SkeletonSpec, schedule_lnn
 
@@ -121,6 +125,56 @@ def test_audit_tolerates_single_swap_gap():
     report = stage_audit(Circuit(2, gates))
     assert report.violations_3l1s == ()
     assert report.violations_4l2s == (AuditWindow(0, 4, 1, 2),)
+
+
+def _audit_by_counting(circuit: Circuit) -> AuditReport:
+    """The audit by brute force: every window counts the S layers between its ends one by one."""
+    seq = classify_layers(circuit)
+    l_at = [pos for pos, (_, tag) in enumerate(seq) if tag == "L"]
+    windows: dict[int, list[AuditWindow]] = {1: [], 2: []}
+    for need, found in windows.items():
+        for i in range(len(l_at) - need - 1):
+            first, last = l_at[i], l_at[i + need + 1]
+            swaps = sum(1 for _, tag in seq[first + 1 : last] if tag == "S")
+            if swaps < need:
+                found.append(AuditWindow(seq[first][0], seq[last][0], swaps, need))
+    s_count = sum(1 for _, tag in seq if tag == "S")
+    return AuditReport(len(l_at), s_count, tuple(windows[1]), tuple(windows[2]))
+
+
+def _ls_circuit(tags: str) -> Circuit:
+    """Two wires, one gate per tag: each L is a CNOT layer and each S a SWAP layer, in order."""
+    return Circuit(2, tuple(cnot(0, 1) if tag == "L" else swap(0, 1) for tag in tags))
+
+
+def _ls_sequences() -> list[str]:
+    rng = Random(2024)
+    seqs = ["L" * 9, "S" * 9, "LS" * 6, "SL" * 6, "LLSLLSSSSSSLLLSL", "SSSSLLLLSSSSSSSSL"]
+    seqs += ["".join(t) for k in (1, 2, 3) for t in product("LS", repeat=k)]
+    for _ in range(60):  # long S runs between short L runs
+        seqs.append("".join("L" * rng.randint(1, 3) + "S" * rng.choice((0, 1, 2, 5, 9)) for _ in range(6)))
+    for _ in range(60):
+        seqs.append("".join(rng.choice("LLS") for _ in range(rng.randint(4, 40))))
+    return seqs
+
+
+def test_audit_matches_brute_force_on_seeded_ls_sequences():
+    for tags in _ls_sequences():
+        circuit = _ls_circuit(tags)
+        assert classify_layers(circuit) == list(enumerate(tags))
+        assert stage_audit(circuit) == _audit_by_counting(circuit), tags
+
+
+def test_audit_matches_brute_force_on_schedules():
+    expanded = expand_to_cnot(synthesize_lnn(GF2Matrix.random_nonsingular(64, Random(1))))
+    report = stage_audit(expanded)
+    assert report == _audit_by_counting(expanded.circuit)
+    assert len(report.violations_3l1s) + len(report.violations_4l2s) == 1425
+    for sc in (schedule_lnn(SkeletonSpec(12)), qft_lnn(QftSpec(9))):
+        assert stage_audit(sc) == _audit_by_counting(sc.circuit)
+    for seed in range(4):
+        sc = synthesize_lnn(GF2Matrix.random_nonsingular(16, Random(seed)))
+        assert stage_audit(sc) == _audit_by_counting(sc.circuit)
 
 
 def test_ratio_full_schedule_near_six_fifths():

@@ -177,8 +177,8 @@ CASES = [
 _FLAGS_WITH_FILES = {"--matrix", "--spec", "--circuit", "--arch", "--a", "--b", "--out"}
 
 
-def _run(argv: list[str], tmp: Path) -> str:
-    """The SHA-256 of one in-process call's exit code, stdout, stderr and `--out` file."""
+def _call(argv: list[str], tmp: Path) -> tuple[int, str, str, str]:
+    """One in-process call's exit code, stdout, stderr and `--out` file."""
     full = [str(tmp / tok) if prev in _FLAGS_WITH_FILES and tok.endswith(".txt") else tok
             for prev, tok in zip([None, *argv], argv)]
     out, err = io.StringIO(), io.StringIO()
@@ -190,7 +190,13 @@ def _run(argv: list[str], tmp: Path) -> str:
     written = tmp / _OUT
     out_file = written.read_text(encoding="utf-8") if written.exists() else ""
     written.unlink(missing_ok=True)
-    blob = "\0".join([str(code), out.getvalue(), err.getvalue(), out_file])
+    return code, out.getvalue(), err.getvalue(), out_file
+
+
+def _run(argv: list[str], tmp: Path) -> str:
+    """The SHA-256 of one in-process call's exit code, stdout, stderr and `--out` file."""
+    code, out, err, out_file = _call(argv, tmp)
+    blob = "\0".join([str(code), out, err, out_file])
     return hashlib.sha256(blob.replace(str(tmp), "<TMP>").encode()).hexdigest()
 
 
@@ -213,6 +219,49 @@ def test_cli_output_matches_golden(case, argv, inputs, table):
 
 def test_golden_table_covers_exactly_the_cases(table):
     assert list(table) == [c for c, _ in CASES]
+
+
+_RECORD_KEYS = ["depth", "generic_depth", "cnot_depth", "n", "final_map", "violations"]
+
+
+def _record_of(text: str) -> dict:
+    """The `--report json` record in `text`, once its layout is checked: one line per key, in
+    order, each value compact as `json.dumps` writes it, and every line decoding on its own."""
+    lines = text.split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    record = json.loads(text)
+    assert list(record) == _RECORD_KEYS
+    body = lines[1:-2]
+    assert len(body) == len(record)
+    for i, (line, (key, value)) in enumerate(zip(body, record.items())):
+        comma = "," if i < len(record) - 1 else ""
+        assert line == f'  "{key}": {json.dumps(value)}{comma}'
+        assert json.loads("{" + line.rstrip(",") + "}") == {key: value}
+    return record
+
+
+def test_json_reports_hold_one_key_per_line(inputs):
+    records = {}
+    for case, argv in CASES:
+        if "--report" in argv:
+            code, out, err, _ = _call(argv, inputs)
+            assert code in (0, 1) and err == "", case
+            records[case] = _record_of(out)
+    finals = [r["final_map"] for r in records.values()]
+    violations = [r["violations"] for r in records.values()]
+    assert None in finals and [] in violations and any(finals) and any(violations)
+
+
+def test_json_report_with_long_lists(tmp_path):
+    matrix = emit_gf2(GF2Matrix.random_nonsingular(64, Random(1)))
+    (tmp_path / "m64.txt").write_text(matrix, encoding="utf-8")
+    code, out, err, _ = _call(["linsynth", "--matrix", "m64.txt", "--cnot-only", "--report", "json"], tmp_path)
+    assert (code, err) == (0, "")
+    record = _record_of(out)
+    assert sorted(record["final_map"]) == list(range(64))
+    assert len(record["violations"]) == 1425
+    fields = ["kind", "first_layer", "last_layer", "swaps_between", "required"]
+    assert all(list(v) == fields for v in record["violations"])
 
 
 if __name__ == "__main__":  # rebuild the table

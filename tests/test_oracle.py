@@ -140,6 +140,17 @@ def test_dft_matrix_small_cases():
     assert np.allclose(dft_matrix(2), expect)
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_dft_matrix_is_the_reduced_formula_exactly(n):
+    dim = 2**n
+    jk = np.outer(np.arange(dim), np.arange(dim))
+    reduced = np.exp(2j * math.pi * (jk % dim) / dim) / math.sqrt(dim)
+    f = dft_matrix(n)
+    assert f.dtype == complex and f.shape == (dim, dim)
+    assert np.array_equal(f, reduced)
+    assert np.abs(f.conj().T @ f - np.eye(dim)).max() <= 1e-12
+
+
 def test_bit_reversal_permutation():
     assert bit_reversal_permutation(3) == (2, 1, 0)
     assert bit_reversal_permutation(1) == (0,)
