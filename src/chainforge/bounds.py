@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import Architecture, Circuit, ScheduledCircuit
+from .core import Architecture, Circuit, ScheduledCircuit, _recorded_stages
 from .skeleton import all_pairs
 
 
@@ -108,10 +108,13 @@ def classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
     and every stretch is layered greedily on its own. Single-qubit gates
     stay with the stretch they were emitted in. Judging the written stage
     structure keeps the verdict stable under recompression, which would
-    otherwise slide sparse stages into each other. The tags come from the
-    circuit's one walk as written, shared with `depth()` and `generic_depth`.
+    otherwise slide sparse stages into each other. A generated schedule's tags
+    come from its builder's sublayer record (`core._known_circuit`); any other
+    circuit is cut in its one walk, shared with `depth()` and `generic_depth`.
     """
-    return list(circuit._layers[3])
+    if circuit._sublayers is None:
+        return list(circuit._layers[3])
+    return _recorded_stages(circuit.gates, circuit.n_wires, circuit._sublayers)
 
 
 def stage_audit(sc: ScheduledCircuit | Circuit) -> AuditReport:

@@ -224,8 +224,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             f"layers L={audit.l_count} S={audit.s_count}",
             f"swap discipline {_verdict(audit.ok)}",
         ]
-        for v in violations:
-            lines.append(f"violation {json.dumps(v)}")
+        if violations:  # one encoder pass; the dicts nest no dict, so only '}, {' parts two of them
+            lines.append("violation " + json.dumps(violations)[1:-1].replace("}, {", "}\nviolation {"))
         _write(args.out, "\n".join(lines) + "\n")
     return 0 if ok else 1
 

@@ -144,6 +144,7 @@ class Circuit:
 
     n_wires: int
     gates: tuple[Gate, ...] = ()
+    _sublayers = None  # not a field: the record `_known_circuit` may set, else None
 
     def __post_init__(self) -> None:
         if self.n_wires < 1:
@@ -171,8 +172,8 @@ class Circuit:
         return self._cnot_depth
 
     @cached_property
-    def _layers(self) -> tuple[int, int, int, tuple[tuple[int, str], ...]]:
-        return _layer_walk(self.gates, self.n_wires)
+    def _layers(self) -> tuple[int, int, int, tuple[tuple[int, str], ...] | None]:
+        return _layer_walk(self.gates, self.n_wires, None, self._sublayers is None)
 
     @cached_property
     def _plain_layers(self) -> tuple[int, int]:  # apart, so a CNOT expansion can preset it
@@ -186,13 +187,17 @@ class Circuit:
             return None
 
 
-def _known_circuit(n_wires: int, pieces: list[tuple[Iterable[Gate], Iterable[Gate]]]) -> Circuit:
+def _known_circuit(
+    n_wires: int, pieces: list[tuple[Iterable[Gate], Iterable[Gate]]],
+    sublayers: Sequence[tuple[int, str]] | None = None,
+) -> Circuit:
     """A Circuit of each piece's gates in turn, where a piece is (gates, the objects they are made of),
-    each object valid on these wires: no position is scanned."""
+    each object valid on these wires: no position is scanned. A builder's `sublayers` record each sublayer
+    it emits as (size, class): 'L' (two-qubit, no SWAP), 'S' (SWAP) or '1' (one-qubit) on disjoint wires."""
     gates = tuple(chain.from_iterable(gates for gates, _ in pieces))
     distinct = tuple({id(g): g for _, objects in pieces for g in objects}.values())
     circuit = object.__new__(Circuit)
-    circuit.__dict__.update(n_wires=n_wires, gates=gates, _distinct=distinct)
+    circuit.__dict__.update(n_wires=n_wires, gates=gates, _distinct=distinct, _sublayers=sublayers)
     return circuit
 
 
@@ -226,9 +231,9 @@ def _fold_walk(
             pend[a] = pend[b] = m
         elif kind is swap_kind:
             a, b = qs = g[1]
-            if out is not None and (three := three_on.get(qs)) is None:
-                ab = cnot(a, b)
-                three = three_on[qs] = (ab, cnot(b, a), ab)
+            if out is not None and (three := three_on.get(qs)) is None:  # on the checked SWAP's wires
+                ab = _unchecked_gate(cnot_kind, qs)
+                three = three_on[qs] = (ab, _unchecked_gate(cnot_kind, (b, a)), ab)
             k = pend[a]
             if k and k == pend[b]:  # fold; free[a] == free[b] after that CNOT
                 two_qubit[free[a]] = 1
@@ -256,18 +261,18 @@ def _fold_walk(
 
 
 def _layer_walk(
-    gates: Sequence[Gate], n_wires: int, out: list | None = None
-) -> tuple[int, int, int, tuple[tuple[int, str], ...]]:
+    gates: Sequence[Gate], n_wires: int, out: list | None = None, staged: bool = True
+) -> tuple[int, int, int, tuple[tuple[int, str], ...] | None]:
     """(depth, two-qubit layer count, generic depth, (layer, 'L' or 'S') per stage
-    layer), from three layerings in one walk; each gate's plain layer is appended
-    to `out` if given.
+    layer, or None unless `staged`), from up to three layerings in one walk; each
+    gate's plain layer is appended to `out` if given.
 
     Plain (depth's): each gate lands on the first layer free on all its wires.
-    By stage (the audit's): the list is cut where its two-qubit gates switch
-    between SWAP and non-SWAP, every wire rises to the top at a cut, and
-    one-qubit gates count. By fused unit (generic depth's): a SWAP joins the
-    non-SWAP unit last on both its wires if no SWAP has joined it yet; one-qubit
-    gates are ignored.
+    By stage (the audit's, run only when `staged`): the list is cut where its
+    two-qubit gates switch between SWAP and non-SWAP, every wire rises to the top
+    at a cut, and one-qubit gates count. By fused unit (generic depth's): a SWAP
+    joins the non-SWAP unit last on both its wires if no SWAP has joined it yet;
+    one-qubit gates are ignored.
     """
     plain = [0] * n_wires  # first layer each wire is free in
     two_qubit = bytearray(len(gates))  # 1 at each plain layer holding a two-qubit gate
@@ -275,7 +280,7 @@ def _layer_walk(
     floor = top = 0  # top: the first layer free on every wire; floor: top at the last cut
     unit_free = [0] * n_wires  # by fused unit
     last = [0] * n_wires  # id of the joinable unit last on each wire, else 0
-    tags: list[str | None] = [None] * len(gates)  # stage tag of each two-qubit layer
+    tags: list[str | None] = [None] * len(gates) if staged else []  # stage tag of each two-qubit layer
     swap_kind = GateKind.SWAP
     last_kind = stretch = None
     units = 0
@@ -286,9 +291,10 @@ def _layer_walk(
             if out is not None:
                 out.append(plain[q])
             plain[q] += 1
-            free[q] = layer = (free[q] if free[q] > floor else floor) + 1
-            if layer > top:
-                top = layer
+            if staged:
+                free[q] = layer = (free[q] if free[q] > floor else floor) + 1
+                if layer > top:
+                    top = layer
             continue
         a, b = qs
         layer = plain[a]
@@ -299,22 +305,23 @@ def _layer_walk(
         two_qubit[layer] = 1
         plain[a] = plain[b] = layer + 1
         kind = g[0]
-        if kind is not last_kind:
-            last_kind = kind
-            tag = "S" if kind is swap_kind else "L"
-            if tag is not stretch:
-                if stretch is not None:
-                    floor = top
-                stretch = tag
-        layer = free[a]
-        if free[b] > layer:
-            layer = free[b]
-        if floor > layer:
-            layer = floor
-        free[a] = free[b] = layer + 1
-        if layer >= top:
-            top = layer + 1
-        tags[layer] = stretch
+        if staged:
+            if kind is not last_kind:
+                last_kind = kind
+                tag = "S" if kind is swap_kind else "L"
+                if tag is not stretch:
+                    if stretch is not None:
+                        floor = top
+                    stretch = tag
+            layer = free[a]
+            if free[b] > layer:
+                layer = free[b]
+            if floor > layer:
+                layer = floor
+            free[a] = free[b] = layer + 1
+            if layer >= top:
+                top = layer + 1
+            tags[layer] = stretch
         if kind is swap_kind:
             joins = last[a] == last[b] != 0
             last[a] = last[b] = 0  # a unit holding a SWAP takes no other
@@ -327,8 +334,38 @@ def _layer_walk(
         if unit_free[b] > layer:
             layer = unit_free[b]
         unit_free[a] = unit_free[b] = layer + 1
-    stages = tuple((i, t) for i, t in enumerate(tags[:top]) if t is not None)
+    stages = tuple((i, t) for i, t in enumerate(tags[:top]) if t is not None) if staged else None
     return max(plain), two_qubit.count(1), max(unit_free), stages
+
+
+def _recorded_stages(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, str]]) -> list:
+    """`_layer_walk`'s stage tags from a sublayer record (`_known_circuit`): a two-qubit class other than
+    the open stretch's cuts. A stretch's first sublayer fills the stretch's first layer and is walked only
+    if the stretch goes on; the rest are walked gate by gate, as the cut walk would."""
+    free = [0] * n_wires  # a wire is free from max(free[w], floor)
+    tags: list[str | None] = [None] * len(gates)  # stage tag of each two-qubit layer
+    floor = top = end = 0  # top: the first layer free on every wire; floor: top at the last cut
+    tag = unwalked = None  # unwalked: where the open stretch's first sublayer starts, until it is walked
+    for size, kind in record:
+        start, end = end, end + size
+        if size and kind != "1" and kind != tag:  # a cut, or the first two-qubit sublayer
+            floor, tag = top if tag else floor, kind
+            if top == floor:  # the stretch holds no one-qubit gate before this sublayer
+                tags[floor], top, unwalked = kind, floor + 1, start
+                continue
+        for g in gates[start if unwalked is None else unwalked : end]:
+            qs = g[1]
+            a, b = qs if len(qs) == 2 else qs * 2  # a one-qubit gate as (q, q), which tags nothing
+            layer = free[a] if free[a] > free[b] else free[b]
+            if floor > layer:
+                layer = floor
+            free[a] = free[b] = layer + 1
+            if layer >= top:
+                top = layer + 1
+            if a != b:
+                tags[layer] = tag
+        unwalked = None
+    return [(i, t) for i, t in enumerate(tags[:top]) if t is not None]
 
 
 def two_qubit_layer_count(circuit: Circuit) -> int:
@@ -467,7 +504,7 @@ def invert_permutation(perm: Sequence[int]) -> tuple[int, ...]:
 def prune_trailing_swap_layers(sc: ScheduledCircuit) -> ScheduledCircuit:
     """Drop trailing all-SWAP layers and undo them on final_map."""
     gates, at, n = sc.circuit.gates, [], sc.circuit.n_wires
-    _layer_walk(gates, n, at)
+    _layer_walk(gates, n, at, False)  # plain layers alone
     # keep every layer up to the last one holding a non-SWAP gate
     keep = 1 + max((t for g, t in zip(gates, at) if g.kind is not GateKind.SWAP), default=-1)
     kept = [g for g, t in zip(gates, at) if t < keep]

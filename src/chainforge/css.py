@@ -164,19 +164,18 @@ def css_schedule_lnn(spec: CssSpec) -> ScheduledCircuit:
             made[kind, m] = swap(m, m + 1) if kind is None else _payload(kind, m, m + 1)
         return made[kind, m]
 
-    belt: list[Gate] = []
+    hadamards, belt = _hadamard_layer(spec), []
+    sublayers = [(len(hadamards), "1")]  # each sublayer's (size, class), for the circuit's record
     for level in range(1, last + 1):
         met = range(max(1, sp + 1 - level), min(sp, sp + t - level) + 1)  # the controls meeting a target
         sites = range(level + 2 * met.start - sp - 2, level + 2 * met.stop - sp - 2, 2)  # each one's m
-        for p, m in zip(met, sites):
-            kind = spec.cell(p, sp + t + 1 - level - p)
-            if kind is not CssGate.NONE:
-                belt.append(site_gate(kind, m))
-        belt += [site_gate(None, m) for m in sites]
+        kinds = (spec.cell(p, sp + t + 1 - level - p) for p in met)
+        payload = [site_gate(kind, m) for kind, m in zip(kinds, sites) if kind is not CssGate.NONE]
+        belt += payload + [site_gate(None, m) for m in sites]
+        sublayers += (len(payload), "L"), (len(sites), "S")
     final = [p - 1 + min(t, max(0, last - sp + p)) for p in range(1, sp + 1)]  # by chain wire: controls,
     final += [n - j - min(sp, max(0, last - t + j)) for j in range(t, 0, -1)]  # then c_t .. c_1
-    hadamards = _hadamard_layer(spec)
-    circuit = _known_circuit(n, [(hadamards, hadamards), (belt, made.values())])
+    circuit = _known_circuit(n, [(hadamards, hadamards), (belt, made.values())], sublayers)
     return ScheduledCircuit(circuit, Architecture.lnn(n), tuple(final))
 
 

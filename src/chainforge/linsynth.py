@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from random import Random
 from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
@@ -181,20 +180,22 @@ def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array, tuple[int, ...]]
     return GF2Matrix(n, tuple(rows[c] >> n for c in invert_permutation(cols))), order, cols
 
 
-def _part_pieces(parts: _Parts) -> tuple[list[tuple[list[Gate], list[Gate]]], list[int]]:
+def _part_pieces(
+    parts: _Parts, sublayers: list[tuple[int, str]] | None = None
+) -> tuple[list[tuple[list[Gate], list[Gate]]], list[int]]:
     """The nonempty parts chained as skeleton schedules from the identity placement, one (gates,
-    distinct gates) piece per part, each stage's payload then SWAPs; and the site of each column's
-    wire at the exit. Every scheduled part flips the placement end to end, so consecutive parts
-    need no routing between them; an empty part is skipped and leaves it alone. Wire c ends on
-    site c, or n - 1 - c after one part, and carries column cols[c]."""
+    distinct gates) piece per part, each stage's payload then SWAPs, each sublayer's (size, class)
+    appended to `sublayers` if given; and the site of each column's wire at the exit. Every scheduled
+    part flips the placement end to end, so consecutive parts need no routing between them; an empty
+    part is skipped and leaves it alone. Wire c ends on site c, or n - 1 - c after one part, and
+    carries column cols[c]."""
     n, flip, pieces = parts.n, False, []
     # a part is staged from the grid of its pairs (a, b) at a * n + b; the upper part runs on reversed
     # labels, where CNOT(l, k) is on pair (n - 1 - l, n - 1 - k): code l * n + k becomes n * n - 1 - (l * n + k)
     for grid, rev in ((parts.lower, False), (parts.upper[::-1], True)):
         if 1 in grid:  # reversed labels see the identity as the reversal, and the reversal as the identity
             row = _site_row(n, flip != rev, [Slot(GateKind.CNOT)] * n, grid)
-            stages, table = _grid_stages(n, flip != rev, row, grid)  # each stage's payload, then its SWAPs
-            gates = list(chain.from_iterable(chain.from_iterable(stages)))
+            gates, table = _grid_stages(n, flip != rev, row, [] if sublayers is None else sublayers, grid)
             pieces.append((gates, [*table, *filter(None, row)]))
             flip = not flip
     sites = [0] * n
@@ -211,8 +212,9 @@ def synthesize_lnn(a: GF2Matrix) -> ScheduledCircuit:
     read as logical output l, equals A exactly. Generic-gate depth (each
     payload counted together with its trailing SWAP) is at most 2(2n-3).
     """
-    pieces, sites = _part_pieces(gauss_jordan(a.inverse()))
-    return ScheduledCircuit(_known_circuit(a.n, pieces), Architecture.lnn(a.n), tuple(sites))
+    sublayers: list[tuple[int, str]] = []
+    pieces, sites = _part_pieces(gauss_jordan(a.inverse()), sublayers)
+    return ScheduledCircuit(_known_circuit(a.n, pieces, sublayers), Architecture.lnn(a.n), tuple(sites))
 
 
 def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:

@@ -78,16 +78,12 @@ def qft_lnn(spec: QftSpec) -> ScheduledCircuit:
     n, h0 = spec.n, h(0)  # every Hadamard sits on site 0; n = 1 has no stage, only that one
     kept = _band(n, spec.approx_threshold or n)  # spec.keeps(a, b) iff d = b - a < approx_threshold
     row = _site_row(n, False, [Slot(GateKind.CPHASE, False, d + 1) for d in range(n)], kept)  # k = d + 1
-    stages, table = _grid_stages(n, False, row, kept)
-    gates: list[Gate] = []
-    for idx, (payload, swaps) in enumerate(stages):
-        if idx % 2 == 0:  # wire idx // 2 first meets its successor here, on sites (0, 1)
-            gates.append(h0)
-        gates.extend(payload)
-        gates.extend(swaps)
+    sublayers: list[tuple[int, str]] = []  # each sublayer's (size, class), for the circuit's record
+    gates, table = _grid_stages(n, False, row, sublayers, kept, h0)  # wire a first meets a + 1 in stage 2a + 1
     gates.append(h0)  # wire n - 1 ends on site 0
+    sublayers.append((1, "1"))
     made, final = (h0, *table, *filter(None, row)), tuple(range(n - 1, -1, -1))  # the entry one reversed
-    return ScheduledCircuit(_known_circuit(n, [(gates, made)]), Architecture.lnn(n), final)
+    return ScheduledCircuit(_known_circuit(n, [(gates, made)], sublayers), Architecture.lnn(n), final)
 
 
 __all__ = ["QftSpec", "qft_flat", "qft_lnn"]

@@ -30,8 +30,8 @@ site gates by code, its fill a row at a time, and read by the same loop.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress
-from typing import AbstractSet, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import compress
+from typing import AbstractSet, BinaryIO, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     Architecture,
@@ -132,22 +132,27 @@ def _site_row(n: int, flip: bool, slots: Sequence[Slot], present: bytes | None) 
 
 
 def _grid_stages(
-    n: int, flip: bool, gates: Sequence[Gate | None], present: bytes | None = None
-) -> tuple[Iterator[tuple[Iterable[Gate], list[Gate]]], list[Gate]]:
-    """Each stage's (payload, SWAPs) from the identity placement (flip: the reversal), and the SWAPs made.
+    n: int, flip: bool, gates: Sequence[Gate | None], sublayers: list[tuple[int, str]],
+    present: bytes | None = None, lead: Gate | None = None,
+) -> tuple[list[Gate], list[Gate]]:
+    """Each stage's payload then SWAPs from the identity placement (flip: the reversal), after `lead` at
+    each odd stage if given, with each sublayer's (size, class) appended to `sublayers`; and the SWAPs made.
     `gates` holds site gates by n - 1 - d for the slots (a, b) that `present` marks at a * n + b, or,
     without `present`, by code a * n + b, None where absent. A stage's codes and d are strided slices."""
     table = _site_row(n, flip, [Slot(GateKind.SWAP)] * n, None)  # the SWAP after every slot of each d
-
-    def stages() -> Iterator[tuple[Iterable[Gate], list[Gate]]]:  # lazy: each is read as it comes
-        for s in range(1, n_stages(n) + 1):
-            lo, hi = max(0, s - n + 1), (s + 1) // 2  # the stage's slots are (a, s - a), lo <= a < hi
-            by_d = slice(n - 1 - s + 2 * lo, n - 1 - s + 2 * hi, 2)
-            at = slice(lo * (n - 1) + s, hi * (n - 1) + s, n - 1)
-            payload = filter(None, gates[at]) if present is None else compress(gates[by_d], present[at])
-            yield payload, table[by_d]
-
-    return stages(), table
+    out: list[Gate] = []
+    for s in range(1, n_stages(n) + 1):
+        if lead and s % 2:
+            out.append(lead)
+            sublayers.append((1, "1"))
+        lo, hi = max(0, s - n + 1), (s + 1) // 2  # the stage's slots are (a, s - a), lo <= a < hi
+        by_d = slice(n - 1 - s + 2 * lo, n - 1 - s + 2 * hi, 2)
+        at = slice(lo * (n - 1) + s, hi * (n - 1) + s, n - 1)
+        start, swaps = len(out), table[by_d]
+        out.extend(filter(None, gates[at]) if present is None else compress(gates[by_d], present[at]))
+        sublayers += (len(out) - start, "L"), (len(swaps), "S")
+        out += swaps
+    return out, table
 
 
 def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> ScheduledCircuit:
@@ -167,14 +172,15 @@ def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> Scheduled
         cells[a * n + a + 1 : a * n + n] = row[: n - 1 - a]
     for (a, b), e in slots.items():
         cells[a * n + b] = e and site_gate(e, b - a)
-    stages, table = _grid_stages(n, False, cells)
-    gates = list(chain.from_iterable(chain.from_iterable(stages)))  # each stage's payload, then SWAPs
+    sublayers: list[tuple[int, str]] = []
+    gates, table = _grid_stages(n, False, cells, sublayers)
     distinct, final = [*table, *made.values()], tuple(range(n - 1, -1, -1))
     if drop_last_swaps:  # the last gate is the lone SWAP of slot (n - 2, n - 1), on sites (0, 1)
         gates.pop()
+        sublayers[-1] = (sublayers[-1][0] - 1, "S")
         final = (*final[:-2], 0, 1)
         distinct = distinct if n > 2 else gates  # n = 2: no other SWAP is left
-    return ScheduledCircuit(_known_circuit(n, [(gates, distinct)]), Architecture.lnn(n), final)
+    return ScheduledCircuit(_known_circuit(n, [(gates, distinct)], sublayers), Architecture.lnn(n), final)
 
 
 # --- text format -----------------------------------------------------------

@@ -143,17 +143,19 @@ def schedule_stabilizer(d: StageDecomposition) -> ScheduledCircuit:
     """LNN schedule of all 11 stages, each logical wire's site threaded through them."""
     n, sites = d.n, list(range(d.n))  # sites[w]: the site of logical wire w
     pieces: list[tuple[list[Gate], list[Gate]]] = []
+    sublayers: list[tuple[int, str]] = []  # each sublayer's (size, class), for the circuit's record
     inverses = iter(d._c_inverses)
     for kind, content in d.stages():
         if kind == "c":
             rows = next(inverses).rows  # row w of C^-1 moves to wire w's site
             moved = GF2Matrix(n, tuple(rows[w] for w in invert_permutation(sites)))
-            stage_pieces, sites = _part_pieces(gauss_jordan(moved))
+            stage_pieces, sites = _part_pieces(gauss_jordan(moved), sublayers)
             pieces += stage_pieces
         else:
             made = [(h if kind == "h" else p)(sites[w]) for w in _mask_wires(content, n)]
             pieces.append((made, made))
-    return ScheduledCircuit(_known_circuit(n, pieces), Architecture.lnn(n), tuple(sites))
+            sublayers.append((len(made), "1"))
+    return ScheduledCircuit(_known_circuit(n, pieces, sublayers), Architecture.lnn(n), tuple(sites))
 
 
 @dataclass
