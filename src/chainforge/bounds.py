@@ -109,8 +109,8 @@ def classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
     stay with the stretch they were emitted in. Judging the written stage
     structure keeps the verdict stable under recompression, which would
     otherwise slide sparse stages into each other. A generated schedule's tags
-    come from its builder's sublayer record (`core._known_circuit`); any other
-    circuit is cut in its one walk, shared with `depth()` and `generic_depth`.
+    come from its builder's sublayer record (`core._known_circuit`); a circuit
+    with none is cut in its one walk, shared with `depth()` and `generic_depth`.
     """
     if circuit._sublayers is None:
         return list(circuit._layers[3])

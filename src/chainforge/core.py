@@ -188,8 +188,7 @@ class Circuit:
 
 
 def _known_circuit(
-    n_wires: int, pieces: list[tuple[Iterable[Gate], Iterable[Gate]]],
-    sublayers: Sequence[tuple[int, str]] | None = None,
+    n_wires: int, pieces: list[tuple[Iterable[Gate], Iterable[Gate]]], sublayers: Sequence | None = None
 ) -> Circuit:
     """A Circuit of each piece's gates in turn, where a piece is (gates, the objects they are made of),
     each object valid on these wires: no position is scanned. A builder's `sublayers` record each sublayer

@@ -156,9 +156,9 @@ def _grid_stages(
 
 
 def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> ScheduledCircuit:
-    """Execute the skeleton on a line from the identity, one payload stage + one SWAP stage each.
-    Sites come from the closed form in the module docstring, each listed slot read once and each
-    distinct (slot, d) made into one gate; no wire is walked, and the chain ends reversed."""
+    """Execute the skeleton on a line from the identity, one payload stage + one SWAP stage each. Sites come
+    from the module docstring's closed form, each listed slot read once and each distinct (slot, d) made into
+    one gate; no wire is walked, and the chain ends reversed. A SWAP payload leaves no sublayer record."""
     n, slots = spec.n, spec._slots
     made: dict[tuple[Slot, int], Gate] = {}  # per slot and d = b - a, its site gate, made once
 
@@ -180,7 +180,8 @@ def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> Scheduled
         sublayers[-1] = (sublayers[-1][0] - 1, "S")
         final = (*final[:-2], 0, 1)
         distinct = distinct if n > 2 else gates  # n = 2: no other SWAP is left
-    return ScheduledCircuit(_known_circuit(n, [(gates, distinct)], sublayers), Architecture.lnn(n), final)
+    record = None if any(e and e.kind is GateKind.SWAP for e in slots.values()) else sublayers
+    return ScheduledCircuit(_known_circuit(n, [(gates, distinct)], record), Architecture.lnn(n), final)
 
 
 # --- text format -----------------------------------------------------------

@@ -4,7 +4,8 @@ Every builder hands `core._known_circuit` the (size, class) of each payload,
 SWAP and mask sublayer it emits, and `classify_layers` reads a generated
 schedule's stage tags off that record: the layer walk then skips its cut
 layering. Circuits without a record (parsed text, flat references, CNOT
-expansions, pruned schedules) are still cut in their walk. Both readings,
+expansions, pruned schedules, skeletons with a SWAP payload) are still cut in
+their walk. Both readings,
 and `test_layering.ref_classify_layers`, must give the same tags.
 """
 
@@ -39,13 +40,16 @@ SEED = 20261020
 _CLASS = {"1": None, "L": "L", "S": "S"}
 
 
-def _skeleton_spec(n: int, rng: Random) -> SkeletonSpec:
-    """Random absent slots and payloads: CNOTs both ways, CZs and phases."""
+def _skeleton_spec(n: int, rng: Random, swaps: int = 0) -> SkeletonSpec:
+    """Random absent slots and payloads: CNOTs both ways, CZs and phases, with SWAPs among them
+    (swaps=1) or as the only payload (swaps=2)."""
     absent, payload = set(), {}
     for a, b in all_pairs(n):
         pick = rng.randrange(6)
         if pick == 0:
             absent.add((a, b))
+        elif swaps == 2 or swaps and pick == 4:
+            payload[a, b] = swap(*rng.sample((a, b), 2))
         elif pick == 1:
             payload[a, b] = cnot(*rng.sample((a, b), 2))
         elif pick == 2:
@@ -66,9 +70,11 @@ def _css_spec(mode: CssMode, n: int, mask: bool, rng: Random) -> CssSpec:
 def _generated(n: int, rng: Random) -> list[tuple[str, Circuit]]:
     """(name, circuit) for every generated family at n wires."""
     out = []
-    if n >= 2:
-        spec = _skeleton_spec(n, rng)
-        out += [(f"skeleton drop={drop}", schedule_lnn(spec, drop).circuit) for drop in (False, True)]
+    for swaps in (0, 1, 2) if n >= 2 else ():
+        spec = _skeleton_spec(n, rng, swaps)
+        swapped = any(g.kind is GateKind.SWAP for g in spec.payload.values())
+        out += [(f"skeleton swap-payload={swapped} drop={drop}", schedule_lnn(spec, drop).circuit)
+                for drop in (False, True)]
     thresholds = [None, *range(1, n + 1)] if n <= 9 else [None, rng.randint(1, n)]
     out += [(f"qft m={m}", qft_lnn(QftSpec(n, m)).circuit) for m in thresholds]
     out.append(("linsynth", synthesize_lnn(GF2Matrix.random_nonsingular(n, rng)).circuit))
@@ -104,11 +110,28 @@ def test_record_tags_match_the_cut_and_the_reference():
     for n in range(1, 33):
         for name, c in _generated(n, rng):
             names.add(name)
-            _check_record(name, c)
+            if "swap-payload=True" in name:
+                assert c._sublayers is None, name
+            else:
+                _check_record(name, c)
             tags = classify_layers(c)
             assert tags == _cut(c) == ref_classify_layers(c), (name, n)
     assert {name.split()[0] for name in names} == {"skeleton", "qft", "linsynth", "stab", "css"}
     assert {f"qft m={m}" for m in (None, *range(1, 10))} <= names
+    assert {f"skeleton swap-payload={swapped} drop=True" for swapped in (False, True)} <= names
+
+
+def test_a_swap_payload_takes_the_cut_reading():
+    """A SWAP payload alone joins the SWAP stretches around its stage, and one beside other
+    payloads splits its sublayer in two classes: either schedule carries no record."""
+    for drop in (False, True):
+        c = schedule_lnn(SkeletonSpec(2, payload={(0, 1): swap(0, 1)}), drop).circuit
+        assert c._sublayers is None
+        assert classify_layers(c) == ref_classify_layers(c) == [(0, "S"), (1, "S")][: 2 - drop]
+    mixed = SkeletonSpec(4, payload={(0, 3): swap(0, 3), (1, 2): cnot(2, 1)})  # both in stage 3
+    c = schedule_lnn(mixed).circuit
+    assert c._sublayers is None
+    assert classify_layers(c) == _cut(c) == ref_classify_layers(c)
 
 
 @pytest.mark.parametrize("family", ["skeleton", "qft", "linsynth", "stab"])
@@ -164,7 +187,7 @@ def _spy(monkeypatch) -> list[tuple[int, bool]]:
 
 def test_generated_schedules_run_no_cut_layering(monkeypatch):
     rng = Random(SEED + 2)
-    schedules = [c for _, c in _generated(12, rng)]
+    schedules = [c for name, c in _generated(12, rng) if "swap-payload=True" not in name]
     parsed = [parse_circuit(emit_circuit(c)) for c in schedules]
     calls = _spy(monkeypatch)
     for c, copy in zip(schedules, parsed):
