@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -32,6 +33,7 @@ class GateKind(Enum):
 
 
 _ARITY = {kind: 1 if kind in (GateKind.H, GateKind.P) else 2 for kind in GateKind}
+_CNOT_FORMS = {GateKind.H, GateKind.P, GateKind.CNOT, GateKind.SWAP}  # kinds `_fold_walk` expands
 
 
 class _GateFields(NamedTuple):
@@ -137,9 +139,10 @@ def is_permutation(perm: Sequence[int], n: int) -> bool:
 class Circuit:
     """An ordered gate list over a fixed number of wires, kept as a tuple.
 
-    Layer metrics come from two walks, one over the gates as written and one
-    over their CNOT expansion, each made on first use and kept in the instance
-    __dict__ with the distinct gate objects (fields, == and hash are untouched).
+    Layer metrics come from a generated schedule's record (`_slot_walk`), else
+    from two walks, over the gates as written and over their CNOT expansion;
+    each is made on first use and kept in the instance __dict__ with the
+    distinct gate objects (fields, == and hash are untouched).
     """
 
     n_wires: int
@@ -172,8 +175,12 @@ class Circuit:
         return self._cnot_depth
 
     @cached_property
-    def _layers(self) -> tuple[int, int, int, tuple[tuple[int, str], ...] | None]:
-        return _layer_walk(self.gates, self.n_wires, None, self._sublayers is None)
+    def _layers(self) -> tuple:
+        """(depth, two-qubit layer count, generic depth, then the stage tags, or with a record the CNOT
+        expansion's (depth, two-qubit layer count)). A circuit with no SWAP is never cut."""
+        if self._sublayers is not None:
+            return _slot_walk(self.gates, self.n_wires, self._sublayers)
+        return _layer_walk(self.gates, self.n_wires, None, any(g[0] is GateKind.SWAP for g in self._distinct))
 
     @cached_property
     def _plain_layers(self) -> tuple[int, int]:  # apart, so a CNOT expansion can preset it
@@ -181,6 +188,8 @@ class Circuit:
 
     @cached_property
     def _cnot_depth(self) -> int | None:
+        if self._sublayers is not None:  # only a payload can lack a CNOT form
+            return self._layers[3][0] if all(g[0] in _CNOT_FORMS for g in self._distinct) else None
         try:
             return _fold_walk(self.gates, self.n_wires)[0]
         except ValueError:  # a gate with no CNOT form
@@ -192,7 +201,9 @@ def _known_circuit(
 ) -> Circuit:
     """A Circuit of each piece's gates in turn, where a piece is (gates, the objects they are made of),
     each object valid on these wires: no position is scanned. A builder's `sublayers` record each sublayer
-    it emits as (size, class): 'L' (two-qubit, no SWAP), 'S' (SWAP) or '1' (one-qubit) on disjoint wires."""
+    it emits as (size, class): 'L' (two-qubit, no SWAP), 'S' (SWAP) or '1' (one-qubit) on disjoint wires.
+    A stage is an 'L' of payloads right before an 'S': the payload pairs are an in-order subsequence of the
+    SWAP pairs, and only the last stage under `drop_last_swaps` has an empty 'S' (see `_slot_walk`)."""
     gates = tuple(chain.from_iterable(gates for gates, _ in pieces))
     distinct = tuple({id(g): g for _, objects in pieces for g in objects}.values())
     circuit = object.__new__(Circuit)
@@ -259,12 +270,87 @@ def _fold_walk(
     return max(free), two_qubit.count(1)
 
 
+def _slot_walk(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, str]]) -> tuple:
+    """`_layer_walk`'s depth, two-qubit layer count and generic depth, then `_fold_walk`'s results as if each
+    payload were a CNOT, from a record (`_known_circuit`) read one slot at a time. A slot is a SWAP and the
+    payload on its pair, if any; a payload on wire a of SWAP (a, b) is on that pair. Plain, a payload takes
+    layer t and its SWAP t + 1, a bare SWAP t; fused, a slot is one unit; folded, a payload and its SWAP
+    take 2 CNOT layers, a bare SWAP 3. A payload before an empty 'S' is a lone gate; a '1' steps its wires."""
+    plain, unit, free = [0] * n_wires, [0] * n_wires, [0] * n_wires  # the first layer each wire is free in
+    two_qubit, folded = bytearray(2 * len(gates) + 1), bytearray(3 * len(gates) + 1)  # 1 at two-qubit layers
+    end, payload = 0, ()
+    for size, kind in record:
+        start, end = end, end + size
+        if kind == "L":
+            payload = gates[start:end]
+        elif kind == "1":
+            for g in gates[start:end]:
+                plain[g[1][0]] += 1
+                free[g[1][0]] += 1
+        elif size:
+            pairs = iter(payload)
+            on = next(pairs, (None, ()))[1]  # the wires of the next payload to pair
+            for g in gates[start:end]:  # fields read by index: unpacking a tuple subclass is slower
+                a, b = g[1]
+                t, t_b = plain[a], plain[b]
+                if t_b > t:
+                    t = t_b
+                f, f_b = free[a], free[b]
+                if f_b > f:
+                    f = f_b
+                u, u_b = unit[a], unit[b]
+                unit[a] = unit[b] = (u if u > u_b else u_b) + 1
+                if a in on:
+                    two_qubit[t] = two_qubit[t + 1] = folded[f] = folded[f + 1] = 1
+                    plain[a] = plain[b] = t + 2
+                    free[a] = free[b] = f + 2
+                    on = next(pairs, (None, ()))[1]
+                else:
+                    two_qubit[t] = folded[f] = folded[f + 1] = folded[f + 2] = 1
+                    plain[a] = plain[b] = t + 1
+                    free[a] = free[b] = f + 3
+        else:
+            for a, b in (g[1] for g in payload):
+                t, f, u = max(plain[a], plain[b]), max(free[a], free[b]), max(unit[a], unit[b])
+                two_qubit[t] = folded[f] = 1
+                plain[a], plain[b], free[a], free[b], unit[a], unit[b] = t + 1, t + 1, f + 1, f + 1, u + 1, u + 1
+    return max(plain), two_qubit.count(1), max(unit), (max(free), folded.count(1))
+
+
+def _slot_expansion(gates: Sequence[Gate], record: Sequence[tuple[int, str]], out: list, three_on: dict) -> None:
+    """Append to `out` what `_fold_walk` appends for a recorded CNOT/SWAP circuit, paired as in `_slot_walk`:
+    a stage's payloads, each paired one as its reversed CNOT, then per SWAP its payload or its three CNOTs."""
+    cnot_kind, end, payload = GateKind.CNOT, 0, ()
+    for size, kind in record:
+        start, end = end, end + size
+        if kind == "L":
+            payload = gates[start:end]
+        elif kind == "1" or not size:  # one-qubit gates and lone payloads pass as they are
+            out += gates[start:end] if kind == "1" else payload
+        else:
+            pairs, after = iter(payload), []  # after: the stage's gates past its payload column
+            p = next(pairs, (None, ()))
+            for g in gates[start:end]:
+                a, b = qs = g[1]
+                if (three := three_on.get(qs)) is None:
+                    ab = _unchecked_gate(cnot_kind, qs)
+                    three = three_on[qs] = (ab, _unchecked_gate(cnot_kind, (b, a)), ab)
+                if a in p[1]:
+                    out.append(three[p[1][0] == a])  # the folded CNOT, reversed
+                    after.append(p)
+                    p = next(pairs, (None, ()))
+                else:
+                    after += three
+            out += after
+
+
 def _layer_walk(
     gates: Sequence[Gate], n_wires: int, out: list | None = None, staged: bool = True
-) -> tuple[int, int, int, tuple[tuple[int, str], ...] | None]:
+) -> tuple[int, int, int, tuple[tuple[int, str], ...]]:
     """(depth, two-qubit layer count, generic depth, (layer, 'L' or 'S') per stage
-    layer, or None unless `staged`), from up to three layerings in one walk; each
-    gate's plain layer is appended to `out` if given.
+    layer), from up to three layerings in one walk; each gate's plain layer is
+    appended to `out` if given. Unless `staged`, the tags are every plain
+    two-qubit layer as 'L', which is the cut's reading when no gate is a SWAP.
 
     Plain (depth's): each gate lands on the first layer free on all its wires.
     By stage (the audit's, run only when `staged`): the list is cut where its
@@ -333,7 +419,10 @@ def _layer_walk(
         if unit_free[b] > layer:
             layer = unit_free[b]
         unit_free[a] = unit_free[b] = layer + 1
-    stages = tuple((i, t) for i, t in enumerate(tags[:top]) if t is not None) if staged else None
+    if not staged:
+        top = max(plain)
+        tags = ["L" if x else None for x in two_qubit[:top]]
+    stages = tuple((i, t) for i, t in enumerate(tags[:top]) if t is not None)
     return max(plain), two_qubit.count(1), max(unit_free), stages
 
 
@@ -373,7 +462,7 @@ def two_qubit_layer_count(circuit: Circuit) -> int:
 
 
 def generic_depth(circuit: Circuit) -> int:
-    """Depth in merged two-qubit units, from the circuit's walk as written.
+    """Depth in merged two-qubit units, from the walk as written or the sublayer record.
 
     A two-qubit gate immediately followed (on both wires) by a SWAP of the
     same pair counts as one unit, as does a bare SWAP or an unmerged gate.
@@ -504,13 +593,14 @@ def prune_trailing_swap_layers(sc: ScheduledCircuit) -> ScheduledCircuit:
     """Drop trailing all-SWAP layers and undo them on final_map."""
     gates, at, n = sc.circuit.gates, [], sc.circuit.n_wires
     _layer_walk(gates, n, at, False)  # plain layers alone
-    # keep every layer up to the last one holding a non-SWAP gate
-    keep = 1 + max((t for g, t in zip(gates, at) if g.kind is not GateKind.SWAP), default=-1)
-    kept = [g for g, t in zip(gates, at) if t < keep]
-    came_from = list(range(n))  # came_from[s]: the site whose wire the dropped SWAPs bring to site s
-    for g, t in zip(gates, at):
-        if t >= keep:
-            a, b = g.qubits
+    # keep every layer up to the last one holding a non-SWAP gate, found with no Python step per gate
+    keep = 1 + max(compress(at, map(is_not, map(itemgetter(0), gates), repeat(GateKind.SWAP))), default=-1)
+    kept, came_from = [], list(range(n))  # came_from[s]: the site whose wire the dropped SWAPs bring to site s
+    for g, t in zip(gates, at):  # fields read by index: unpacking a tuple subclass is slower
+        if t < keep:
+            kept.append(g)
+        else:
+            a, b = g[1]
             came_from[a], came_from[b] = came_from[b], came_from[a]
     circuit = _known_circuit(n, [(kept, kept)])  # a subset of checked gates
     return ScheduledCircuit(circuit, sc.arch, tuple(came_from[s] for s in sc.final_map))

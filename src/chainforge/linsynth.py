@@ -37,6 +37,7 @@ from .core import (
     _fold_walk,
     _headed_lines,
     _known_circuit,
+    _slot_expansion,
     _unchecked_gate,
     invert_permutation,
     is_permutation,
@@ -225,13 +226,18 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     followed by same-direction); a bare SWAP becomes three. One-qubit gates
     pass through and block folding across them. The result arrives layered
     by `Circuit.cnot_depth`'s walk: with no SWAP left, its plain layering is
-    the fold-aware one, so `depth()` is a read. It also arrives with its
-    distinct gates, the input's plus the CNOTs the walk made, so building
-    it costs no rescan of its positions.
+    the fold-aware one, so `depth()` is a read. A generated schedule is
+    assembled slot by slot from its record, its layers read off the record.
+    It also arrives with its distinct gates, the input's plus the CNOTs the
+    walk made, so building it costs no rescan of its positions.
     """
     out: list[Gate] = []
     three_on: dict[Pair, tuple[Gate, Gate, Gate]] = {}  # (a, b) -> SWAP as 3 CNOTs
-    layers = _fold_walk(circuit.gates, circuit.n_wires, out, three_on)
+    if circuit._sublayers is None or circuit.cnot_depth() is None:  # the walk raises on a gate with no CNOT form
+        layers = _fold_walk(circuit.gates, circuit.n_wires, out, three_on)
+    else:
+        layers = circuit._layers[3]
+        _slot_expansion(circuit.gates, circuit._sublayers, out, three_on)
     # the input's gates were checked on these wires and the walk made the rest
     kept = [g for g in circuit._distinct if g.kind is not GateKind.SWAP]
     made = [g for ab, ba, _ in three_on.values() for g in (ab, ba)]

@@ -321,12 +321,13 @@ def gf2_action(circuit: Circuit) -> GF2Matrix:
     """
     rows = [1 << i for i in range(circuit.n_wires)]
     cnot_kind, swap_kind = GateKind.CNOT, GateKind.SWAP
-    for kind, qs, _ in circuit.gates:
+    for g in circuit.gates:  # fields read by index: unpacking a tuple subclass is slower
+        kind = g[0]
         if kind is cnot_kind:
-            c, t = qs
+            c, t = g[1]
             rows[t] ^= rows[c]
         elif kind is swap_kind:
-            a, b = qs
+            a, b = g[1]
             rows[a], rows[b] = rows[b], rows[a]
         else:
             raise ValueError(f"gf2_action handles cnot and swap only, got {kind.value}")

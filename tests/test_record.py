@@ -1,12 +1,15 @@
-"""The sublayer record that generated schedules carry, against the cut reading.
+"""The sublayer record that generated schedules carry, against the gate walks.
 
 Every builder hands `core._known_circuit` the (size, class) of each payload,
-SWAP and mask sublayer it emits, and `classify_layers` reads a generated
-schedule's stage tags off that record: the layer walk then skips its cut
-layering. Circuits without a record (parsed text, flat references, CNOT
-expansions, pruned schedules, skeletons with a SWAP payload) are still cut in
-their walk. Both readings,
-and `test_layering.ref_classify_layers`, must give the same tags.
+SWAP and mask sublayer it emits. A generated schedule's layer metrics, CNOT
+depth and CNOT expansion are read off that record one slot (a SWAP and the
+payload on its pair) at a time, and its stage tags off the record too:
+neither `_layer_walk` nor `_fold_walk` runs. Circuits without a record
+(parsed text, flat references, CNOT expansions, pruned schedules, skeletons
+with a SWAP payload) are still walked gate by gate, and a circuit with no
+SWAP is never cut. Both readings, and `test_layering.ref_classify_layers`,
+must give the same tags, and the slot reader the same metrics and expansion
+as the walks.
 """
 
 from random import Random
@@ -14,11 +17,13 @@ from random import Random
 import pytest
 from test_layering import _random_circuit, ref_classify_layers
 
-from chainforge import core
+from chainforge import core, linsynth
 from chainforge.bounds import classify_layers, stage_audit
 from chainforge.core import (
+    Architecture,
     Circuit,
     GateKind,
+    ScheduledCircuit,
     cnot,
     cphase,
     cz,
@@ -29,9 +34,10 @@ from chainforge.core import (
     parse_circuit,
     prune_trailing_swap_layers,
     swap,
+    two_qubit_layer_count,
 )
 from chainforge.css import CssGate, CssMode, CssSpec, css_flat, css_schedule_lnn
-from chainforge.linsynth import GF2Matrix, expand_to_cnot, synthesize_lnn
+from chainforge.linsynth import GF2Matrix, expand_circuit_to_cnot, expand_to_cnot, synthesize_lnn
 from chainforge.qft import QftSpec, qft_flat, qft_lnn
 from chainforge.skeleton import SkeletonSpec, all_pairs, schedule_lnn
 from chainforge.stabilizer import random_decomposition, schedule_stabilizer, stabilizer_flat
@@ -59,6 +65,15 @@ def _skeleton_spec(n: int, rng: Random, swaps: int = 0) -> SkeletonSpec:
     return SkeletonSpec(n, frozenset(absent), payload)
 
 
+def _cnot_skeleton(n: int, rng: Random) -> SkeletonSpec:
+    """A CNOT payload, either way, or an absent slot at each pair; the last slot (n - 2, n - 1) has a CNOT,
+    so under `drop_last_swaps` the schedule ends on a lone payload."""
+    pairs = [(a, b) for a, b in all_pairs(n) if (a, b) != (n - 2, n - 1)]
+    absent = {pair for pair in pairs if rng.random() < 0.5}
+    payload = {(a, b): cnot(*rng.sample((a, b), 2)) for a, b in [*pairs, (n - 2, n - 1)] if (a, b) not in absent}
+    return SkeletonSpec(n, frozenset(absent), payload)
+
+
 def _css_spec(mode: CssMode, n: int, mask: bool, rng: Random) -> CssSpec:
     extra = mode is CssMode.ENCODE
     s = rng.randint(1, n - 1 - extra)
@@ -75,6 +90,9 @@ def _generated(n: int, rng: Random) -> list[tuple[str, Circuit]]:
         swapped = any(g.kind is GateKind.SWAP for g in spec.payload.values())
         out += [(f"skeleton swap-payload={swapped} drop={drop}", schedule_lnn(spec, drop).circuit)
                 for drop in (False, True)]
+    if n >= 2:
+        spec = _cnot_skeleton(n, rng)
+        out += [(f"skeleton cnot drop={drop}", schedule_lnn(spec, drop).circuit) for drop in (False, True)]
     thresholds = [None, *range(1, n + 1)] if n <= 9 else [None, rng.randint(1, n)]
     out += [(f"qft m={m}", qft_lnn(QftSpec(n, m)).circuit) for m in thresholds]
     out.append(("linsynth", synthesize_lnn(GF2Matrix.random_nonsingular(n, rng)).circuit))
@@ -104,6 +122,56 @@ def _cut(c: Circuit) -> list[tuple[int, str]]:
     return classify_layers(Circuit(c.n_wires, c.gates))
 
 
+def _check_pairing(name: str, c: Circuit) -> None:
+    """The record is '1' sublayers and stages, a stage being an 'L' right before an 'S', and the payload
+    pairs are an in-order subsequence of the SWAP pairs; an 'S' is empty only as the record's last
+    sublayer, after at most one payload gate (the last stage under `drop_last_swaps`)."""
+    record, starts = list(c._sublayers), [0]
+    for size, _ in record:
+        starts.append(starts[-1] + size)
+    for i, (size, kind) in enumerate(record):
+        if kind == "S":
+            assert i and record[i - 1][1] == "L", (name, i)
+            assert size or (i == len(record) - 1 and record[i - 1][0] <= 1), (name, i)
+        elif kind == "L":
+            assert i + 1 < len(record) and record[i + 1][1] == "S", (name, i)
+            if record[i + 1][0]:
+                payload = [tuple(sorted(g.qubits)) for g in c.gates[starts[i] : starts[i + 1]]]
+                swaps = iter([g.qubits for g in c.gates[starts[i + 1] : starts[i + 2]]])
+                assert all(pair in swaps for pair in payload), (name, i, payload)  # `in` consumes `swaps`
+
+
+def _check_slots(name: str, c: Circuit) -> None:
+    """The slot reader's depth, two-qubit layer count, generic depth and fold layers equal the gate walks',
+    and so does every public metric read."""
+    read = core._slot_walk(c.gates, c.n_wires, c._sublayers)
+    assert read[:3] == core._layer_walk(c.gates, c.n_wires)[:3], name
+    try:
+        fold = core._fold_walk(c.gates, c.n_wires)
+    except ValueError:  # a payload with no CNOT form: no CNOT depth
+        assert c.cnot_depth() is None, name
+    else:
+        assert read[3] == fold and c.cnot_depth() == fold[0], name
+    copy = Circuit(c.n_wires, c.gates)
+    for metric in (Circuit.depth, two_qubit_layer_count, generic_depth, Circuit.cnot_depth, classify_layers):
+        assert metric(c) == metric(copy), (name, metric.__name__)
+
+
+def _check_expansion(name: str, c: Circuit) -> None:
+    """The expansion assembled from the slots is `_fold_walk(out=...)`'s on an unrecorded copy with the
+    same distinct gates: the same gates in order, the same objects (each SWAP pair's CNOTs made once)."""
+    walked = expand_circuit_to_cnot(core._known_circuit(c.n_wires, [(c.gates, c._distinct)]))
+    read = expand_circuit_to_cnot(c)
+    assert read.gates == walked.gates and read._distinct == walked._distinct, name
+    kept = [g for g in c._distinct if g.kind is not GateKind.SWAP]  # the input's own objects come first
+    assert all(x is y for x, y in zip(read._distinct, kept)), name
+    at_read = {id(g): i for i, g in enumerate(read._distinct)}
+    at_walked = {id(g): i for i, g in enumerate(walked._distinct)}
+    assert [at_read[id(g)] for g in read.gates] == [at_walked[id(g)] for g in walked.gates], name
+    assert read._plain_layers == walked._plain_layers == core._layer_walk(read.gates, c.n_wires)[:2], name
+    assert read.cnot_depth() == walked.cnot_depth() == c.cnot_depth(), name
+
+
 def test_record_tags_match_the_cut_and_the_reference():
     rng = Random(SEED)
     names = set()
@@ -114,11 +182,34 @@ def test_record_tags_match_the_cut_and_the_reference():
                 assert c._sublayers is None, name
             else:
                 _check_record(name, c)
+                _check_pairing(name, c)
             tags = classify_layers(c)
             assert tags == _cut(c) == ref_classify_layers(c), (name, n)
     assert {name.split()[0] for name in names} == {"skeleton", "qft", "linsynth", "stab", "css"}
     assert {f"qft m={m}" for m in (None, *range(1, 10))} <= names
     assert {f"skeleton swap-payload={swapped} drop=True" for swapped in (False, True)} <= names
+    assert "skeleton cnot drop=True" in names
+
+
+def test_slots_give_the_walks_metrics_and_expansion():
+    """At n = 1..32 the slot reader's depth, two-qubit layers, generic depth, tags, CNOT depth and fold
+    layers equal the gate walks', and each CNOT/SWAP schedule expands as `_fold_walk(out=...)` does.
+    Among them: CNOT skeletons whose last payload is lone under `drop_last_swaps`, and schedules
+    with CZ, phase or generic payloads, whose CNOT depth is None."""
+    rng = Random(SEED + 4)
+    expanded, none = set(), set()
+    for n in range(1, 33):
+        for name, c in _generated(n, rng):
+            if "swap-payload=True" in name:
+                continue
+            _check_slots(name, c)
+            if c.cnot_depth() is None:
+                none.add(name.split()[0])
+            else:
+                _check_expansion(name, c)
+                expanded.add(name)
+    assert {"skeleton cnot drop=True", "skeleton cnot drop=False", "linsynth", "stab"} <= expanded
+    assert {"skeleton", "qft", "css"} <= none
 
 
 def test_a_swap_payload_takes_the_cut_reading():
@@ -145,8 +236,12 @@ def test_record_tags_at_the_benchmark_sizes(family):
         "stab": lambda: schedule_stabilizer(random_decomposition(128, rng)),
     }[family]().circuit
     _check_record(family, c)
+    _check_pairing(family, c)
     assert classify_layers(c) == _cut(c)
     assert stage_audit(c).ok
+    _check_slots(family, c)
+    if family in ("linsynth", "stab"):
+        _check_expansion(family, c)
 
 
 def test_drop_last_swaps_shrinks_the_last_swap_sublayer():
@@ -173,28 +268,45 @@ def test_readers_without_a_record_take_the_cut_reading():
             assert classify_layers(c) == ref_classify_layers(c), c
 
 
-def _spy(monkeypatch) -> list[tuple[int, bool]]:
-    """Each `_layer_walk` call as (gate count, whether it runs the cut layering)."""
-    calls, walk = [], core._layer_walk
+def _spy(monkeypatch) -> list[tuple[str, int, bool]]:
+    """Each `_layer_walk` call as ("layer", gate count, whether it runs the cut layering), and each
+    `_fold_walk` call as ("fold", gate count, whether it expands)."""
+    calls, layer_walk, fold_walk = [], core._layer_walk, core._fold_walk
 
-    def spied(gates, n_wires, out=None, staged=True):
-        calls.append((len(gates), staged))
-        return walk(gates, n_wires, out, staged)
+    def spied_layers(gates, n_wires, out=None, staged=True):
+        calls.append(("layer", len(gates), staged))
+        return layer_walk(gates, n_wires, out, staged)
 
-    monkeypatch.setattr(core, "_layer_walk", spied)
+    def spied_fold(gates, n_wires, out=None, three_on=None):
+        calls.append(("fold", len(gates), out is not None))
+        return fold_walk(gates, n_wires, out, three_on)
+
+    monkeypatch.setattr(core, "_layer_walk", spied_layers)
+    monkeypatch.setattr(core, "_fold_walk", spied_fold)
+    monkeypatch.setattr(linsynth, "_fold_walk", spied_fold)  # the expansion's own import
     return calls
 
 
+def _read_all(c: Circuit) -> None:
+    """Every metric, the audit and, where there is one, the CNOT expansion and its depth."""
+    c.depth(), generic_depth(c), two_qubit_layer_count(c), c.cnot_depth(), stage_audit(c)
+    if c.cnot_depth() is not None:
+        expand_to_cnot(ScheduledCircuit(c, Architecture.lnn(c.n_wires), tuple(range(c.n_wires)))).circuit.depth()
+
+
 def test_generated_schedules_run_no_cut_layering(monkeypatch):
+    """A generated schedule runs neither gate walk for any metric, its audit or its CNOT expansion;
+    its parsed copy runs the cut walk once and the fold walk twice (CNOT depth, then the expansion)."""
     rng = Random(SEED + 2)
     schedules = [c for name, c in _generated(12, rng) if "swap-payload=True" not in name]
     parsed = [parse_circuit(emit_circuit(c)) for c in schedules]
     calls = _spy(monkeypatch)
     for c, copy in zip(schedules, parsed):
-        c.depth(), generic_depth(c), stage_audit(c)
-        assert calls == [(len(c.gates), False)]
-        copy.depth(), generic_depth(copy), stage_audit(copy)
-        assert calls[1:] == [(len(c.gates), True)]
+        _read_all(c)
+        assert calls == [], calls
+        _read_all(copy)
+        walks = [("layer", len(c.gates), True), ("fold", len(c.gates), False)]
+        assert calls == walks + [("fold", len(c.gates), True)] * (c.cnot_depth() is not None), calls
         calls.clear()
 
 
@@ -218,11 +330,36 @@ def test_layer_walk_is_the_same_with_and_without_the_cut():
         with_cut = core._layer_walk(c.gates, c.n_wires, staged)
         without = core._layer_walk(c.gates, c.n_wires, plain, False)
         assert with_cut[:3] == without[:3] and staged == plain, c
-        assert without[3] is None and list(with_cut[3]) == ref_classify_layers(c), c
+        assert list(with_cut[3]) == ref_classify_layers(c), c
+        two_qubit = sorted({layer for g, layer in zip(c.gates, plain) if len(g.qubits) == 2})
+        assert without[3] == tuple((layer, "L") for layer in two_qubit), c  # each two-qubit layer as L
+
+
+def test_a_circuit_without_swaps_is_never_cut(monkeypatch):
+    """With no SWAP the cut layering is the plain one, one-qubit gates included: such a circuit's
+    walk skips the cut, and its tags, every plain two-qubit layer as L, match the reference."""
+    rng = Random(SEED + 5)
+    swap_free = [Circuit(c.n_wires, [g for g in c.gates if g.kind is not GateKind.SWAP]) for c in _circuits()]
+    assert sum(any(len(g.qubits) == 1 for g in c.gates) for c in swap_free) > 100
+    for n in (1, 2, 5, 9):
+        a, d = GF2Matrix.random_nonsingular(n, rng), random_decomposition(n, rng)
+        swap_free += [expand_to_cnot(synthesize_lnn(a)).circuit, expand_to_cnot(schedule_stabilizer(d)).circuit]
+        stripped = emit_circuit(qft_lnn(QftSpec(n)).circuit).replace("swap", "#")  # SWAP lines as comments
+        swap_free += [qft_flat(QftSpec(n)), parse_circuit(stripped)]
+        swap_free += [css_flat(_css_spec(CssMode.SYNDROME, n, True, rng))] if n >= 2 else []
+    calls = _spy(monkeypatch)
+    for c in swap_free:
+        fresh = Circuit(c.n_wires, c.gates)
+        for read in (c, fresh):
+            tags = classify_layers(read)
+            assert tags == ref_classify_layers(c) and {tag for _, tag in tags} <= {"L"}, c
+        assert calls == [("layer", len(c.gates), False)] * 2, c
+        calls.clear()
 
 
 def test_one_sublayer_per_gate_reads_as_the_cut():
-    """A record of one sublayer per gate is valid for any circuit, and reads as its cut."""
+    """A record of one sublayer per gate is a stage record of any circuit and its tags read as its cut
+    (its stages break the pairing promise, so only the tags are checked)."""
     for c in _circuits():
         record = [(1, "1" if len(g.qubits) == 1 else "S" if g.kind is GateKind.SWAP else "L") for g in c.gates]
         recorded = core._known_circuit(c.n_wires, [(c.gates, c.gates)], record)

@@ -227,7 +227,7 @@ def test_every_public_method_has_a_caller():
 # The ways past a check, each with the one list of places allowed to use it. A new caller is a
 # deliberate change: it makes gates valid by construction, or hands over gates it knows are valid.
 _PINNED = {
-    "_unchecked_gate": {"core._fold_walk", "linsynth._replay", "skeleton._site_gate"},
+    "_unchecked_gate": {"core._fold_walk", "core._slot_expansion", "linsynth._replay", "skeleton._site_gate"},
     "tuple.__new__": {"core.Gate.__new__", "core._unchecked_gate"},
     "_known_circuit": {
         "core.parse_circuit",
