@@ -8,9 +8,11 @@ adjacent, a swapping layer holds a disjoint set of edge swaps.
 
 The audit reads a schedule stage by stage, as written: the gate list is
 cut wherever its two-qubit content switches between SWAP and non-SWAP, and
-each piece is layered on its own. A layer holding a two-qubit non-SWAP
-gate counts as L (mixed layers count as L), a SWAP-only layer counts as S,
-and layers with no two-qubit gate are skipped. The spacing requirements:
+each piece is layered on its own, by one reader (`core._stage_tags`) of a
+generated schedule's sublayer record or of any other circuit's class runs.
+A layer holding a two-qubit non-SWAP gate counts as L (mixed layers count
+as L), a SWAP-only layer counts as S, and layers with no two-qubit gate
+are skipped. The spacing requirements:
 any three consecutive L layers need at least one S strictly between the
 first and third, and any four consecutive L layers need at least two S
 between the first and fourth.
@@ -23,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import Architecture, Circuit, ScheduledCircuit, _recorded_stages
+from .core import Architecture, Circuit, ScheduledCircuit, _stage_tags
 from .skeleton import all_pairs
 
 
@@ -108,13 +110,11 @@ def classify_layers(circuit: Circuit) -> list[tuple[int, str]]:
     and every stretch is layered greedily on its own. Single-qubit gates
     stay with the stretch they were emitted in. Judging the written stage
     structure keeps the verdict stable under recompression, which would
-    otherwise slide sparse stages into each other. A generated schedule's tags
-    come from its builder's sublayer record (`core._known_circuit`); a circuit
-    with none is cut in its one walk, shared with `depth()` and `generic_depth`.
+    otherwise slide sparse stages into each other. The tags come from one
+    reader (`core._stage_tags`): of a generated schedule's sublayer record
+    (`core._known_circuit`), else of a record made from the circuit's class runs.
     """
-    if circuit._sublayers is None:
-        return list(circuit._layers[3])
-    return _recorded_stages(circuit.gates, circuit.n_wires, circuit._sublayers)
+    return _stage_tags(circuit)
 
 
 def stage_audit(sc: ScheduledCircuit | Circuit) -> AuditReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, repeat
 from operator import is_not, itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -34,6 +34,7 @@ class GateKind(Enum):
 
 _ARITY = {kind: 1 if kind in (GateKind.H, GateKind.P) else 2 for kind in GateKind}
 _CNOT_FORMS = {GateKind.H, GateKind.P, GateKind.CNOT, GateKind.SWAP}  # kinds `_fold_walk` expands
+_CLASS = {kind: "1" if _ARITY[kind] == 1 else "S" if kind is GateKind.SWAP else "L" for kind in GateKind}  # stage class
 
 
 class _GateFields(NamedTuple):
@@ -142,7 +143,9 @@ class Circuit:
     Layer metrics come from a generated schedule's record (`_slot_walk`), else
     from two walks, over the gates as written and over their CNOT expansion;
     each is made on first use and kept in the instance __dict__ with the
-    distinct gate objects (fields, == and hash are untouched).
+    distinct gate objects (fields, == and hash are untouched). Stage tags are
+    read off a record, a circuit's own class runs standing in for a missing
+    one (`_stage_tags`).
     """
 
     n_wires: int
@@ -176,11 +179,11 @@ class Circuit:
 
     @cached_property
     def _layers(self) -> tuple:
-        """(depth, two-qubit layer count, generic depth, then the stage tags, or with a record the CNOT
-        expansion's (depth, two-qubit layer count)). A circuit with no SWAP is never cut."""
+        """(depth, two-qubit layer count, generic depth, then with a record the CNOT expansion's (depth,
+        two-qubit layer count), else the plain two-qubit layer marks), from `_slot_walk` or `_layer_walk`."""
         if self._sublayers is not None:
             return _slot_walk(self.gates, self.n_wires, self._sublayers)
-        return _layer_walk(self.gates, self.n_wires, None, any(g[0] is GateKind.SWAP for g in self._distinct))
+        return _layer_walk(self.gates, self.n_wires)
 
     @cached_property
     def _plain_layers(self) -> tuple[int, int]:  # apart, so a CNOT expansion can preset it
@@ -317,11 +320,14 @@ def _slot_walk(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, 
     return max(plain), two_qubit.count(1), max(unit), (max(free), folded.count(1))
 
 
-def _slot_expansion(gates: Sequence[Gate], record: Sequence[tuple[int, str]], out: list, three_on: dict) -> None:
-    """Append to `out` what `_fold_walk` appends for a recorded CNOT/SWAP circuit, paired as in `_slot_walk`:
+def _cnot_expansion(circuit: Circuit, out: list, three_on: dict) -> tuple[int, int]:
+    """Append to `out` what `_fold_walk(out=...)` appends, and return its (depth, two-qubit layer count). A recorded
+    CNOT/SWAP circuit is assembled from its record, paired as in `_slot_walk`, its layers read off the record:
     a stage's payloads, each paired one as its reversed CNOT, then per SWAP its payload or its three CNOTs."""
-    cnot_kind, end, payload = GateKind.CNOT, 0, ()
-    for size, kind in record:
+    if circuit._sublayers is None or circuit.cnot_depth() is None:  # the walk raises on a gate with no CNOT form
+        return _fold_walk(circuit.gates, circuit.n_wires, out, three_on)
+    gates, cnot_kind, end, payload = circuit.gates, GateKind.CNOT, 0, ()
+    for size, kind in circuit._sublayers:
         start, end = end, end + size
         if kind == "L":
             payload = gates[start:end]
@@ -342,33 +348,22 @@ def _slot_expansion(gates: Sequence[Gate], record: Sequence[tuple[int, str]], ou
                 else:
                     after += three
             out += after
+    return circuit._layers[3]
 
 
-def _layer_walk(
-    gates: Sequence[Gate], n_wires: int, out: list | None = None, staged: bool = True
-) -> tuple[int, int, int, tuple[tuple[int, str], ...]]:
-    """(depth, two-qubit layer count, generic depth, (layer, 'L' or 'S') per stage
-    layer), from up to three layerings in one walk; each gate's plain layer is
-    appended to `out` if given. Unless `staged`, the tags are every plain
-    two-qubit layer as 'L', which is the cut's reading when no gate is a SWAP.
+def _layer_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> tuple[int, int, int, bytearray]:
+    """(depth, two-qubit layer count, generic depth, 1 at each plain layer holding a two-qubit gate),
+    from two layerings in one walk; each gate's plain layer is appended to `out` if given.
 
     Plain (depth's): each gate lands on the first layer free on all its wires.
-    By stage (the audit's, run only when `staged`): the list is cut where its
-    two-qubit gates switch between SWAP and non-SWAP, every wire rises to the top
-    at a cut, and one-qubit gates count. By fused unit (generic depth's): a SWAP
-    joins the non-SWAP unit last on both its wires if no SWAP has joined it yet;
-    one-qubit gates are ignored.
+    By fused unit (generic depth's): a SWAP joins the non-SWAP unit last on
+    both its wires if no SWAP has joined it yet; one-qubit gates are ignored.
     """
     plain = [0] * n_wires  # first layer each wire is free in
     two_qubit = bytearray(len(gates))  # 1 at each plain layer holding a two-qubit gate
-    free = [0] * n_wires  # by stage: a wire is free from max(free[w], floor)
-    floor = top = 0  # top: the first layer free on every wire; floor: top at the last cut
     unit_free = [0] * n_wires  # by fused unit
     last = [0] * n_wires  # id of the joinable unit last on each wire, else 0
-    tags: list[str | None] = [None] * len(gates) if staged else []  # stage tag of each two-qubit layer
-    swap_kind = GateKind.SWAP
-    last_kind = stretch = None
-    units = 0
+    swap_kind, units = GateKind.SWAP, 0
     for g in gates:  # fields read by index: unpacking a tuple subclass is slower
         qs = g[1]
         if len(qs) == 1:
@@ -376,10 +371,6 @@ def _layer_walk(
             if out is not None:
                 out.append(plain[q])
             plain[q] += 1
-            if staged:
-                free[q] = layer = (free[q] if free[q] > floor else floor) + 1
-                if layer > top:
-                    top = layer
             continue
         a, b = qs
         layer = plain[a]
@@ -389,25 +380,7 @@ def _layer_walk(
             out.append(layer)
         two_qubit[layer] = 1
         plain[a] = plain[b] = layer + 1
-        kind = g[0]
-        if staged:
-            if kind is not last_kind:
-                last_kind = kind
-                tag = "S" if kind is swap_kind else "L"
-                if tag is not stretch:
-                    if stretch is not None:
-                        floor = top
-                    stretch = tag
-            layer = free[a]
-            if free[b] > layer:
-                layer = free[b]
-            if floor > layer:
-                layer = floor
-            free[a] = free[b] = layer + 1
-            if layer >= top:
-                top = layer + 1
-            tags[layer] = stretch
-        if kind is swap_kind:
+        if g[0] is swap_kind:
             joins = last[a] == last[b] != 0
             last[a] = last[b] = 0  # a unit holding a SWAP takes no other
             if joins:
@@ -419,18 +392,30 @@ def _layer_walk(
         if unit_free[b] > layer:
             layer = unit_free[b]
         unit_free[a] = unit_free[b] = layer + 1
-    if not staged:
-        top = max(plain)
-        tags = ["L" if x else None for x in two_qubit[:top]]
-    stages = tuple((i, t) for i, t in enumerate(tags[:top]) if t is not None)
-    return max(plain), two_qubit.count(1), max(unit_free), stages
+    return max(plain), two_qubit.count(1), max(unit_free), two_qubit
 
 
-def _recorded_stages(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, str]]) -> list:
-    """`_layer_walk`'s stage tags from a sublayer record (`_known_circuit`): a two-qubit class other than
-    the open stretch's cuts. A stretch's first sublayer fills the stretch's first layer and is walked only
-    if the stretch goes on; the rest are walked gate by gate, as the cut walk would."""
-    free = [0] * n_wires  # a wire is free from max(free[w], floor)
+def _class_runs(gates: Sequence[Gate]) -> list[tuple[int, str]]:
+    """A record of gates that have none: each maximal run of one class ('L', 'S' or '1') as its first gate alone,
+    on disjoint wires as `_stage_tags` needs of a stretch's first sublayer, then the rest of the run."""
+    runs = [(kind, len([*run])) for kind, run in groupby(map(_CLASS.__getitem__, map(itemgetter(0), gates)))]
+    return [sub for kind, size in runs for sub in ((1, kind), (size - 1, kind)) if sub[0]]
+
+
+def _stage_tags(circuit: Circuit) -> list[tuple[int, str]]:
+    """(layer, 'L' or 'S') per stage layer. The gates are cut where their two-qubit class switches between SWAP
+    and non-SWAP, every wire rises to the top at a cut, and one-qubit gates count. The cut is read off the sublayer
+    record (`_known_circuit`), or off the class runs (`_class_runs`) of a circuit with none; with no record and at
+    most one two-qubit class there is no cut, and the tags are the plain two-qubit layer marks. A stretch's first
+    sublayer fills the stretch's first layer and is walked only if the stretch goes on; the rest are walked."""
+    gates, record = circuit.gates, circuit._sublayers
+    if record is None:
+        classes = set(map(_CLASS.__getitem__, map(itemgetter(0), circuit._distinct))) - {"1"}
+        if len(classes) < 2:
+            depth, _, _, marks = circuit._layers
+            return list(zip(compress(range(depth), marks), repeat(classes.pop() if classes else "L")))
+        record = _class_runs(gates)
+    free = [0] * circuit.n_wires  # a wire is free from max(free[w], floor)
     tags: list[str | None] = [None] * len(gates)  # stage tag of each two-qubit layer
     floor = top = end = 0  # top: the first layer free on every wire; floor: top at the last cut
     tag = unwalked = None  # unwalked: where the open stretch's first sublayer starts, until it is walked
@@ -592,17 +577,19 @@ def invert_permutation(perm: Sequence[int]) -> tuple[int, ...]:
 def prune_trailing_swap_layers(sc: ScheduledCircuit) -> ScheduledCircuit:
     """Drop trailing all-SWAP layers and undo them on final_map."""
     gates, at, n = sc.circuit.gates, [], sc.circuit.n_wires
-    _layer_walk(gates, n, at, False)  # plain layers alone
+    _layer_walk(gates, n, at)
     # keep every layer up to the last one holding a non-SWAP gate, found with no Python step per gate
     keep = 1 + max(compress(at, map(is_not, map(itemgetter(0), gates), repeat(GateKind.SWAP))), default=-1)
-    kept, came_from = [], list(range(n))  # came_from[s]: the site whose wire the dropped SWAPs bring to site s
+    kept, came_from, gone = [], list(range(n)), set()  # came_from[s]: the site whose wire the dropped SWAPs bring to s
     for g, t in zip(gates, at):  # fields read by index: unpacking a tuple subclass is slower
         if t < keep:
             kept.append(g)
         else:
             a, b = g[1]
             came_from[a], came_from[b] = came_from[b], came_from[a]
-    circuit = _known_circuit(n, [(kept, kept)])  # a subset of checked gates
+            gone.add(id(g))
+    gone.difference_update(map(id, kept))  # left: the SWAP objects no kept gate is, found in one C pass
+    circuit = _known_circuit(n, [(kept, [g for g in sc.circuit._distinct if id(g) not in gone])])  # checked objects
     return ScheduledCircuit(circuit, sc.arch, tuple(came_from[s] for s in sc.final_map))
 
 

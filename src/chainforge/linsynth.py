@@ -34,10 +34,9 @@ from .core import (
     ScheduledCircuit,
     _bit_rows,
     _bit_string,
-    _fold_walk,
+    _cnot_expansion,
     _headed_lines,
     _known_circuit,
-    _slot_expansion,
     _unchecked_gate,
     invert_permutation,
     is_permutation,
@@ -182,11 +181,11 @@ def _inverse_and_order(a: GF2Matrix) -> tuple[GF2Matrix, array, tuple[int, ...]]
 
 
 def _part_pieces(
-    parts: _Parts, sublayers: list[tuple[int, str]] | None = None
+    parts: _Parts, sublayers: list[tuple[int, str]]
 ) -> tuple[list[tuple[list[Gate], list[Gate]]], list[int]]:
     """The nonempty parts chained as skeleton schedules from the identity placement, one (gates,
     distinct gates) piece per part, each stage's payload then SWAPs, each sublayer's (size, class)
-    appended to `sublayers` if given; and the site of each column's wire at the exit. Every scheduled
+    appended to `sublayers`; and the site of each column's wire at the exit. Every scheduled
     part flips the placement end to end, so consecutive parts need no routing between them; an empty
     part is skipped and leaves it alone. Wire c ends on site c, or n - 1 - c after one part, and
     carries column cols[c]."""
@@ -196,7 +195,7 @@ def _part_pieces(
     for grid, rev in ((parts.lower, False), (parts.upper[::-1], True)):
         if 1 in grid:  # reversed labels see the identity as the reversal, and the reversal as the identity
             row = _site_row(n, flip != rev, [Slot(GateKind.CNOT)] * n, grid)
-            gates, table = _grid_stages(n, flip != rev, row, [] if sublayers is None else sublayers, grid)
+            gates, table = _grid_stages(n, flip != rev, row, sublayers, grid)
             pieces.append((gates, [*table, *filter(None, row)]))
             flip = not flip
     sites = [0] * n
@@ -233,11 +232,7 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     """
     out: list[Gate] = []
     three_on: dict[Pair, tuple[Gate, Gate, Gate]] = {}  # (a, b) -> SWAP as 3 CNOTs
-    if circuit._sublayers is None or circuit.cnot_depth() is None:  # the walk raises on a gate with no CNOT form
-        layers = _fold_walk(circuit.gates, circuit.n_wires, out, three_on)
-    else:
-        layers = circuit._layers[3]
-        _slot_expansion(circuit.gates, circuit._sublayers, out, three_on)
+    layers = _cnot_expansion(circuit, out, three_on)
     # the input's gates were checked on these wires and the walk made the rest
     kept = [g for g in circuit._distinct if g.kind is not GateKind.SWAP]
     made = [g for ab, ba, _ in three_on.values() for g in (ab, ba)]

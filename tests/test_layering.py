@@ -6,9 +6,11 @@ docstrings, and `depth` taken off the class; `ref_prune` is the
 `prune_trailing_swap_layers` body from before it read `asap_layers`. Every
 layer metric must agree with them on seeded random circuits, whichever
 metric reads a circuit first. A circuit computes its metrics in two memoized
-walks: one over the gates as written (depth, two-qubit layers, generic depth,
-stage tags; with a list, also each gate's plain layer, which is not memoized)
-and a fold-aware one (CNOT depth).
+walks: one over the gates as written (depth, two-qubit layers, generic depth;
+with a list, also each gate's plain layer, which is not memoized) and a
+fold-aware one (CNOT depth). Its stage tags come from `core._stage_tags`,
+off its class runs, or off the first walk's plain two-qubit layers when at
+most one two-qubit class is present.
 """
 
 from itertools import combinations
@@ -215,6 +217,7 @@ def _circuits() -> list[Circuit]:
         # below the top at the last cut and some raising the top before the next
         Circuit(4, (h(0), h(0), h(0), cnot(1, 2), swap(2, 3), h(1), swap(0, 1), p(3), cz(2, 3),
                     h(0), h(0), swap(1, 2), cnot(3, 0), h(2), swap(0, 1), cphase(2, 1, 3), p(1))),
+        Circuit(3, (s := swap(0, 1), cnot(1, 2), s)),  # one SWAP object in a kept layer and in a pruned one
     ]
     return fixed + [_random_circuit(rng) for _ in range(N_CIRCUITS)]
 
@@ -232,8 +235,9 @@ def test_kernel_metrics_match_the_reference_loops():
         # every pair is adjacent, so each circuit validates as a schedule
         all_pairs = Architecture.graph(c.n_wires, combinations(range(c.n_wires), 2))
         sc = ScheduledCircuit(c, all_pairs, tuple(rng.sample(range(c.n_wires), c.n_wires)))  # any final map
-        want = ref_prune(sc)
-        assert prune_trailing_swap_layers(sc) == want, c
+        want, got = ref_prune(sc), prune_trailing_swap_layers(sc)
+        assert got == want, c
+        assert sorted(map(id, got.circuit._distinct)) == sorted({id(g) for g in got.circuit.gates}), c  # by identity
         pruned += len(want.circuit) < len(c)
     assert kinds_seen == set(GateKind) and pruned > 0
 

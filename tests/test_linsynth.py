@@ -189,14 +189,14 @@ def test_synthesize_identity_and_one_wire():
 
 def chained(parts) -> tuple[list, tuple[int, ...]]:
     """The parts' pieces as one gate list, beside the exit placement."""
-    pieces, sites = _part_pieces(parts)
+    pieces, sites = _part_pieces(parts, [])
     return [g for gates, _ in pieces for g in gates], tuple(sites)
 
 
 def test_no_part_keeps_the_entry_order():
-    assert _part_pieces(gauss_jordan(_identity(3))) == ([], [0, 1, 2])
+    assert _part_pieces(gauss_jordan(_identity(3)), []) == ([], [0, 1, 2])
     # a permutation needs no part: the wire with column cols[c] stays on site c
-    assert _part_pieces(gauss_jordan(_gf2("010", "001", "100"))) == ([], [2, 0, 1])
+    assert _part_pieces(gauss_jordan(_gf2("010", "001", "100")), []) == ([], [2, 0, 1])
 
 
 def test_synthesis_checks_each_listed_slot_pair_once(monkeypatch):

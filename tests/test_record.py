@@ -6,10 +6,12 @@ depth and CNOT expansion are read off that record one slot (a SWAP and the
 payload on its pair) at a time, and its stage tags off the record too:
 neither `_layer_walk` nor `_fold_walk` runs. Circuits without a record
 (parsed text, flat references, CNOT expansions, pruned schedules, skeletons
-with a SWAP payload) are still walked gate by gate, and a circuit with no
-SWAP is never cut. Both readings, and `test_layering.ref_classify_layers`,
-must give the same tags, and the slot reader the same metrics and expansion
-as the walks.
+with a SWAP payload) are still walked gate by gate for their metrics. Their
+tags come from the same stage reader, off a record of their class runs
+(`core._class_runs`), unless at most one two-qubit class is present: such a
+circuit has no cut, and its tags are its plain two-qubit layers. Every
+reading, and `test_layering.ref_classify_layers`, must give the same tags,
+and the slot reader the same metrics and expansion as the walks.
 """
 
 from random import Random
@@ -17,7 +19,7 @@ from random import Random
 import pytest
 from test_layering import _random_circuit, ref_classify_layers
 
-from chainforge import core, linsynth
+from chainforge import core
 from chainforge.bounds import classify_layers, stage_audit
 from chainforge.core import (
     Architecture,
@@ -269,13 +271,13 @@ def test_readers_without_a_record_take_the_cut_reading():
 
 
 def _spy(monkeypatch) -> list[tuple[str, int, bool]]:
-    """Each `_layer_walk` call as ("layer", gate count, whether it runs the cut layering), and each
+    """Each `_layer_walk` call as ("layer", gate count, whether it lists each gate's layer), and each
     `_fold_walk` call as ("fold", gate count, whether it expands)."""
     calls, layer_walk, fold_walk = [], core._layer_walk, core._fold_walk
 
-    def spied_layers(gates, n_wires, out=None, staged=True):
-        calls.append(("layer", len(gates), staged))
-        return layer_walk(gates, n_wires, out, staged)
+    def spied_layers(gates, n_wires, out=None):
+        calls.append(("layer", len(gates), out is not None))
+        return layer_walk(gates, n_wires, out)
 
     def spied_fold(gates, n_wires, out=None, three_on=None):
         calls.append(("fold", len(gates), out is not None))
@@ -283,7 +285,6 @@ def _spy(monkeypatch) -> list[tuple[str, int, bool]]:
 
     monkeypatch.setattr(core, "_layer_walk", spied_layers)
     monkeypatch.setattr(core, "_fold_walk", spied_fold)
-    monkeypatch.setattr(linsynth, "_fold_walk", spied_fold)  # the expansion's own import
     return calls
 
 
@@ -294,9 +295,16 @@ def _read_all(c: Circuit) -> None:
         expand_to_cnot(ScheduledCircuit(c, Architecture.lnn(c.n_wires), tuple(range(c.n_wires)))).circuit.depth()
 
 
-def test_generated_schedules_run_no_cut_layering(monkeypatch):
-    """A generated schedule runs neither gate walk for any metric, its audit or its CNOT expansion;
-    its parsed copy runs the cut walk once and the fold walk twice (CNOT depth, then the expansion)."""
+def _two_qubit_classes(c: Circuit) -> set[bool]:
+    """Whether each two-qubit gate is a SWAP, as a set: its size is the number of two-qubit classes."""
+    return {g.kind is GateKind.SWAP for g in c.gates if len(g.qubits) == 2}
+
+
+def test_a_generated_schedule_runs_no_walk_and_its_parsed_copy_one(monkeypatch):
+    """A generated schedule runs neither gate walk for any metric, its audit or its CNOT expansion.
+    Its parsed copy runs `_layer_walk` once across all its metrics and its audit together, the audit
+    alone none when both two-qubit classes are present, and the fold walk twice (CNOT depth, then
+    the expansion)."""
     rng = Random(SEED + 2)
     schedules = [c for name, c in _generated(12, rng) if "swap-payload=True" not in name]
     parsed = [parse_circuit(emit_circuit(c)) for c in schedules]
@@ -304,9 +312,12 @@ def test_generated_schedules_run_no_cut_layering(monkeypatch):
     for c, copy in zip(schedules, parsed):
         _read_all(c)
         assert calls == [], calls
+        walk = [("layer", len(c.gates), False)]
+        assert stage_audit(copy) == stage_audit(c)
+        assert calls == walk * (len(_two_qubit_classes(c)) < 2), calls
         _read_all(copy)
-        walks = [("layer", len(c.gates), True), ("fold", len(c.gates), False)]
-        assert calls == walks + [("fold", len(c.gates), True)] * (c.cnot_depth() is not None), calls
+        folds = [("fold", len(c.gates), False)] + [("fold", len(c.gates), True)] * (c.cnot_depth() is not None)
+        assert calls == walk + folds, calls
         calls.clear()
 
 
@@ -324,37 +335,41 @@ def _circuits() -> list[Circuit]:
     return fixed + [_random_circuit(rng) for _ in range(300)]
 
 
-def test_layer_walk_is_the_same_with_and_without_the_cut():
-    for c in _circuits():
-        staged, plain = [], []
-        with_cut = core._layer_walk(c.gates, c.n_wires, staged)
-        without = core._layer_walk(c.gates, c.n_wires, plain, False)
-        assert with_cut[:3] == without[:3] and staged == plain, c
-        assert list(with_cut[3]) == ref_classify_layers(c), c
-        two_qubit = sorted({layer for g, layer in zip(c.gates, plain) if len(g.qubits) == 2})
-        assert without[3] == tuple((layer, "L") for layer in two_qubit), c  # each two-qubit layer as L
+def test_the_class_runs_read_as_the_reference():
+    """A record of the class runs, each run's first gate alone then the rest, read by the one stage
+    reader gives `ref_classify_layers`'s tags whichever two-qubit classes a circuit holds: on the
+    hand-made edges, seeded circuits and parsed copies of every generated family."""
+    rng = Random(SEED + 6)
+    parsed = [parse_circuit(emit_circuit(c)) for n in (2, 5, 9) for _, c in _generated(n, rng)]
+    for c in _circuits() + parsed:
+        record = core._class_runs(c.gates)
+        assert sum(size for size, _ in record) == len(c.gates), c
+        as_runs = core._known_circuit(c.n_wires, [(c.gates, c._distinct)], record)
+        assert classify_layers(as_runs) == classify_layers(c) == ref_classify_layers(c), c
 
 
-def test_a_circuit_without_swaps_is_never_cut(monkeypatch):
-    """With no SWAP the cut layering is the plain one, one-qubit gates included: such a circuit's
-    walk skips the cut, and its tags, every plain two-qubit layer as L, match the reference."""
+def test_the_no_cut_rule_is_taken_exactly_with_one_two_qubit_class(monkeypatch):
+    """A circuit without a record and with at most one two-qubit class is never cut: its tags alone run
+    `_layer_walk` and are its plain two-qubit layers, in that class. With both classes they run no walk.
+    Among the circuits: the edges and seeded ones with their SWAPs and without, CNOT expansions, SWAP-
+    stripped text and flat references."""
     rng = Random(SEED + 5)
-    swap_free = [Circuit(c.n_wires, [g for g in c.gates if g.kind is not GateKind.SWAP]) for c in _circuits()]
-    assert sum(any(len(g.qubits) == 1 for g in c.gates) for c in swap_free) > 100
+    circuits = _circuits()
+    circuits += [Circuit(c.n_wires, [g for g in c.gates if g.kind is not GateKind.SWAP]) for c in circuits]
     for n in (1, 2, 5, 9):
         a, d = GF2Matrix.random_nonsingular(n, rng), random_decomposition(n, rng)
-        swap_free += [expand_to_cnot(synthesize_lnn(a)).circuit, expand_to_cnot(schedule_stabilizer(d)).circuit]
+        circuits += [expand_to_cnot(synthesize_lnn(a)).circuit, expand_to_cnot(schedule_stabilizer(d)).circuit]
         stripped = emit_circuit(qft_lnn(QftSpec(n)).circuit).replace("swap", "#")  # SWAP lines as comments
-        swap_free += [qft_flat(QftSpec(n)), parse_circuit(stripped)]
-        swap_free += [css_flat(_css_spec(CssMode.SYNDROME, n, True, rng))] if n >= 2 else []
-    calls = _spy(monkeypatch)
-    for c in swap_free:
-        fresh = Circuit(c.n_wires, c.gates)
-        for read in (c, fresh):
-            tags = classify_layers(read)
-            assert tags == ref_classify_layers(c) and {tag for _, tag in tags} <= {"L"}, c
-        assert calls == [("layer", len(c.gates), False)] * 2, c
+        circuits += [qft_flat(QftSpec(n)), parse_circuit(stripped)]
+        circuits += [css_flat(_css_spec(CssMode.SYNDROME, n, True, rng))] if n >= 2 else []
+    calls, taken = _spy(monkeypatch), [0, 0, 0]
+    for c in circuits:
+        classes = len(_two_qubit_classes(c))
+        assert classify_layers(Circuit(c.n_wires, c.gates)) == ref_classify_layers(c), c
+        assert calls == [("layer", len(c.gates), False)] * (classes < 2), c
+        taken[classes] += 1
         calls.clear()
+    assert min(taken) > 10, taken  # no two-qubit gate, one class (SWAP-only among them), both
 
 
 def test_one_sublayer_per_gate_reads_as_the_cut():
@@ -363,7 +378,7 @@ def test_one_sublayer_per_gate_reads_as_the_cut():
     for c in _circuits():
         record = [(1, "1" if len(g.qubits) == 1 else "S" if g.kind is GateKind.SWAP else "L") for g in c.gates]
         recorded = core._known_circuit(c.n_wires, [(c.gates, c.gates)], record)
-        assert classify_layers(recorded) == classify_layers(c), c
+        assert classify_layers(recorded) == classify_layers(c) == ref_classify_layers(c), c
 
 
 def test_a_parsed_copy_equals_its_schedule_and_keeps_its_tags():

@@ -94,7 +94,7 @@ def test_slot_sites_follow_the_closed_form():
         scheduled = schedule_lnn(SkeletonSpec(n, payload={pr: cnot(*pr) for pr in all_pairs(n)}))
         for flip in (False, True):
             grids = (none, bytes(every[::-1])) if flip else (bytes(every), none)
-            (gates, _), = _part_pieces(_Parts(n, tuple(range(n)), *grids))[0]
+            (gates, _), = _part_pieces(_Parts(n, tuple(range(n)), *grids), [])[0]
             assert flip or tuple(gates) == scheduled.circuit.gates
             placement = tuple(range(n - 1, -1, -1) if flip else range(n))
             loc = list(placement)  # wire -> site, replayed through the earlier stages' SWAPs
@@ -170,9 +170,10 @@ def test_reversed_initial_placement_flips_back():
         parts = gauss_jordan(GF2Matrix.random_nonsingular(n, rng).inverse())
         none, ident, back = bytes(n * n), tuple(range(n)), list(range(n - 1, -1, -1))
         (ahead, out), (behind, out_back) = (
-            _part_pieces(_Parts(n, ident, *grids)) for grids in ((parts.lower, none), (none, parts.lower[::-1]))
+            _part_pieces(_Parts(n, ident, *grids), []) for grids in ((parts.lower, none), (none, parts.lower[::-1]))
         )
-        assert out == out_back == back and _part_pieces(_Parts(n, ident, parts.lower, parts.lower[::-1]))[1] == [*ident]
+        both = _Parts(n, ident, parts.lower, parts.lower[::-1])
+        assert out == out_back == back and _part_pieces(both, [])[1] == [*ident]
 
         def mirror(g):
             a, b = (n - 1 - q for q in g.qubits)
@@ -308,7 +309,7 @@ def test_building_part_and_qft_specs_validates_no_gate(monkeypatch):
     parts = [gauss_jordan(a.inverse()) for a in matrices]
     calls = []
     monkeypatch.setattr(core, "validate_gate", calls.append)
-    scheduled = [_part_pieces(pt)[0] for pt in parts]
+    scheduled = [_part_pieces(pt, [])[0] for pt in parts]
     monkeypatch.undo()
     assert calls == [] and all(scheduled)
     for spec in (QftSpec(24), QftSpec(24, 4)):

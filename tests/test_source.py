@@ -227,7 +227,7 @@ def test_every_public_method_has_a_caller():
 # The ways past a check, each with the one list of places allowed to use it. A new caller is a
 # deliberate change: it makes gates valid by construction, or hands over gates it knows are valid.
 _PINNED = {
-    "_unchecked_gate": {"core._fold_walk", "core._slot_expansion", "linsynth._replay", "skeleton._site_gate"},
+    "_unchecked_gate": {"core._cnot_expansion", "core._fold_walk", "linsynth._replay", "skeleton._site_gate"},
     "tuple.__new__": {"core.Gate.__new__", "core._unchecked_gate"},
     "_known_circuit": {
         "core.parse_circuit",
@@ -246,17 +246,20 @@ _PINNED = {
 }
 
 
-def _readers(target: str) -> set[str]:
-    """Each function or method (module.name or module.Class.name) that reads `target`, a bare name
-    or `value.attr`; a read outside any function is named by its module and line."""
-    value, _, attr = target.rpartition(".")
+# `_known_circuit` takes a sublayer record on trust, and the slot reader's metrics hold only if the record keeps
+# its pairing promise: a function that hands over a record joins this list and the pairing sweep in test_record.py.
+_PASS_A_RECORD = {
+    "css.css_schedule_lnn",
+    "linsynth.synthesize_lnn",
+    "qft.qft_lnn",
+    "skeleton.schedule_lnn",
+    "stabilizer.schedule_stabilizer",
+}
 
-    def reads(node: ast.AST) -> bool:
-        if isinstance(node, ast.Name):
-            return not value and node.id == attr
-        return (isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.value, ast.Name)
-                and node.value.id == value)
 
+def _where(found) -> set[str]:
+    """Each function or method (module.name or module.Class.name) holding a node for which `found` is
+    true; a node outside any function is named by its module and line."""
     out = set()
     for file, tree in _SOURCE.items():
         module = file.removesuffix(".py")
@@ -265,9 +268,22 @@ def _readers(target: str) -> set[str]:
             for node in members:
                 where = f"{module}.{stmt.name}." if isinstance(stmt, ast.ClassDef) else f"{module}."
                 where += node.name if isinstance(node, ast.FunctionDef) else f"line {node.lineno}"
-                if any(reads(n) for n in ast.walk(node)):
+                if any(found(n) for n in ast.walk(node)):
                     out.add(where)
     return out
+
+
+def _readers(target: str) -> set[str]:
+    """Each function or method that reads `target`, a bare name or `value.attr`."""
+    value, _, attr = target.rpartition(".")
+
+    def reads(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return not value and node.id == attr
+        return (isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.value, ast.Name)
+                and node.value.id == value)
+
+    return _where(reads)
 
 
 @pytest.mark.parametrize("target", _PINNED)
@@ -277,6 +293,22 @@ def test_unchecked_paths_have_only_their_listed_callers(target):
         f"{target} is read by {sorted(readers - _PINNED[target])} beyond its list, "
         f"and no longer by {sorted(_PINNED[target] - readers)}"
     )
+
+
+def test_only_the_listed_builders_pass_a_sublayer_record():
+    """A `_known_circuit` call with a third argument, positional or by keyword, hands over a record."""
+    def passes(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_known_circuit"
+                and len(node.args) + len(node.keywords) > 2)
+
+    assert _where(passes) == _PASS_A_RECORD
+    assert _PASS_A_RECORD <= _PINNED["_known_circuit"]
+
+
+def test_only_core_reads_the_record_and_the_layer_memo():
+    """`Circuit._sublayers` and `Circuit._layers` are read in `core` alone, where their readers are."""
+    found = _where(lambda node: isinstance(node, ast.Attribute) and node.attr in ("_sublayers", "_layers"))
+    assert found and all(where.startswith("core.") for where in found), sorted(found)
 
 
 def test_the_readme_has_python_examples():

@@ -17,7 +17,7 @@ stage listing and stage type as they stood then, kept here since the
 scheduler reads sites in closed form and returns only the flattened gates.
 It keeps its `loc` walk, which also gives its final placement. Gates,
 final placements and whole circuits must be identical on seeded cases:
-`schedule_lnn(spec)` and `linsynth._part_pieces(parts)` against the
+`schedule_lnn(spec)` and `linsynth._part_pieces(parts, [])` against the
 reference from the identity.
 """
 
@@ -190,7 +190,7 @@ def test_linsynth_parts_match_the_reference():
     for n in range(2, 41):
         parts = _random_parts(n, rng)
         ref = ref_part_specs(parts)
-        pieces, sites = linsynth._part_pieces(parts)
+        pieces, sites = linsynth._part_pieces(parts, [])
         assert len(pieces) == len(ref)
         flip = False
         for (gates, made), (ref_spec, reversed_labels) in zip(pieces, ref):
