@@ -72,6 +72,8 @@ class ParseError(ValueError):
 MAX_WIRES = 1024
 # Most gate lines a circuit text may hold; the stabilizer schedule at n = MAX_WIRES has ~10.5 M.
 MAX_GATES = 1 << 24
+# Most bytes a line of a file may hold, its newline apart; a gf2 or stab row at MAX_WIRES holds about 1 KB.
+MAX_LINE_BYTES = 1 << 20
 # Bytes a circuit or input file is read in at a time; each block is cut after its last newline.
 _BLOCK_BYTES = 1 << 20
 
@@ -140,12 +142,11 @@ def is_permutation(perm: Sequence[int], n: int) -> bool:
 class Circuit:
     """An ordered gate list over a fixed number of wires, kept as a tuple.
 
-    Layer metrics come from a generated schedule's record (`_slot_walk`), else
-    from two walks, over the gates as written and over their CNOT expansion;
-    each is made on first use and kept in the instance __dict__ with the
-    distinct gate objects (fields, == and hash are untouched). Stage tags are
-    read off a record, a circuit's own class runs standing in for a missing
-    one (`_stage_tags`).
+    Layer metrics come from a generated schedule's record (`_slot_walk`), else from two walks, over the gates as
+    written and over their CNOT expansion; each is made on first use and kept in the instance __dict__ with the
+    distinct gate objects (fields, == and hash are untouched). A CNOT expansion arrives with its depth and CNOT
+    depth set, and a CNOT-only one with all its layer metrics (`_cnot_expansion`). Stage tags are read off a
+    record, a circuit's own class runs standing in for a missing one (`_stage_tags`).
     """
 
     n_wires: int
@@ -170,7 +171,7 @@ class Circuit:
         return len(self.gates)
 
     def depth(self) -> int:
-        return self._plain_layers[0]
+        return self._depth
 
     def cnot_depth(self) -> int | None:
         """Depth of `linsynth.expand_circuit_to_cnot(self)`, found without building
@@ -179,22 +180,22 @@ class Circuit:
 
     @cached_property
     def _layers(self) -> tuple:
-        """(depth, two-qubit layer count, generic depth, then with a record the CNOT expansion's (depth,
-        two-qubit layer count), else the plain two-qubit layer marks), from `_slot_walk` or `_layer_walk`."""
+        """(depth, two-qubit layer count, generic depth, then with a record the CNOT expansion's depth as if each
+        payload were a CNOT, else the plain two-qubit layer marks), from `_slot_walk` or `_layer_walk`."""
         if self._sublayers is not None:
             return _slot_walk(self.gates, self.n_wires, self._sublayers)
         return _layer_walk(self.gates, self.n_wires)
 
     @cached_property
-    def _plain_layers(self) -> tuple[int, int]:  # apart, so a CNOT expansion can preset it
-        return self._layers[:2]
+    def _depth(self) -> int:  # apart, so a CNOT expansion can preset it
+        return self._layers[0]
 
     @cached_property
     def _cnot_depth(self) -> int | None:
         if self._sublayers is not None:  # only a payload can lack a CNOT form
-            return self._layers[3][0] if all(g[0] in _CNOT_FORMS for g in self._distinct) else None
+            return self._layers[3] if all(g[0] in _CNOT_FORMS for g in self._distinct) else None
         try:
-            return _fold_walk(self.gates, self.n_wires)[0]
+            return _fold_walk(self.gates, self.n_wires)
         except ValueError:  # a gate with no CNOT form
             return None
 
@@ -214,19 +215,14 @@ def _known_circuit(
     return circuit
 
 
-def _fold_walk(
-    gates: Sequence[Gate], n_wires: int, out: list | None = None, three_on: dict | None = None
-) -> tuple[int, int]:
-    """(depth, two-qubit layer count) of the gates' CNOT expansion, appended to `out` if given,
-    with each SWAP pair's three CNOTs, made once, in `three_on` (given with `out`).
-    A SWAP right after a CNOT on both its wires folds: the pair becomes the
-    reversed CNOT then the CNOT, one layer past the CNOT. Any other SWAP is
-    three CNOTs. One-qubit gates block folding, unlike `generic_depth`'s fuse
-    rule: cnot(0,1) h(0) swap(0,1) has generic depth 1 and expands to 5 gates.
-    Other two-qubit gates raise.
+def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None, three_on: dict | None = None) -> int:
+    """Depth of the gates' CNOT expansion, appended to `out` if given, with each SWAP pair's three CNOTs, made once,
+    in `three_on` (given with `out`). A SWAP right after a CNOT on both its wires folds: the pair becomes the reversed
+    CNOT then the CNOT, one layer past the CNOT. Any other SWAP is three CNOTs. One-qubit gates block folding, unlike
+    `generic_depth`'s fuse rule: cnot(0,1) h(0) swap(0,1) has generic depth 1 and expands to 5 gates. Other
+    two-qubit gates raise.
     """
     free = [0] * n_wires  # first layer each wire is free in
-    two_qubit = bytearray(3 * len(gates))  # 1 at each layer holding a two-qubit gate
     pend = [0] * n_wires  # 1 + expansion index of an unfolded CNOT last on each wire, else 0
     cnot_kind, swap_kind, m = GateKind.CNOT, GateKind.SWAP, 0  # m: the expansion's length
     for g in gates:  # fields read by index: unpacking a tuple subclass is slower
@@ -238,7 +234,6 @@ def _fold_walk(
             layer = free[a]
             if free[b] > layer:
                 layer = free[b]
-            two_qubit[layer] = 1
             free[a] = free[b] = layer + 1
             m += 1
             pend[a] = pend[b] = m
@@ -249,7 +244,6 @@ def _fold_walk(
                 three = three_on[qs] = (ab, _unchecked_gate(cnot_kind, (b, a)), ab)
             k = pend[a]
             if k and k == pend[b]:  # fold; free[a] == free[b] after that CNOT
-                two_qubit[free[a]] = 1
                 free[a] = free[b] = free[a] + 1
                 m += 1
                 if out is not None:
@@ -258,7 +252,6 @@ def _fold_walk(
                     out.append(g)
             else:
                 layer = free[a] if free[a] > free[b] else free[b]
-                two_qubit[layer] = two_qubit[layer + 1] = two_qubit[layer + 2] = 1
                 free[a] = free[b] = layer + 3
                 m += 3
                 if out is not None:
@@ -270,17 +263,18 @@ def _fold_walk(
             m += 1
         else:
             raise ValueError(f"cannot expand {kind.value} gates to CNOTs")
-    return max(free), two_qubit.count(1)
+    return max(free)
 
 
-def _slot_walk(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, str]]) -> tuple:
-    """`_layer_walk`'s depth, two-qubit layer count and generic depth, then `_fold_walk`'s results as if each
-    payload were a CNOT, from a record (`_known_circuit`) read one slot at a time. A slot is a SWAP and the
-    payload on its pair, if any; a payload on wire a of SWAP (a, b) is on that pair. Plain, a payload takes
-    layer t and its SWAP t + 1, a bare SWAP t; fused, a slot is one unit; folded, a payload and its SWAP
-    take 2 CNOT layers, a bare SWAP 3. A payload before an empty 'S' is a lone gate; a '1' steps its wires."""
+def _slot_walk(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, str]]) -> tuple[int, int, int, int]:
+    """`_layer_walk`'s depth, two-qubit layer count and generic depth, then `_fold_walk`'s depth as if each payload
+    were a CNOT, from a record (`_known_circuit`) read one slot at a time. A slot is a SWAP and the payload on its
+    pair, if any; a payload on wire a of SWAP (a, b) is on that pair. Plain, a payload takes layer t and its SWAP
+    t + 1, a bare SWAP t; fused, a slot is one unit; folded, a payload and its SWAP take 2 CNOT layers, a bare SWAP
+    3. A payload before an empty 'S' is a lone gate; a '1' steps its wires. Two-qubit layers are marked only when a
+    '1' sublayer holds a gate: without one, ASAP leaves no layer below the depth empty of two-qubit gates."""
     plain, unit, free = [0] * n_wires, [0] * n_wires, [0] * n_wires  # the first layer each wire is free in
-    two_qubit, folded = bytearray(2 * len(gates) + 1), bytearray(3 * len(gates) + 1)  # 1 at two-qubit layers
+    marks, two_qubit = any(size and kind == "1" for size, kind in record), bytearray(2 * len(gates) + 1)
     end, payload = 0, ()
     for size, kind in record:
         start, end = end, end + size
@@ -304,30 +298,34 @@ def _slot_walk(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, 
                 u, u_b = unit[a], unit[b]
                 unit[a] = unit[b] = (u if u > u_b else u_b) + 1
                 if a in on:
-                    two_qubit[t] = two_qubit[t + 1] = folded[f] = folded[f + 1] = 1
+                    if marks:
+                        two_qubit[t] = two_qubit[t + 1] = 1
                     plain[a] = plain[b] = t + 2
                     free[a] = free[b] = f + 2
                     on = next(pairs, (None, ()))[1]
                 else:
-                    two_qubit[t] = folded[f] = folded[f + 1] = folded[f + 2] = 1
+                    if marks:
+                        two_qubit[t] = 1
                     plain[a] = plain[b] = t + 1
                     free[a] = free[b] = f + 3
         else:
             for a, b in (g[1] for g in payload):
                 t, f, u = max(plain[a], plain[b]), max(free[a], free[b]), max(unit[a], unit[b])
-                two_qubit[t] = folded[f] = 1
+                two_qubit[t] = 1
                 plain[a], plain[b], free[a], free[b], unit[a], unit[b] = t + 1, t + 1, f + 1, f + 1, u + 1, u + 1
-    return max(plain), two_qubit.count(1), max(unit), (max(free), folded.count(1))
+    depth = max(plain)
+    return depth, two_qubit.count(1) if marks else depth, max(unit), max(free)
 
 
-def _cnot_expansion(circuit: Circuit, out: list, three_on: dict) -> tuple[int, int]:
-    """Append to `out` what `_fold_walk(out=...)` appends, and return its (depth, two-qubit layer count). A recorded
-    CNOT/SWAP circuit is assembled from its record, paired as in `_slot_walk`, its layers read off the record:
-    a stage's payloads, each paired one as its reversed CNOT, then per SWAP its payload or its three CNOTs."""
-    if circuit._sublayers is None or circuit.cnot_depth() is None:  # the walk raises on a gate with no CNOT form
-        return _fold_walk(circuit.gates, circuit.n_wires, out, three_on)
+def _cnot_expansion(circuit: Circuit, out: list, three_on: dict) -> dict:
+    """Append to `out` what `_fold_walk(out=...)` appends. Return the expansion's memos: its depth, its CNOT depth too
+    as no SWAP is left, and if no one-qubit gate came in, all of `Circuit._layers`: each CNOT is its own fused unit and
+    every layer holds one. A recorded CNOT/SWAP circuit is assembled from its record as `_slot_walk` pairs it, its
+    depth read off it: a stage's payloads, each paired one as its reversed CNOT, then each SWAP's payload or 3 CNOTs."""
+    recorded = circuit._sublayers is not None and circuit.cnot_depth() is not None  # else the walk, which raises
+    depth = circuit._layers[3] if recorded else _fold_walk(circuit.gates, circuit.n_wires, out, three_on)
     gates, cnot_kind, end, payload = circuit.gates, GateKind.CNOT, 0, ()
-    for size, kind in circuit._sublayers:
+    for size, kind in circuit._sublayers if recorded else ():
         start, end = end, end + size
         if kind == "L":
             payload = gates[start:end]
@@ -348,7 +346,10 @@ def _cnot_expansion(circuit: Circuit, out: list, three_on: dict) -> tuple[int, i
                 else:
                     after += three
             out += after
-    return circuit._layers[3]
+    memos = {"_depth": depth, "_cnot_depth": depth}
+    if all(len(g[1]) == 2 for g in circuit._distinct):
+        memos["_layers"] = (depth, depth, depth, b"\1" * depth)
+    return memos
 
 
 def _layer_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> tuple[int, int, int, bytearray]:
@@ -403,11 +404,12 @@ def _class_runs(gates: Sequence[Gate]) -> list[tuple[int, str]]:
 
 
 def _stage_tags(circuit: Circuit) -> list[tuple[int, str]]:
-    """(layer, 'L' or 'S') per stage layer. The gates are cut where their two-qubit class switches between SWAP
-    and non-SWAP, every wire rises to the top at a cut, and one-qubit gates count. The cut is read off the sublayer
-    record (`_known_circuit`), or off the class runs (`_class_runs`) of a circuit with none; with no record and at
-    most one two-qubit class there is no cut, and the tags are the plain two-qubit layer marks. A stretch's first
-    sublayer fills the stretch's first layer and is walked only if the stretch goes on; the rest are walked."""
+    """(layer, 'L' or 'S') per stage layer. The gates are cut where their two-qubit class switches between SWAP and
+    non-SWAP, every wire rises to the top at a cut, and one-qubit gates count. The cut is read off the sublayer record
+    (`_known_circuit`), or off the class runs (`_class_runs`) of a circuit with none; with no record and at most one
+    two-qubit class there is no cut, and the tags are the plain two-qubit layer marks. A stretch's first sublayer fills
+    its first layer unwalked (disjoint wires, none free past the floor): if the stretch goes on, each of its wires is
+    free from floor + 1. The rest are walked."""
     gates, record = circuit.gates, circuit._sublayers
     if record is None:
         classes = set(map(_CLASS.__getitem__, map(itemgetter(0), circuit._distinct))) - {"1"}
@@ -418,7 +420,7 @@ def _stage_tags(circuit: Circuit) -> list[tuple[int, str]]:
     free = [0] * circuit.n_wires  # a wire is free from max(free[w], floor)
     tags: list[str | None] = [None] * len(gates)  # stage tag of each two-qubit layer
     floor = top = end = 0  # top: the first layer free on every wire; floor: top at the last cut
-    tag = unwalked = None  # unwalked: where the open stretch's first sublayer starts, until it is walked
+    tag = unwalked = None  # unwalked: where the open stretch's first sublayer starts, until the stretch goes on
     for size, kind in record:
         start, end = end, end + size
         if size and kind != "1" and kind != tag:  # a cut, or the first two-qubit sublayer
@@ -426,7 +428,11 @@ def _stage_tags(circuit: Circuit) -> list[tuple[int, str]]:
             if top == floor:  # the stretch holds no one-qubit gate before this sublayer
                 tags[floor], top, unwalked = kind, floor + 1, start
                 continue
-        for g in gates[start if unwalked is None else unwalked : end]:
+        if unwalked is not None:  # the stretch goes on: each gate of its first sublayer sat on the floor
+            for a, b in map(itemgetter(1), gates[unwalked:start]):
+                free[a] = free[b] = floor + 1
+            unwalked = None
+        for g in gates[start:end]:
             qs = g[1]
             a, b = qs if len(qs) == 2 else qs * 2  # a one-qubit gate as (q, q), which tags nothing
             layer = free[a] if free[a] > free[b] else free[b]
@@ -437,13 +443,12 @@ def _stage_tags(circuit: Circuit) -> list[tuple[int, str]]:
                 top = layer + 1
             if a != b:
                 tags[layer] = tag
-        unwalked = None
     return [(i, t) for i, t in enumerate(tags[:top]) if t is not None]
 
 
 def two_qubit_layer_count(circuit: Circuit) -> int:
     """Number of ASAP layers that contain at least one two-qubit gate."""
-    return circuit._plain_layers[1]
+    return circuit._layers[1]
 
 
 def generic_depth(circuit: Circuit) -> int:
@@ -644,9 +649,10 @@ _KIND_BY_NAME = {k.value: k for k in GateKind}
 
 
 def _line_blocks(source: str | BinaryIO) -> Iterator[tuple[int, list[str]]]:
-    """(lines before, raw lines) per block: a text is one block, and a binary file is read
-    _BLOCK_BYTES at a time and cut after its last newline. Lines are numbered as
-    str.splitlines numbers them; a byte that is not UTF-8 is a ParseError at its line."""
+    """(lines before, raw lines) per block: a text is one block, and a binary file is read _BLOCK_BYTES at a time and
+    cut after its last newline. Lines are numbered as str.splitlines numbers them. A byte that is not UTF-8 is a
+    ParseError at its line, and so is a file's run of more than MAX_LINE_BYTES bytes with no newline, at the line of
+    its first byte past the limit: the unread tail never outgrows the limit."""
     if isinstance(source, str):
         yield 0, source.splitlines()
         return
@@ -654,6 +660,11 @@ def _line_blocks(source: str | BinaryIO) -> Iterator[tuple[int, list[str]]]:
     while True:
         chunk = source.read(_BLOCK_BYTES)
         data = rest + chunk
+        for p in range(MAX_LINE_BYTES, len(data), MAX_LINE_BYTES + 1):  # a longer run holds one of these bytes
+            start = data.rfind(b"\n", 0, p) + 1
+            if start + MAX_LINE_BYTES < len(data) and data.find(b"\n", p, start + MAX_LINE_BYTES + 1) < 0:
+                line = before + len((data[: start + MAX_LINE_BYTES].decode("utf-8", "replace") + ".").splitlines())
+                raise ParseError(line, f"more than {MAX_LINE_BYTES} bytes with no newline")
         cut = data.rfind(b"\n") + 1 if chunk else len(data)
         block, rest = data[:cut], data[cut:]
         try:
@@ -862,6 +873,7 @@ __all__ = [
     "Gate",
     "GateKind",
     "MAX_GATES",
+    "MAX_LINE_BYTES",
     "MAX_WIRES",
     "ParseError",
     "ScheduledCircuit",

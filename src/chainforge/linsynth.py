@@ -223,21 +223,21 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     A CNOT immediately followed on both wires by a SWAP of the same pair
     becomes two CNOTs (the pair's action equals opposite-direction CNOT
     followed by same-direction); a bare SWAP becomes three. One-qubit gates
-    pass through and block folding across them. The result arrives layered
-    by `Circuit.cnot_depth`'s walk: with no SWAP left, its plain layering is
-    the fold-aware one, so `depth()` is a read. A generated schedule is
-    assembled slot by slot from its record, its layers read off the record.
+    pass through and block folding across them. The result arrives with its
+    depth, from `Circuit.cnot_depth`'s walk or the record that a generated
+    schedule is assembled from slot by slot; with no SWAP left, that is its
+    CNOT depth too, and one holding only CNOTs arrives with every metric.
     It also arrives with its distinct gates, the input's plus the CNOTs the
     walk made, so building it costs no rescan of its positions.
     """
     out: list[Gate] = []
     three_on: dict[Pair, tuple[Gate, Gate, Gate]] = {}  # (a, b) -> SWAP as 3 CNOTs
-    layers = _cnot_expansion(circuit, out, three_on)
+    memos = _cnot_expansion(circuit, out, three_on)
     # the input's gates were checked on these wires and the walk made the rest
     kept = [g for g in circuit._distinct if g.kind is not GateKind.SWAP]
     made = [g for ab, ba, _ in three_on.values() for g in (ab, ba)]
     expanded = _known_circuit(circuit.n_wires, [(out, (*kept, *made))])
-    expanded.__dict__.update(_plain_layers=layers, _cnot_depth=layers[0])
+    expanded.__dict__.update(memos)
     return expanded
 
 

@@ -2,8 +2,9 @@
 
 `Circuit.cnot_depth()` layers a circuit's CNOT expansion without building
 it, and `expand_circuit_to_cnot` returns the expansion with its depth and
-two-qubit layer count already known. Both must equal what a `Circuit` built
-fresh over the expanded gates computes by its own plain walk.
+CNOT depth already known, and a CNOT-only one with its two-qubit layer
+count, generic depth and tags too. All must equal what a `Circuit` built
+fresh over the expanded gates computes by its own walks.
 """
 
 from random import Random
@@ -12,6 +13,7 @@ import pytest
 from test_expand import HAND_MADE, N_CIRCUITS, SEED, _random_circuit
 
 from chainforge import core
+from chainforge.bounds import classify_layers
 from chainforge.core import (
     Architecture,
     Circuit,
@@ -21,6 +23,7 @@ from chainforge.core import (
     cphase,
     cz,
     generic2,
+    generic_depth,
     h,
     prune_trailing_swap_layers,
     swap,
@@ -42,10 +45,10 @@ def _check(c: Circuit) -> int | None:
         assert c.cnot_depth() is None, c
         return None
     fresh = Circuit(c.n_wires, expanded.gates)
-    want = (fresh.depth(), two_qubit_layer_count(fresh))
-    assert (expanded.depth(), two_qubit_layer_count(expanded)) == want, c
-    assert c.cnot_depth() == expanded.cnot_depth() == want[0], c
-    return want[0]
+    reads = (Circuit.depth, two_qubit_layer_count, generic_depth, Circuit.cnot_depth, classify_layers)
+    assert [read(expanded) for read in reads] == [read(fresh) for read in reads], c
+    assert c.cnot_depth() == expanded.cnot_depth() == fresh.depth(), c
+    return fresh.depth()
 
 
 def test_seeded_and_hand_made_circuits():
@@ -122,8 +125,9 @@ def test_expansion_depth_is_a_read(monkeypatch):
     monkeypatch.setattr(core, "_layer_walk", no_walk)
     monkeypatch.setattr(core, "_fold_walk", no_walk)
     assert expanded.depth() == want
-    assert two_qubit_layer_count(expanded) > 0
+    assert two_qubit_layer_count(expanded) == generic_depth(expanded) == want  # only CNOTs: each its own unit
     assert expanded.cnot_depth() == expanded.depth()
+    assert [layer for layer, _ in classify_layers(expanded)] == list(range(want))
 
 
 def test_expansion_arrives_with_its_distinct_gates(monkeypatch):

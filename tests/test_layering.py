@@ -10,7 +10,8 @@ walks: one over the gates as written (depth, two-qubit layers, generic depth;
 with a list, also each gate's plain layer, which is not memoized) and a
 fold-aware one (CNOT depth). Its stage tags come from `core._stage_tags`,
 off its class runs, or off the first walk's plain two-qubit layers when at
-most one two-qubit class is present.
+most one two-qubit class is present. A CNOT expansion arrives with its depth
+and CNOT depth, and with every layer metric when it holds only CNOTs.
 """
 
 from itertools import combinations
@@ -35,6 +36,7 @@ from chainforge.core import (
     swap,
     two_qubit_layer_count,
 )
+from chainforge.linsynth import expand_circuit_to_cnot
 
 SEED = 20261019
 N_CIRCUITS = 400
@@ -273,6 +275,23 @@ def test_memoized_metrics_match_the_reference_in_every_call_order():
             pairs = list(zip(METRICS, want))
             for metric, value in (pairs[shift:] + pairs[:shift]) * 2:  # the second round reads the memo
                 assert metric(fresh) == value, (metric.__name__, shift, c)
+
+
+def test_a_cnot_expansion_matches_the_reference_in_every_call_order():
+    """An expansion arrives with its depth and CNOT depth, and one with no one-qubit gate with every
+    layer metric preset; read in any order, each equals the reference. Among them: CNOT-only
+    expansions and ones that hold one-qubit gates (where the rest takes a walk)."""
+    circuits = [c for c in _circuits() if c.cnot_depth() is not None]
+    kinds = set()
+    for shift in range(len(METRICS)):
+        for c in circuits:
+            expanded = expand_circuit_to_cnot(c)
+            kinds.add(any(len(g.qubits) == 1 for g in expanded.gates))
+            pairs = [(metric, ref(expanded)) for metric, ref in zip(METRICS, REFERENCES)]
+            for metric, value in (pairs[shift:] + pairs[:shift]) * 2:
+                assert metric(expanded) == value, (metric.__name__, shift, c)
+            assert expanded.cnot_depth() == expanded.depth() == c.cnot_depth(), c
+    assert kinds == {False, True} and len(circuits) > N_CIRCUITS // 4, len(circuits)
 
 
 def test_each_walk_runs_at_most_once_per_circuit(monkeypatch):

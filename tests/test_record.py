@@ -11,7 +11,9 @@ tags come from the same stage reader, off a record of their class runs
 (`core._class_runs`), unless at most one two-qubit class is present: such a
 circuit has no cut, and its tags are its plain two-qubit layers. Every
 reading, and `test_layering.ref_classify_layers`, must give the same tags,
-and the slot reader the same metrics and expansion as the walks.
+and the slot reader the same metrics and expansion as the walks. A CNOT
+expansion arrives with its depth and CNOT depth, and one that holds only
+CNOTs with every layer metric; each must equal a fresh copy's.
 """
 
 from random import Random
@@ -143,9 +145,12 @@ def _check_pairing(name: str, c: Circuit) -> None:
                 assert all(pair in swaps for pair in payload), (name, i, payload)  # `in` consumes `swaps`
 
 
+_READS = (Circuit.depth, two_qubit_layer_count, generic_depth, Circuit.cnot_depth, classify_layers)
+
+
 def _check_slots(name: str, c: Circuit) -> None:
-    """The slot reader's depth, two-qubit layer count, generic depth and fold layers equal the gate walks',
-    and so does every public metric read."""
+    """The slot reader's depth, two-qubit layer count and generic depth equal the layer walk's, its CNOT depth
+    the fold walk's, and every public metric read equals an unrecorded copy's."""
     read = core._slot_walk(c.gates, c.n_wires, c._sublayers)
     assert read[:3] == core._layer_walk(c.gates, c.n_wires)[:3], name
     try:
@@ -153,15 +158,17 @@ def _check_slots(name: str, c: Circuit) -> None:
     except ValueError:  # a payload with no CNOT form: no CNOT depth
         assert c.cnot_depth() is None, name
     else:
-        assert read[3] == fold and c.cnot_depth() == fold[0], name
+        assert read[3] == fold == c.cnot_depth(), name
     copy = Circuit(c.n_wires, c.gates)
-    for metric in (Circuit.depth, two_qubit_layer_count, generic_depth, Circuit.cnot_depth, classify_layers):
+    for metric in _READS:
         assert metric(c) == metric(copy), (name, metric.__name__)
 
 
 def _check_expansion(name: str, c: Circuit) -> None:
     """The expansion assembled from the slots is `_fold_walk(out=...)`'s on an unrecorded copy with the
-    same distinct gates: the same gates in order, the same objects (each SWAP pair's CNOTs made once)."""
+    same distinct gates: the same gates in order, the same objects (each SWAP pair's CNOTs made once).
+    Both arrive with the depth, two-qubit layer count, generic depth, CNOT depth and tags that a fresh
+    unrecorded copy of the expanded gates computes."""
     walked = expand_circuit_to_cnot(core._known_circuit(c.n_wires, [(c.gates, c._distinct)]))
     read = expand_circuit_to_cnot(c)
     assert read.gates == walked.gates and read._distinct == walked._distinct, name
@@ -170,8 +177,10 @@ def _check_expansion(name: str, c: Circuit) -> None:
     at_read = {id(g): i for i, g in enumerate(read._distinct)}
     at_walked = {id(g): i for i, g in enumerate(walked._distinct)}
     assert [at_read[id(g)] for g in read.gates] == [at_walked[id(g)] for g in walked.gates], name
-    assert read._plain_layers == walked._plain_layers == core._layer_walk(read.gates, c.n_wires)[:2], name
-    assert read.cnot_depth() == walked.cnot_depth() == c.cnot_depth(), name
+    fresh = Circuit(c.n_wires, read.gates)
+    for metric in _READS:
+        assert metric(read) == metric(walked) == metric(fresh), (name, metric.__name__)
+    assert read.cnot_depth() == c.cnot_depth(), name
 
 
 def test_record_tags_match_the_cut_and_the_reference():
@@ -212,6 +221,22 @@ def test_slots_give_the_walks_metrics_and_expansion():
                 expanded.add(name)
     assert {"skeleton cnot drop=True", "skeleton cnot drop=False", "linsynth", "stab"} <= expanded
     assert {"skeleton", "qft", "css"} <= none
+
+
+def test_a_record_with_no_one_qubit_gate_counts_every_layer():
+    """ASAP leaves no layer below the depth empty, so a record with no non-empty '1' sublayer has as many
+    two-qubit layers as layers (skeleton and linsynth schedules); the QFT's Hadamards keep its count at
+    4n - 6 against a depth of 4n - 4."""
+    rng = Random(SEED + 8)
+    counted = set()
+    for n in range(1, 33):
+        for name, c in _generated(n, rng):
+            if c._sublayers is not None and not any(size for size, kind in c._sublayers if kind == "1"):
+                assert two_qubit_layer_count(c) == c.depth() == Circuit(c.n_wires, c.gates).depth(), (name, n)
+                counted.add(name.split()[0])
+            if name == "qft m=None" and n >= 2:
+                assert (two_qubit_layer_count(c), c.depth()) == (4 * n - 6, 4 * n - 4), n
+    assert {"skeleton", "linsynth"} <= counted and "stab" not in counted and "qft" not in counted
 
 
 def test_a_swap_payload_takes_the_cut_reading():
@@ -319,6 +344,32 @@ def test_a_generated_schedule_runs_no_walk_and_its_parsed_copy_one(monkeypatch):
         folds = [("fold", len(c.gates), False)] + [("fold", len(c.gates), True)] * (c.cnot_depth() is not None)
         assert calls == walk + folds, calls
         calls.clear()
+
+
+def test_an_expansion_arrives_with_what_its_reads_need(monkeypatch):
+    """A CNOT-only expansion (linsynth, CNOT skeletons) runs no walk for any read, its audit included.
+    One that holds one-qubit gates (stab, the QFT at m = 1) reads its depth and CNOT depth with no walk, and its
+    two-qubit layer count with one `_layer_walk` that serves its generic depth and tags too. Both hold for
+    the expansion of a generated schedule and of its unrecorded copy, and every read equals a fresh copy's."""
+    rng = Random(SEED + 7)
+    expansions = []
+    for n in (2, 5, 12):
+        for name, c in _generated(n, rng):
+            if "swap-payload=True" not in name and c.cnot_depth() is not None:
+                copy = core._known_circuit(c.n_wires, [(c.gates, c._distinct)])
+                for e in (expand_circuit_to_cnot(c), expand_circuit_to_cnot(copy)):
+                    fresh = Circuit(e.n_wires, e.gates)
+                    expansions.append((name, e, [metric(fresh) for metric in _READS] + [stage_audit(fresh)]))
+    calls, seen = _spy(monkeypatch), set()
+    for name, e, want in expansions:
+        one_qubit = any(len(g.qubits) == 1 for g in e.gates)
+        assert (e.depth(), e.cnot_depth()) == (want[0], want[3]) and calls == [], name
+        walk = [("layer", len(e.gates), False)] * one_qubit
+        assert two_qubit_layer_count(e) == want[1] and calls == walk, name
+        assert [metric(e) for metric in _READS] + [stage_audit(e)] == want and calls == walk, name
+        seen.add((name.split()[0], one_qubit))
+        calls.clear()
+    assert {("linsynth", False), ("skeleton", False), ("stab", True), ("qft", True)} <= seen, seen
 
 
 def _circuits() -> list[Circuit]:

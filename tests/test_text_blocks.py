@@ -9,9 +9,11 @@ token or one byte that is not UTF-8, the block reader must give the same
 result or the same `(line, reason)`, with the block size forced down so that
 lines fall on every cut. A child process under a 1 GiB address-space cap
 reads a file of over two million gate lines, and exits 1 on a file one gate
-past a lowered `MAX_GATES`, naming that line.
+past a lowered `MAX_GATES`, or with a line past a lowered `MAX_LINE_BYTES`,
+naming that line.
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -281,6 +283,57 @@ def test_gate_count_past_max_gates_is_a_parse_error_at_that_line(tmp_path, monke
             assert (err.value.line, err.value.reason) == (11, "more than 5 gates")
 
 
+class _Endless(io.RawIOBase):
+    """A binary file of `head`, then one line of spaces that never ends; counts the bytes it hands out."""
+
+    def __init__(self, head: bytes) -> None:
+        self.head, self.given = head, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = len(buffer)
+        part = self.head[self.given : self.given + size]
+        buffer[:size] = part + b" " * (size - len(part))
+        self.given += size
+        return size
+
+
+def test_a_line_past_max_line_bytes_is_a_parse_error_at_that_line(tmp_path, monkeypatch):
+    """With the limit lowered to 16 bytes: lines of exactly 16 bytes read, in every parser and at every
+    block size, and 17 bytes with no newline are a ParseError at the line of the 17th, as str.splitlines
+    numbers it: CRLF and form feeds count as line ends, but a run of form-feed lines is one run. A line
+    with no end stops the reader within a limit and a block of its start."""
+    monkeypatch.setattr(core, "MAX_LINE_BYTES", 16)
+    gate = "cnot 0 1".ljust(16).encode()  # 16 bytes, its newline apart
+    at_limit = b"qubits 2\r\n" + gate + b"\n\x0c\n" + gate + b"\n" + b"# sixteen bytes!\n" + gate
+    cases = [
+        (b"qubits 2\r\n" + gate + b" \nh 0\n", 2),
+        (b"qubits 2\n\n\x0c" + gate + b"#\n", 4),
+        (b"qubits 2\r\n\x0cgate\x0c" + b"h 0 " * 5, 4),  # the 17th byte of the run is on line 4
+        (b"qubits 2\n" + gate + b"\n" + gate + b"1", 3),
+        (b"qubits 2\n" + b"\x0c" * 20 + b"\n", 18),
+    ]
+    path = tmp_path / "circuit.txt"
+    for size in (1, 5, 16, 17, 64, 1 << 20):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", size)
+        path.write_bytes(at_limit)
+        assert cli._load(parse_circuit, str(path)).depth() == 3
+        assert [line for line, _ in cli._load(_content_lines, str(path))] == [1, 2, 5, 7]
+        for data, line in cases:
+            path.write_bytes(data)
+            for parse in (parse_circuit, _content_lines, lambda fh: _headed_lines(fh, "qubits")):
+                with pytest.raises(ParseError) as err:
+                    cli._load(parse, str(path))
+                assert (err.value.line, err.value.reason) == (line, "more than 16 bytes with no newline"), data
+        endless = _Endless(b"# no end\nqubits 2\n")
+        with pytest.raises(ParseError) as err:
+            parse_circuit(io.BufferedReader(endless, buffer_size=1))
+        assert (err.value.line, err.value.reason) == (3, "more than 16 bytes with no newline")
+        assert endless.given <= len(endless.head) + 16 + size, (size, endless.given)
+
+
 # --- a file of over two million gate lines, under a capped address space -----
 
 
@@ -294,12 +347,15 @@ def _write_big(path: str, header: str) -> None:
             fh.write(round_text * 100)
 
 
-def _run_child(path: str, max_gates: int = core.MAX_GATES) -> subprocess.CompletedProcess:
+def _run_child(
+    path: str, max_gates: int = core.MAX_GATES, max_line_bytes: int = core.MAX_LINE_BYTES
+) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(chainforge.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, __file__, path, str(max_gates)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, __file__, path, str(max_gates), str(max_line_bytes)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
 
 
@@ -333,9 +389,30 @@ def test_a_file_past_max_gates_exits_1_at_that_line_under_a_one_gib_address_spac
     assert proc.stderr == f"error: {path}: line {gates + 1}: more than {gates - 1} gates\n"
 
 
-if __name__ == "__main__":  # the child: `python test_text_blocks.py PATH MAX_GATES`
+def test_a_line_past_max_line_bytes_exits_1_at_that_line_under_a_one_gib_address_space(tmp_path):
+    """With the limit lowered to 4 KiB: a line of exactly 4 KiB reads, and a second line of 64 MiB of
+    'h 0 ' with no newline exits 1 with the ParseError that names line 2, read no further than its
+    first blocks instead of split into 16 M tokens."""
+    limit = 4096
+    path = str(tmp_path / "long.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("qubits 2\n" + "cnot 0 1 #".ljust(limit, "-") + "\nh 1")
+    proc = _run_child(path, max_line_bytes=limit)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["n 2", "depth 2"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("qubits 2\n")
+        for _ in range(64):
+            fh.write("h 0 " * (1 << 18))
+    proc = _run_child(path, max_line_bytes=limit)
+    assert proc.returncode == 1 and proc.stdout == "", proc
+    assert proc.stderr == f"error: {path}: line 2: more than {limit} bytes with no newline\n"
+    os.remove(path)  # 64 MB that pytest would keep with the run's temporary directory
+
+
+if __name__ == "__main__":  # the child: `python test_text_blocks.py PATH MAX_GATES MAX_LINE_BYTES`
     import resource
 
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
-    core.MAX_GATES = int(sys.argv[2])
+    core.MAX_GATES, core.MAX_LINE_BYTES = int(sys.argv[2]), int(sys.argv[3])
     sys.exit(cli.main(["depth", "--circuit", sys.argv[1]]))
