@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, groupby, repeat
+from itertools import chain, compress, count, groupby, repeat
 from operator import is_not, itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -144,9 +144,9 @@ class Circuit:
 
     Layer metrics come from a generated schedule's record (`_slot_walk`), else from two walks, over the gates as
     written and over their CNOT expansion; each is made on first use and kept in the instance __dict__ with the
-    distinct gate objects (fields, == and hash are untouched). A CNOT expansion arrives with its depth and CNOT
-    depth set, and a CNOT-only one with all its layer metrics (`_cnot_expansion`). Stage tags are read off a
-    record, a circuit's own class runs standing in for a missing one (`_stage_tags`).
+    distinct gate objects (fields, == and hash are untouched). It has a CNOT depth if each distinct kind is in
+    `_CNOT_FORMS`. A CNOT expansion (`_cnot_expansion`) arrives with its depth and CNOT depth, a CNOT-only one
+    with all its layer metrics. Stage tags are read off a record, else off the class runs (`_stage_tags`).
     """
 
     n_wires: int
@@ -192,12 +192,9 @@ class Circuit:
 
     @cached_property
     def _cnot_depth(self) -> int | None:
-        if self._sublayers is not None:  # only a payload can lack a CNOT form
-            return self._layers[3] if all(g[0] in _CNOT_FORMS for g in self._distinct) else None
-        try:
-            return _fold_walk(self.gates, self.n_wires)
-        except ValueError:  # a gate with no CNOT form
+        if not all(g[0] in _CNOT_FORMS for g in self._distinct):
             return None
+        return self._layers[3] if self._sublayers is not None else _fold_walk(self.gates, self.n_wires)
 
 
 def _known_circuit(
@@ -206,8 +203,8 @@ def _known_circuit(
     """A Circuit of each piece's gates in turn, where a piece is (gates, the objects they are made of),
     each object valid on these wires: no position is scanned. A builder's `sublayers` record each sublayer
     it emits as (size, class): 'L' (two-qubit, no SWAP), 'S' (SWAP) or '1' (one-qubit) on disjoint wires.
-    A stage is an 'L' of payloads right before an 'S': the payload pairs are an in-order subsequence of the
-    SWAP pairs, and only the last stage under `drop_last_swaps` has an empty 'S' (see `_slot_walk`)."""
+    A stage is an 'L' of payloads right before a non-empty 'S': the payload pairs are an in-order subsequence
+    of the SWAP pairs (see `_slot_walk`). A builder that cannot keep this promise passes no record."""
     gates = tuple(chain.from_iterable(gates for gates, _ in pieces))
     distinct = tuple({id(g): g for _, objects in pieces for g in objects}.values())
     circuit = object.__new__(Circuit)
@@ -216,11 +213,11 @@ def _known_circuit(
 
 
 def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None, three_on: dict | None = None) -> int:
-    """Depth of the gates' CNOT expansion, appended to `out` if given, with each SWAP pair's three CNOTs, made once,
-    in `three_on` (given with `out`). A SWAP right after a CNOT on both its wires folds: the pair becomes the reversed
-    CNOT then the CNOT, one layer past the CNOT. Any other SWAP is three CNOTs. One-qubit gates block folding, unlike
-    `generic_depth`'s fuse rule: cnot(0,1) h(0) swap(0,1) has generic depth 1 and expands to 5 gates. Other
-    two-qubit gates raise.
+    """Depth of the gates' CNOT expansion, appended to `out` if given, each SWAP's three CNOTs read from `three_on`
+    (given with `out`, keyed by the SWAP's pair). A SWAP right after a CNOT on both its wires folds: the pair becomes
+    the reversed CNOT then the CNOT, one layer past the CNOT. Any other SWAP is three CNOTs. One-qubit gates block
+    folding, unlike `generic_depth`'s fuse rule: cnot(0,1) h(0) swap(0,1) has generic depth 1 and expands to 5
+    gates. Other two-qubit gates raise, which guards `_cnot_expansion`.
     """
     free = [0] * n_wires  # first layer each wire is free in
     pend = [0] * n_wires  # 1 + expansion index of an unfolded CNOT last on each wire, else 0
@@ -239,23 +236,20 @@ def _fold_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None, thr
             pend[a] = pend[b] = m
         elif kind is swap_kind:
             a, b = qs = g[1]
-            if out is not None and (three := three_on.get(qs)) is None:  # on the checked SWAP's wires
-                ab = _unchecked_gate(cnot_kind, qs)
-                three = three_on[qs] = (ab, _unchecked_gate(cnot_kind, (b, a)), ab)
             k = pend[a]
             if k and k == pend[b]:  # fold; free[a] == free[b] after that CNOT
                 free[a] = free[b] = free[a] + 1
                 m += 1
                 if out is not None:
                     g = out[k - 1]
-                    out[k - 1] = three[g[1][0] == a]  # the folded CNOT, reversed
+                    out[k - 1] = three_on[qs][g[1][0] == a]  # the folded CNOT, reversed
                     out.append(g)
             else:
                 layer = free[a] if free[a] > free[b] else free[b]
                 free[a] = free[b] = layer + 3
                 m += 3
                 if out is not None:
-                    out.extend(three)
+                    out.extend(three_on[qs])
             pend[a] = pend[b] = 0
         elif len(qs := g[1]) == 1:
             free[qs[0]] += 1
@@ -271,8 +265,8 @@ def _slot_walk(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, 
     were a CNOT, from a record (`_known_circuit`) read one slot at a time. A slot is a SWAP and the payload on its
     pair, if any; a payload on wire a of SWAP (a, b) is on that pair. Plain, a payload takes layer t and its SWAP
     t + 1, a bare SWAP t; fused, a slot is one unit; folded, a payload and its SWAP take 2 CNOT layers, a bare SWAP
-    3. A payload before an empty 'S' is a lone gate; a '1' steps its wires. Two-qubit layers are marked only when a
-    '1' sublayer holds a gate: without one, ASAP leaves no layer below the depth empty of two-qubit gates."""
+    3. A '1' steps its wires. Two-qubit layers are marked only when a '1' sublayer holds a gate: without one, ASAP
+    leaves no layer below the depth empty of two-qubit gates."""
     plain, unit, free = [0] * n_wires, [0] * n_wires, [0] * n_wires  # the first layer each wire is free in
     marks, two_qubit = any(size and kind == "1" for size, kind in record), bytearray(2 * len(gates) + 1)
     end, payload = 0, ()
@@ -284,7 +278,7 @@ def _slot_walk(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, 
             for g in gates[start:end]:
                 plain[g[1][0]] += 1
                 free[g[1][0]] += 1
-        elif size:
+        else:
             pairs = iter(payload)
             on = next(pairs, (None, ()))[1]  # the wires of the next payload to pair
             for g in gates[start:end]:  # fields read by index: unpacking a tuple subclass is slower
@@ -308,48 +302,48 @@ def _slot_walk(gates: Sequence[Gate], n_wires: int, record: Sequence[tuple[int, 
                         two_qubit[t] = 1
                     plain[a] = plain[b] = t + 1
                     free[a] = free[b] = f + 3
-        else:
-            for a, b in (g[1] for g in payload):
-                t, f, u = max(plain[a], plain[b]), max(free[a], free[b]), max(unit[a], unit[b])
-                two_qubit[t] = 1
-                plain[a], plain[b], free[a], free[b], unit[a], unit[b] = t + 1, t + 1, f + 1, f + 1, u + 1, u + 1
     depth = max(plain)
     return depth, two_qubit.count(1) if marks else depth, max(unit), max(free)
 
 
-def _cnot_expansion(circuit: Circuit, out: list, three_on: dict) -> dict:
-    """Append to `out` what `_fold_walk(out=...)` appends. Return the expansion's memos: its depth, its CNOT depth too
-    as no SWAP is left, and if no one-qubit gate came in, all of `Circuit._layers`: each CNOT is its own fused unit and
-    every layer holds one. A recorded CNOT/SWAP circuit is assembled from its record as `_slot_walk` pairs it, its
-    depth read off it: a stage's payloads, each paired one as its reversed CNOT, then each SWAP's payload or 3 CNOTs."""
+def _cnot_expansion(circuit: Circuit) -> Circuit:
+    """`linsynth.expand_circuit_to_cnot`'s result, whose distinct gates are the input's non-SWAP objects and each SWAP
+    pair's CNOTs, made once up front. It arrives with its depth, its CNOT depth too (no SWAP is left), and with no
+    one-qubit gate in, all of `Circuit._layers`: each CNOT is its own fused unit and every layer holds one. A recorded
+    CNOT/SWAP circuit is assembled from its record as `_slot_walk` pairs it, its depth read off it: a stage's payloads,
+    each paired one as its reversed CNOT, then each SWAP's payload or 3 CNOTs. Others go through `_fold_walk`."""
+    three_on, cnot_kind, swap_kind = {}, GateKind.CNOT, GateKind.SWAP  # three_on: (a, b) -> that pair's SWAP as 3 CNOTs
+    for a, b in {g[1]: None for g in circuit._distinct if g[0] is swap_kind}:  # each pair once, a checked SWAP's wires
+        ab = _unchecked_gate(cnot_kind, (a, b))
+        three_on[a, b] = (ab, _unchecked_gate(cnot_kind, (b, a)), ab)
+    out: list[Gate] = []
     recorded = circuit._sublayers is not None and circuit.cnot_depth() is not None  # else the walk, which raises
     depth = circuit._layers[3] if recorded else _fold_walk(circuit.gates, circuit.n_wires, out, three_on)
-    gates, cnot_kind, end, payload = circuit.gates, GateKind.CNOT, 0, ()
+    gates, end, payload = circuit.gates, 0, ()
     for size, kind in circuit._sublayers if recorded else ():
         start, end = end, end + size
         if kind == "L":
             payload = gates[start:end]
-        elif kind == "1" or not size:  # one-qubit gates and lone payloads pass as they are
-            out += gates[start:end] if kind == "1" else payload
+        elif kind == "1":
+            out += gates[start:end]
         else:
             pairs, after = iter(payload), []  # after: the stage's gates past its payload column
             p = next(pairs, (None, ()))
             for g in gates[start:end]:
-                a, b = qs = g[1]
-                if (three := three_on.get(qs)) is None:
-                    ab = _unchecked_gate(cnot_kind, qs)
-                    three = three_on[qs] = (ab, _unchecked_gate(cnot_kind, (b, a)), ab)
+                a = (qs := g[1])[0]
                 if a in p[1]:
-                    out.append(three[p[1][0] == a])  # the folded CNOT, reversed
+                    out.append(three_on[qs][p[1][0] == a])  # the folded CNOT, reversed
                     after.append(p)
                     p = next(pairs, (None, ()))
                 else:
-                    after += three
+                    after += three_on[qs]
             out += after
-    memos = {"_depth": depth, "_cnot_depth": depth}
+    kept = [g for g in circuit._distinct if g[0] is not swap_kind]  # checked on these wires; the rest made here
+    expanded = _known_circuit(circuit.n_wires, [(out, (*kept, *chain.from_iterable(three_on.values())))])  # each once
+    expanded.__dict__.update(_depth=depth, _cnot_depth=depth)
     if all(len(g[1]) == 2 for g in circuit._distinct):
-        memos["_layers"] = (depth, depth, depth, b"\1" * depth)
-    return memos
+        expanded.__dict__["_layers"] = (depth, depth, depth, b"\1" * depth)
+    return expanded
 
 
 def _layer_walk(gates: Sequence[Gate], n_wires: int, out: list | None = None) -> tuple[int, int, int, bytearray]:
@@ -652,9 +646,13 @@ def _line_blocks(source: str | BinaryIO) -> Iterator[tuple[int, list[str]]]:
     """(lines before, raw lines) per block: a text is one block, and a binary file is read _BLOCK_BYTES at a time and
     cut after its last newline. Lines are numbered as str.splitlines numbers them. A byte that is not UTF-8 is a
     ParseError at its line, and so is a file's run of more than MAX_LINE_BYTES bytes with no newline, at the line of
-    its first byte past the limit: the unread tail never outgrows the limit."""
+    its first byte past the limit: the unread tail never outgrows the limit. A text's first line of more than
+    MAX_LINE_BYTES characters is a ParseError at that line, raised before any line is split into tokens."""
     if isinstance(source, str):
-        yield 0, source.splitlines()
+        lines = source.splitlines()
+        for line in compress(count(1), map(MAX_LINE_BYTES.__lt__, map(len, lines))):  # the first long line raises
+            raise ParseError(line, f"more than {MAX_LINE_BYTES} characters with no newline")
+        yield 0, lines
         return
     before, rest = 0, b""
     while True:

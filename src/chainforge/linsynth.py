@@ -41,7 +41,7 @@ from .core import (
     invert_permutation,
     is_permutation,
 )
-from .skeleton import Pair, Slot, _grid_stages, _site_row
+from .skeleton import Slot, _grid_stages, _site_row
 
 
 class SingularMatrixError(ValueError):
@@ -227,18 +227,10 @@ def expand_circuit_to_cnot(circuit: Circuit) -> Circuit:
     depth, from `Circuit.cnot_depth`'s walk or the record that a generated
     schedule is assembled from slot by slot; with no SWAP left, that is its
     CNOT depth too, and one holding only CNOTs arrives with every metric.
-    It also arrives with its distinct gates, the input's plus the CNOTs the
-    walk made, so building it costs no rescan of its positions.
+    It also arrives with its distinct gates, the input's plus each SWAP
+    pair's CNOTs, so building it costs no rescan of its positions.
     """
-    out: list[Gate] = []
-    three_on: dict[Pair, tuple[Gate, Gate, Gate]] = {}  # (a, b) -> SWAP as 3 CNOTs
-    memos = _cnot_expansion(circuit, out, three_on)
-    # the input's gates were checked on these wires and the walk made the rest
-    kept = [g for g in circuit._distinct if g.kind is not GateKind.SWAP]
-    made = [g for ab, ba, _ in three_on.values() for g in (ab, ba)]
-    expanded = _known_circuit(circuit.n_wires, [(out, (*kept, *made))])
-    expanded.__dict__.update(memos)
-    return expanded
+    return _cnot_expansion(circuit)
 
 
 def expand_to_cnot(sc: ScheduledCircuit) -> ScheduledCircuit:

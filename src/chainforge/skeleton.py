@@ -158,7 +158,8 @@ def _grid_stages(
 def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> ScheduledCircuit:
     """Execute the skeleton on a line from the identity, one payload stage + one SWAP stage each. Sites come
     from the module docstring's closed form, each listed slot read once and each distinct (slot, d) made into
-    one gate; no wire is walked, and the chain ends reversed. A SWAP payload leaves no sublayer record."""
+    one gate; no wire is walked, and the chain ends reversed. A SWAP payload, whose payload sublayer need not be
+    one class, and `drop_last_swaps`, whose last payload has no SWAP after it, leave no sublayer record."""
     n, slots = spec.n, spec._slots
     made: dict[tuple[Slot, int], Gate] = {}  # per slot and d = b - a, its site gate, made once
 
@@ -177,10 +178,9 @@ def schedule_lnn(spec: SkeletonSpec, drop_last_swaps: bool = False) -> Scheduled
     distinct, final = [*table, *made.values()], tuple(range(n - 1, -1, -1))
     if drop_last_swaps:  # the last gate is the lone SWAP of slot (n - 2, n - 1), on sites (0, 1)
         gates.pop()
-        sublayers[-1] = (sublayers[-1][0] - 1, "S")
         final = (*final[:-2], 0, 1)
         distinct = distinct if n > 2 else gates  # n = 2: no other SWAP is left
-    record = None if any(e and e.kind is GateKind.SWAP for e in slots.values()) else sublayers
+    record = None if drop_last_swaps or any(e and e.kind is GateKind.SWAP for e in slots.values()) else sublayers
     return ScheduledCircuit(_known_circuit(n, [(gates, distinct)], record), Architecture.lnn(n), final)
 
 

@@ -6,14 +6,15 @@ depth and CNOT expansion are read off that record one slot (a SWAP and the
 payload on its pair) at a time, and its stage tags off the record too:
 neither `_layer_walk` nor `_fold_walk` runs. Circuits without a record
 (parsed text, flat references, CNOT expansions, pruned schedules, skeletons
-with a SWAP payload) are still walked gate by gate for their metrics. Their
-tags come from the same stage reader, off a record of their class runs
-(`core._class_runs`), unless at most one two-qubit class is present: such a
-circuit has no cut, and its tags are its plain two-qubit layers. Every
-reading, and `test_layering.ref_classify_layers`, must give the same tags,
-and the slot reader the same metrics and expansion as the walks. A CNOT
-expansion arrives with its depth and CNOT depth, and one that holds only
-CNOTs with every layer metric; each must equal a fresh copy's.
+with a SWAP payload or under `drop_last_swaps`) are still walked gate by
+gate for their metrics. Their tags come from the same stage reader, off a
+record of their class runs (`core._class_runs`), unless at most one
+two-qubit class is present: such a circuit has no cut, and its tags are its
+plain two-qubit layers. Every reading, and
+`test_layering.ref_classify_layers`, must give the same tags, and the slot
+reader the same metrics and expansion as the walks. A CNOT expansion
+arrives with its depth and CNOT depth, and one that holds only CNOTs with
+every layer metric; each must equal a fresh copy's.
 """
 
 from random import Random
@@ -71,7 +72,7 @@ def _skeleton_spec(n: int, rng: Random, swaps: int = 0) -> SkeletonSpec:
 
 def _cnot_skeleton(n: int, rng: Random) -> SkeletonSpec:
     """A CNOT payload, either way, or an absent slot at each pair; the last slot (n - 2, n - 1) has a CNOT,
-    so under `drop_last_swaps` the schedule ends on a lone payload."""
+    so under `drop_last_swaps` the schedule ends on a payload with no SWAP after it."""
     pairs = [(a, b) for a, b in all_pairs(n) if (a, b) != (n - 2, n - 1)]
     absent = {pair for pair in pairs if rng.random() < 0.5}
     payload = {(a, b): cnot(*rng.sample((a, b), 2)) for a, b in [*pairs, (n - 2, n - 1)] if (a, b) not in absent}
@@ -108,12 +109,20 @@ def _generated(n: int, rng: Random) -> list[tuple[str, Circuit]]:
     return out
 
 
+def _has_record(name: str) -> bool:
+    """Whether a `_generated` schedule carries a record: a skeleton with a SWAP payload or under
+    `drop_last_swaps` has none."""
+    return "swap-payload=True" not in name and "drop=True" not in name
+
+
 def _check_record(name: str, c: Circuit) -> None:
-    """The record covers the gates, and each sublayer is one class on pairwise disjoint wires."""
+    """The record covers the gates, each sublayer is one class on pairwise disjoint wires, and no 'S'
+    is empty: an empty one would skip its stage's payload in the slot reader."""
     assert c._sublayers is not None, name
     assert sum(size for size, _ in c._sublayers) == len(c.gates), name
     end = 0
     for size, kind in c._sublayers:
+        assert size or kind != "S", name
         gates, end = c.gates[end : end + size], end + size
         classes = {None if len(g.qubits) == 1 else "S" if g.kind is GateKind.SWAP else "L" for g in gates}
         assert classes <= {_CLASS[kind]}, (name, kind, gates)
@@ -128,21 +137,18 @@ def _cut(c: Circuit) -> list[tuple[int, str]]:
 
 def _check_pairing(name: str, c: Circuit) -> None:
     """The record is '1' sublayers and stages, a stage being an 'L' right before an 'S', and the payload
-    pairs are an in-order subsequence of the SWAP pairs; an 'S' is empty only as the record's last
-    sublayer, after at most one payload gate (the last stage under `drop_last_swaps`)."""
+    pairs are an in-order subsequence of the SWAP pairs."""
     record, starts = list(c._sublayers), [0]
     for size, _ in record:
         starts.append(starts[-1] + size)
     for i, (size, kind) in enumerate(record):
         if kind == "S":
             assert i and record[i - 1][1] == "L", (name, i)
-            assert size or (i == len(record) - 1 and record[i - 1][0] <= 1), (name, i)
         elif kind == "L":
             assert i + 1 < len(record) and record[i + 1][1] == "S", (name, i)
-            if record[i + 1][0]:
-                payload = [tuple(sorted(g.qubits)) for g in c.gates[starts[i] : starts[i + 1]]]
-                swaps = iter([g.qubits for g in c.gates[starts[i + 1] : starts[i + 2]]])
-                assert all(pair in swaps for pair in payload), (name, i, payload)  # `in` consumes `swaps`
+            payload = [tuple(sorted(g.qubits)) for g in c.gates[starts[i] : starts[i + 1]]]
+            swaps = iter([g.qubits for g in c.gates[starts[i + 1] : starts[i + 2]]])
+            assert all(pair in swaps for pair in payload), (name, i, payload)  # `in` consumes `swaps`
 
 
 _READS = (Circuit.depth, two_qubit_layer_count, generic_depth, Circuit.cnot_depth, classify_layers)
@@ -189,11 +195,11 @@ def test_record_tags_match_the_cut_and_the_reference():
     for n in range(1, 33):
         for name, c in _generated(n, rng):
             names.add(name)
-            if "swap-payload=True" in name:
-                assert c._sublayers is None, name
-            else:
+            if _has_record(name):
                 _check_record(name, c)
                 _check_pairing(name, c)
+            else:
+                assert c._sublayers is None, name
             tags = classify_layers(c)
             assert tags == _cut(c) == ref_classify_layers(c), (name, n)
     assert {name.split()[0] for name in names} == {"skeleton", "qft", "linsynth", "stab", "css"}
@@ -205,13 +211,13 @@ def test_record_tags_match_the_cut_and_the_reference():
 def test_slots_give_the_walks_metrics_and_expansion():
     """At n = 1..32 the slot reader's depth, two-qubit layers, generic depth, tags, CNOT depth and fold
     layers equal the gate walks', and each CNOT/SWAP schedule expands as `_fold_walk(out=...)` does.
-    Among them: CNOT skeletons whose last payload is lone under `drop_last_swaps`, and schedules
-    with CZ, phase or generic payloads, whose CNOT depth is None."""
+    Among them: CNOT skeletons, and schedules with CZ, phase or generic payloads, whose CNOT depth is
+    None."""
     rng = Random(SEED + 4)
     expanded, none = set(), set()
     for n in range(1, 33):
         for name, c in _generated(n, rng):
-            if "swap-payload=True" in name:
+            if not _has_record(name):
                 continue
             _check_slots(name, c)
             if c.cnot_depth() is None:
@@ -219,7 +225,7 @@ def test_slots_give_the_walks_metrics_and_expansion():
             else:
                 _check_expansion(name, c)
                 expanded.add(name)
-    assert {"skeleton cnot drop=True", "skeleton cnot drop=False", "linsynth", "stab"} <= expanded
+    assert {"skeleton cnot drop=False", "linsynth", "stab"} <= expanded
     assert {"skeleton", "qft", "css"} <= none
 
 
@@ -271,14 +277,21 @@ def test_record_tags_at_the_benchmark_sizes(family):
         _check_expansion(family, c)
 
 
-def test_drop_last_swaps_shrinks_the_last_swap_sublayer():
-    for n in range(2, 9):
-        spec = _skeleton_spec(n, Random(n))
-        full, dropped = schedule_lnn(spec).circuit, schedule_lnn(spec, drop_last_swaps=True).circuit
-        assert full._sublayers[-1] == (1, "S")
-        assert list(dropped._sublayers) == [*full._sublayers[:-1], (0, "S")]
-        _check_record("dropped", dropped)
-        assert classify_layers(dropped) == _cut(dropped) == ref_classify_layers(dropped)
+def test_a_drop_last_swaps_schedule_carries_no_record():
+    """Without its last SWAP the last payload has no SWAP to pair, so a `drop_last_swaps` skeleton, generic
+    or CNOT, carries no record: its metrics, its tags and a CNOT skeleton's expansion are a parsed copy's."""
+    rng = Random(SEED + 9)
+    for n in range(2, 13):
+        for spec in (_skeleton_spec(n, rng), _cnot_skeleton(n, rng)):
+            dropped = schedule_lnn(spec, drop_last_swaps=True).circuit
+            copy = parse_circuit(emit_circuit(dropped))
+            assert dropped._sublayers is None and dropped.gates == schedule_lnn(spec).circuit.gates[:-1], n
+            assert [metric(dropped) for metric in _READS] == [metric(copy) for metric in _READS], n
+            assert classify_layers(dropped) == ref_classify_layers(dropped), n
+            if dropped.cnot_depth() is not None:
+                read, walked = expand_circuit_to_cnot(dropped), expand_circuit_to_cnot(copy)
+                assert read.gates == walked.gates, n
+                assert [metric(read) for metric in _READS] == [metric(walked) for metric in _READS], n
 
 
 def test_readers_without_a_record_take_the_cut_reading():
@@ -328,10 +341,11 @@ def _two_qubit_classes(c: Circuit) -> set[bool]:
 def test_a_generated_schedule_runs_no_walk_and_its_parsed_copy_one(monkeypatch):
     """A generated schedule runs neither gate walk for any metric, its audit or its CNOT expansion.
     Its parsed copy runs `_layer_walk` once across all its metrics and its audit together, the audit
-    alone none when both two-qubit classes are present, and the fold walk twice (CNOT depth, then
-    the expansion)."""
+    alone none when both two-qubit classes are present, and, if each gate has a CNOT form, the fold
+    walk twice (CNOT depth, then the expansion); a gate kind with none makes the CNOT depth None
+    unwalked."""
     rng = Random(SEED + 2)
-    schedules = [c for name, c in _generated(12, rng) if "swap-payload=True" not in name]
+    schedules = [c for name, c in _generated(12, rng) if _has_record(name)]
     parsed = [parse_circuit(emit_circuit(c)) for c in schedules]
     calls = _spy(monkeypatch)
     for c, copy in zip(schedules, parsed):
@@ -341,7 +355,7 @@ def test_a_generated_schedule_runs_no_walk_and_its_parsed_copy_one(monkeypatch):
         assert stage_audit(copy) == stage_audit(c)
         assert calls == walk * (len(_two_qubit_classes(c)) < 2), calls
         _read_all(copy)
-        folds = [("fold", len(c.gates), False)] + [("fold", len(c.gates), True)] * (c.cnot_depth() is not None)
+        folds = [("fold", len(c.gates), False), ("fold", len(c.gates), True)] * (c.cnot_depth() is not None)
         assert calls == walk + folds, calls
         calls.clear()
 

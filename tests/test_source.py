@@ -227,14 +227,14 @@ def test_every_public_method_has_a_caller():
 # The ways past a check, each with the one list of places allowed to use it. A new caller is a
 # deliberate change: it makes gates valid by construction, or hands over gates it knows are valid.
 _PINNED = {
-    "_unchecked_gate": {"core._cnot_expansion", "core._fold_walk", "linsynth._replay", "skeleton._site_gate"},
+    "_unchecked_gate": {"core._cnot_expansion", "linsynth._replay", "skeleton._site_gate"},
     "tuple.__new__": {"core.Gate.__new__", "core._unchecked_gate"},
     "_known_circuit": {
+        "core._cnot_expansion",
         "core.parse_circuit",
         "core.prune_trailing_swap_layers",
         "css.css_flat",
         "css.css_schedule_lnn",
-        "linsynth.expand_circuit_to_cnot",
         "linsynth.synthesize_lnn",
         "qft.qft_flat",
         "qft.qft_lnn",
@@ -306,8 +306,9 @@ def test_only_the_listed_builders_pass_a_sublayer_record():
 
 
 def test_only_core_reads_the_record_and_the_layer_memo():
-    """`Circuit._sublayers` and `Circuit._layers` are read in `core` alone, where their readers are."""
-    found = _where(lambda node: isinstance(node, ast.Attribute) and node.attr in ("_sublayers", "_layers"))
+    """`Circuit._sublayers` and `Circuit._layers` are read in `core` alone, where their readers are, and no
+    other module touches an instance `__dict__`: the memos a circuit arrives with are written in `core`."""
+    found = _where(lambda node: isinstance(node, ast.Attribute) and node.attr in ("_sublayers", "_layers", "__dict__"))
     assert found and all(where.startswith("core.") for where in found), sorted(found)
 
 

@@ -304,7 +304,9 @@ def test_a_line_past_max_line_bytes_is_a_parse_error_at_that_line(tmp_path, monk
     """With the limit lowered to 16 bytes: lines of exactly 16 bytes read, in every parser and at every
     block size, and 17 bytes with no newline are a ParseError at the line of the 17th, as str.splitlines
     numbers it: CRLF and form feeds count as line ends, but a run of form-feed lines is one run. A line
-    with no end stops the reader within a limit and a block of its start."""
+    with no end stops the reader within a limit and a block of its start. Given as a `str`, the same texts
+    are held to 16 characters a line, each form feed ending one: an over-long line is a ParseError at
+    that line, and a line of 16 characters in 21 bytes reads as text but not from a file."""
     monkeypatch.setattr(core, "MAX_LINE_BYTES", 16)
     gate = "cnot 0 1".ljust(16).encode()  # 16 bytes, its newline apart
     at_limit = b"qubits 2\r\n" + gate + b"\n\x0c\n" + gate + b"\n" + b"# sixteen bytes!\n" + gate
@@ -332,6 +334,18 @@ def test_a_line_past_max_line_bytes_is_a_parse_error_at_that_line(tmp_path, monk
             parse_circuit(io.BufferedReader(endless, buffer_size=1))
         assert (err.value.line, err.value.reason) == (3, "more than 16 bytes with no newline")
         assert endless.given <= len(endless.head) + 16 + size, (size, endless.given)
+    wide = "qubits 2\n" + "cnot 0 1 # " + "\u00e9" * 5  # line 2: 16 characters, 21 bytes
+    assert parse_circuit(at_limit.decode()).depth() == 3 and parse_circuit(wide).depth() == 1
+    assert [line for line, _ in _content_lines(cases[-1][0].decode())] == [1]  # 20 empty lines, none long
+    for text, line in [(data.decode(), line) for data, line in cases[:-1]] + [(wide + "\u00e9", 2)]:
+        for parse in (parse_circuit, _content_lines, lambda text: _headed_lines(text, "qubits")):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.reason) == (line, "more than 16 characters with no newline"), text
+    path.write_bytes(wide.encode())
+    with pytest.raises(ParseError) as err:
+        cli._load(parse_circuit, str(path))
+    assert (err.value.line, err.value.reason) == (2, "more than 16 bytes with no newline")
 
 
 # --- a file of over two million gate lines, under a capped address space -----
